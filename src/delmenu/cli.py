@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import re
 import sys
@@ -364,6 +365,17 @@ def _sweep_worker(payload: tuple[dict[str, Any], int]) -> dict[str, str]:
         return row
 
 
+def sweep_workers(jobs: int, tasks: int, cpus: int | None) -> tuple[int, int]:
+    """(worker processes, tasks per chunk) for a sweep of ``tasks`` rows.
+
+    More workers than CPUs or than tasks only add start-up cost, so the
+    request is clamped; chunks of about four per worker amortize the
+    inter-process round trips.
+    """
+    workers = max(1, min(jobs, cpus or 1, tasks))
+    return workers, max(1, -(-tasks // (4 * workers)))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
@@ -372,9 +384,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ParseError(f"ensemble spec: invalid JSON: {exc.msg}") from exc
     jobs = _ensemble_jobs(spec)
     payloads = [(job, args.cap_n) for job in jobs]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+    workers, chunksize = sweep_workers(args.jobs, len(payloads), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
     else:
         rows = [_sweep_worker(p) for p in payloads]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

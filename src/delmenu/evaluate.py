@@ -1,14 +1,17 @@
 """Exact expected principal utility and its structural decompositions.
 
-Three evaluators share one choice rule:
+Two evaluators serve every caller, both on the instance's compiled integer
+choice kernel (:mod:`delmenu.kernel`):
 
-* :func:`eval_correlated` enumerates explicit profiles.
-* :func:`eval_bruteforce_product` expands an independent instance's product
-  distribution into explicit profiles (capped) and reuses the same
-  accumulation; it is the oracle for the dynamic program.
+* :func:`eval_correlated` takes each profile's pick from its ranking of the
+  candidates.
 * :func:`eval_independent_dp` folds actions one at a time over a distribution
-  of "current winner" states, which is polynomial in total support size and
-  provably equal to the brute force.
+  of "current winner" states, which is polynomial in total support size.
+
+:func:`eval_bruteforce_product` stays on the reference path: it expands an
+independent instance's product distribution into explicit profiles (capped)
+and applies :func:`~delmenu.model.agent_choice` with exact XNum arithmetic to
+each, as the oracle for the dynamic program.
 
 On top of these sit the surplus / bias-difference decomposition of a menu's
 utility and the single-action derandomization of a threshold menu's
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping
 
+from .kernel import Tally
 from .model import (
     CapExceededError,
     CorrelatedInstance,
@@ -29,20 +32,19 @@ from .model import (
     Instance,
     InvalidInstanceError,
     Menu,
-    NoFeasibleActionError,
-    OUTSIDE,
     agent_choice,
     candidates,
     choice_key,
     joint_realizations,
     joint_support_size,
-    profile_assignment,
+    product_realizations,
     threshold_menu,
     validate_menu,
 )
 from .xnum import XNum, ZERO, xsum
 
 DEFAULT_PROFILE_CAP = 10**6
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,18 @@ class Decomposition:
     bdif: XNum
 
 
-def _accumulate(
-    instance: Instance, menu: Menu, outcomes: Iterable[tuple[Fraction, Mapping[int, XNum]]]
-) -> EvalReport:
-    menu = validate_menu(instance, menu)
-    contrib = {i: ZERO for i in candidates(instance, menu)}
-    freq = {i: Fraction(0) for i in candidates(instance, menu)}
-    for prob, values in outcomes:
-        chosen = agent_choice(instance, menu, values)
-        contrib[chosen] = contrib[chosen] + values[chosen] * prob
-        freq[chosen] += prob
-    f = xsum(contrib.values())
-    assert sum(freq.values()) == 1
+def _ratio(num: int, den: int) -> Fraction:
+    # Most iota channels and many contributions are zero; skip their gcd.
+    return Fraction(num, den) if num else _ZERO
+
+
+def _report(feasible: list[int], tally: Tally) -> EvalReport:
+    contrib = {
+        i: XNum(_ratio(tally.std[i], tally.std_den), _ratio(tally.inf[i], tally.inf_den))
+        for i in feasible
+    }
+    freq = {i: _ratio(tally.freq[i], tally.freq_den) for i in feasible}
+    f = XNum(_ratio(sum(tally.std), tally.std_den), _ratio(sum(tally.inf), tally.inf_den))
     return EvalReport(f, contrib, freq)
 
 
@@ -94,11 +96,8 @@ def eval_correlated(instance: CorrelatedInstance, menu: Menu) -> EvalReport:
     """Expected utility by exhaustive enumeration of the explicit profiles."""
     if not isinstance(instance, CorrelatedInstance):
         raise InvalidInstanceError("eval_correlated requires a correlated instance")
-    return _accumulate(
-        instance,
-        menu,
-        ((p.prob, profile_assignment(instance, p)) for p in instance.profiles),
-    )
+    feasible = candidates(instance, validate_menu(instance, menu))
+    return _report(feasible, instance.kernel.tally(feasible))
 
 
 def eval_bruteforce_product(
@@ -107,7 +106,8 @@ def eval_bruteforce_product(
     """Expected utility by expanding the full product distribution.
 
     Exponential in menu size; refuses to enumerate more than ``cap`` joint
-    profiles.  Exists as an independent oracle for the dynamic program.
+    profiles.  Exists as an independent oracle for the dynamic program: it
+    applies :func:`~delmenu.model.agent_choice` to every joint realization.
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("eval_bruteforce_product requires an independent instance")
@@ -115,54 +115,32 @@ def eval_bruteforce_product(
     size = joint_support_size(instance, menu)
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
-    return _accumulate(instance, menu, joint_realizations(instance, menu))
+    contrib = {i: ZERO for i in candidates(instance, menu)}
+    freq = {i: Fraction(0) for i in candidates(instance, menu)}
+    for prob, values in joint_realizations(instance, menu):
+        chosen = agent_choice(instance, menu, values)
+        contrib[chosen] = contrib[chosen] + values[chosen] * prob
+        freq[chosen] += prob
+    f = xsum(contrib.values())
+    assert sum(freq.values()) == 1
+    return EvalReport(f, contrib, freq)
 
 
 def eval_independent_dp(instance: IndependentInstance, menu: Menu) -> EvalReport:
     """Expected utility by dynamic programming over winner states.
 
-    A state is the identity of the current agent favorite: (index, realized
-    value), with the favorite's utility recoverable as value + bias.  The
-    outside option is folded in first, then menu actions in increasing index;
-    a new realization replaces the incumbent exactly when it beats it under
-    the agent's comparator, so the processing order realizes the index
-    tie-break.  States with equal (index, value) merge by adding
-    probabilities, which keeps the state count at most the total support size.
-    Independence makes the fold exact: the incumbent's identity carries no
-    information about later actions' values.
+    A state is the current agent favorite among the actions folded so far,
+    identified by the integer rank of its (index, value) pair in the agent's
+    order.  Folding in one more action sends each (incumbent, draw)
+    combination to the higher-ranked of the two, so the state count stays at
+    most the total support size.  Ranks are a total order, so the fold order
+    does not matter; independence makes the fold exact, because the
+    incumbent's identity carries no information about later actions' values.
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("eval_independent_dp requires an independent instance")
-    menu = validate_menu(instance, menu)
-    order = ([OUTSIDE] if instance.has_outside else []) + sorted(menu)
-    if not order:
-        raise NoFeasibleActionError("no feasible action")
-
-    states: dict[tuple[int, XNum], Fraction] | None = None
-    for idx in order:
-        action = instance.outside if idx == OUTSIDE else instance.actions[idx - 1]
-        if states is None:
-            states = {(idx, value): prob for value, prob in action.support}
-            continue
-        nxt: dict[tuple[int, XNum], Fraction] = {}
-        for (inc_idx, inc_value), inc_prob in states.items():
-            inc_key = choice_key(inc_idx, inc_value, instance.bias_of(inc_idx))
-            for value, prob in action.support:
-                if choice_key(idx, value, action.bias) > inc_key:
-                    state = (idx, value)
-                else:
-                    state = (inc_idx, inc_value)
-                nxt[state] = nxt.get(state, Fraction(0)) + inc_prob * prob
-        states = nxt
-
-    contrib = {i: ZERO for i in candidates(instance, menu)}
-    freq = {i: Fraction(0) for i in candidates(instance, menu)}
-    for (idx, value), prob in states.items():
-        contrib[idx] = contrib[idx] + value * prob
-        freq[idx] += prob
-    f = xsum(contrib.values())
-    assert sum(freq.values()) == 1
-    return EvalReport(f, contrib, freq)
+    feasible = candidates(instance, validate_menu(instance, menu))
+    return _report(feasible, instance.kernel.tally(feasible))
 
 
 def evaluate(instance: Instance, menu: Menu) -> EvalReport:
@@ -242,14 +220,12 @@ def derandomize_interference(
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
 
-    kept_indices = sorted(kept)
-    if instance.has_outside:
-        kept_indices.append(OUTSIDE)
+    kept_indices = candidates(instance, kept)
 
     def conditional_value(pinned: dict[int, XNum]) -> XNum:
         """E[value of the agent's pick from A_t] with interference values fixed."""
         total = ZERO
-        for prob, values in _kept_realizations(instance, kept_indices):
+        for prob, values in product_realizations(instance, kept_indices):
             values.update(pinned)
             chosen = agent_choice(instance, a_t, values)
             total = total + values[chosen] * prob
@@ -278,33 +254,15 @@ def derandomize_interference(
     return action, rhs <= lhs
 
 
-def _kept_realizations(
-    instance: IndependentInstance, indices: list[int]
-) -> Iterator[tuple[Fraction, dict[int, XNum]]]:
-    supports = [
-        instance.outside.support if i == OUTSIDE else instance.actions[i - 1].support
-        for i in indices
-    ]
-    for combo in product(*supports):
-        prob = Fraction(1)
-        values: dict[int, XNum] = {}
-        for idx, (value, p) in zip(indices, combo):
-            prob *= p
-            values[idx] = value
-        yield prob, values
-
-
 def _value_with_extra_candidate(
     instance: IndependentInstance, menu: Menu, extra: InterferenceAction
 ) -> XNum:
     """f(menu + one synthetic deterministic candidate appended past index n."""
     extra_index = instance.n + 1
-    kept_indices = sorted(menu)
-    if instance.has_outside:
-        kept_indices.append(OUTSIDE)
+    kept_indices = candidates(instance, menu)
     extra_key = choice_key(extra_index, extra.value, extra.bias)
     total = ZERO
-    for prob, values in _kept_realizations(instance, kept_indices):
+    for prob, values in product_realizations(instance, kept_indices):
         best, best_key = extra_index, extra_key
         for i in kept_indices:
             key = choice_key(i, values[i], instance.bias_of(i))

@@ -1,0 +1,237 @@
+"""Exact integer choice kernel: each instance compiled once, then integer work only.
+
+:func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
+so an instance's pairs get integer ranks once, and every later agent choice
+is an integer comparison: the agent picks the highest-ranked feasible pair.
+
+* A correlated instance becomes a weighted list of rankings, one per profile
+  (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
+  2018).  The pick from a menu is the first menu member in the profile's
+  ranking, with the outside option, always feasible, as the floor.
+* An independent instance becomes, per action, its draws as (rank, integer
+  probability) pairs sorted by rank, which the winner-state DP folds.
+
+Probabilities and values are integer numerators over common denominators,
+with the standard and iota parts of values scaled separately; a :class:`Tally`
+carries the per-index sums back to the caller, which turns them into exact
+rationals once per evaluation.  Kernels are derived data: the instances build
+and cache them on first use (their ``kernel`` attribute).
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from fractions import Fraction
+from typing import Iterable, NamedTuple
+
+from .model import (
+    OUTSIDE,
+    CorrelatedInstance,
+    IndependentInstance,
+    Instance,
+    candidates,
+    choice_key,
+    full_menu,
+)
+from .xnum import XNum
+
+
+class Tally(NamedTuple):
+    """Per-index sums of one evaluation as integer numerators.
+
+    Index i (0 is the outside option) collected expected value
+    ``std[i] / std_den + (inf[i] / inf_den) * iota`` and was picked with
+    probability ``freq[i] / freq_den``.
+    """
+
+    std: list[int]
+    inf: list[int]
+    freq: list[int]
+    std_den: int
+    inf_den: int
+    freq_den: int
+
+
+def _common_denominator(fractions: Iterable[Fraction]) -> int:
+    return math.lcm(*{x.denominator for x in fractions})
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    """``x * den`` for a ``den`` that ``x``'s denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
+    """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred)."""
+    ordered = sorted(pairs, key=lambda pair: choice_key(pair[0], pair[1], instance.bias_of(pair[0])))
+    return {pair: rank for rank, pair in enumerate(ordered)}
+
+
+class CorrelatedKernel(NamedTuple):
+    """One ranking per profile, with integer weights.
+
+    ``orders[k]`` lists profile k's candidate indices from the agent's
+    favorite down, cut after the outside option: nothing ranked below it is
+    ever picked.  ``std[k][i]`` and ``inf[k][i]`` are index i's value times
+    profile k's probability, and ``prob[k]`` that probability, as numerators
+    over ``std_den``, ``inf_den`` and ``prob_den``.
+    """
+
+    orders: tuple[tuple[int, ...], ...]
+    std: tuple[tuple[int, ...], ...]
+    inf: tuple[tuple[int, ...], ...]
+    prob: tuple[int, ...]
+    std_den: int
+    inf_den: int
+    prob_den: int
+
+    def tally(self, feasible: list[int]) -> Tally:
+        """Sum each profile's pick from ``feasible``, the menu's candidates."""
+        mask = 0
+        for i in feasible:
+            mask |= 1 << i
+        width = len(self.std[0])
+        std, inf, freq = [0] * width, [0] * width, [0] * width
+        for order, std_k, inf_k, prob_k in zip(self.orders, self.std, self.inf, self.prob):
+            for i in order:
+                if mask >> i & 1:
+                    break
+            std[i] += std_k[i]
+            inf[i] += inf_k[i]
+            freq[i] += prob_k
+        return Tally(std, inf, freq, self.std_den, self.inf_den, self.prob_den)
+
+
+def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
+    indices = candidates(instance, full_menu(instance))
+    rows = [[(i, instance.value_in(p, i)) for i in indices] for p in instance.profiles]
+    rank = _rank_pairs(instance, {pair for row in rows for pair in row})
+    values = [v for row in rows for _, v in row]
+    value_std_den = _common_denominator(v.std for v in values)
+    value_inf_den = _common_denominator(v.inf for v in values)
+    prob_den = _common_denominator(p.prob for p in instance.profiles)
+
+    orders, std, inf, prob = [], [], [], []
+    for row, profile in zip(rows, instance.profiles):
+        order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
+        if instance.has_outside:
+            del order[order.index(OUTSIDE) + 1 :]
+        p = _scaled(profile.prob, prob_den)
+        std_k, inf_k = [0] * (instance.n + 1), [0] * (instance.n + 1)
+        for i, v in row:
+            std_k[i] = _scaled(v.std, value_std_den) * p
+            inf_k[i] = _scaled(v.inf, value_inf_den) * p
+        orders.append(tuple(order))
+        std.append(tuple(std_k))
+        inf.append(tuple(inf_k))
+        prob.append(p)
+    return CorrelatedKernel(
+        tuple(orders),
+        tuple(std),
+        tuple(inf),
+        tuple(prob),
+        value_std_den * prob_den,
+        value_inf_den * prob_den,
+        prob_den,
+    )
+
+
+class IndependentKernel(NamedTuple):
+    """Per-action draws as integer ranks and probabilities.
+
+    ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
+    with probabilities as numerators over ``prob_den[i]`` (index 0 is the
+    outside option, empty when there is none).  The pair of rank r belongs
+    to index ``owner[r]`` and has value ``std[r] / std_den`` plus
+    ``inf[r] / inf_den`` times iota.
+    """
+
+    ranks: tuple[tuple[int, ...], ...]
+    probs: tuple[tuple[int, ...], ...]
+    prob_den: tuple[int, ...]
+    owner: tuple[int, ...]
+    std: tuple[int, ...]
+    inf: tuple[int, ...]
+    std_den: int
+    inf_den: int
+
+    def tally(self, feasible: list[int]) -> Tally:
+        """Fold the winner-state DP over ``feasible``, the menu's candidates.
+
+        A state is a rank: the pair that is the agent's favorite so far.  The
+        winner is a max under a total order, so actions fold in any order,
+        and independence makes each fold exact.
+        """
+        first, *rest = feasible
+        ranks, masses = list(self.ranks[first]), list(self.probs[first])
+        den = self.prob_den[first]
+        for i in rest:
+            ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
+            den *= self.prob_den[i]
+        width = len(self.ranks)
+        std, inf, freq = [0] * width, [0] * width, [0] * width
+        for r, m in zip(ranks, masses):
+            i = self.owner[r]
+            std[i] += self.std[r] * m
+            inf[i] += self.inf[r] * m
+            freq[i] += m
+        return Tally(std, inf, freq, self.std_den * den, self.inf_den * den, den)
+
+
+def _fold(
+    ranks: list[int], masses: list[int], new_ranks: tuple[int, ...], new_masses: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Winner states after one more independent action; every list ascends by rank.
+
+    An incumbent of rank r keeps winning against every new draw ranked below
+    r; a new draw of rank s wins against every incumbent ranked below s.
+    States of zero mass are dropped.
+    """
+    out_ranks: list[int] = []
+    out_masses: list[int] = []
+    lo = below_new = below_old = 0
+    for s, q in zip(new_ranks, new_masses):
+        hi = bisect_left(ranks, s, lo)
+        if below_new:
+            out_ranks += ranks[lo:hi]
+            out_masses += [m * below_new for m in masses[lo:hi]]
+        below_old += sum(masses[lo:hi])
+        if below_old:
+            out_ranks.append(s)
+            out_masses.append(q * below_old)
+        below_new += q
+        lo = hi
+    out_ranks += ranks[lo:]
+    out_masses += [m * below_new for m in masses[lo:]]
+    return out_ranks, out_masses
+
+
+def compile_independent(instance: IndependentInstance) -> IndependentKernel:
+    actions = {i: instance.actions[i - 1] for i in range(1, instance.n + 1)}
+    if instance.outside is not None:
+        actions[OUTSIDE] = instance.outside
+    rank = _rank_pairs(instance, {(i, v) for i, a in actions.items() for v, _ in a.support})
+    std_den = _common_denominator(v.std for _, v in rank)
+    inf_den = _common_denominator(v.inf for _, v in rank)
+
+    width = instance.n + 1
+    ranks: list[tuple[int, ...]] = [()] * width
+    probs: list[tuple[int, ...]] = [()] * width
+    prob_den = [1] * width
+    for i, action in actions.items():
+        draws = sorted((rank[i, v], p) for v, p in action.support)
+        prob_den[i] = _common_denominator(p for _, p in draws)
+        ranks[i] = tuple(r for r, _ in draws)
+        probs[i] = tuple(_scaled(p, prob_den[i]) for _, p in draws)
+    pairs = list(rank)  # in rank order
+    return IndependentKernel(
+        tuple(ranks),
+        tuple(probs),
+        tuple(prob_den),
+        tuple(i for i, _ in pairs),
+        tuple(_scaled(v.std, std_den) for _, v in pairs),
+        tuple(_scaled(v.inf, inf_den) for _, v in pairs),
+        std_den,
+        inf_den,
+    )

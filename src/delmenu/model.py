@@ -16,10 +16,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .xnum import XNum, Rational, as_fraction
+
+if TYPE_CHECKING:
+    from .kernel import CorrelatedKernel, IndependentKernel
 
 Menu = frozenset[int]
 
@@ -150,6 +154,13 @@ class IndependentInstance:
             return "outside"
         return self.actions[index - 1].label or f"a{index}"
 
+    @cached_property
+    def kernel(self) -> IndependentKernel:
+        """This instance compiled for the exact integer evaluator, built on first use."""
+        from .kernel import compile_independent
+
+        return compile_independent(self)
+
 
 @dataclass(frozen=True)
 class CorrelatedInstance:
@@ -207,6 +218,13 @@ class CorrelatedInstance:
         if self.labels:
             return self.labels[index - 1]
         return f"a{index}"
+
+    @cached_property
+    def kernel(self) -> CorrelatedKernel:
+        """This instance compiled for the exact integer evaluator, built on first use."""
+        from .kernel import compile_correlated
+
+        return compile_correlated(self)
 
     def value_in(self, profile: Profile, index: int) -> XNum:
         if index == OUTSIDE:
@@ -298,7 +316,18 @@ def joint_realizations(
     Yields (probability, values) pairs covering every joint realization,
     in canonical support order.
     """
-    indices = candidates(instance, validate_menu(instance, menu))
+    yield from product_realizations(instance, candidates(instance, validate_menu(instance, menu)))
+
+
+def product_realizations(
+    instance: IndependentInstance, indices: list[int]
+) -> Iterator[tuple[Fraction, dict[int, XNum]]]:
+    """Expand the product distribution over ``indices`` (0 is the outside option).
+
+    Yields (probability, values) pairs in canonical support order.  No menu
+    check is made: an empty ``indices`` yields one empty realization of
+    probability 1.
+    """
     supports = [
         instance.outside.support if i == OUTSIDE else instance.actions[i - 1].support
         for i in indices

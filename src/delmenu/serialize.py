@@ -29,10 +29,6 @@ class ParseError(DelegationError, ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def xnum_to_obj(x: XNum) -> dict[str, str]:
     return {"std": str(x.std), "inf": str(x.inf)}
 
@@ -52,12 +48,25 @@ def _parse_xnum(obj: Any, where: str) -> XNum:
     return XNum(_parse_fraction(obj["std"], f"{where}.std"), _parse_fraction(obj["inf"], f"{where}.inf"))
 
 
+def _parse_list(obj: Any, where: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected a list, got {obj!r}")
+    return obj
+
+
+def _parse_label(obj: dict, default: str, where: str) -> str:
+    label = obj.get("label", default)
+    if not isinstance(label, str):
+        raise ParseError(f"{where}.label: expected a string, got {label!r}")
+    return label
+
+
 def _action_to_obj(a: Action) -> dict[str, Any]:
     return {
         "label": a.label,
         "bias": xnum_to_obj(a.bias),
         "support": [
-            {"value": xnum_to_obj(v), "prob": fraction_to_str(p)} for v, p in a.support
+            {"value": xnum_to_obj(v), "prob": str(p)} for v, p in a.support
         ],
     }
 
@@ -65,18 +74,22 @@ def _action_to_obj(a: Action) -> dict[str, Any]:
 def _parse_action(obj: Any, where: str) -> Action:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
+    entries = _parse_list(obj.get("support", []), f"{where}.support")
     try:
-        support = tuple(
-            (
-                _parse_xnum(entry["value"], f"{where}.support[{i}].value"),
-                _parse_fraction(entry["prob"], f"{where}.support[{i}].prob"),
+        support = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ParseError(f"{where}.support[{i}]: expected an object, got {entry!r}")
+            support.append(
+                (
+                    _parse_xnum(entry["value"], f"{where}.support[{i}].value"),
+                    _parse_fraction(entry["prob"], f"{where}.support[{i}].prob"),
+                )
             )
-            for i, entry in enumerate(obj.get("support", []))
-        )
         return Action(
             _parse_xnum(obj["bias"], f"{where}.bias"),
-            support,
-            str(obj.get("label", "")),
+            tuple(support),
+            _parse_label(obj, "", where),
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
@@ -106,7 +119,7 @@ def instance_to_obj(instance: Instance) -> dict[str, Any]:
         ),
         "profiles": [
             {
-                "prob": fraction_to_str(p.prob),
+                "prob": str(p.prob),
                 "values": [xnum_to_obj(v) for v in p.values],
             }
             for p in instance.profiles
@@ -138,7 +151,7 @@ def instance_from_obj(obj: Any) -> Instance:
             if not isinstance(a, dict) or "bias" not in a:
                 raise ParseError(f"actions[{i}]: expected an object with 'bias'")
             biases.append(_parse_xnum(a["bias"], f"actions[{i}].bias"))
-            labels.append(str(a.get("label", f"a{i + 1}")))
+            labels.append(_parse_label(a, f"a{i + 1}", f"actions[{i}]"))
         outside = obj.get("outside")
         outside_bias = None
         if outside is not None:
@@ -156,7 +169,7 @@ def instance_from_obj(obj: Any) -> Instance:
                 prob = _parse_fraction(pr["prob"], f"profiles[{i}].prob")
                 values = tuple(
                     _parse_xnum(v, f"profiles[{i}].values[{j}]")
-                    for j, v in enumerate(pr["values"])
+                    for j, v in enumerate(_parse_list(pr["values"], f"profiles[{i}].values"))
                 )
             except KeyError as exc:
                 raise ParseError(f"profiles[{i}]: missing field {exc}") from exc

@@ -91,7 +91,8 @@ class XNum:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # A standard number equals its int or Fraction, so it must hash alike.
+        return hash(self.std) if self.inf == 0 else hash(self._key())
 
     # -- rendering -------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from delmenu import gen_log_family, load_instance, xnum
-from delmenu.cli import main, parse_xnum_literal
+from delmenu.cli import main, parse_xnum_literal, sweep_workers
 
 
 def run(capsys, *argv):
@@ -291,6 +291,14 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
 
+def test_sweep_workers_clamped():
+    assert sweep_workers(64, 200, 2) == (2, 25)
+    assert sweep_workers(8, 3, 16) == (3, 1)
+    assert sweep_workers(4, 200, None) == (1, 50)
+    assert sweep_workers(0, 10, 4) == (1, 3)
+    assert sweep_workers(2, 0, 4) == (1, 1)
+
+
 def test_sweep_skips_over_cap(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -347,3 +355,25 @@ def test_exit_code_unknown_family(capsys):
         main(["generate", "fancy", "-o", "x.json"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_exit_code_support_as_dict(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["generate", "three-approx", "--eps", "1/2", "-o", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["actions"][0]["support"] = {"value": {"std": "1", "inf": "0"}, "prob": "1"}
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert "support" in err
+
+
+def test_exit_code_null_label(log3_file, capsys):
+    with open(log3_file) as fh:
+        obj = json.load(fh)
+    obj["actions"][0]["label"] = None
+    with open(log3_file, "w") as fh:
+        json.dump(obj, fh)
+    code, _, err = run(capsys, "eval", log3_file, "--menu", "all")
+    assert code == 2
+    assert "label" in err

@@ -7,6 +7,7 @@ from delmenu import (
     CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
+    InterferenceAction,
     Profile,
     agent_choice,
     brute_force_opt,
@@ -25,7 +26,7 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.model import joint_realizations
+from delmenu.model import joint_realizations, product_realizations
 
 from conftest import random_correlated, random_independent, random_menus
 
@@ -205,6 +206,25 @@ def test_derandomize_preserves_agent_utility():
                     for v, _ in inst.actions[i - 1].support
                 }
                 assert action.value + action.bias in utilities
+
+
+def test_product_realizations_of_no_indices():
+    inst = IndependentInstance((deterministic(xnum(0), xnum(1)),))
+    assert list(product_realizations(inst, [])) == [(Fraction(1), {})]
+
+
+def test_derandomize_with_nothing_kept_and_no_outside():
+    # The threshold menu {2} misses the opt menu {1} entirely: the kept set is
+    # empty and there is no outside option, so the stand-in action is alone.
+    inst = IndependentInstance(
+        (
+            deterministic(xnum(5), xnum(1)),
+            Action(xnum(0), ((xnum(1), Fraction(1, 2)), (xnum(3), Fraction(1, 2)))),
+        )
+    )
+    action, certified = derandomize_interference(inst, frozenset({1}), xnum(0))
+    assert action == InterferenceAction(bias=xnum(0), value=xnum(1))
+    assert certified
 
 
 def test_derandomize_certificates_outside_family():

@@ -88,6 +88,9 @@ def test_parse_error_profile_width():
     base["profiles"][0]["values"].append({"std": "0", "inf": "0"})
     with pytest.raises(ParseError, match="values"):
         loads_instance(json.dumps(base))
+    base["profiles"][0]["values"] = 5
+    with pytest.raises(ParseError, match=r"profiles\[0\]\.values"):
+        loads_instance(json.dumps(base))
 
 
 def test_kind_required():
@@ -95,3 +98,21 @@ def test_kind_required():
         loads_instance(
             json.dumps({"schema_version": 1, "kind": "mixed", "actions": [{"bias": {}}]})
         )
+
+
+def test_parse_error_support_not_a_list():
+    base = json.loads(dumps_instance(gen_three_approx(Fraction(1, 2))))
+    base["actions"][0]["support"] = {"value": {"std": "1", "inf": "0"}, "prob": "1"}
+    with pytest.raises(ParseError, match=r"actions\[0\]\.support"):
+        loads_instance(json.dumps(base))
+    base["actions"][0]["support"] = ["1"]
+    with pytest.raises(ParseError, match=r"support\[0\]"):
+        loads_instance(json.dumps(base))
+
+
+@pytest.mark.parametrize("instance", [gen_three_approx(Fraction(1, 2)), gen_log_family(2)])
+def test_parse_error_null_label(instance):
+    base = json.loads(dumps_instance(instance))
+    base["actions"][1]["label"] = None
+    with pytest.raises(ParseError, match=r"actions\[1\]\.label"):
+        loads_instance(json.dumps(base))

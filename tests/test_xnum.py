@@ -61,6 +61,15 @@ def test_hashable_and_str():
     assert str(xnum(4, -1)) == "4-1i"
 
 
+def test_hash_agrees_with_eq_for_mixed_keys():
+    assert XNum(3) == 3 and hash(XNum(3)) == hash(3)
+    assert {XNum(3): "x"}.get(3) == "x"
+    assert {3: "x"}.get(XNum(3)) == "x"
+    assert {Fraction(1, 2): "y"}.get(xnum("2/4")) == "y"
+    assert {xnum(3), 3, Fraction(3)} == {3}
+    assert {xnum(3, 1): "z"}.get(3) is None
+
+
 def test_xsum():
     assert xsum([]) == XNum(0)
     assert xsum([xnum(1, 1), xnum(2, -1), xnum("1/2")]) == xnum("7/2", 0)
