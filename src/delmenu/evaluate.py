@@ -1,25 +1,25 @@
 """Exact expected principal utility and its structural decompositions.
 
-Two evaluators serve every caller, both on the instance's compiled integer
-choice kernel (:mod:`delmenu.kernel`):
+Everything here runs on the instance's compiled integer choice kernel
+(:mod:`delmenu.kernel`), except the oracle:
 
 * :func:`eval_correlated` takes each profile's pick from its ranking of the
   candidates.
 * :func:`eval_independent_dp` folds actions one at a time over a distribution
   of "current winner" states, which is polynomial in total support size.
+* :func:`derandomize_interference` pins each realization of a threshold
+  menu's interference set against the kept actions' winner states.
 
 :func:`eval_bruteforce_product` stays on the reference path: it expands an
 independent instance's product distribution into explicit profiles (capped)
 and applies :func:`~delmenu.model.agent_choice` with exact XNum arithmetic to
-each, as the oracle for the dynamic program.
-
-On top of these sit the surplus / bias-difference decomposition of a menu's
-utility and the single-action derandomization of a threshold menu's
-interference set.
+each, as the oracle for the dynamic program.  :func:`decompose` splits a
+menu's utility into surplus and bias-difference parts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -37,7 +37,6 @@ from .model import (
     choice_key,
     joint_realizations,
     joint_support_size,
-    product_realizations,
     threshold_menu,
     validate_menu,
 )
@@ -205,69 +204,49 @@ def derandomize_interference(
     the returned flag certifies f(A_t) >= f((A_t intersect opt_menu) + that
     single action), which holds for every independent instance.
 
-    With B empty there is nothing to collapse: returns (None, True).
+    Runs on the kernel's winner states of the kept candidates.  An action's
+    ranks ascend with its sorted support, so a product over B's ranks walks
+    the realizations in canonical order, and the agent's pick under a pinned
+    realization is its top rank against each kept state.  With B empty there
+    is nothing to collapse: returns (None, True).
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
     opt_menu = validate_menu(instance, opt_menu)
     a_t = threshold_menu(instance, t)
     interference = sorted(a_t - opt_menu)
-    kept = a_t & opt_menu
     if not interference:
         return None, True
 
-    size = joint_support_size(instance, a_t) if a_t else 0
+    size = joint_support_size(instance, a_t)
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
 
-    kept_indices = candidates(instance, kept)
+    kernel = instance.kernel
+    ranks, masses, den = kernel.winners(candidates(instance, a_t & opt_menu))
 
-    def conditional_value(pinned: dict[int, XNum]) -> XNum:
-        """E[value of the agent's pick from A_t] with interference values fixed."""
-        total = ZERO
-        for prob, values in product_realizations(instance, kept_indices):
-            values.update(pinned)
-            chosen = agent_choice(instance, a_t, values)
-            total = total + values[chosen] * prob
-        return total
-
-    worst_pinned: dict[int, XNum] | None = None
-    worst_value: XNum | None = None
-    supports = [instance.actions[i - 1].support for i in interference]
-    for combo in product(*supports):
-        pinned = {i: value for i, (value, _) in zip(interference, combo)}
-        value = conditional_value(pinned)
-        if worst_value is None or value < worst_value:
-            worst_value = value
-            worst_pinned = pinned
-
-    favorite = max(
-        interference,
-        key=lambda i: choice_key(i, worst_pinned[i], instance.bias_of(i)),
+    # A pinned realization's conditional value is decided by its top rank.
+    # The values share their denominators, so their integer numerators
+    # compare exactly as the XNums do; min keeps the first minimizer.
+    worst_top = min(
+        (max(combo) for combo in product(*(kernel.ranks[i] for i in interference))),
+        key=lambda top: kernel.total([max(r, top) for r in ranks], masses),
     )
-    fav_value = worst_pinned[favorite]
-    fav_bias = instance.bias_of(favorite)
-    action = InterferenceAction(bias=t, value=fav_value + fav_bias - t)
 
-    lhs = eval_independent_dp(instance, a_t).f
-    rhs = _value_with_extra_candidate(instance, kept, action)
-    return action, rhs <= lhs
+    favorite = kernel.owner[worst_top]
+    action = InterferenceAction(t, kernel.value(worst_top) + instance.bias_of(favorite) - t)
 
+    # f(kept + stand-in): the stand-in wins the kept states whose pair ranks
+    # below it.  Agent utilities can tie, so place it by its real choice key.
+    def pair_key(r: int) -> tuple:
+        i = kernel.owner[r]
+        return choice_key(i, kernel.value(r), instance.bias_of(i))
 
-def _value_with_extra_candidate(
-    instance: IndependentInstance, menu: Menu, extra: InterferenceAction
-) -> XNum:
-    """f(menu + one synthetic deterministic candidate appended past index n."""
-    extra_index = instance.n + 1
-    kept_indices = candidates(instance, menu)
-    extra_key = choice_key(extra_index, extra.value, extra.bias)
-    total = ZERO
-    for prob, values in product_realizations(instance, kept_indices):
-        best, best_key = extra_index, extra_key
-        for i in kept_indices:
-            key = choice_key(i, values[i], instance.bias_of(i))
-            if key > best_key:
-                best, best_key = i, key
-        picked = extra.value if best == extra_index else values[best]
-        total = total + picked * prob
-    return total
+    below = bisect_left(
+        range(len(kernel.owner)), choice_key(instance.n + 1, action.value, t), key=pair_key
+    )
+    cut = bisect_left(ranks, below)
+    std, inf = kernel.total(ranks[cut:], masses[cut:])
+    rhs = XNum(Fraction(std, kernel.std_den * den), Fraction(inf, kernel.inf_den * den))
+    rhs = rhs + action.value * Fraction(sum(masses[:cut]), den)
+    return action, rhs <= eval_independent_dp(instance, a_t).f

@@ -156,19 +156,35 @@ class IndependentKernel(NamedTuple):
     std_den: int
     inf_den: int
 
-    def tally(self, feasible: list[int]) -> Tally:
-        """Fold the winner-state DP over ``feasible``, the menu's candidates.
+    def winners(self, feasible: list[int]) -> tuple[list[int], list[int], int]:
+        """Winner states of the DP folded over ``feasible``: (ranks, masses, den).
 
-        A state is a rank: the pair that is the agent's favorite so far.  The
-        winner is a max under a total order, so actions fold in any order,
-        and independence makes each fold exact.
+        A state is a rank: the pair that is the agent's favorite so far, with
+        probability ``mass / den``; ranks ascend.  The winner is a max under a
+        total order, so actions fold in any order, and independence makes
+        each fold exact.  Folding nothing leaves the one state of rank -1,
+        which every draw beats.
         """
-        first, *rest = feasible
-        ranks, masses = list(self.ranks[first]), list(self.probs[first])
-        den = self.prob_den[first]
-        for i in rest:
+        ranks, masses, den = [-1], [1], 1
+        for i in feasible:
             ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
             den *= self.prob_den[i]
+        return ranks, masses, den
+
+    def value(self, r: int) -> XNum:
+        """Value of the pair of rank r."""
+        return XNum(Fraction(self.std[r], self.std_den), Fraction(self.inf[r], self.inf_den))
+
+    def total(self, ranks: list[int], masses: list[int]) -> tuple[int, int]:
+        """Sum of value times mass over states: (std, inf) numerators over the value dens."""
+        return (
+            sum(self.std[r] * m for r, m in zip(ranks, masses)),
+            sum(self.inf[r] * m for r, m in zip(ranks, masses)),
+        )
+
+    def tally(self, feasible: list[int]) -> Tally:
+        """Sum the winner states of ``feasible``, the menu's candidates."""
+        ranks, masses, den = self.winners(feasible)
         width = len(self.ranks)
         std, inf, freq = [0] * width, [0] * width, [0] * width
         for r, m in zip(ranks, masses):

@@ -1,14 +1,16 @@
 """Exact JSON serialization of instances.
 
-Every rational is a canonical reduced string ("24/7", "-3", "0"); numbers of
-the form a + b*iota are {"std": ..., "inf": ...} objects.  Parsing a
-serialized instance reproduces it exactly, and serialization is
-deterministic, so equal instances produce byte-identical files.
+Every rational is a canonical reduced string ("24/7", "-3", "0"), and the
+parser accepts no other spelling; numbers of the form a + b*iota are
+{"std": ..., "inf": ...} objects.  Parsing a serialized instance reproduces
+it exactly, and serialization is deterministic, so equal instances produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -33,13 +35,32 @@ def xnum_to_obj(x: XNum) -> dict[str, str]:
     return {"std": str(x.std), "inf": str(x.inf)}
 
 
+RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or 'p/q' literal as an exact rational.
+
+    ``Fraction``'s own grammar also reads decimals, exponents, underscores
+    and surrounding blanks; none of them is an exact rational literal, and
+    an exponent could build a huge integer from a short string.  Raises
+    ``ValueError`` (``ZeroDivisionError`` for a zero denominator).
+    """
+    if not re.fullmatch(RATIONAL, text):
+        raise ValueError(f"invalid rational {text!r}")
+    return Fraction(text)
+
+
 def _parse_fraction(obj: Any, where: str) -> Fraction:
     if not isinstance(obj, str):
         raise ParseError(f"{where}: expected a rational string, got {obj!r}")
     try:
-        return Fraction(obj)
+        x = parse_rational(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: invalid rational {obj!r}") from exc
+    if str(x) != obj:
+        raise ParseError(f"{where}: rational {obj!r} is not in canonical form {x}")
+    return x
 
 
 def _parse_xnum(obj: Any, where: str) -> XNum:

@@ -10,7 +10,6 @@ held on this instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -120,41 +119,52 @@ def solve(instance: Instance, cap_n: int = 20) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _log2_int(n: int) -> float:
-    """log2 of a positive integer: exact exponent plus a 53-bit mantissa.
+def _log2_digits(x: int, w: int, bits: int, up: bool) -> int:
+    """The first ``bits`` binary digits of log2(x / 2**w), for x / 2**w in [1, 2].
 
-    Dropping bits below the top 53 loses under one part in 2^52, so the
-    absolute error stays below 1e-12 even for million-bit integers.
+    Each step squares the mantissa and reads one digit.  Rounding every step
+    down (``up`` false) can only shrink the mantissa, so the digits bound
+    the logarithm from below; rounding up, the digits plus one final unit
+    bound it from above.
     """
-    bits = n.bit_length()
-    if bits <= 53:
-        return math.log2(n)
-    shift = bits - 53
-    return shift + math.log2(n >> shift)
+    digits = 0
+    for _ in range(bits):
+        x *= x
+        x = -(-x >> w) if up else x >> w
+        digits <<= 1
+        if x >> w >= 2:
+            digits |= 1
+            x = -(-x >> 1) if up else x >> 1
+    return digits
 
 
 def log2_at_least(q: Fraction, threshold: Fraction) -> bool:
     """Exact test of log2(q) >= threshold for rational q > 0.
 
-    A float prescreen (error well under the 1e-6 guard band) settles all but
-    near-ties; those are decided exactly by clearing denominators:
-    log2(q) >= a/b iff q**b >= 2**a (b > 0), an integer comparison.  The
-    exact branch materializes q**b, so thresholds within 1e-6 of log2(q)
-    should carry moderate denominators.
+    When q is a power of two, 2**e, the answer is e >= threshold.  Otherwise
+    log2(q) is irrational, so it never equals the threshold, and integer
+    fixed-point bounds on it, refined until they clear the threshold,
+    decide the test; the work grows with the digits needed, never with the
+    threshold's denominator as a power.
     """
     if q <= 0:
         raise ValueError("log2 argument must be positive")
-    approx = _log2_int(q.numerator) - _log2_int(q.denominator)
-    try:
-        t_float = threshold.numerator / threshold.denominator
-    except OverflowError:
-        t_float = math.inf if threshold > 0 else -math.inf
-    if abs(approx - t_float) > 1e-6:
-        return approx >= t_float
     a, b = threshold.numerator, threshold.denominator
-    lhs = q.numerator**b * 2 ** max(0, -a)
-    rhs = q.denominator**b * 2 ** max(0, a)
-    return lhs >= rhs
+    n, d = q.numerator, q.denominator
+    e = n.bit_length() - d.bit_length()
+    if n & (n - 1) == 0 and d & (d - 1) == 0:
+        return e * b >= a
+    if (n << max(0, -e)) < (d << max(0, e)):
+        e -= 1  # now 2**e <= q < 2**(e + 1)
+    bits = 32
+    while True:
+        w = bits + 16
+        num, den = n << max(0, w - e), d << max(0, e - w)
+        if a << bits <= ((e << bits) + _log2_digits(num // den, w, bits, up=False)) * b:
+            return True
+        if ((e << bits) + _log2_digits(-(-num // den), w, bits, up=True) + 1) * b <= a << bits:
+            return False
+        bits *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-import random
-
 import pytest
 
-from delmenu import Instance, Menu, full_menu, gen_random
+from delmenu import gen_random
+from delmenu.cli import sample_menus as random_menus  # noqa: F401  (the CLI's one sampling rule)
 
 OUTSIDE_MODES = ("none", "fixed", "random")
 
@@ -18,18 +17,6 @@ def random_correlated(seed: int, outside: str | None = None, n: int = 3, profile
     if outside is None:
         outside = OUTSIDE_MODES[seed % 3]
     return gen_random("correlated", n=n, support_size=profiles, seed=seed, outside=outside)
-
-
-def random_menus(instance: Instance, count: int, seed: int) -> list[Menu]:
-    """Random nonempty-unless-outside menus, always including the full menu."""
-    rng = random.Random(seed)
-    menus = [full_menu(instance)]
-    while len(menus) < count:
-        menu = frozenset(i for i in range(1, instance.n + 1) if rng.random() < 0.5)
-        if not menu and not instance.has_outside:
-            continue
-        menus.append(menu)
-    return menus
 
 
 @pytest.fixture

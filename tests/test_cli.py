@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from delmenu import gen_log_family, load_instance, xnum
+from delmenu import InvalidInstanceError, gen_log_family, load_instance, xnum
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
 
 
@@ -32,8 +32,19 @@ def test_parse_xnum_literal():
     assert parse_xnum_literal("3/2+2i") == xnum("3/2", 2)
     assert parse_xnum_literal("1i") == xnum(0, 1)
     assert parse_xnum_literal("-1/2i") == xnum(0, "-1/2")
+    assert parse_xnum_literal("12i") == xnum(0, 12)
+    assert parse_xnum_literal("1/23i") == xnum(0, "1/23")
+    assert parse_xnum_literal("3/2-1/2i") == xnum("3/2", "-1/2")
     with pytest.raises(Exception):
         parse_xnum_literal("abc")
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", " 1_0 ", "1e3", "1e3i", "0.5+1i", "1/0", "1/0i", "1+-2i", "i"]
+)
+def test_parse_xnum_literal_rejects_non_rational_spellings(text):
+    with pytest.raises(InvalidInstanceError):
+        parse_xnum_literal(text)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,51 @@ def test_verify_families(tmp_path, capsys):
         assert "ok: decomposition identity" in out
 
 
+def verify_lines(tmp_path, capsys, *generate_args, verify_args=()):
+    path = str(tmp_path / "v.json")
+    assert main(["generate", *generate_args, "-o", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", path, *verify_args)
+    assert code == 0
+    return out.splitlines()
+
+
+def test_verify_skips_oracle_checks_on_correlated(tmp_path, capsys):
+    assert verify_lines(tmp_path, capsys, "log", "--k", "3") == [
+        "ok: decomposition identity",
+        "skipped: dp/oracle equivalence (correlated instance)",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "skipped: derandomization certificates (correlated instance)",
+    ]
+
+
+def test_verify_runs_every_check_on_outside_family(tmp_path, capsys):
+    assert verify_lines(tmp_path, capsys, "outside", "--n", "3") == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "ok: derandomization certificates",
+    ]
+
+
+def test_verify_names_why_independent_checks_skipped(tmp_path, capsys):
+    # One action with four draws: every sampled menu is {1}, over a cap of 2
+    # profiles, and the only threshold menu is the optimal menu itself.
+    lines = verify_lines(
+        tmp_path, capsys, "random", "--n", "1", "--support-size", "4", "--seed", "0",
+        verify_args=("--cap-profiles", "2"),
+    )
+    assert lines == [
+        "ok: decomposition identity",
+        "skipped: dp/oracle equivalence (joint support over 2 profiles on every sampled menu)",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "skipped: derandomization certificates (every threshold menu lies inside the optimal menu)",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -377,3 +433,15 @@ def test_exit_code_null_label(log3_file, capsys):
     code, _, err = run(capsys, "eval", log3_file, "--menu", "all")
     assert code == 2
     assert "label" in err
+
+
+@pytest.mark.parametrize("text", ["0.5", " 1_0 ", "1e3", "2/4"])
+def test_exit_code_non_canonical_rational(log3_file, capsys, text):
+    with open(log3_file) as fh:
+        obj = json.load(fh)
+    obj["actions"][0]["bias"]["std"] = text
+    with open(log3_file, "w") as fh:
+        json.dump(obj, fh)
+    code, _, err = run(capsys, "eval", log3_file, "--menu", "all")
+    assert code == 2
+    assert "actions[0].bias.std" in err

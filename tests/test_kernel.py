@@ -3,11 +3,14 @@
 Every comparison is exact equality of the whole report (``f``, every
 ``contrib[i]``, every ``freq[i]``).  Correlated instances are checked against
 a test-side enumeration that applies ``agent_choice`` to every profile;
-independent instances against ``eval_bruteforce_product``.
+independent instances against ``eval_bruteforce_product``.  The
+derandomization is checked against a test-side run of the same algorithm
+over explicit product realizations.
 """
 
+import importlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,24 +23,30 @@ from delmenu import (
     Profile,
     ZERO,
     Action,
+    InterferenceAction,
     agent_choice,
     brute_force_opt,
+    derandomize_interference,
     deterministic,
     eval_bruteforce_product,
     eval_correlated,
     eval_independent_dp,
     evaluate,
     gen_log_family,
+    gen_outside_family,
     gen_random,
+    gen_three_approx,
     minimal_valid_m,
     parse_graph,
     reduce_integer_partition,
     reduce_vertex_cover,
     shift_biases,
+    threshold_menu,
+    threshold_menus,
     xnum,
     xsum,
 )
-from delmenu.model import candidates, profile_assignment
+from delmenu.model import candidates, choice_key, product_realizations, profile_assignment
 
 from conftest import OUTSIDE_MODES, random_correlated, random_independent, random_menus
 
@@ -217,3 +226,134 @@ def test_kernel_is_not_part_of_instance_equality():
     eval_independent_dp(inst, frozenset({1, 2}))
     assert inst == twin and hash(inst) == hash(twin)
     assert "kernel" in vars(inst) and "kernel" not in vars(twin)
+
+
+# ---------------------------------------------------------------------------
+# Derandomized interference
+# ---------------------------------------------------------------------------
+
+
+def reference_derandomize(instance, opt_menu, t):
+    """derandomize_interference by agent_choice over explicit realizations.
+
+    Returns the stand-in action and both sides of the certificate:
+    f(kept + stand-in) and f(A_t).
+    """
+    a_t = threshold_menu(instance, t)
+    interference = sorted(a_t - opt_menu)
+    if not interference:
+        return None, ZERO, ZERO
+    kept_menu = a_t & opt_menu
+    kept = list(product_realizations(instance, candidates(instance, kept_menu)))
+
+    def conditional_value(pinned):
+        total = ZERO
+        for prob, values in kept:
+            values = {**values, **pinned}
+            total = total + values[agent_choice(instance, a_t, values)] * prob
+        return total
+
+    supports = [[v for v, _ in instance.actions[i - 1].support] for i in interference]
+    pinned_sets = (dict(zip(interference, combo)) for combo in product(*supports))
+    worst = min(pinned_sets, key=conditional_value)
+    favorite = max(interference, key=lambda i: choice_key(i, worst[i], instance.bias_of(i)))
+    action = InterferenceAction(t, worst[favorite] + instance.bias_of(favorite) - t)
+
+    extra_key = choice_key(instance.n + 1, action.value, t)
+    rhs = ZERO
+    for prob, values in kept:
+        picked = action.value
+        if kept_menu or instance.has_outside:
+            i = agent_choice(instance, kept_menu, values)
+            if choice_key(i, values[i], instance.bias_of(i)) > extra_key:
+                picked = values[i]
+        rhs = rhs + picked * prob
+    return action, rhs, eval_bruteforce_product(instance, a_t).f
+
+
+def assert_derandomize_matches_reference(instance, opt_menus, monkeypatch):
+    """Exact equality with the oracle, on every threshold of every opt menu.
+
+    The flag hides f(kept + stand-in) whenever the certificate holds, so
+    f(A_t) is also pinned at the oracle's value of it and just below, which
+    makes the flag read that value exactly.
+    """
+    evaluate_module = importlib.import_module("delmenu.evaluate")
+    cases = empty_kept = 0
+    for opt_menu in opt_menus:
+        for t, menu in threshold_menus(instance):
+            if t is None:
+                continue
+            action, rhs, lhs = reference_derandomize(instance, opt_menu, t)
+            got = derandomize_interference(instance, opt_menu, t)
+            assert got == (action, rhs <= lhs), (sorted(opt_menu), t)
+            if action is None:
+                continue
+            cases += 1
+            empty_kept += not (menu & opt_menu or instance.has_outside)
+            just_below = rhs - xnum(0, Fraction(1, 10**9))
+            with monkeypatch.context() as patch:
+                for pinned, certified in ((rhs, True), (just_below, False)):
+                    patch.setattr(
+                        evaluate_module, "eval_independent_dp", lambda *_: EvalReport(pinned, {}, {})
+                    )
+                    assert derandomize_interference(instance, opt_menu, t) == (action, certified)
+    return cases, empty_kept
+
+
+def opt_and_singletons(instance):
+    return [brute_force_opt(instance)[0]] + [frozenset({i}) for i in range(1, instance.n + 1)]
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_MODES)
+def test_derandomize_equals_reference_on_random_ensembles(outside, monkeypatch):
+    cases = empty_kept = 0
+    for n in (3, 4, 5, 6):
+        for seed in range(2):
+            inst = random_independent(seed, outside=outside, n=n, support=3 if n < 5 else 2)
+            got = assert_derandomize_matches_reference(
+                inst, opt_and_singletons(inst) + random_menus(inst, 2, seed)[1:], monkeypatch
+            )
+            cases, empty_kept = cases + got[0], empty_kept + got[1]
+    assert cases > 60
+    assert (empty_kept > 0) == (outside == "none")
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_MODES)
+def test_derandomize_equals_reference_on_tie_grid(outside, monkeypatch):
+    # Values and biases in {0, 1}: agent utilities tie across actions.
+    for seed in range(10):
+        inst = gen_random(
+            "independent", n=4, support_size=2, seed=seed, outside=outside,
+            value_range=(0, 1), bias_range=(0, 1), denominator=1,
+        )
+        assert_derandomize_matches_reference(inst, opt_and_singletons(inst), monkeypatch)
+
+
+def test_derandomize_equals_reference_on_families(monkeypatch):
+    for inst in (
+        gen_three_approx(Fraction(1, 100)),
+        gen_outside_family(3),
+        gen_outside_family(3, alt_good_values=True),
+    ):
+        assert_derandomize_matches_reference(inst, opt_and_singletons(inst), monkeypatch)
+
+
+def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
+    # Interference {2, 4} collapses to a stand-in of bias 2 and value 1 from
+    # action 2's draw of 2 (agent utility 3).  Kept action 3's draw of 2 has
+    # the same utility and value as that pair and ranks below it only by
+    # index, but it is the next pair above the stand-in, whose value is 1.
+    half = Fraction(1, 2)
+    inst = IndependentInstance(
+        tuple(
+            Action(xnum(bias), ((xnum(lo), half), (xnum(hi), half)))
+            for bias, lo, hi in ((2, 0, 2), (1, 2, 3), (1, 1, 2), (1, 0, 3))
+        )
+    )
+    opt_menu, t = frozenset({1, 3}), xnum(2)
+    action, rhs, _ = reference_derandomize(inst, opt_menu, t)
+    assert action == InterferenceAction(bias=xnum(2), value=xnum(1))
+    assert action.value + action.bias == xnum(2) + inst.bias_of(3)
+    assert rhs == xnum("7/4")
+    assert_derandomize_matches_reference(inst, [opt_menu], monkeypatch)

@@ -116,3 +116,18 @@ def test_parse_error_null_label(instance):
     base["actions"][1]["label"] = None
     with pytest.raises(ParseError, match=r"actions\[1\]\.label"):
         loads_instance(json.dumps(base))
+
+
+@pytest.mark.parametrize("text", ["0.5", " 1_0 ", "1e3", "2/4", "+1", "-0", "01", "1/1", "1/0"])
+@pytest.mark.parametrize("field", ["bias", "value", "prob"])
+def test_parse_error_non_canonical_rational(text, field):
+    obj = json.loads(dumps_instance(gen_three_approx(Fraction(1, 2))))
+    action = obj["actions"][0]
+    if field == "bias":
+        action["bias"]["inf"] = text
+    elif field == "value":
+        action["support"][0]["value"]["std"] = text
+    else:
+        action["support"][0]["prob"] = text
+    with pytest.raises(ParseError, match=r"actions\[0\].*(invalid rational|canonical form)"):
+        loads_instance(json.dumps(obj))

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,45 @@ def test_log2_at_least_exact_edges():
     # exercise the exact integer-power branch from both sides.
     assert log2_at_least(Fraction(9, 8), Fraction(113, 665))
     assert not log2_at_least(Fraction(9, 8), Fraction(1043, 6138))
+
+
+def decimal_log2_at_least(q: Fraction, t: Fraction) -> bool:
+    """log2(q) >= t by 300-digit decimal logarithms; q must not be a power of two."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        log2 = (Decimal(q.numerator).ln() - Decimal(q.denominator).ln()) / Decimal(2).ln()
+        return log2 >= Decimal(t.numerator) / Decimal(t.denominator)
+
+
+def test_log2_at_least_near_tie_with_large_denominator():
+    # A continued-fraction convergent of log2(3) just below it: deciding it
+    # through q**b would build an integer of about 10**10 bits.
+    q, t = Fraction(3), Fraction(9809721694, 6189245291)
+    assert decimal_log2_at_least(q, t)
+    assert log2_at_least(q, t)
+    above = t + Fraction(1, 10**19)
+    assert not decimal_log2_at_least(q, above)
+    assert not log2_at_least(q, above)
+
+
+def test_log2_at_least_powers_of_two_are_exact():
+    for e in range(-6, 7):
+        q = Fraction(2) ** e
+        assert log2_at_least(q, Fraction(e))
+        assert not log2_at_least(q, Fraction(e) + Fraction(1, 10**30))
+        assert log2_at_least(q, Fraction(e) - Fraction(1, 10**30))
+
+
+def test_log2_at_least_matches_decimal_near_ties():
+    rng = random.Random(5)
+    for _ in range(60):
+        q = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        if q.numerator & (q.numerator - 1) == 0 and q.denominator & (q.denominator - 1) == 0:
+            continue
+        den = rng.randint(1, 10**15)
+        near = round(Fraction(math.log2(q.numerator) - math.log2(q.denominator)) * den)
+        for t in (Fraction(near + d, den) for d in (-1, 0, 1)):
+            assert log2_at_least(q, t) == decimal_log2_at_least(q, t), (q, t)
 
 
 def test_log2_at_least_matches_float():
