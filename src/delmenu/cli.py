@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .evaluate import (
     EvalReport,
@@ -29,6 +30,7 @@ from .evaluate import (
 )
 from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
 from .model import (
+    CapExceededError,
     CorrelatedInstance,
     DelegationError,
     IndependentInstance,
@@ -49,14 +51,7 @@ from .reductions import (
     reduce_integer_partition,
     reduce_vertex_cover,
 )
-from .serialize import (
-    RATIONAL,
-    ParseError,
-    dump_instance,
-    load_instance,
-    parse_rational,
-    xnum_to_obj,
-)
+from .serialize import ParseError, dump_instance, load_instance, read_rational, xnum_to_obj
 from .solve import (
     BoundReport,
     SolveResult,
@@ -65,7 +60,7 @@ from .solve import (
     solve,
     threshold_menus,
 )
-from .xnum import XNum
+from .xnum import INTEGER, RATIONAL, XNum, parse_rational, xnum, xsum
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -81,10 +76,8 @@ def parse_xnum_literal(text: str) -> XNum:
     text = text.strip().replace(" ", "")
     match = _XNUM_RE.fullmatch(text)
     try:
-        if match:
-            return XNum(Fraction(match["std"] or 0), Fraction(match["inf"]))
-        return XNum(parse_rational(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return xnum(match["std"] or 0, match["inf"]) if match else xnum(text)
+    except ValueError as exc:
         raise InvalidInstanceError(f"invalid number literal {text!r}") from exc
 
 
@@ -110,14 +103,10 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
-def _menu_list(menu: Menu) -> list[int]:
-    return sorted(menu)
-
-
 def _report_obj(instance: Instance, menu: Menu, report: EvalReport) -> dict[str, Any]:
     order = candidates(instance, menu)
     return {
-        "menu": _menu_list(menu),
+        "menu": sorted(menu),
         "f": xnum_to_obj(report.f),
         "contrib": {str(i): xnum_to_obj(report.contrib[i]) for i in order},
         "freq": {str(i): str(report.freq[i]) for i in order},
@@ -127,12 +116,12 @@ def _report_obj(instance: Instance, menu: Menu, report: EvalReport) -> dict[str,
 
 def _solve_obj(instance: Instance, result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
     return {
-        "opt_menu": _menu_list(result.opt_menu),
+        "opt_menu": sorted(result.opt_menu),
         "opt_value": xnum_to_obj(result.opt_value),
         "best_threshold": (
             xnum_to_obj(result.best_threshold) if result.best_threshold is not None else "empty"
         ),
-        "best_threshold_menu": _menu_list(result.best_threshold_menu),
+        "best_threshold_menu": sorted(result.best_threshold_menu),
         "best_threshold_value": xnum_to_obj(result.best_threshold_value),
         "ratio": str(result.ratio) if result.ratio is not None else None,
         "ratio_decimal": decimal_str(result.ratio) if result.ratio is not None else None,
@@ -186,10 +175,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "log":
         instance = gen_log_family(args.k)
     elif args.family == "three-approx":
-        instance = gen_three_approx(Fraction(args.eps))
+        instance = gen_three_approx(args.eps)
     elif args.family == "outside":
-        eps = Fraction(args.eps) if args.eps is not None else None
-        instance = gen_outside_family(args.n, eps, args.alt)
+        instance = gen_outside_family(args.n, args.eps, args.alt)
     else:  # random
         instance = gen_random(
             kind=args.kind,
@@ -220,8 +208,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print(json.dumps(info, indent=2))
         return EXIT_OK
     with open(args.input, "r", encoding="utf-8") as fh:
-        values = [int(tok) for tok in fh.read().split()]
-    part = PartitionInstance(tuple(values))
+        tokens = fh.read().split()
+    bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
+    if bad:
+        raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
+    part = PartitionInstance(tuple(map(int, tokens)))
     M = args.big_m if args.big_m is not None else minimal_valid_m(part)
     instance, threshold = reduce_integer_partition(part, M)
     dump_instance(instance, args.out)
@@ -256,72 +247,81 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _ensemble_jobs(spec: Any) -> list[dict[str, Any]]:
-    if isinstance(spec, dict) and "ensembles" in spec:
-        blocks = spec["ensembles"]
-    elif isinstance(spec, list):
-        blocks = spec
-    elif isinstance(spec, dict):
-        blocks = [spec]
-    else:
-        raise ParseError("ensemble spec: expected an object or list")
-    jobs = []
+Job = tuple[str, Callable[..., Instance], dict[str, Any]]
+
+RANDOM_FIELDS = {
+    "kind": "independent",
+    "n": 3,
+    "support_size": 2,
+    "outside": "none",
+    "value_range": (0, 8),
+    "bias_range": (-4, 4),
+}
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _block_field(block: dict[str, Any], b: int, name: str, default: Any) -> Any:
+    """Field ``name`` of ensemble block ``b``, of the type of ``default``.
+
+    A type in place of a default makes the field required.  An int is a
+    JSON integer (not a boolean), a tuple two of them, a Fraction a
+    canonical rational string; anything else raises ``ParseError``.
+    """
+    where = f"ensemble block {b}.{name}"
+    want = default if isinstance(default, type) else type(default)
+    if name not in block:
+        if want is default:
+            raise ParseError(f"{where}: missing field")
+        return default
+    value = block[name]
+    if want is Fraction:
+        return read_rational(value, where)
+    if want is tuple and isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
+        return tuple(value)
+    if (want is int and _is_int(value)) or (want is str and isinstance(value, str)):
+        return value
+    expected = {int: "an integer", str: "a string", tuple: "two integers"}[want]
+    raise ParseError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _ensemble_jobs(spec: Any) -> list[Job]:
+    """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
+
+    Every field is read once, with its type checked; a malformed one raises
+    ``ParseError``.  Constructors are this module's globals, looked up now,
+    so wrappers installed on them apply; being module-level functions, they
+    pickle for worker processes.
+    """
+    blocks = spec.get("ensembles", [spec]) if isinstance(spec, dict) else spec
+    if not isinstance(blocks, list):
+        raise ParseError("ensemble spec: expected a block, a list or {'ensembles': [...]}")
+    jobs: list[Job] = []
     for b, block in enumerate(blocks):
         if not isinstance(block, dict) or "generator" not in block:
             raise ParseError(f"ensemble block {b}: expected an object with 'generator'")
         gen = block["generator"]
+        field = functools.partial(_block_field, block, b)
         if gen == "random":
-            count = int(block.get("count", 1))
-            seed0 = int(block.get("seed0", 0))
-            for j in range(count):
-                jobs.append(
-                    {
-                        "id": f"random-{block.get('kind', 'independent')}-s{seed0 + j}",
-                        "generator": "random",
-                        "kind": block.get("kind", "independent"),
-                        "n": int(block.get("n", 3)),
-                        "support_size": int(block.get("support_size", 2)),
-                        "seed": seed0 + j,
-                        "outside": block.get("outside", "none"),
-                        "value_range": tuple(block.get("value_range", (0, 8))),
-                        "bias_range": tuple(block.get("bias_range", (-4, 4))),
-                    }
-                )
+            kwargs = {name: field(name, default) for name, default in RANDOM_FIELDS.items()}
+            seed0 = field("seed0", 0)
+            for seed in range(seed0, seed0 + field("count", 1)):
+                job_id = f"random-{kwargs['kind']}-s{seed}"
+                jobs.append((job_id, gen_random, {**kwargs, "seed": seed}))
         elif gen == "log":
-            jobs.append({"id": f"log-k{block['k']}", "generator": "log", "k": int(block["k"])})
+            k = field("k", int)
+            jobs.append((f"log-k{k}", gen_log_family, {"k": k}))
         elif gen == "three_approx":
-            jobs.append(
-                {
-                    "id": f"three-approx-{block.get('eps', '1/1000')}",
-                    "generator": "three_approx",
-                    "eps": str(block.get("eps", "1/1000")),
-                }
-            )
+            eps = field("eps", Fraction(1, 1000))
+            jobs.append((f"three-approx-{eps}", gen_three_approx, {"eps": eps}))
         elif gen == "outside":
-            jobs.append(
-                {"id": f"outside-n{block['n']}", "generator": "outside", "n": int(block["n"])}
-            )
+            n = field("n", int)
+            jobs.append((f"outside-n{n}", gen_outside_family, {"n": n}))
         else:
             raise ParseError(f"ensemble block {b}: unknown generator {gen!r}")
     return jobs
-
-
-def _build_job_instance(job: dict[str, Any]) -> Instance:
-    if job["generator"] == "random":
-        return gen_random(
-            kind=job["kind"],
-            n=job["n"],
-            support_size=job["support_size"],
-            seed=job["seed"],
-            value_range=tuple(job["value_range"]),
-            bias_range=tuple(job["bias_range"]),
-            outside=job["outside"],
-        )
-    if job["generator"] == "log":
-        return gen_log_family(job["k"])
-    if job["generator"] == "three_approx":
-        return gen_three_approx(Fraction(job["eps"]))
-    return gen_outside_family(job["n"])
 
 
 def _instance_row(instance_id: str, instance: Instance, cap_n: int) -> dict[str, str]:
@@ -349,15 +349,14 @@ def _instance_row(instance_id: str, instance: Instance, cap_n: int) -> dict[str,
     return row
 
 
-def _sweep_worker(payload: tuple[dict[str, Any], int]) -> dict[str, str]:
-    job, cap_n = payload
+def _sweep_worker(payload: tuple[Job, int]) -> dict[str, str]:
+    (instance_id, constructor, kwargs), cap_n = payload
     start = time.perf_counter()
     try:
-        instance = _build_job_instance(job)
-        return _instance_row(job["id"], instance, cap_n)
+        return _instance_row(instance_id, constructor(**kwargs), cap_n)
     except DelegationError as exc:
         row = {c: "" for c in SWEEP_COLUMNS}
-        row["instance_id"] = job["id"]
+        row["instance_id"] = instance_id
         row["runtime_ms"] = str(int((time.perf_counter() - start) * 1000))
         row["status"] = f"skipped: {exc}"
         return row
@@ -455,9 +454,7 @@ def run_verify(
             brute = eval_bruteforce_product(instance, menu, cap=cap)
             if brute.f != report.f or brute.freq != report.freq:
                 violations.append(f"dp/oracle mismatch on menu {sorted(menu)}")
-            expected_bias = sum(
-                (instance.bias_of(i) * p for i, p in brute.freq.items()), start=XNum(0)
-            )
+            expected_bias = xsum(instance.bias_of(i) * p for i, p in brute.freq.items())
             if dec.bdif != dec.u_low - expected_bias:
                 violations.append(f"bias-difference mismatch on menu {sorted(menu)}")
         sur_menu = threshold_menu(instance, dec.u_low)
@@ -474,29 +471,28 @@ def run_verify(
                     f"single-action bound failed on menu {sorted(menu)}, action {i}"
                 )
 
+    uncertified = "every threshold menu lies inside the optimal menu"
     if independent:
         opt_menu, _ = brute_force_opt(instance)
         for t, _menu in threshold_menus(instance):
             if t is None:
                 continue
-            action, certified = derandomize_interference(instance, opt_menu, t, cap=cap)
+            try:
+                action, certified = derandomize_interference(instance, opt_menu, t, cap=cap)
+            except CapExceededError as exc:
+                uncertified = f"t={t}: {exc}"
+                continue
             if action is not None:
                 ran.add("derandomization certificates")
             if not certified:
                 violations.append(f"derandomization certificate failed at t={t}")
 
     reasons = {
-        "dp/oracle equivalence": (
-            f"joint support over {cap} profiles on every sampled menu"
-            if independent
-            else "correlated instance"
-        ),
-        "derandomization certificates": (
-            "every threshold menu lies inside the optimal menu"
-            if independent
-            else "correlated instance"
-        ),
+        "dp/oracle equivalence": f"joint support over {cap} profiles on every sampled menu",
+        "derandomization certificates": uncertified,
     }
+    if not independent:
+        reasons = dict.fromkeys(reasons, "correlated instance")
     skipped = {c: reasons.get(c, "no applicable case") for c in VERIFY_CHECKS if c not in ran}
     return violations, skipped
 
@@ -548,10 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     g_log = gen_sub.add_parser("log", help="correlated log-factor family")
     g_log.add_argument("--k", type=int, required=True)
     g_three = gen_sub.add_parser("three-approx", help="five-action threshold-gap family")
-    g_three.add_argument("--eps", default="1/1000")
+    g_three.add_argument("--eps", type=parse_rational, default="1/1000")
     g_out = gen_sub.add_parser("outside", help="random-outside-option family")
     g_out.add_argument("--n", type=int, required=True)
-    g_out.add_argument("--eps", default=None)
+    g_out.add_argument("--eps", type=parse_rational, default=None)
     g_out.add_argument("--alt", action="store_true", help="nonzero low realizations")
     g_rand = gen_sub.add_parser("random", help="seeded random instance")
     g_rand.add_argument("--kind", choices=["independent", "correlated"], default="independent")

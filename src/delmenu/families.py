@@ -59,8 +59,7 @@ def gen_log_family(k: int) -> CorrelatedInstance:
                 values[2 * j - 1] = XNum(Fraction(2 ** (k - j)), Fraction(j + 1))
         profiles.append(Profile(prob, tuple(values)))
 
-    labels = tuple(f"a{i}" for i in range(1, n + 1))
-    return CorrelatedInstance(tuple(biases), tuple(profiles), None, labels)
+    return CorrelatedInstance(tuple(biases), tuple(profiles))
 
 
 def gen_three_approx(eps: Rational) -> IndependentInstance:
@@ -185,6 +184,8 @@ def gen_random(
         raise InvalidInstanceError(f"unknown outside mode {outside!r}")
     if value_range[0] < 0:
         raise InvalidInstanceError("value_range must be nonnegative")
+    if value_range[0] > value_range[1] or bias_range[0] > bias_range[1]:
+        raise InvalidInstanceError("value_range and bias_range must be (lo, hi) with lo <= hi")
     if support_size < 1 or prob_denominator < support_size:
         raise InvalidInstanceError("support_size must be in 1..prob_denominator")
     rng = random.Random(seed)
@@ -221,7 +222,6 @@ def gen_random(
 
     biases = tuple(rand_bias() for _ in range(n))
     outside_bias = rand_bias() if outside != "none" else None
-    width = n + (1 if outside_bias is not None else 0)
     probs = rand_probs(support_size)
     fixed_outside_value = rand_value() if outside == "fixed" else None
     profiles = []
@@ -232,9 +232,7 @@ def gen_random(
         elif outside == "random":
             values.append(rand_value())
         profiles.append(Profile(p, tuple(values)))
-    labels = tuple(f"a{i}" for i in range(1, n + 1))
-    assert all(len(pr.values) == width for pr in profiles)
-    return CorrelatedInstance(biases, tuple(profiles), outside_bias, labels)
+    return CorrelatedInstance(biases, tuple(profiles), outside_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ class IndependentInstance:
             return "outside"
         return self.actions[index - 1].label or f"a{index}"
 
+    def support_of(self, index: int) -> Support:
+        if index == OUTSIDE:
+            if self.outside is None:
+                raise NoFeasibleActionError("instance has no outside option")
+            return self.outside.support
+        return self.actions[index - 1].support
+
     @cached_property
     def kernel(self) -> IndependentKernel:
         """This instance compiled for the exact integer evaluator, built on first use."""
@@ -194,7 +201,7 @@ class CorrelatedInstance:
         total = sum(p.prob for p in self.profiles)
         if total != 1:
             raise InvalidInstanceError(f"profile probabilities sum to {total}, not 1")
-        if self.labels and len(self.labels) != len(self.biases):
+        if len(self.labels) != len(self.biases):
             raise InvalidInstanceError("labels length does not match action count")
 
     @property
@@ -215,9 +222,7 @@ class CorrelatedInstance:
     def label_of(self, index: int) -> str:
         if index == OUTSIDE:
             return "outside"
-        if self.labels:
-            return self.labels[index - 1]
-        return f"a{index}"
+        return self.labels[index - 1]
 
     @cached_property
     def kernel(self) -> CorrelatedKernel:
@@ -328,11 +333,7 @@ def product_realizations(
     check is made: an empty ``indices`` yields one empty realization of
     probability 1.
     """
-    supports = [
-        instance.outside.support if i == OUTSIDE else instance.actions[i - 1].support
-        for i in indices
-    ]
-    for combo in product(*supports):
+    for combo in product(*map(instance.support_of, indices)):
         prob = Fraction(1)
         values: dict[int, XNum] = {}
         for idx, (value, p) in zip(indices, combo):
@@ -344,8 +345,7 @@ def product_realizations(
 def joint_support_size(instance: IndependentInstance, menu: Menu) -> int:
     size = 1
     for i in candidates(instance, menu):
-        sup = instance.outside.support if i == OUTSIDE else instance.actions[i - 1].support
-        size *= len(sup)
+        size *= len(instance.support_of(i))
     return size
 
 

@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -22,7 +21,7 @@ from .model import (
     Instance,
     Profile,
 )
-from .xnum import XNum
+from .xnum import XNum, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -35,28 +34,13 @@ def xnum_to_obj(x: XNum) -> dict[str, str]:
     return {"std": str(x.std), "inf": str(x.inf)}
 
 
-RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
-
-
-def parse_rational(text: str) -> Fraction:
-    """An integer or 'p/q' literal as an exact rational.
-
-    ``Fraction``'s own grammar also reads decimals, exponents, underscores
-    and surrounding blanks; none of them is an exact rational literal, and
-    an exponent could build a huge integer from a short string.  Raises
-    ``ValueError`` (``ZeroDivisionError`` for a zero denominator).
-    """
-    if not re.fullmatch(RATIONAL, text):
-        raise ValueError(f"invalid rational {text!r}")
-    return Fraction(text)
-
-
-def _parse_fraction(obj: Any, where: str) -> Fraction:
+def read_rational(obj: Any, where: str) -> Fraction:
+    """A canonical rational string (``str(x) == obj``); ``ParseError`` names ``where``."""
     if not isinstance(obj, str):
         raise ParseError(f"{where}: expected a rational string, got {obj!r}")
     try:
         x = parse_rational(obj)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{where}: invalid rational {obj!r}") from exc
     if str(x) != obj:
         raise ParseError(f"{where}: rational {obj!r} is not in canonical form {x}")
@@ -66,7 +50,7 @@ def _parse_fraction(obj: Any, where: str) -> Fraction:
 def _parse_xnum(obj: Any, where: str) -> XNum:
     if not isinstance(obj, dict) or set(obj) != {"std", "inf"}:
         raise ParseError(f"{where}: expected an object with 'std' and 'inf'")
-    return XNum(_parse_fraction(obj["std"], f"{where}.std"), _parse_fraction(obj["inf"], f"{where}.inf"))
+    return XNum(read_rational(obj["std"], f"{where}.std"), read_rational(obj["inf"], f"{where}.inf"))
 
 
 def _parse_list(obj: Any, where: str) -> list:
@@ -104,7 +88,7 @@ def _parse_action(obj: Any, where: str) -> Action:
             support.append(
                 (
                     _parse_xnum(entry["value"], f"{where}.support[{i}].value"),
-                    _parse_fraction(entry["prob"], f"{where}.support[{i}].prob"),
+                    read_rational(entry["prob"], f"{where}.support[{i}].prob"),
                 )
             )
         return Action(
@@ -187,7 +171,7 @@ def instance_from_obj(obj: Any) -> Instance:
             if not isinstance(pr, dict):
                 raise ParseError(f"profiles[{i}]: expected an object")
             try:
-                prob = _parse_fraction(pr["prob"], f"profiles[{i}].prob")
+                prob = read_rational(pr["prob"], f"profiles[{i}].prob")
                 values = tuple(
                     _parse_xnum(v, f"profiles[{i}].values[{j}]")
                     for j, v in enumerate(_parse_list(pr["values"], f"profiles[{i}].values"))

@@ -85,14 +85,7 @@ def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:
     out: list[tuple[XNum | None, Menu]] = []
     if instance.has_outside:
         out.append((None, frozenset()))
-    seen: set[XNum] = set()
-    biases = sorted(
-        (instance.bias_of(i) for i in range(1, instance.n + 1)), key=lambda b: b._key()
-    )
-    for t in biases:
-        if t in seen:
-            continue
-        seen.add(t)
+    for t in sorted({instance.bias_of(i) for i in range(1, instance.n + 1)}):
         out.append((t, threshold_menu(instance, t)))
     return out
 

@@ -13,23 +13,49 @@ defined (iota**2 never arises).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
 
+# The only rational literal the package reads: an integer or 'p/q' in ASCII
+# digits, with an optional sign and nothing around it.
+INTEGER = r"[+-]?[0-9]+"
+RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or 'p/q' literal as an exact rational.
+
+    ``Fraction``'s own grammar also reads decimals, exponents, underscores
+    and surrounding blanks; none of them is an exact rational literal, and
+    an exponent could build a huge integer from a short string.  Raises
+    ``ValueError``, also for a zero denominator.
+    """
+    if not re.fullmatch(RATIONAL, text):
+        raise ValueError(f"invalid rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
 
 def as_fraction(x: Rational | str) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to Fraction.
+    """Coerce an int, a Fraction or a rational literal to Fraction.
 
-    Floats are rejected: they would silently smuggle binary rounding into a
-    toolkit whose whole point is exact arithmetic.
+    A string must be an integer or 'p/q' literal (see :func:`parse_rational`):
+    ``"3"``, ``"-24/7"``; ``"0.5"``, ``"1e3"``, ``"1_0"`` and ``" 3 "`` raise
+    ``ValueError``.  Floats raise ``TypeError``: they would silently smuggle
+    binary rounding into a toolkit whose whole point is exact arithmetic.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 

@@ -182,6 +182,15 @@ def test_reduce_vertex_cover(triangle_edges, tmp_path, capsys):
     assert inst.n == 4 and len(inst.profiles) == 6
 
 
+@pytest.mark.parametrize("token", ["1.5", "1_0", "1e3", "0x10", "1/1"])
+def test_reduce_partition_rejects_non_integer_tokens(tmp_path, capsys, token):
+    ints = tmp_path / "c.txt"
+    ints.write_text(f"1 {token} 2\n")
+    code, _, err = run(capsys, "reduce", "partition", str(ints), "-o", str(tmp_path / "p.json"))
+    assert code == 2
+    assert repr(token) in err
+
+
 def test_reduce_partition(tmp_path, capsys):
     ints = tmp_path / "c.txt"
     ints.write_text("1 1 2\n")
@@ -302,6 +311,75 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
 
+@pytest.mark.parametrize(
+    "block, where",
+    [
+        ({"generator": "random", "count": "x"}, "ensemble block 0.count"),
+        ({"generator": "log"}, "ensemble block 0.k"),
+        ({"generator": "random", "value_range": "ab"}, "ensemble block 0.value_range"),
+        ({"generator": "random", "bias_range": [1, 2, 3]}, "ensemble block 0.bias_range"),
+        ({"generator": "outside", "n": "3.5"}, "ensemble block 0.n"),
+        ({"generator": "outside", "n": True}, "ensemble block 0.n"),
+        ({"generator": "random", "kind": 1}, "ensemble block 0.kind"),
+        ({"generator": "three_approx", "eps": "1e-3"}, "ensemble block 0.eps"),
+        ({"generator": "three_approx", "eps": "2/4"}, "ensemble block 0.eps"),
+        ({"generator": "three_approx", "eps": 0.5}, "ensemble block 0.eps"),
+    ],
+)
+def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
+    spec = write_spec(tmp_path, [{"generator": "log", "k": 2}, block])
+    code, _, err = run(capsys, "sweep", spec, "-o", str(tmp_path / "rows.csv"))
+    assert code == 2
+    assert where.replace("block 0", "block 1") in err
+
+
+@pytest.mark.parametrize("spec", [3, "x", {"ensembles": {"generator": "log"}}, [5]])
+def test_sweep_malformed_spec_exits_2(tmp_path, capsys, spec):
+    path = write_spec(tmp_path, spec)
+    code, _, err = run(capsys, "sweep", path, "-o", str(tmp_path / "rows.csv"))
+    assert code == 2
+    assert "ensemble" in err
+
+
+def test_sweep_instance_ids(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path,
+        [
+            {"generator": "random", "kind": "correlated", "count": 2, "seed0": 5},
+            {"generator": "log", "k": 2},
+            {"generator": "three_approx"},
+            {"generator": "three_approx", "eps": "1/7"},
+            {"generator": "outside", "n": 2},
+        ],
+    )
+    out_file = str(tmp_path / "rows.csv")
+    assert run(capsys, "sweep", spec, "-o", out_file)[0] == 0
+    assert [r["instance_id"] for r in read_rows(out_file)] == [
+        "random-correlated-s5",
+        "random-correlated-s6",
+        "log-k2",
+        "three-approx-1/1000",
+        "three-approx-1/7",
+        "outside-n2",
+    ]
+
+
+def test_sweep_semantic_errors_become_skipped_rows(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path,
+        [
+            {"generator": "random", "value_range": [8, 0]},
+            {"generator": "random", "kind": "fancy"},
+            {"generator": "log", "k": 99},
+        ],
+    )
+    out_file = str(tmp_path / "rows.csv")
+    assert run(capsys, "sweep", spec, "-o", out_file)[0] == 0
+    rows = read_rows(out_file)
+    assert [r["instance_id"] for r in rows] == ["random-independent-s0", "random-fancy-s0", "log-k99"]
+    assert all(r["status"].startswith("skipped: ") for r in rows)
+
+
 def test_sweep_workers_clamped():
     assert sweep_workers(64, 200, 2) == (2, 25)
     assert sweep_workers(8, 3, 16) == (3, 1)
@@ -382,6 +460,23 @@ def test_verify_names_why_independent_checks_skipped(tmp_path, capsys):
     ]
 
 
+def test_verify_survives_profile_cap(tmp_path, capsys):
+    # Every threshold menu that needs a certificate has a joint support far
+    # over 10 profiles: derandomization is skipped, the other checks report.
+    lines = verify_lines(
+        tmp_path, capsys, "random", "--seed", "1", "--n", "6", "--support-size", "4",
+        verify_args=("--cap-profiles", "10"),
+    )
+    assert lines[:4] == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+    ]
+    assert lines[4].startswith("skipped: derandomization certificates (t=")
+    assert "cap is 10)" in lines[4]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -433,6 +528,15 @@ def test_exit_code_null_label(log3_file, capsys):
     code, _, err = run(capsys, "eval", log3_file, "--menu", "all")
     assert code == 2
     assert "label" in err
+
+
+@pytest.mark.parametrize("family", [["three-approx"], ["outside", "--n", "3"]])
+@pytest.mark.parametrize("eps", ["0.001", "1e-3", "1_0/3", "1/0"])
+def test_generate_eps_reads_rational_literals_only(tmp_path, capsys, family, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *family, "--eps", eps, "-o", str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["0.5", " 1_0 ", "1e3", "2/4"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from delmenu import IOTA, XNum, xnum, xsum
+from delmenu import IOTA, XNum, as_fraction, xnum, xsum
 
 
 def test_lexicographic_order():
@@ -73,3 +73,17 @@ def test_hash_agrees_with_eq_for_mixed_keys():
 def test_xsum():
     assert xsum([]) == XNum(0)
     assert xsum([xnum(1, 1), xnum(2, -1), xnum("1/2")]) == xnum("7/2", 0)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1E-3", "1_0", " 3", "3 ", "\t1/2", "1/ 2", "1/0", ""])
+def test_strings_outside_the_rational_grammar_rejected(text):
+    with pytest.raises(ValueError):
+        xnum(text)
+    with pytest.raises(ValueError):
+        as_fraction(text)
+
+
+def test_rational_literals_accepted():
+    assert as_fraction("-24/7") == Fraction(-24, 7)
+    assert as_fraction("+3") == 3
+    assert xnum("2/4", "-1") == XNum(Fraction(1, 2), Fraction(-1))
