@@ -90,11 +90,10 @@ def parse_menu_spec(instance: Instance, spec: str) -> Menu:
     if spec.startswith("threshold:"):
         t = parse_xnum_literal(spec[len("threshold:") :])
         return validate_menu(instance, threshold_menu(instance, t))
-    try:
-        indices = frozenset(int(part) for part in spec.split(","))
-    except ValueError as exc:
-        raise InvalidInstanceError(f"invalid menu spec {spec!r}") from exc
-    return validate_menu(instance, indices)
+    parts = [part.strip() for part in spec.split(",")]
+    if not all(re.fullmatch(INTEGER, part) for part in parts):
+        raise InvalidInstanceError(f"invalid menu spec {spec!r}")
+    return validate_menu(instance, frozenset(map(int, parts)))
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -196,7 +195,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     if args.problem == "vertex-cover":
         with open(args.input, "r", encoding="utf-8") as fh:
-            graph = parse_graph(fh.read(), vertices=args.vertices)
+            text = fh.read()
+        try:
+            graph = parse_graph(text, vertices=args.vertices)
+        except InvalidInstanceError as exc:
+            raise ParseError(f"{args.input}: {exc}") from exc
         instance = reduce_vertex_cover(graph)
         dump_instance(instance, args.out)
         n, m = graph.vertices, len(graph.edges)
@@ -472,8 +475,13 @@ def run_verify(
                 )
 
     uncertified = "every threshold menu lies inside the optimal menu"
+    opt_menu = None
     if independent:
-        opt_menu, _ = brute_force_opt(instance)
+        try:
+            opt_menu, _ = brute_force_opt(instance)
+        except CapExceededError as exc:
+            uncertified = str(exc)
+    if opt_menu is not None:
         for t, _menu in threshold_menus(instance):
             if t is None:
                 continue

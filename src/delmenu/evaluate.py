@@ -19,12 +19,9 @@ menu's utility into surplus and bias-difference parts.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .kernel import Tally
 from .model import (
     CapExceededError,
     CorrelatedInstance,
@@ -34,7 +31,6 @@ from .model import (
     Menu,
     agent_choice,
     candidates,
-    choice_key,
     joint_realizations,
     joint_support_size,
     threshold_menu,
@@ -43,7 +39,6 @@ from .model import (
 from .xnum import XNum, ZERO, xsum
 
 DEFAULT_PROFILE_CAP = 10**6
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -76,27 +71,11 @@ class Decomposition:
     bdif: XNum
 
 
-def _ratio(num: int, den: int) -> Fraction:
-    # Most iota channels and many contributions are zero; skip their gcd.
-    return Fraction(num, den) if num else _ZERO
-
-
-def _report(feasible: list[int], tally: Tally) -> EvalReport:
-    contrib = {
-        i: XNum(_ratio(tally.std[i], tally.std_den), _ratio(tally.inf[i], tally.inf_den))
-        for i in feasible
-    }
-    freq = {i: _ratio(tally.freq[i], tally.freq_den) for i in feasible}
-    f = XNum(_ratio(sum(tally.std), tally.std_den), _ratio(sum(tally.inf), tally.inf_den))
-    return EvalReport(f, contrib, freq)
-
-
 def eval_correlated(instance: CorrelatedInstance, menu: Menu) -> EvalReport:
     """Expected utility by exhaustive enumeration of the explicit profiles."""
     if not isinstance(instance, CorrelatedInstance):
         raise InvalidInstanceError("eval_correlated requires a correlated instance")
-    feasible = candidates(instance, validate_menu(instance, menu))
-    return _report(feasible, instance.kernel.tally(feasible))
+    return EvalReport(*instance.kernel.tally(candidates(instance, validate_menu(instance, menu))))
 
 
 def eval_bruteforce_product(
@@ -138,8 +117,7 @@ def eval_independent_dp(instance: IndependentInstance, menu: Menu) -> EvalReport
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("eval_independent_dp requires an independent instance")
-    feasible = candidates(instance, validate_menu(instance, menu))
-    return _report(feasible, instance.kernel.tally(feasible))
+    return EvalReport(*instance.kernel.tally(candidates(instance, validate_menu(instance, menu))))
 
 
 def evaluate(instance: Instance, menu: Menu) -> EvalReport:
@@ -204,11 +182,9 @@ def derandomize_interference(
     the returned flag certifies f(A_t) >= f((A_t intersect opt_menu) + that
     single action), which holds for every independent instance.
 
-    Runs on the kernel's winner states of the kept candidates.  An action's
-    ranks ascend with its sorted support, so a product over B's ranks walks
-    the realizations in canonical order, and the agent's pick under a pinned
-    realization is its top rank against each kept state.  With B empty there
-    is nothing to collapse: returns (None, True).
+    The kernel finds the worst realization against the kept candidates'
+    random draws and values the kept candidates plus the stand-in.  With B
+    empty there is nothing to collapse: returns (None, True).
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
@@ -222,31 +198,8 @@ def derandomize_interference(
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
 
-    kernel = instance.kernel
-    ranks, masses, den = kernel.winners(candidates(instance, a_t & opt_menu))
-
-    # A pinned realization's conditional value is decided by its top rank.
-    # The values share their denominators, so their integer numerators
-    # compare exactly as the XNums do; min keeps the first minimizer.
-    worst_top = min(
-        (max(combo) for combo in product(*(kernel.ranks[i] for i in interference))),
-        key=lambda top: kernel.total([max(r, top) for r in ranks], masses),
-    )
-
-    favorite = kernel.owner[worst_top]
-    action = InterferenceAction(t, kernel.value(worst_top) + instance.bias_of(favorite) - t)
-
-    # f(kept + stand-in): the stand-in wins the kept states whose pair ranks
-    # below it.  Agent utilities can tie, so place it by its real choice key.
-    def pair_key(r: int) -> tuple:
-        i = kernel.owner[r]
-        return choice_key(i, kernel.value(r), instance.bias_of(i))
-
-    below = bisect_left(
-        range(len(kernel.owner)), choice_key(instance.n + 1, action.value, t), key=pair_key
-    )
-    cut = bisect_left(ranks, below)
-    std, inf = kernel.total(ranks[cut:], masses[cut:])
-    rhs = XNum(Fraction(std, kernel.std_den * den), Fraction(inf, kernel.inf_den * den))
-    rhs = rhs + action.value * Fraction(sum(masses[:cut]), den)
+    kept = candidates(instance, a_t & opt_menu)
+    favorite, value = instance.kernel.worst_pin(kept, interference)
+    action = InterferenceAction(t, value + instance.bias_of(favorite) - t)
+    rhs = instance.kernel.value_with(kept, action.value, t)
     return action, rhs <= eval_independent_dp(instance, a_t).f

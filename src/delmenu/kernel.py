@@ -12,10 +12,11 @@ is an integer comparison: the agent picks the highest-ranked feasible pair.
   probability) pairs sorted by rank, which the winner-state DP folds.
 
 Probabilities and values are integer numerators over common denominators,
-with the standard and iota parts of values scaled separately; a :class:`Tally`
-carries the per-index sums back to the caller, which turns them into exact
-rationals once per evaluation.  Kernels are derived data: the instances build
-and cache them on first use (their ``kernel`` attribute).
+with the standard and iota parts of values scaled separately.  This module is
+the only one that knows that encoding: every method returns exact rationals
+and :class:`~delmenu.xnum.XNum` values, built once per call.  Kernels are
+derived data: the instances build and cache them on first use (their
+``kernel`` attribute).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .model import (
@@ -36,21 +38,23 @@ from .model import (
 )
 from .xnum import XNum
 
+_ZERO = Fraction(0)
+Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
 
-class Tally(NamedTuple):
-    """Per-index sums of one evaluation as integer numerators.
 
-    Index i (0 is the outside option) collected expected value
-    ``std[i] / std_den + (inf[i] / inf_den) * iota`` and was picked with
-    probability ``freq[i] / freq_den``.
-    """
+def _ratio(num: int, den: int) -> Fraction:
+    # Most iota channels and many contributions are zero; skip their gcd.
+    return Fraction(num, den) if num else _ZERO
 
-    std: list[int]
-    inf: list[int]
-    freq: list[int]
-    std_den: int
-    inf_den: int
-    freq_den: int
+
+def _report(
+    feasible: list[int], std: list[int], inf: list[int], freq: list[int],
+    std_den: int, inf_den: int, freq_den: int,
+) -> Report:
+    """``(f, contrib, freq)`` of per-index numerators over the given denominators."""
+    contrib = {i: XNum(_ratio(std[i], std_den), _ratio(inf[i], inf_den)) for i in feasible}
+    f = XNum(_ratio(sum(std), std_den), _ratio(sum(inf), inf_den))
+    return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
 
 
 def _common_denominator(fractions: Iterable[Fraction]) -> int:
@@ -86,8 +90,8 @@ class CorrelatedKernel(NamedTuple):
     inf_den: int
     prob_den: int
 
-    def tally(self, feasible: list[int]) -> Tally:
-        """Sum each profile's pick from ``feasible``, the menu's candidates."""
+    def tally(self, feasible: list[int]) -> Report:
+        """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
         mask = 0
         for i in feasible:
             mask |= 1 << i
@@ -100,7 +104,7 @@ class CorrelatedKernel(NamedTuple):
             std[i] += std_k[i]
             inf[i] += inf_k[i]
             freq[i] += prob_k
-        return Tally(std, inf, freq, self.std_den, self.inf_den, self.prob_den)
+        return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
 
 
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
@@ -144,7 +148,9 @@ class IndependentKernel(NamedTuple):
     with probabilities as numerators over ``prob_den[i]`` (index 0 is the
     outside option, empty when there is none).  The pair of rank r belongs
     to index ``owner[r]`` and has value ``std[r] / std_den`` plus
-    ``inf[r] / inf_den`` times iota.
+    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias (None
+    for a missing outside option), so a pair's choice key is computed only
+    when it is needed.
     """
 
     ranks: tuple[tuple[int, ...], ...]
@@ -155,6 +161,7 @@ class IndependentKernel(NamedTuple):
     inf: tuple[int, ...]
     std_den: int
     inf_den: int
+    bias: tuple[XNum | None, ...]
 
     def winners(self, feasible: list[int]) -> tuple[list[int], list[int], int]:
         """Winner states of the DP folded over ``feasible``: (ranks, masses, den).
@@ -182,8 +189,8 @@ class IndependentKernel(NamedTuple):
             sum(self.inf[r] * m for r, m in zip(ranks, masses)),
         )
 
-    def tally(self, feasible: list[int]) -> Tally:
-        """Sum the winner states of ``feasible``, the menu's candidates."""
+    def tally(self, feasible: list[int]) -> Report:
+        """``(f, contrib, freq)`` of the winner states of ``feasible``, the menu's candidates."""
         ranks, masses, den = self.winners(feasible)
         width = len(self.ranks)
         std, inf, freq = [0] * width, [0] * width, [0] * width
@@ -192,7 +199,45 @@ class IndependentKernel(NamedTuple):
             std[i] += self.std[r] * m
             inf[i] += self.inf[r] * m
             freq[i] += m
-        return Tally(std, inf, freq, self.std_den * den, self.inf_den * den, den)
+        return _report(feasible, std, inf, freq, self.std_den * den, self.inf_den * den, den)
+
+    def worst_pin(self, kept: list[int], pinned: list[int]) -> tuple[int, XNum]:
+        """Owner and value of the top pair of ``pinned``'s worst joint realization.
+
+        Each realization of ``pinned`` is scored by the expected value of the
+        agent's pick from it plus the random draws of ``kept``; that value is
+        decided by the realization's top rank.  An action's ranks ascend with
+        its sorted support, so the product walks realizations in canonical
+        order, and ``min`` keeps the first minimizer.  The values share their
+        denominators, so their numerators compare as the values do.
+        """
+        ranks, masses, _ = self.winners(kept)
+        top = min(
+            (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
+            key=lambda top: self.total([max(r, top) for r in ranks], masses),
+        )
+        return self.owner[top], self.value(top)
+
+    def value_with(self, kept: list[int], value: XNum, bias: XNum) -> XNum:
+        """Expected value of the agent's pick from ``kept`` plus one deterministic pair.
+
+        The pair has ``value`` and ``bias`` and an index above every action's.
+        It wins the kept winner states whose pair ranks below it; agent
+        utilities can tie, so it is placed by its real choice key.
+        """
+        ranks, masses, den = self.winners(kept)
+
+        def pair_key(r: int) -> tuple:
+            i = self.owner[r]
+            return choice_key(i, self.value(r), self.bias[i])
+
+        below = bisect_left(
+            range(len(self.owner)), choice_key(len(self.ranks), value, bias), key=pair_key
+        )
+        cut = bisect_left(ranks, below)
+        std, inf = self.total(ranks[cut:], masses[cut:])
+        kept_part = XNum(Fraction(std, self.std_den * den), Fraction(inf, self.inf_den * den))
+        return kept_part + value * Fraction(sum(masses[:cut]), den)
 
 
 def _fold(
@@ -250,4 +295,5 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
         tuple(_scaled(v.inf, inf_den) for _, v in pairs),
         std_den,
         inf_den,
+        tuple(instance.bias_of(i) if i in actions else None for i in range(width)),
     )

@@ -7,6 +7,7 @@ can be checked instance by instance with exact arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,7 @@ from .model import (
     InvalidInstanceError,
     Profile,
 )
-from .xnum import IOTA, XNum
+from .xnum import INTEGER, IOTA, XNum
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,9 @@ def parse_graph(text: str, vertices: int | None = None) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidInstanceError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InvalidInstanceError(f"line {lineno}: non-integer endpoint") from exc
-        edges.append((u, v))
+        if not all(re.fullmatch(INTEGER, part) for part in parts):
+            raise InvalidInstanceError(f"line {lineno}: non-integer endpoint in {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     if vertices is None:
         if not edges:
             raise InvalidInstanceError("empty edge list; pass an explicit vertex count")

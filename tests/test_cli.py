@@ -73,6 +73,20 @@ def test_eval_menu_indices(log3_file, capsys):
     assert obj["menu"] == [1, 3, 5]
 
 
+def test_eval_menu_indices_allow_blanks_around_commas(log3_file, capsys):
+    code, out, _ = run(capsys, "eval", log3_file, "--menu", " 1 , 3")
+    assert code == 0
+    assert json.loads(out)["menu"] == [1, 3]
+
+
+@pytest.mark.parametrize("spec", ["x", "0_1", "1e0", "\u0663"])
+def test_eval_menu_rejects_non_integer_indices(log3_file, capsys, spec):
+    # int() reads "0_1" as 1 and the Arabic-Indic digit three as 3.
+    code, _, err = run(capsys, "eval", log3_file, "--menu", spec)
+    assert code == 3
+    assert f"invalid menu spec {spec!r}" in err
+
+
 def test_eval_threshold_menu(log3_file, capsys):
     code, out, _ = run(capsys, "eval", log3_file, "--menu", "threshold:4")
     assert code == 0
@@ -180,6 +194,18 @@ def test_reduce_vertex_cover(triangle_edges, tmp_path, capsys):
     }
     inst = load_instance(out_file)
     assert inst.n == 4 and len(inst.profiles) == 6
+
+
+@pytest.mark.parametrize("token", ["1_0", "1.5", "1e0", "\u0663"])
+def test_reduce_vertex_cover_rejects_non_integer_endpoints(tmp_path, capsys, token):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    edges = tmp_path / "g.edges"
+    edges.write_text(f"1 2\n2 {token}\n", encoding="utf-8")
+    out_file = tmp_path / "vc.json"
+    code, _, err = run(capsys, "reduce", "vertex-cover", str(edges), "-o", str(out_file))
+    assert code == 2
+    assert f"{edges}: line 2: non-integer endpoint" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("token", ["1.5", "1_0", "1e3", "0x10", "1/1"])
@@ -475,6 +501,19 @@ def test_verify_survives_profile_cap(tmp_path, capsys):
     ]
     assert lines[4].startswith("skipped: derandomization certificates (t=")
     assert "cap is 10)" in lines[4]
+
+
+def test_verify_survives_action_cap(tmp_path, capsys):
+    # 21 actions: the optimal menu, which the certificates need, is over the
+    # exhaustive search's cap of 20; the other checks still report.
+    lines = verify_lines(tmp_path, capsys, "random", "--seed", "1", "--n", "21", "--support-size", "2")
+    assert lines == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "skipped: derandomization certificates (instance has 21 actions, cap is 20)",
+    ]
 
 
 # ---------------------------------------------------------------------------

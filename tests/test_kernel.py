@@ -5,7 +5,8 @@ Every comparison is exact equality of the whole report (``f``, every
 a test-side enumeration that applies ``agent_choice`` to every profile;
 independent instances against ``eval_bruteforce_product``.  The
 derandomization is checked against a test-side run of the same algorithm
-over explicit product realizations.
+over explicit product realizations.  Hypothesis draws small tie-heavy
+instances for both checks.
 """
 
 import importlib
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delmenu.kernel
 from delmenu import (
@@ -357,3 +360,60 @@ def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
     assert action.value + action.bias == xnum(2) + inst.bias_of(3)
     assert rhs == xnum("7/4")
     assert_derandomize_matches_reference(inst, [opt_menu], monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Drawn instances: values and biases on a 0/1/2 grid, so utilities tie often
+# ---------------------------------------------------------------------------
+
+WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+def probabilities(weights):
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+@st.composite
+def small_instances(draw, kind):
+    """n <= 4 actions, at most 3 support entries or profiles, any outside mode.
+
+    Half the instances also put iota parts on the grid, so the iota channel
+    and its ties are drawn too.
+    """
+    iota = st.integers(0, 2) if draw(st.booleans()) else st.just(0)
+    grid = st.builds(xnum, st.integers(0, 2), iota)
+    n = draw(st.integers(1, 4))
+    outside = draw(st.sampled_from(OUTSIDE_MODES))
+    if kind == "independent":
+
+        def action():
+            return Action(draw(grid), tuple((draw(grid), p) for p in probabilities(draw(WEIGHTS))))
+
+        actions = tuple(action() for _ in range(n))
+        if outside == "fixed":
+            return IndependentInstance(actions, deterministic(draw(grid), draw(grid)))
+        return IndependentInstance(actions, action() if outside == "random" else None)
+    biases = tuple(draw(grid) for _ in range(n))
+    outside_bias = None if outside == "none" else draw(grid)
+    fixed = draw(grid)
+    profiles = []
+    for prob in probabilities(draw(WEIGHTS)):
+        values = [draw(grid) for _ in range(n)]
+        if outside != "none":
+            values.append(fixed if outside == "fixed" else draw(grid))
+        profiles.append(Profile(prob, tuple(values)))
+    return CorrelatedInstance(biases, tuple(profiles), outside_bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+def test_kernel_equals_reference_on_drawn_instances(instance):
+    assert_matches_reference(instance, all_menus(instance))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances("independent"), st.data())
+def test_derandomize_equals_reference_on_drawn_instances(instance, data):
+    indices = st.sets(st.integers(1, instance.n), min_size=0 if instance.has_outside else 1)
+    opt_menu = frozenset(data.draw(indices))
+    assert_derandomize_matches_reference(instance, [opt_menu], pytest.MonkeyPatch)
