@@ -16,14 +16,13 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Callable
 
 from .evaluate import (
     EvalReport,
-    decompose,
+    decompose_report,
     derandomize_interference,
     eval_bruteforce_product,
     evaluate,
@@ -386,6 +385,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     payloads = [(job, args.cap_n) for job in jobs]
     workers, chunksize = sweep_workers(args.jobs, len(payloads), os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
     else:
@@ -445,10 +446,17 @@ def run_verify(
     violations: list[str] = []
     ran: set[str] = set()
     independent = isinstance(instance, IndependentInstance)
+    reports: dict[Menu, EvalReport] = {}
+
+    def report_of(menu: Menu) -> EvalReport:
+        """Each distinct menu is evaluated once per run."""
+        if menu not in reports:
+            reports[menu] = evaluate(instance, menu)
+        return reports[menu]
 
     for menu in sample_menus(instance, menus, seed):
-        report = evaluate(instance, menu)
-        dec = decompose(instance, menu)
+        report = report_of(menu)
+        dec = decompose_report(instance, menu, report)
         ran.add("decomposition identity")
         if dec.sur + dec.bdif != report.f:
             violations.append(f"decomposition identity failed on menu {sorted(menu)}")
@@ -462,14 +470,14 @@ def run_verify(
                 violations.append(f"bias-difference mismatch on menu {sorted(menu)}")
         sur_menu = threshold_menu(instance, dec.u_low)
         ran.add("threshold dominance")
-        if evaluate(instance, sur_menu).f < dec.sur:
+        if report_of(sur_menu).f < dec.sur:
             violations.append(f"threshold-dominance failed on menu {sorted(menu)}")
         for i in candidates(instance, menu):
             t_menu = threshold_menu(instance, instance.bias_of(i))
             if not t_menu and not instance.has_outside:
                 continue
             ran.add("single-action bound")
-            if evaluate(instance, t_menu).f < report.contrib[i]:
+            if report_of(t_menu).f < report.contrib[i]:
                 violations.append(
                     f"single-action bound failed on menu {sorted(menu)}, action {i}"
                 )

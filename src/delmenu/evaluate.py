@@ -135,12 +135,19 @@ def evaluate(instance: Instance, menu: Menu) -> EvalReport:
 def decompose(instance: Instance, menu: Menu) -> Decomposition:
     """Decompose f(menu) into surplus and bias-difference parts.
 
-    Defined for any menu, not just an optimal one.  ``bdif`` is computed from
-    the exact choice frequencies: E[u_low - b_chosen] =
-    u_low - sum_i freq[i] * b_i.
+    Defined for any menu, not just an optimal one; see
+    :func:`decompose_report`.
     """
     menu = validate_menu(instance, menu)
-    report = evaluate(instance, menu)
+    return decompose_report(instance, menu, evaluate(instance, menu))
+
+
+def decompose_report(instance: Instance, menu: Menu, report: EvalReport) -> Decomposition:
+    """The decomposition of a valid ``menu`` from its already computed ``report``.
+
+    ``bdif`` is computed from the exact choice frequencies: E[u_low -
+    b_chosen] = u_low - sum_i freq[i] * b_i.
+    """
     u_low = max(instance.bias_of(i) for i in candidates(instance, menu))
     expected_bias = xsum(instance.bias_of(i) * p for i, p in report.freq.items())
     bdif = u_low - expected_bias

@@ -17,6 +17,14 @@ the only one that knows that encoding: every method returns exact rationals
 and :class:`~delmenu.xnum.XNum` values, built once per call.  Kernels are
 derived data: the instances build and cache them on first use (their
 ``kernel`` attribute).
+
+Each kernel also searches for the optimal menu (``search``), deciding actions
+in index order depth first and comparing menu values as integers; only the
+winner's value is built as an XNum.  Correlated kernels prune with an exact
+bound from the rankings, the first-choice model of Bertsimas and Mišić
+(Oper. Res. 2019) with a combinatorial bound in place of their integer
+program.  Independent kernels share each prefix's winner states among all
+the menus below it.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .model import (
     CorrelatedInstance,
     IndependentInstance,
     Instance,
+    Menu,
     candidates,
     choice_key,
     full_menu,
@@ -64,6 +73,16 @@ def _common_denominator(fractions: Iterable[Fraction]) -> int:
 def _scaled(x: Fraction, den: int) -> int:
     """``x * den`` for a ``den`` that ``x``'s denominator divides."""
     return x.numerator * (den // x.denominator)
+
+
+def _wins(sign: int, menu: list[int], best: list[int]) -> bool:
+    """Whether a menu beats the incumbent ``best``, given the sign of its value's lead.
+
+    A higher value wins; equal values go to the smaller menu, then to the
+    lexicographically smaller one, as in a size-then-lexicographic scan that
+    keeps the first maximizer.
+    """
+    return sign > 0 or (sign == 0 and (len(menu), menu) < (len(best), best))
 
 
 def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
@@ -105,6 +124,68 @@ class CorrelatedKernel(NamedTuple):
             inf[i] += inf_k[i]
             freq[i] += prob_k
         return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
+
+    def search(self) -> tuple[Menu, XNum]:
+        """The best menu and its value, by depth-first branch and bound.
+
+        Actions are decided in index order, the include branch first.  Below
+        a node with included set I and undecided set U, each profile picks a
+        member of I, U or the outside option ranked at or above the first
+        member of I or the outside option in its ``orders`` row.  So the best
+        value among those bounds the profile's term, and the bounds' sum
+        bounds the subtree: lexicographic order respects addition.  A subtree
+        is pruned only when its bound is below the incumbent's value, never
+        on equality, so ties go as :func:`_wins` says.  At a leaf U is empty
+        and the bound is the menu's exact value.
+
+        Values compare as integers: a (std, inf) numerator pair is packed as
+        ``std * scale + inf``, with ``scale`` above twice any sum of |inf|
+        over profiles, which keeps sums in lexicographic order.  The winner's
+        value is built once, from its tally.
+        """
+        width = len(self.std[0])
+        outside = 1 if OUTSIDE in self.orders[0] else 0  # the outside option's bit
+        scale = 2 * sum(max(map(abs, inf_k)) for inf_k in self.inf) + 1
+        rows = [
+            tuple((1 << i, std_k[i] * scale + inf_k[i]) for i in order)
+            for order, std_k, inf_k in zip(self.orders, self.std, self.inf)
+        ]
+
+        def bound(live: int, stop: int) -> int:
+            total = 0
+            for row in rows:
+                top = None
+                for bit, key in row:
+                    if live & bit:
+                        if top is None or key > top:
+                            top = key
+                        if stop & bit:
+                            break
+                total += top
+            return total
+
+        menu: list[int] = []
+        best, best_menu = 0, None
+
+        def visit(i: int, live: int, stop: int) -> None:
+            nonlocal best, best_menu
+            if i == width and not stop:
+                return  # the empty menu, without an outside option
+            value = bound(live, stop)
+            if best_menu is not None and value < best:
+                return
+            if i == width:
+                if best_menu is None or _wins(value - best, menu, best_menu):
+                    best, best_menu = value, menu.copy()
+                return
+            bit = 1 << i
+            menu.append(i)
+            visit(i + 1, live, stop | bit)
+            menu.pop()
+            visit(i + 1, live & ~bit, stop)
+
+        visit(1, (1 << width) - 2 | outside, outside)
+        return frozenset(best_menu), self.tally(best_menu + [OUTSIDE] * outside)[0]
 
 
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
@@ -200,6 +281,42 @@ class IndependentKernel(NamedTuple):
             inf[i] += self.inf[r] * m
             freq[i] += m
         return _report(feasible, std, inf, freq, self.std_den * den, self.inf_den * den, den)
+
+    def search(self) -> tuple[Menu, XNum]:
+        """The best menu and its value, by a depth-first walk that shares prefixes.
+
+        Actions are decided in index order, the include branch first; the
+        outside option is folded once at the root, and each include folds
+        one action into its parent's winner states, so there is one fold
+        per tree edge rather than one per action of every menu.  Nothing is
+        pruned.  A leaf's value is (std, inf) numerators over the value
+        denominators times the menu's mass denominator, which varies by
+        menu, so values compare by cross-multiplication; ties go as
+        :func:`_wins` says.  The winner's value is built once, from its
+        tally.
+        """
+        width = len(self.ranks)
+        outside = bool(self.ranks[OUTSIDE])
+        menu: list[int] = []
+        best, best_menu = (0, 0, 1), None
+
+        def visit(i: int, ranks: list[int], masses: list[int], den: int) -> None:
+            nonlocal best, best_menu
+            if i < width:
+                menu.append(i)
+                folded = _fold(ranks, masses, self.ranks[i], self.probs[i])
+                visit(i + 1, *folded, den * self.prob_den[i])
+                menu.pop()
+                visit(i + 1, ranks, masses, den)
+            elif menu or outside:
+                std, inf = self.total(ranks, masses)
+                best_std, best_inf, best_den = best
+                lead = std * best_den - best_std * den or inf * best_den - best_inf * den
+                if best_menu is None or _wins(lead, menu, best_menu):
+                    best, best_menu = (std, inf, den), menu.copy()
+
+        visit(1, *self.winners([OUTSIDE] if outside else []))
+        return frozenset(best_menu), self.tally(best_menu + [OUTSIDE] * outside)[0]
 
     def worst_pin(self, kept: list[int], pinned: list[int]) -> tuple[int, XNum]:
         """Owner and value of the top pair of ``pinned``'s worst joint realization.

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .model import (
     Action,
@@ -82,17 +81,29 @@ def parse_graph(text: str, vertices: int | None = None) -> Graph:
 
 
 def min_vertex_cover(g: Graph, cap_n: int = 20) -> int:
-    """Exact minimum vertex cover size by subset enumeration."""
+    """Exact minimum vertex cover size by branching on uncovered edges.
+
+    Every cover holds an endpoint of every edge, so the first edge (u, v)
+    left uncovered splits the search into u in the cover or v in it.  A
+    branch stops once it is as large as the best cover found so far, which
+    starts at all vertices but one: they cover every edge.
+    """
     if g.vertices > cap_n:
         raise CapExceededError(f"graph has {g.vertices} vertices, cap is {cap_n}")
-    if not g.edges:
-        return 0
-    for size in range(1, g.vertices + 1):
-        for combo in combinations(range(1, g.vertices + 1), size):
-            chosen = set(combo)
-            if all(u in chosen or v in chosen for u, v in g.edges):
-                return size
-    raise AssertionError("unreachable: the full vertex set covers everything")
+    best = g.vertices - 1
+
+    def branch(cover: int, size: int) -> None:
+        nonlocal best
+        for u, v in g.edges:
+            if not (cover >> u & 1 or cover >> v & 1):
+                if size + 1 < best:
+                    branch(cover | 1 << u, size + 1)
+                    branch(cover | 1 << v, size + 1)
+                return
+        best = size
+
+    branch(0, 0)
+    return best
 
 
 def reduce_vertex_cover(g: Graph) -> CorrelatedInstance:

@@ -1,18 +1,17 @@
 """Optimal menus, threshold menus, and performance-bound reports.
 
 Finding the optimal menu is NP-hard in general, so the optimum here is an
-exhaustive-search oracle with a hard cap on the action count.  Threshold
-menus (all actions with bias at most t) are linear in number, so the best
-threshold is found by direct sweep.  Bound reports record, as literal
-booleans, whether the guarantees that provably hold for each instance class
-held on this instance.
+exact search over all menus, which skips subtrees that provably cannot win,
+with a hard cap on the action count.  Threshold menus (all actions with bias
+at most t) are linear in number, so the best threshold is found by direct
+sweep.  Bound reports record, as literal booleans, whether the guarantees
+that provably hold for each instance class held on this instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .evaluate import evaluate
 from .model import (
@@ -55,25 +54,21 @@ class BoundReport:
 
 
 def brute_force_opt(instance: Instance, cap_n: int = 20) -> tuple[Menu, XNum]:
-    """Exhaustive search over all menus; ties favor smaller, then lexicographic.
+    """The optimal menu and its value; ties favor smaller, then lexicographic.
 
-    Enumerates the empty menu (legal only with an outside option) and all
-    2^n - 1 nonempty menus, in size-then-lexicographic order, keeping the
-    first maximizer seen.
+    An exact search over the empty menu (legal only with an outside option)
+    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel:
+    a depth-first walk that prunes a subtree only when an exact bound shows
+    it holds no menu of equal or higher value (correlated instances), or
+    that shares each prefix's work among the menus below it (independent
+    instances).  Among menus of equal value it returns the smallest, then
+    the lexicographically smallest: the first maximizer of a
+    size-then-lexicographic scan.  Raises ``CapExceededError`` above
+    ``cap_n`` actions, since the worst case still doubles per action.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
-    indices = range(1, instance.n + 1)
-    best_menu: Menu | None = None
-    best_value: XNum | None = None
-    sizes = range(0 if instance.has_outside else 1, instance.n + 1)
-    for size in sizes:
-        for combo in combinations(indices, size):
-            menu = frozenset(combo)
-            value = evaluate(instance, menu).f
-            if best_value is None or value > best_value:
-                best_menu, best_value = menu, value
-    return best_menu, best_value
+    return instance.kernel.search()
 
 
 def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import delmenu
 from delmenu import InvalidInstanceError, gen_log_family, load_instance, xnum
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
 
@@ -404,6 +409,18 @@ def test_sweep_semantic_errors_become_skipped_rows(tmp_path, capsys):
     rows = read_rows(out_file)
     assert [r["instance_id"] for r in rows] == ["random-independent-s0", "random-fancy-s0", "log-k99"]
     assert all(r["status"].startswith("skipped: ") for r in rows)
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Only `sweep --jobs N` with N > 1 needs a worker pool; every other call
+    # would pay for importing it at start-up.
+    code = "import sys, delmenu.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_workers_clamped():

@@ -10,6 +10,7 @@ instances for both checks.
 """
 
 import importlib
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ import delmenu.kernel
 from delmenu import (
     CorrelatedInstance,
     EvalReport,
+    Graph,
     IndependentInstance,
     PartitionInstance,
     Profile,
@@ -39,6 +41,7 @@ from delmenu import (
     gen_outside_family,
     gen_random,
     gen_three_approx,
+    min_vertex_cover,
     minimal_valid_m,
     parse_graph,
     reduce_integer_partition,
@@ -183,7 +186,13 @@ def test_brute_force_opt_equals_reference_scan():
     instances = [
         gen_log_family(3),
         reduce_vertex_cover(parse_graph("1 2\n2 3\n3 4\n1 4\n")),
+        gen_three_approx(Fraction(1, 100)),
+        gen_outside_family(3),
+        gen_outside_family(3, alt_good_values=True),
     ]
+    for values in ((1, 2, 3), (1, 1, 2), (2, 3, 4)):
+        part = PartitionInstance(values)
+        instances.append(reduce_integer_partition(part, minimal_valid_m(part))[0])
     for seed in range(12):
         outside = OUTSIDE_MODES[seed % 3]
         instances += [
@@ -194,6 +203,18 @@ def test_brute_force_opt_equals_reference_scan():
         ]
     for inst in instances:
         assert brute_force_opt(inst) == scan_opt(inst)
+
+
+def test_vertex_cover_optimum_equals_closed_form_at_16_vertices():
+    # 17 actions; the cover comes from the branching solver, whose own
+    # oracle is a subset scan in test_reductions.py.
+    rng = random.Random(16)
+    graph = Graph(16, tuple(rng.sample(list(combinations(range(1, 17), 2)), 32)))
+    menu, value = brute_force_opt(reduce_vertex_cover(graph))
+    cover = min_vertex_cover(graph)
+    assert value == xnum(Fraction(5 * 32 + 3 * 16 - cover, 32 + 16))
+    assert len(menu) == cover + 1 and 17 in menu
+    assert all(u in menu or v in menu for u, v in graph.edges)
 
 
 def test_kernel_is_compiled_once_per_instance(monkeypatch):
@@ -374,15 +395,15 @@ def probabilities(weights):
 
 
 @st.composite
-def small_instances(draw, kind):
-    """n <= 4 actions, at most 3 support entries or profiles, any outside mode.
+def small_instances(draw, kind, max_n=4):
+    """n <= max_n actions, at most 3 support entries or profiles, any outside mode.
 
     Half the instances also put iota parts on the grid, so the iota channel
     and its ties are drawn too.
     """
     iota = st.integers(0, 2) if draw(st.booleans()) else st.just(0)
     grid = st.builds(xnum, st.integers(0, 2), iota)
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     outside = draw(st.sampled_from(OUTSIDE_MODES))
     if kind == "independent":
 
@@ -417,3 +438,9 @@ def test_derandomize_equals_reference_on_drawn_instances(instance, data):
     indices = st.sets(st.integers(1, instance.n), min_size=0 if instance.has_outside else 1)
     opt_menu = frozenset(data.draw(indices))
     assert_derandomize_matches_reference(instance, [opt_menu], pytest.MonkeyPatch)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["independent", "correlated"]).flatmap(lambda k: small_instances(k, 5)))
+def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
+    assert brute_force_opt(instance) == scan_opt(instance)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from delmenu import (
+    CapExceededError,
     Graph,
     InvalidInstanceError,
     PartitionInstance,
@@ -77,12 +78,19 @@ def test_min_vertex_cover_known():
 
 def test_min_vertex_cover_random_vs_oracle():
     rng = random.Random(2)
-    for _ in range(25):
-        n = rng.randint(1, 6)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.2, 0.5, 0.8))
         possible = list(combinations(range(1, n + 1), 2))
-        edges = tuple(e for e in possible if rng.random() < 0.5)
+        edges = tuple(e for e in possible if rng.random() < density)
         g = Graph(n, edges)
         assert min_vertex_cover(g) == brute_cover(g)
+
+
+def test_min_vertex_cover_complete_graph_and_cap():
+    assert min_vertex_cover(Graph(7, tuple(combinations(range(1, 8), 2)))) == 6
+    with pytest.raises(CapExceededError, match="graph has 7 vertices, cap is 6"):
+        min_vertex_cover(Graph(7, ((1, 2),)), cap_n=6)
 
 
 # ---------------------------------------------------------------------------
