@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import delmenu
-from delmenu import InvalidInstanceError, gen_log_family, load_instance, xnum
+import delmenu.cli as cli_mod
+from delmenu import CapExceededError, InvalidInstanceError, gen_log_family, load_instance, xnum
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
+from delmenu.xnum import IOTA
 
 
 def run(capsys, *argv):
@@ -300,10 +303,6 @@ def test_sweep_correlated_bound_log(tmp_path, capsys):
 def test_sweep_violation_exits_4(tmp_path, capsys, monkeypatch):
     # The proven bounds cannot fail honestly; fake one to pin the exit-code
     # contract.
-    import dataclasses
-
-    import delmenu.cli as cli_mod
-
     real = cli_mod.bound_report
 
     def broken(instance, result):
@@ -531,6 +530,124 @@ def test_verify_survives_action_cap(tmp_path, capsys):
         "ok: single-action bound",
         "skipped: derandomization certificates (instance has 21 actions, cap is 20)",
     ]
+
+
+def test_verify_ok_when_one_certificate_runs_and_another_hits_the_cap(
+    tmp_path, capsys, monkeypatch
+):
+    # With a cap of 4 profiles, the lower threshold's certificate runs and
+    # the higher one's joint support is over the cap: the check still ran.
+    real = cli_mod.derandomize_interference
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        try:
+            got = real(*args, **kwargs)
+        except CapExceededError:
+            outcomes.append("cap")
+            raise
+        outcomes.append("ran" if got[0] is not None else "trivial")
+        return got
+
+    monkeypatch.setattr(cli_mod, "derandomize_interference", recording)
+    lines = verify_lines(
+        tmp_path, capsys, "random", "--n", "3", "--support-size", "2", "--seed", "0",
+        verify_args=("--cap-profiles", "4"),
+    )
+    assert {"ran", "cap"} <= set(outcomes)
+    assert lines[4] == "ok: derandomization certificates"
+
+
+# The proven checks cannot fail honestly: each test below breaks one input
+# of one check and pins the violation contract (exit 4, VIOLATION lines only).
+
+
+def verify_violations(tmp_path, capsys, *generate_args):
+    path = str(tmp_path / "v.json")
+    assert main(["generate", *generate_args, "-o", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", path)
+    lines = out.splitlines()
+    assert code == 4
+    assert lines and all(line.startswith("VIOLATION: ") for line in lines)
+    return lines
+
+
+def test_verify_reports_broken_decomposition_identity(tmp_path, capsys, monkeypatch):
+    real = cli_mod.decompose_report
+
+    def broken(instance, menu, report):
+        dec = real(instance, menu, report)
+        return dataclasses.replace(dec, bdif=dec.bdif + 1)
+
+    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
+    assert all(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
+
+
+def test_verify_reports_dp_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    real = cli_mod.eval_bruteforce_product
+
+    def broken(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, f=report.f + 1)
+
+    monkeypatch.setattr(cli_mod, "eval_bruteforce_product", broken)
+    lines = verify_violations(tmp_path, capsys, "outside", "--n", "3")
+    assert all(line.startswith("VIOLATION: dp/oracle mismatch on menu [") for line in lines)
+
+
+def test_verify_reports_bias_difference_mismatch(tmp_path, capsys, monkeypatch):
+    # The identity and both signs still hold; only the oracle's frequencies
+    # disagree with bdif.
+    real = cli_mod.decompose_report
+
+    def broken(instance, menu, report):
+        dec = real(instance, menu, report)
+        return dataclasses.replace(dec, sur=dec.sur - IOTA, bdif=dec.bdif + IOTA)
+
+    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    lines = verify_violations(tmp_path, capsys, "outside", "--n", "3")
+    assert all(line.startswith("VIOLATION: bias-difference mismatch on menu [") for line in lines)
+
+
+def test_verify_reports_threshold_dominance_failure(tmp_path, capsys, monkeypatch):
+    real = cli_mod.decompose_report
+
+    def broken(instance, menu, report):
+        dec = real(instance, menu, report)
+        return dataclasses.replace(dec, sur=dec.sur + 100)
+
+    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
+    assert any(line.startswith("VIOLATION: threshold-dominance failed on menu [") for line in lines)
+
+
+def test_verify_reports_single_action_bound_failure(tmp_path, capsys, monkeypatch):
+    # Contributions feed only the single-action bound.
+    real = cli_mod.evaluate
+
+    def broken(instance, menu):
+        report = real(instance, menu)
+        contrib = {i: c + 100 for i, c in report.contrib.items()}
+        return dataclasses.replace(report, contrib=contrib)
+
+    monkeypatch.setattr(cli_mod, "evaluate", broken)
+    lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
+    assert all(line.startswith("VIOLATION: single-action bound failed on menu [") for line in lines)
+    assert ", action " in lines[0]
+
+
+def test_verify_reports_failed_certificate(tmp_path, capsys, monkeypatch):
+    real = cli_mod.derandomize_interference
+
+    def broken(*args, **kwargs):
+        action, _ = real(*args, **kwargs)
+        return action, action is None
+
+    monkeypatch.setattr(cli_mod, "derandomize_interference", broken)
+    lines = verify_violations(tmp_path, capsys, "outside", "--n", "3")
+    assert all(line.startswith("VIOLATION: derandomization certificate failed at t=") for line in lines)
 
 
 # ---------------------------------------------------------------------------
