@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .evaluate import (
+    DEFAULT_PROFILE_CAP,
     EvalReport,
     decompose_report,
     derandomize_interference,
@@ -38,7 +39,6 @@ from .model import (
     Menu,
     candidates,
     full_menu,
-    joint_support_size,
     threshold_menu,
     validate_menu,
 )
@@ -160,8 +160,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     if args.format == "csv":
         row = _instance_row(args.instance, instance, args.cap_n)
-        print(",".join(SWEEP_COLUMNS))
-        print(",".join(row[c] for c in SWEEP_COLUMNS))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([SWEEP_COLUMNS, [row[c] for c in SWEEP_COLUMNS]])
         return EXIT_OK
     result = solve(instance, cap_n=args.cap_n)
     bounds = bound_report(instance, result)
@@ -214,7 +214,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
     if bad:
         raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
-    part = PartitionInstance(tuple(map(int, tokens)))
+    try:
+        part = PartitionInstance(tuple(map(int, tokens)))
+    except InvalidInstanceError as exc:
+        raise ParseError(f"{args.input}: {exc}") from exc
     M = args.big_m if args.big_m is not None else minimal_valid_m(part)
     instance, threshold = reduce_integer_partition(part, M)
     dump_instance(instance, args.out)
@@ -436,80 +439,72 @@ VERIFY_CHECKS = (
 
 
 def run_verify(
-    instance: Instance, menus: int = 5, seed: int = 0, cap: int = 10**6
+    instance: Instance, menus: int = 5, seed: int = 0, cap: int = DEFAULT_PROFILE_CAP
 ) -> tuple[list[str], dict[str, str]]:
     """Run the guarantee-check suite.
 
     Returns the violation descriptions and, for each check of
     ``VERIFY_CHECKS`` that ran on no case, the reason it was skipped.
     """
-    violations: list[str] = []
-    ran: set[str] = set()
+    oracle, certificates = "dp/oracle equivalence", "derandomization certificates"
     independent = isinstance(instance, IndependentInstance)
-    reports: dict[Menu, EvalReport] = {}
+    skipped = dict.fromkeys(VERIFY_CHECKS, "no applicable case")
+    if independent:
+        skipped[oracle] = f"joint support over {cap} profiles on every sampled menu"
+        skipped[certificates] = "every threshold menu lies inside the optimal menu"
+    else:
+        skipped[oracle] = skipped[certificates] = "correlated instance"
+    violations: list[str] = []
 
-    def report_of(menu: Menu) -> EvalReport:
-        """Each distinct menu is evaluated once per run."""
-        if menu not in reports:
-            reports[menu] = evaluate(instance, menu)
-        return reports[menu]
+    def check(name: str, holds: bool, violation: str) -> None:
+        """Record that check ``name`` ran on one case, and its violation if it failed."""
+        skipped.pop(name, None)
+        if not holds:
+            violations.append(violation)
 
+    report_of = functools.cache(functools.partial(evaluate, instance))  # once per distinct menu
     for menu in sample_menus(instance, menus, seed):
         report = report_of(menu)
+        on = f"on menu {sorted(menu)}"
         dec = decompose_report(instance, menu, report)
-        ran.add("decomposition identity")
-        if dec.sur + dec.bdif != report.f:
-            violations.append(f"decomposition identity failed on menu {sorted(menu)}")
-        if independent and joint_support_size(instance, menu) <= cap:
-            ran.add("dp/oracle equivalence")
-            brute = eval_bruteforce_product(instance, menu, cap=cap)
-            if brute.f != report.f or brute.freq != report.freq:
-                violations.append(f"dp/oracle mismatch on menu {sorted(menu)}")
+        holds = dec.sur + dec.bdif == report.f and dec.bdif >= 0 and dec.sur.std >= 0
+        check("decomposition identity", holds, f"decomposition identity failed {on}")
+        try:
+            brute = eval_bruteforce_product(instance, menu, cap=cap) if independent else None
+        except CapExceededError:
+            brute = None
+        if brute is not None:
+            holds = brute.f == report.f and brute.freq == report.freq
+            check(oracle, holds, f"dp/oracle mismatch {on}")
             expected_bias = xsum(instance.bias_of(i) * p for i, p in brute.freq.items())
-            if dec.bdif != dec.u_low - expected_bias:
-                violations.append(f"bias-difference mismatch on menu {sorted(menu)}")
-        sur_menu = threshold_menu(instance, dec.u_low)
-        ran.add("threshold dominance")
-        if report_of(sur_menu).f < dec.sur:
-            violations.append(f"threshold-dominance failed on menu {sorted(menu)}")
+            holds = dec.bdif == dec.u_low - expected_bias
+            check(oracle, holds, f"bias-difference mismatch {on}")
+        holds = report_of(threshold_menu(instance, dec.u_low)).f >= dec.sur
+        check("threshold dominance", holds, f"threshold-dominance failed {on}")
         for i in candidates(instance, menu):
             t_menu = threshold_menu(instance, instance.bias_of(i))
-            if not t_menu and not instance.has_outside:
-                continue
-            ran.add("single-action bound")
-            if report_of(t_menu).f < report.contrib[i]:
-                violations.append(
-                    f"single-action bound failed on menu {sorted(menu)}, action {i}"
-                )
+            if t_menu or instance.has_outside:
+                holds = report_of(t_menu).f >= report.contrib[i]
+                check("single-action bound", holds, f"single-action bound failed {on}, action {i}")
 
-    uncertified = "every threshold menu lies inside the optimal menu"
-    opt_menu = None
-    if independent:
-        try:
-            opt_menu, _ = brute_force_opt(instance)
-        except CapExceededError as exc:
-            uncertified = str(exc)
-    if opt_menu is not None:
-        for t, _menu in threshold_menus(instance):
-            if t is None:
-                continue
-            try:
-                action, certified = derandomize_interference(instance, opt_menu, t, cap=cap)
-            except CapExceededError as exc:
-                uncertified = f"t={t}: {exc}"
-                continue
-            if action is not None:
-                ran.add("derandomization certificates")
-            if not certified:
-                violations.append(f"derandomization certificate failed at t={t}")
-
-    reasons = {
-        "dp/oracle equivalence": f"joint support over {cap} profiles on every sampled menu",
-        "derandomization certificates": uncertified,
-    }
     if not independent:
-        reasons = dict.fromkeys(reasons, "correlated instance")
-    skipped = {c: reasons.get(c, "no applicable case") for c in VERIFY_CHECKS if c not in ran}
+        return violations, skipped
+    try:
+        opt_menu, _ = brute_force_opt(instance)
+    except CapExceededError as exc:
+        skipped[certificates] = str(exc)
+        return violations, skipped
+    for t, _menu in threshold_menus(instance):
+        if t is None:
+            continue
+        try:
+            action, certified = derandomize_interference(instance, opt_menu, t, cap=cap)
+        except CapExceededError as exc:
+            if certificates in skipped:  # a certificate that ran keeps its ok
+                skipped[certificates] = f"t={t}: {exc}"
+            continue
+        if action is not None:
+            check(certificates, certified, f"derandomization certificate failed at t={t}")
     return violations, skipped
 
 
@@ -603,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("instance")
     p_verify.add_argument("--menus", type=int, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cap-profiles", type=int, default=10**6)
+    p_verify.add_argument("--cap-profiles", type=int, default=DEFAULT_PROFILE_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

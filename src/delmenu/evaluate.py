@@ -63,7 +63,8 @@ class Decomposition:
     ``u_low`` is the largest bias among the menu and the outside option: a
     floor on the agent's achieved utility.  ``bdif`` is the expected gap
     between that floor and the chosen action's bias; ``sur`` is the rest.
-    ``sur + bdif == f`` exactly.
+    ``sur + bdif == f`` exactly, ``bdif >= 0``, and ``sur``'s standard part
+    is nonnegative (its iota part need not be).
     """
 
     u_low: XNum
@@ -189,9 +190,9 @@ def derandomize_interference(
     the returned flag certifies f(A_t) >= f((A_t intersect opt_menu) + that
     single action), which holds for every independent instance.
 
-    The kernel finds the worst realization against the kept candidates'
-    random draws and values the kept candidates plus the stand-in.  With B
-    empty there is nothing to collapse: returns (None, True).
+    One kernel call finds the worst realization against the kept
+    candidates' random draws and values the kept candidates plus the
+    stand-in.  With B empty there is nothing to collapse: returns (None, True).
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
@@ -206,7 +207,5 @@ def derandomize_interference(
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
 
     kept = candidates(instance, a_t & opt_menu)
-    favorite, value = instance.kernel.worst_pin(kept, interference)
-    action = InterferenceAction(t, value + instance.bias_of(favorite) - t)
-    rhs = instance.kernel.value_with(kept, action.value, t)
-    return action, rhs <= eval_independent_dp(instance, a_t).f
+    value, rhs = instance.kernel.stand_in(kept, interference, t)
+    return InterferenceAction(t, value), rhs <= eval_independent_dp(instance, a_t).f

@@ -318,31 +318,25 @@ class IndependentKernel(NamedTuple):
         visit(1, *self.winners([OUTSIDE] if outside else []))
         return frozenset(best_menu), self.tally(best_menu + [OUTSIDE] * outside)[0]
 
-    def worst_pin(self, kept: list[int], pinned: list[int]) -> tuple[int, XNum]:
-        """Owner and value of the top pair of ``pinned``'s worst joint realization.
+    def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
+        """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.
 
-        Each realization of ``pinned`` is scored by the expected value of the
-        agent's pick from it plus the random draws of ``kept``; that value is
-        decided by the realization's top rank.  An action's ranks ascend with
-        its sorted support, so the product walks realizations in canonical
-        order, and ``min`` keeps the first minimizer.  The values share their
-        denominators, so their numerators compare as the values do.
+        Each joint realization of ``pinned`` is scored by the expected value
+        of the agent's pick from it plus the random draws of ``kept``, which
+        its top rank decides.  Ranks ascend with each action's sorted support,
+        so the product walks realizations in canonical order, and ``min``
+        keeps the first minimizer; shared denominators let numerators compare.
+        The worst one's top pair, re-biased to ``bias`` with its agent utility
+        kept, is the stand-in, with an index above every action's.  It wins
+        the kept winner states ranked below it; agent utilities can tie, so
+        it is placed by its real choice key.
         """
-        ranks, masses, _ = self.winners(kept)
+        ranks, masses, den = self.winners(kept)
         top = min(
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
         )
-        return self.owner[top], self.value(top)
-
-    def value_with(self, kept: list[int], value: XNum, bias: XNum) -> XNum:
-        """Expected value of the agent's pick from ``kept`` plus one deterministic pair.
-
-        The pair has ``value`` and ``bias`` and an index above every action's.
-        It wins the kept winner states whose pair ranks below it; agent
-        utilities can tie, so it is placed by its real choice key.
-        """
-        ranks, masses, den = self.winners(kept)
+        value = self.value(top) + self.bias[self.owner[top]] - bias
 
         def pair_key(r: int) -> tuple:
             i = self.owner[r]
@@ -354,7 +348,7 @@ class IndependentKernel(NamedTuple):
         cut = bisect_left(ranks, below)
         std, inf = self.total(ranks[cut:], masses[cut:])
         kept_part = XNum(Fraction(std, self.std_den * den), Fraction(inf, self.inf_den * den))
-        return kept_part + value * Fraction(sum(masses[:cut]), den)
+        return value, kept_part + value * Fraction(sum(masses[:cut]), den)
 
 
 def _fold(

@@ -81,28 +81,35 @@ def parse_graph(text: str, vertices: int | None = None) -> Graph:
 
 
 def min_vertex_cover(g: Graph, cap_n: int = 20) -> int:
-    """Exact minimum vertex cover size by branching on uncovered edges.
+    """Exact minimum vertex cover size by branching on a vertex of maximum degree.
 
-    Every cover holds an endpoint of every edge, so the first edge (u, v)
-    left uncovered splits the search into u in the cover or v in it.  A
-    branch stops once it is as large as the best cover found so far, which
-    starts at all vertices but one: they cover every edge.
+    Every cover holds a vertex v or all of its neighbours, so the vertex v
+    with the most uncovered edges splits the search into v in the cover or
+    its remaining neighbours in it.  A branch stops once it is as large as
+    the best cover found so far, which starts at all vertices but one.
     """
     if g.vertices > cap_n:
         raise CapExceededError(f"graph has {g.vertices} vertices, cap is {cap_n}")
+    neighbours = [0] * (g.vertices + 1)
+    for u, v in g.edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
     best = g.vertices - 1
 
-    def branch(cover: int, size: int) -> None:
+    def branch(left: int, size: int) -> None:  # left: the vertices still undecided
         nonlocal best
-        for u, v in g.edges:
-            if not (cover >> u & 1 or cover >> v & 1):
-                if size + 1 < best:
-                    branch(cover | 1 << u, size + 1)
-                    branch(cover | 1 << v, size + 1)
-                return
-        best = size
+        degree, v = max(
+            ((neighbours[v] & left).bit_count(), v) for v in range(g.vertices + 1) if left >> v & 1
+        )
+        if not degree:
+            best = size
+            return
+        if size + 1 < best:
+            branch(left & ~(1 << v), size + 1)
+        if size + degree < best:
+            branch(left & ~(1 << v) & ~neighbours[v], size + degree)
 
-    branch(0, 0)
+    branch((1 << g.vertices + 1) - 2, 0)
     return best
 
 

@@ -13,7 +13,9 @@ import delmenu
 import delmenu.cli as cli_mod
 from delmenu import CapExceededError, InvalidInstanceError, gen_log_family, load_instance, xnum
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
-from delmenu.xnum import IOTA
+from delmenu.evaluate import Decomposition
+from delmenu.model import candidates
+from delmenu.xnum import IOTA, xsum
 
 
 def run(capsys, *argv):
@@ -155,6 +157,19 @@ def test_solve_csv_format(log3_file, capsys):
     assert fields["status"] == "ok"
 
 
+def test_solve_csv_quotes_a_path_with_a_comma(tmp_path, capsys):
+    path = str(tmp_path / "a,b.json")
+    assert main(["generate", "log", "--k", "3", "-o", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve", path, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert len(header) == len(row) == 15
+    fields = dict(zip(header, row))
+    assert fields["instance_id"] == path
+    assert fields["opt_std"] == "24/7"
+
+
 def test_solve_single_action(tmp_path, capsys):
     out_file = str(tmp_path / "one.json")
     main(["generate", "random", "--n", "1", "--seed", "3", "-o", out_file])
@@ -223,6 +238,33 @@ def test_reduce_partition_rejects_non_integer_tokens(tmp_path, capsys, token):
     code, _, err = run(capsys, "reduce", "partition", str(ints), "-o", str(tmp_path / "p.json"))
     assert code == 2
     assert repr(token) in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 -1 2\n", "partition values must be positive integers"),
+        ("0\n", "partition values must be positive integers"),
+        ("", "partition instance is empty"),
+    ],
+)
+def test_reduce_partition_rejects_invalid_instances(tmp_path, capsys, text, message):
+    ints = tmp_path / "c.txt"
+    ints.write_text(text)
+    out_file = tmp_path / "p.json"
+    code, _, err = run(capsys, "reduce", "partition", str(ints), "-o", str(out_file))
+    assert code == 2
+    assert f"{ints}: {message}" in err
+    assert not out_file.exists()
+
+
+def test_reduce_partition_m_too_small_is_semantic(tmp_path, capsys):
+    ints = tmp_path / "c.txt"
+    ints.write_text("1 1 2\n")
+    out_file = str(tmp_path / "p.json")
+    code, _, err = run(capsys, "reduce", "partition", str(ints), "--M", "5", "-o", out_file)
+    assert code == 3
+    assert "M=5 violates" in err
 
 
 def test_reduce_partition(tmp_path, capsys):
@@ -579,6 +621,32 @@ def test_verify_reports_broken_decomposition_identity(tmp_path, capsys, monkeypa
     def broken(instance, menu, report):
         dec = real(instance, menu, report)
         return dataclasses.replace(dec, bdif=dec.bdif + 1)
+
+    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
+    assert all(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
+
+
+def test_verify_reports_decomposition_from_the_minimum_bias(tmp_path, capsys, monkeypatch):
+    # sur = f - bdif makes the identity hold by construction; with u_low the
+    # least bias instead of the largest, bdif goes negative.
+    def min_bias(instance, menu, report):
+        u_low = min(instance.bias_of(i) for i in candidates(instance, menu))
+        bdif = u_low - xsum(instance.bias_of(i) * p for i, p in report.freq.items())
+        return Decomposition(u_low=u_low, sur=report.f - bdif, bdif=bdif)
+
+    monkeypatch.setattr(cli_mod, "decompose_report", min_bias)
+    lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
+    assert any(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
+
+
+def test_verify_reports_negative_surplus_standard_part(tmp_path, capsys, monkeypatch):
+    real = cli_mod.decompose_report
+
+    def broken(instance, menu, report):
+        dec = real(instance, menu, report)
+        shift = report.f.std + 1
+        return dataclasses.replace(dec, sur=dec.sur - shift, bdif=dec.bdif + shift)
 
     monkeypatch.setattr(cli_mod, "decompose_report", broken)
     lines = verify_violations(tmp_path, capsys, "log", "--k", "3")

@@ -79,8 +79,8 @@ def test_min_vertex_cover_known():
 def test_min_vertex_cover_random_vs_oracle():
     rng = random.Random(2)
     for _ in range(200):
-        n = rng.randint(1, 10)
-        density = rng.choice((0.2, 0.5, 0.8))
+        n = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.8, 0.95, 1.0))
         possible = list(combinations(range(1, n + 1), 2))
         edges = tuple(e for e in possible if rng.random() < density)
         g = Graph(n, edges)
@@ -88,7 +88,9 @@ def test_min_vertex_cover_random_vs_oracle():
 
 
 def test_min_vertex_cover_complete_graph_and_cap():
-    assert min_vertex_cover(Graph(7, tuple(combinations(range(1, 8), 2)))) == 6
+    # No branch beats the starting bound n - 1 on a complete graph.
+    for n in range(1, 21):
+        assert min_vertex_cover(Graph(n, tuple(combinations(range(1, n + 1), 2)))) == n - 1
     with pytest.raises(CapExceededError, match="graph has 7 vertices, cap is 6"):
         min_vertex_cover(Graph(7, ((1, 2),)), cap_n=6)
 
