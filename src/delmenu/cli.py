@@ -463,7 +463,7 @@ def run_verify(
             violations.append(violation)
 
     report_of = functools.cache(functools.partial(evaluate, instance))  # once per distinct menu
-    for menu in sample_menus(instance, menus, seed):
+    for menu in dict.fromkeys(sample_menus(instance, menus, seed)):  # each distinct menu once
         report = report_of(menu)
         on = f"on menu {sorted(menu)}"
         dec = decompose_report(instance, menu, report)

@@ -18,13 +18,12 @@ and :class:`~delmenu.xnum.XNum` values, built once per call.  Kernels are
 derived data: the instances build and cache them on first use (their
 ``kernel`` attribute).
 
-Each kernel also searches for the optimal menu (``search``), deciding actions
-in index order depth first and comparing menu values as integers; only the
-winner's value is built as an XNum.  Correlated kernels prune with an exact
-bound from the rankings, the first-choice model of Bertsimas and Mišić
-(Oper. Res. 2019) with a combinatorial bound in place of their integer
-program.  Independent kernels share each prefix's winner states among all
-the menus below it.
+Each kernel also finds the optimal menu (``search``) by the one depth-first
+walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
+only a root state, include and exclude steps, and a node value.  Correlated
+kernels bound each subtree with the rankings, the first-choice model of
+Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
+their integer program; independent kernels have no bound.
 """
 
 from __future__ import annotations
@@ -75,14 +74,42 @@ def _scaled(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _wins(sign: int, menu: list[int], best: list[int]) -> bool:
-    """Whether a menu beats the incumbent ``best``, given the sign of its value's lead.
+def _best_menu(width, outside, root, include, exclude, value) -> Menu:
+    """The best menu of actions ``1..width-1``, by a depth-first walk.
 
-    A higher value wins; equal values go to the smaller menu, then to the
-    lexicographically smaller one, as in a size-then-lexicographic scan that
-    keeps the first maximizer.
+    Actions are decided in index order, the include branch first: a state
+    holds the decisions so far, and ``include(state, i)`` and
+    ``exclude(state, i)`` decide action i.  ``value(state, leaf)`` is the
+    menu's exact value at a leaf and, above one, an exact upper bound on
+    every value below or None for no bound; values need only compare.  A
+    subtree is pruned only when its bound is strictly below the incumbent's
+    value, so every menu that ties the winner reaches its leaf.  A higher
+    value wins; equal values go to the smaller menu, then to the
+    lexicographically smaller one, as in a size-then-lexicographic scan
+    that keeps the first maximizer.  The empty menu counts only with an
+    ``outside`` option.
     """
-    return sign > 0 or (sign == 0 and (len(menu), menu) < (len(best), best))
+    menu: list[int] = []
+    best = best_menu = None
+
+    def visit(i: int, state) -> None:
+        nonlocal best, best_menu
+        leaf = i == width
+        if leaf and not (menu or outside):
+            return
+        v = value(state, leaf)
+        if best_menu is not None and v is not None and v < best:
+            return
+        if not leaf:
+            menu.append(i)
+            visit(i + 1, include(state, i))
+            menu.pop()
+            visit(i + 1, exclude(state, i))
+        elif best_menu is None or v > best or (len(menu), menu) < (len(best_menu), best_menu):
+            best, best_menu = v, menu.copy()
+
+    visit(1, root)
+    return frozenset(best_menu)
 
 
 def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
@@ -125,23 +152,20 @@ class CorrelatedKernel(NamedTuple):
             freq[i] += prob_k
         return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
 
-    def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by depth-first branch and bound.
+    def search(self) -> Menu:
+        """The best menu, by :func:`_best_menu` with an exact bound.
 
-        Actions are decided in index order, the include branch first.  Below
-        a node with included set I and undecided set U, each profile picks a
-        member of I, U or the outside option ranked at or above the first
-        member of I or the outside option in its ``orders`` row.  So the best
+        A node's state is ``(live, stop)``: bits of the included set I plus
+        the undecided set U plus the outside option, and of I plus the
+        outside option.  Each profile picks a member of ``live`` ranked at or
+        above the first member of ``stop`` in its ``orders`` row, so the best
         value among those bounds the profile's term, and the bounds' sum
-        bounds the subtree: lexicographic order respects addition.  A subtree
-        is pruned only when its bound is below the incumbent's value, never
-        on equality, so ties go as :func:`_wins` says.  At a leaf U is empty
-        and the bound is the menu's exact value.
+        bounds the subtree: lexicographic order respects addition.  At a leaf
+        U is empty and the bound is the menu's exact value.
 
-        Values compare as integers: a (std, inf) numerator pair is packed as
-        ``std * scale + inf``, with ``scale`` above twice any sum of |inf|
-        over profiles, which keeps sums in lexicographic order.  The winner's
-        value is built once, from its tally.
+        A (std, inf) numerator pair is packed as ``std * scale + inf``, with
+        ``scale`` above twice any sum of |inf| over profiles, which keeps
+        sums in lexicographic order.
         """
         width = len(self.std[0])
         outside = 1 if OUTSIDE in self.orders[0] else 0  # the outside option's bit
@@ -151,7 +175,8 @@ class CorrelatedKernel(NamedTuple):
             for order, std_k, inf_k in zip(self.orders, self.std, self.inf)
         ]
 
-        def bound(live: int, stop: int) -> int:
+        def bound(state: tuple[int, int], leaf: bool) -> int:
+            live, stop = state
             total = 0
             for row in rows:
                 top = None
@@ -164,28 +189,12 @@ class CorrelatedKernel(NamedTuple):
                 total += top
             return total
 
-        menu: list[int] = []
-        best, best_menu = 0, None
-
-        def visit(i: int, live: int, stop: int) -> None:
-            nonlocal best, best_menu
-            if i == width and not stop:
-                return  # the empty menu, without an outside option
-            value = bound(live, stop)
-            if best_menu is not None and value < best:
-                return
-            if i == width:
-                if best_menu is None or _wins(value - best, menu, best_menu):
-                    best, best_menu = value, menu.copy()
-                return
-            bit = 1 << i
-            menu.append(i)
-            visit(i + 1, live, stop | bit)
-            menu.pop()
-            visit(i + 1, live & ~bit, stop)
-
-        visit(1, (1 << width) - 2 | outside, outside)
-        return frozenset(best_menu), self.tally(best_menu + [OUTSIDE] * outside)[0]
+        return _best_menu(
+            width, outside, ((1 << width) - 2 | outside, outside),
+            lambda state, i: (state[0], state[1] | 1 << i),
+            lambda state, i: (state[0] & ~(1 << i), state[1]),
+            bound,
+        )
 
 
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
@@ -282,41 +291,37 @@ class IndependentKernel(NamedTuple):
             freq[i] += m
         return _report(feasible, std, inf, freq, self.std_den * den, self.inf_den * den, den)
 
-    def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by a depth-first walk that shares prefixes.
+    def search(self) -> Menu:
+        """The best menu, by :func:`_best_menu` without a bound.
 
-        Actions are decided in index order, the include branch first; the
-        outside option is folded once at the root, and each include folds
-        one action into its parent's winner states, so there is one fold
-        per tree edge rather than one per action of every menu.  Nothing is
-        pruned.  A leaf's value is (std, inf) numerators over the value
-        denominators times the menu's mass denominator, which varies by
-        menu, so values compare by cross-multiplication; ties go as
-        :func:`_wins` says.  The winner's value is built once, from its
-        tally.
+        A node's state is its winner states' ranks and masses and a scale.
+        The outside option is folded once at the root, and each include
+        folds one action into its parent's states, so there is one fold per
+        tree edge rather than one per action of every menu.  Each exclude
+        multiplies the scale by the action's ``prob_den``, so at a leaf the
+        scaled (std, inf) numerators are over the mass denominator every menu
+        shares, the product of ``prob_den``, and leaves compare as integer
+        pairs.
         """
-        width = len(self.ranks)
+
+        def include(state: tuple, i: int) -> tuple:
+            ranks, masses, scale = state
+            return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), scale)
+
+        def exclude(state: tuple, i: int) -> tuple:
+            ranks, masses, scale = state
+            return ranks, masses, scale * self.prob_den[i]
+
+        def value(state: tuple, leaf: bool) -> tuple[int, int] | None:
+            if not leaf:
+                return None
+            ranks, masses, scale = state
+            std, inf = self.total(ranks, masses)
+            return std * scale, inf * scale
+
         outside = bool(self.ranks[OUTSIDE])
-        menu: list[int] = []
-        best, best_menu = (0, 0, 1), None
-
-        def visit(i: int, ranks: list[int], masses: list[int], den: int) -> None:
-            nonlocal best, best_menu
-            if i < width:
-                menu.append(i)
-                folded = _fold(ranks, masses, self.ranks[i], self.probs[i])
-                visit(i + 1, *folded, den * self.prob_den[i])
-                menu.pop()
-                visit(i + 1, ranks, masses, den)
-            elif menu or outside:
-                std, inf = self.total(ranks, masses)
-                best_std, best_inf, best_den = best
-                lead = std * best_den - best_std * den or inf * best_den - best_inf * den
-                if best_menu is None or _wins(lead, menu, best_menu):
-                    best, best_menu = (std, inf, den), menu.copy()
-
-        visit(1, *self.winners([OUTSIDE] if outside else []))
-        return frozenset(best_menu), self.tally(best_menu + [OUTSIDE] * outside)[0]
+        ranks, masses, _ = self.winners([OUTSIDE] if outside else [])
+        return _best_menu(len(self.ranks), outside, (ranks, masses, 1), include, exclude, value)
 
     def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
         """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.

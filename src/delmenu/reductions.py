@@ -46,14 +46,6 @@ class Graph:
             canonical.append(edge)
         object.__setattr__(self, "edges", tuple(canonical))
 
-    @property
-    def max_degree(self) -> int:
-        degree = [0] * (self.vertices + 1)
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        return max(degree)
-
 
 def parse_graph(text: str, vertices: int | None = None) -> Graph:
     """Parse edge-list text: one "u v" pair per line, 1-indexed.

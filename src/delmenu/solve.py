@@ -68,7 +68,8 @@ def brute_force_opt(instance: Instance, cap_n: int = 20) -> tuple[Menu, XNum]:
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
-    return instance.kernel.search()
+    menu = instance.kernel.search()
+    return menu, evaluate(instance, menu).f
 
 
 def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:

@@ -544,6 +544,27 @@ def test_verify_names_why_independent_checks_skipped(tmp_path, capsys):
     ]
 
 
+def test_verify_checks_each_distinct_sampled_menu_once(tmp_path, capsys, monkeypatch):
+    # One action: all five sampled menus are {1}, so the oracle runs once.
+    real = cli_mod.eval_bruteforce_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "eval_bruteforce_product", counting)
+    lines = verify_lines(tmp_path, capsys, "random", "--n", "1", "--support-size", "4", "--seed", "0")
+    assert calls == [frozenset({1})]
+    assert lines == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "skipped: derandomization certificates (every threshold menu lies inside the optimal menu)",
+    ]
+
+
 def test_verify_survives_profile_cap(tmp_path, capsys):
     # Every threshold menu that needs a certificate has a joint support far
     # over 10 profiles: derandomization is skipped, the other checks report.

@@ -205,15 +205,19 @@ def test_brute_force_opt_equals_reference_scan():
         assert brute_force_opt(inst) == scan_opt(inst)
 
 
-def test_vertex_cover_optimum_equals_closed_form_at_16_vertices():
-    # 17 actions; the cover comes from the branching solver, whose own
-    # oracle is a subset scan in test_reductions.py.
-    rng = random.Random(16)
-    graph = Graph(16, tuple(rng.sample(list(combinations(range(1, 17), 2)), 32)))
+@pytest.mark.parametrize("vertices", [16, 19])
+def test_vertex_cover_optimum_equals_closed_form(vertices):
+    # vertices + 1 actions, up to the search's cap of 20, and 2 * vertices
+    # edges; the cover comes from the branching solver, whose own oracle is
+    # a subset scan in test_reductions.py.
+    edges = 2 * vertices
+    rng = random.Random(vertices)
+    pairs = list(combinations(range(1, vertices + 1), 2))
+    graph = Graph(vertices, tuple(rng.sample(pairs, edges)))
     menu, value = brute_force_opt(reduce_vertex_cover(graph))
     cover = min_vertex_cover(graph)
-    assert value == xnum(Fraction(5 * 32 + 3 * 16 - cover, 32 + 16))
-    assert len(menu) == cover + 1 and 17 in menu
+    assert value == xnum(Fraction(5 * edges + 3 * vertices - cover, edges + vertices))
+    assert len(menu) == cover + 1 and vertices + 1 in menu
     assert all(u in menu or v in menu for u, v in graph.edges)
 
 

@@ -38,9 +38,6 @@ def test_graph_validation():
         Graph(2, ((1, 2), (2, 1)))
     with pytest.raises(InvalidInstanceError):
         Graph(2, ((1, 3),))
-    assert TRIANGLE.max_degree == 2
-    assert PATH4.max_degree == 2
-    assert EDGELESS2.max_degree == 0
 
 
 def test_parse_graph():
