@@ -1,8 +1,9 @@
 """Exact integer choice kernel: each instance compiled once, then integer work only.
 
 :func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
-so an instance's pairs get integer ranks once, and every later agent choice
-is an integer comparison: the agent picks the highest-ranked feasible pair.
+so an instance's pairs get integer ranks once, by one sort on integer keys
+in that order, and every later agent choice is an integer comparison: the
+agent picks the highest-ranked feasible pair.
 
 * A correlated instance becomes a weighted list of rankings, one per profile
   (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
@@ -23,7 +24,9 @@ walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
 only a root state, include and exclude steps, and a node value.  Correlated
 kernels bound each subtree with the rankings, the first-choice model of
 Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
-their integer program; independent kernels have no bound.
+their integer program; independent kernels have no bound.  A kernel finds
+the best of a nested sequence of menus, such as the threshold menus in bias
+order, in one pass that adds each step's indices once (``best_prefix``).
 """
 
 from __future__ import annotations
@@ -113,9 +116,25 @@ def _best_menu(width, outside, root, include, exclude, value) -> Menu:
 
 
 def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
-    """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred)."""
-    ordered = sorted(pairs, key=lambda pair: choice_key(pair[0], pair[1], instance.bias_of(pair[0])))
-    return {pair: rank for rank, pair in enumerate(ordered)}
+    """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
+
+    The order is :func:`~delmenu.model.choice_key`'s, on integer keys: values
+    and biases are scaled to common denominators, standard and iota parts
+    separately, so a pair's key is ``(u_std, u_inf, v_std, v_inf, index !=
+    OUTSIDE, -index)``, with u its value plus its index's bias.
+    """
+    bias = {i: instance.bias_of(i) for i in {i for i, _ in pairs}}
+    std_den = _common_denominator([v.std for _, v in pairs] + [b.std for b in bias.values()])
+    inf_den = _common_denominator([v.inf for _, v in pairs] + [b.inf for b in bias.values()])
+    bias_std = {i: _scaled(b.std, std_den) for i, b in bias.items()}
+    bias_inf = {i: _scaled(b.inf, inf_den) for i, b in bias.items()}
+
+    def key(pair: tuple[int, XNum]) -> tuple:
+        i, v = pair
+        std, inf = _scaled(v.std, std_den), _scaled(v.inf, inf_den)
+        return std + bias_std[i], inf + bias_inf[i], std, inf, i != OUTSIDE, -i
+
+    return {pair: rank for rank, pair in enumerate(sorted(pairs, key=key))}
 
 
 class CorrelatedKernel(NamedTuple):
@@ -152,6 +171,18 @@ class CorrelatedKernel(NamedTuple):
             freq[i] += prob_k
         return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
 
+    def _packed(self) -> list[list[int]]:
+        """Each profile's (std, inf) numerators per index, as ``std * scale + inf``.
+
+        ``scale`` is above twice any sum of |inf| over profiles, so sums of
+        packed values compare as the sums of their pairs do, lexicographically.
+        """
+        scale = 2 * sum(max(map(abs, inf_k)) for inf_k in self.inf) + 1
+        return [
+            [std * scale + inf for std, inf in zip(std_k, inf_k)]
+            for std_k, inf_k in zip(self.std, self.inf)
+        ]
+
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` with an exact bound.
 
@@ -163,16 +194,13 @@ class CorrelatedKernel(NamedTuple):
         bounds the subtree: lexicographic order respects addition.  At a leaf
         U is empty and the bound is the menu's exact value.
 
-        A (std, inf) numerator pair is packed as ``std * scale + inf``, with
-        ``scale`` above twice any sum of |inf| over profiles, which keeps
-        sums in lexicographic order.
+        Values are packed by :meth:`_packed`.
         """
         width = len(self.std[0])
         outside = 1 if OUTSIDE in self.orders[0] else 0  # the outside option's bit
-        scale = 2 * sum(max(map(abs, inf_k)) for inf_k in self.inf) + 1
         rows = [
-            tuple((1 << i, std_k[i] * scale + inf_k[i]) for i in order)
-            for order, std_k, inf_k in zip(self.orders, self.std, self.inf)
+            tuple((1 << i, packed_k[i]) for i in order)
+            for order, packed_k in zip(self.orders, self._packed())
         ]
 
         def bound(state: tuple[int, int], leaf: bool) -> int:
@@ -195,6 +223,38 @@ class CorrelatedKernel(NamedTuple):
             lambda state, i: (state[0] & ~(1 << i), state[1]),
             bound,
         )
+
+    def best_prefix(self, steps: list[list[int]]) -> int:
+        """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
+
+        One pass: each profile keeps its current pick, the outside option
+        while the menu is empty, and moves it up only when an added index
+        ranks higher in its ``orders`` row; the total is updated by the
+        difference.  Values are packed by :meth:`_packed`.  Ties go to the
+        earlier step.
+        """
+        width = len(self.std[0])
+        packed = self._packed()
+        positions, picks, values = [], [], []
+        for order in self.orders:
+            position = [len(order)] * width
+            for p, i in enumerate(order):
+                position[i] = p
+            positions.append(position)
+            picks.append(position[OUTSIDE])
+        # Without an outside option its position is past every row's end and
+        # its value numerators are 0, so the empty pick is worth 0.
+        current = [packed_k[OUTSIDE] for packed_k in packed]
+        total = sum(current)
+        for added in steps:
+            for i in added:
+                for k, position in enumerate(positions):
+                    if position[i] < picks[k]:
+                        picks[k] = position[i]
+                        total += packed[k][i] - current[k]
+                        current[k] = packed[k][i]
+            values.append(total)
+        return values.index(max(values))
 
 
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
@@ -322,6 +382,31 @@ class IndependentKernel(NamedTuple):
         outside = bool(self.ranks[OUTSIDE])
         ranks, masses, _ = self.winners([OUTSIDE] if outside else [])
         return _best_menu(len(self.ranks), outside, (ranks, masses, 1), include, exclude, value)
+
+    def best_prefix(self, steps: list[list[int]]) -> int:
+        """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
+
+        One pass: the outside option is folded first, then each step's
+        actions, each once.  Step j's (std, inf) numerators are over the
+        product of the folded actions' ``prob_den``; scaled by that product
+        over the later steps' actions, every step's are over the same
+        denominator and compare as integer pairs.  Ties go to the earlier
+        step.
+        """
+        scales = []
+        scale = 1
+        for added in reversed(steps):
+            scales.append(scale)
+            for i in added:
+                scale *= self.prob_den[i]
+        ranks, masses, _ = self.winners([OUTSIDE] if self.ranks[OUTSIDE] else [])
+        values = []
+        for added, scale in zip(steps, reversed(scales)):
+            for i in added:
+                ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
+            std, inf = self.total(ranks, masses)
+            values.append((std * scale, inf * scale))
+        return values.index(max(values))
 
     def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
         """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.

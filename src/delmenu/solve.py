@@ -3,15 +3,17 @@
 Finding the optimal menu is NP-hard in general, so the optimum here is an
 exact search over all menus, which skips subtrees that provably cannot win,
 with a hard cap on the action count.  Threshold menus (all actions with bias
-at most t) are linear in number, so the best threshold is found by direct
-sweep.  Bound reports record, as literal booleans, whether the guarantees
-that provably hold for each instance class held on this instance.
+at most t) are linear in number and nested, so the best threshold is found
+by one pass over the actions in bias order, on the kernel.  Bound reports
+record, as literal booleans, whether the guarantees that provably hold for
+each instance class held on this instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .evaluate import evaluate
 from .model import (
@@ -20,7 +22,6 @@ from .model import (
     IndependentInstance,
     Instance,
     Menu,
-    threshold_menu,
 )
 from .xnum import XNum
 
@@ -72,6 +73,18 @@ def brute_force_opt(instance: Instance, cap_n: int = 20) -> tuple[Menu, XNum]:
     return menu, evaluate(instance, menu).f
 
 
+def _threshold_steps(instance: Instance) -> list[tuple[XNum | None, list[int]]]:
+    """Each threshold with the actions it adds to the previous one's menu.
+
+    Thresholds increase; the empty menu's ``(None, [])`` leads whenever the
+    instance has an outside option.  One sort by bias orders the actions,
+    and each distinct bias cuts a step.
+    """
+    steps: list[tuple[XNum | None, list[int]]] = [(None, [])] if instance.has_outside else []
+    order = sorted(range(1, instance.n + 1), key=lambda i: instance.bias_of(i)._key())
+    return steps + [(t, list(added)) for t, added in groupby(order, key=instance.bias_of)]
+
+
 def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:
     """One menu per distinct bias threshold, in increasing-threshold order.
 
@@ -79,21 +92,25 @@ def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:
     whenever the instance has an outside option to fall back on.
     """
     out: list[tuple[XNum | None, Menu]] = []
-    if instance.has_outside:
-        out.append((None, frozenset()))
-    for t in sorted({instance.bias_of(i) for i in range(1, instance.n + 1)}):
-        out.append((t, threshold_menu(instance, t)))
+    menu: Menu = frozenset()
+    for t, added in _threshold_steps(instance):
+        menu = menu.union(added)
+        out.append((t, menu))
     return out
 
 
 def best_threshold(instance: Instance) -> tuple[XNum | None, Menu, XNum]:
-    """The threshold menu maximizing expected utility; ties favor smaller t."""
-    best: tuple[XNum | None, Menu, XNum] | None = None
-    for t, menu in threshold_menus(instance):
-        value = evaluate(instance, menu).f
-        if best is None or value > best[2]:
-            best = (t, menu, value)
-    return best
+    """The threshold menu maximizing expected utility; ties favor smaller t.
+
+    Threshold menus are nested, so the kernel values them all in one pass
+    over the actions in bias order (``instance.kernel.best_prefix``), and
+    only the winner is evaluated.  ``None`` stands for the empty menu, which
+    leads the thresholds when there is an outside option.
+    """
+    steps = _threshold_steps(instance)
+    j = instance.kernel.best_prefix([added for _, added in steps])
+    menu = frozenset(i for _, added in steps[: j + 1] for i in added)
+    return steps[j][0], menu, evaluate(instance, menu).f
 
 
 def solve(instance: Instance, cap_n: int = 20) -> SolveResult:

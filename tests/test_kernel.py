@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delmenu.kernel
@@ -30,6 +30,7 @@ from delmenu import (
     Action,
     InterferenceAction,
     agent_choice,
+    best_threshold,
     brute_force_opt,
     derandomize_interference,
     deterministic,
@@ -52,6 +53,7 @@ from delmenu import (
     xnum,
     xsum,
 )
+from delmenu.kernel import _rank_pairs
 from delmenu.model import candidates, choice_key, product_realizations, profile_assignment
 
 from conftest import OUTSIDE_MODES, random_correlated, random_independent, random_menus
@@ -205,47 +207,52 @@ def test_brute_force_opt_equals_reference_scan():
         assert brute_force_opt(inst) == scan_opt(inst)
 
 
-@pytest.mark.parametrize("vertices", [16, 19])
+@pytest.mark.parametrize("vertices", [16, 19, 20])
 def test_vertex_cover_optimum_equals_closed_form(vertices):
-    # vertices + 1 actions, up to the search's cap of 20, and 2 * vertices
-    # edges; the cover comes from the branching solver, whose own oracle is
-    # a subset scan in test_reductions.py.
+    # vertices + 1 actions, one past the search's default cap of 20 at the
+    # largest size, and 2 * vertices edges; the cover comes from the
+    # branching solver, whose own oracle is a subset scan in
+    # test_reductions.py.
     edges = 2 * vertices
     rng = random.Random(vertices)
     pairs = list(combinations(range(1, vertices + 1), 2))
     graph = Graph(vertices, tuple(rng.sample(pairs, edges)))
-    menu, value = brute_force_opt(reduce_vertex_cover(graph))
+    menu, value = brute_force_opt(reduce_vertex_cover(graph), cap_n=vertices + 1)
     cover = min_vertex_cover(graph)
     assert value == xnum(Fraction(5 * edges + 3 * vertices - cover, edges + vertices))
     assert len(menu) == cover + 1 and vertices + 1 in menu
     assert all(u in menu or v in menu for u, v in graph.edges)
 
 
+def pairs_of(instance):
+    """The distinct (index, value) pairs a kernel ranks, outside option included."""
+    if isinstance(instance, CorrelatedInstance):
+        return {pair for p in instance.profiles for pair in profile_assignment(instance, p).items()}
+    return {
+        (i, v)
+        for i in candidates(instance, frozenset(range(1, instance.n + 1)))
+        for v, _ in instance.support_of(i)
+    }
+
+
 def test_kernel_is_compiled_once_per_instance(monkeypatch):
-    calls = []
-    original = delmenu.kernel.choice_key
-    monkeypatch.setattr(delmenu.kernel, "choice_key", lambda *a: calls.append(a) or original(*a))
+    rankings, keys = [], []
+    rank_pairs, key = delmenu.kernel._rank_pairs, delmenu.kernel.choice_key
+    monkeypatch.setattr(
+        delmenu.kernel, "_rank_pairs", lambda *a: rankings.append(a[1]) or rank_pairs(*a)
+    )
+    monkeypatch.setattr(delmenu.kernel, "choice_key", lambda *a: keys.append(a) or key(*a))
     for inst in (
         random_correlated(3, outside="random", n=4, profiles=5),
         random_independent(3, outside="random", n=4, support=3),
     ):
-        calls.clear()
+        rankings.clear()
         for menu in all_menus(inst):
             evaluate(inst, menu)
+        best_threshold(inst)
         assert inst.kernel is inst.kernel
-        pairs = {(i, v) for i, v, _ in calls}
-        assert len(calls) == len(pairs)
-        if isinstance(inst, CorrelatedInstance):
-            expected = {
-                (i, v) for p in inst.profiles for i, v in profile_assignment(inst, p).items()
-            }
-        else:
-            expected = {
-                (i, v)
-                for i in candidates(inst, frozenset(range(1, inst.n + 1)))
-                for v, _ in (inst.outside if i == 0 else inst.actions[i - 1]).support
-            }
-        assert pairs == expected
+        assert rankings == [pairs_of(inst)]
+    assert keys == []
 
 
 def test_kernel_is_not_part_of_instance_equality():
@@ -448,3 +455,69 @@ def test_derandomize_equals_reference_on_drawn_instances(instance, data):
 @given(st.sampled_from(["independent", "correlated"]).flatmap(lambda k: small_instances(k, 5)))
 def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
     assert brute_force_opt(instance) == scan_opt(instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@example(  # actions 1, 2 and the outside option tie on agent utility 3, then 1 and 2 on 3 + iota
+    CorrelatedInstance(
+        biases=(xnum(1), xnum(2, 1)),
+        profiles=(
+            Profile(Fraction(1, 2), (xnum(2), xnum(1, -1), xnum(3))),
+            Profile(Fraction(1, 2), (xnum(2, 1), xnum(1), xnum(2))),
+        ),
+        outside_bias=xnum(0),
+    )
+)
+def test_integer_rank_order_equals_choice_key_order(instance):
+    pairs = pairs_of(instance)
+    by_key = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
+    assert list(_rank_pairs(instance, pairs)) == by_key
+
+
+def scan_threshold(instance):
+    """Best threshold by one reference evaluation per threshold menu; first maximizer."""
+    best = None
+    for t, menu in threshold_menus(instance):
+        value = reference(instance, menu).f
+        if best is None or value > best[2]:
+            best = (t, menu, value)
+    return best
+
+
+def partition_at_minimal_m(values):
+    part = PartitionInstance(values)
+    return reduce_integer_partition(part, minimal_valid_m(part))[0]
+
+
+# Every action and the outside option have bias 1: the only thresholds are
+# the empty menu and the full one.
+EQUAL_BIASES = IndependentInstance(
+    (
+        Action(xnum(1), ((xnum(0), Fraction(1, 2)), (xnum(2), Fraction(1, 2)))),
+        Action(xnum(1), ((xnum(1), Fraction(1, 3)), (xnum(2, 1), Fraction(2, 3)))),
+        deterministic(xnum(1), xnum(1)),
+    ),
+    outside=deterministic(xnum(1), xnum(1)),
+)
+# The outside option is worth 5 to the principal, but every action pulls the
+# agent away from it to a value of at most 1: the empty menu wins.
+EMPTY_WINS = IndependentInstance(
+    (deterministic(xnum(5), xnum(1)), deterministic(xnum(6), xnum(0))),
+    outside=deterministic(xnum(0), xnum(5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@example(EQUAL_BIASES)
+@example(EMPTY_WINS)
+@example(gen_log_family(3))
+@example(partition_at_minimal_m((1, 2, 3)))
+def test_best_threshold_equals_reference_scan(instance):
+    assert best_threshold(instance) == scan_threshold(instance)
+
+
+def test_best_threshold_examples_cover_their_cases():
+    assert [t for t, _ in threshold_menus(EQUAL_BIASES)] == [None, xnum(1)]
+    assert best_threshold(EMPTY_WINS) == (None, frozenset(), xnum(5))

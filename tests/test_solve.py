@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -113,6 +114,37 @@ def test_threshold_menus_downward_closed():
                 for j in range(1, inst.n + 1):
                     if inst.bias_of(j) <= inst.bias_of(i):
                         assert j in menu
+
+
+def with_grid_biases(instance, seed):
+    """``instance`` with biases, outside option's included, on a grid with iota parts.
+
+    Three standard parts and three iota parts give nine biases, so biases
+    repeat often, and equal standard parts are told apart by iota.
+    """
+    rng = random.Random(seed)
+    grid = [xnum(rng.randint(0, 2), rng.randint(-1, 1)) for _ in range(instance.n + 1)]
+    if isinstance(instance, CorrelatedInstance):
+        outside = grid[0] if instance.has_outside else None
+        return CorrelatedInstance(tuple(grid[1:]), instance.profiles, outside, instance.labels)
+    actions = tuple(replace(a, bias=b) for a, b in zip(instance.actions, grid[1:]))
+    outside = replace(instance.outside, bias=grid[0]) if instance.has_outside else None
+    return IndependentInstance(actions, outside)
+
+
+def test_threshold_menus_equal_per_threshold_definition():
+    repeated = 0
+    for seed in range(30):
+        for inst in (
+            with_grid_biases(random_independent(seed, n=6), seed),
+            with_grid_biases(random_correlated(seed, n=6), seed),
+        ):
+            biases = [inst.bias_of(i) for i in range(1, inst.n + 1)]
+            expected = [(None, frozenset())] if inst.has_outside else []
+            expected += [(t, threshold_menu(inst, t)) for t in sorted(set(biases))]
+            assert threshold_menus(inst) == expected
+            repeated += len(set(biases)) < len(biases)
+    assert repeated > 30
 
 
 # ---------------------------------------------------------------------------
