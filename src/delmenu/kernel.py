@@ -1,9 +1,9 @@
 """Exact integer choice kernel: each instance compiled once, then integer work only.
 
 :func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
-so an instance's pairs get integer ranks once, by one sort on integer keys
-in that order, and every later agent choice is an integer comparison: the
-agent picks the highest-ranked feasible pair.
+so an instance's pairs get integer ranks once, by one sort on its integer
+form, and every later agent choice is an integer comparison: the agent
+picks the highest-ranked feasible pair.
 
 * A correlated instance becomes a weighted list of rankings, one per profile
   (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
@@ -118,23 +118,17 @@ def _best_menu(width, outside, root, include, exclude, value) -> Menu:
 def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
     """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
 
-    The order is :func:`~delmenu.model.choice_key`'s, on integer keys: values
-    and biases are scaled to common denominators, standard and iota parts
-    separately, so a pair's key is ``(u_std, u_inf, v_std, v_inf, index !=
-    OUTSIDE, -index)``, with u its value plus its index's bias.
+    One :func:`~delmenu.model.choice_key` per pair, in its integer form:
+    values and biases share common denominators, standard and iota parts
+    separately, so the sort compares integers.
     """
     bias = {i: instance.bias_of(i) for i in {i for i, _ in pairs}}
-    std_den = _common_denominator([v.std for _, v in pairs] + [b.std for b in bias.values()])
-    inf_den = _common_denominator([v.inf for _, v in pairs] + [b.inf for b in bias.values()])
-    bias_std = {i: _scaled(b.std, std_den) for i, b in bias.items()}
-    bias_inf = {i: _scaled(b.inf, inf_den) for i, b in bias.items()}
-
-    def key(pair: tuple[int, XNum]) -> tuple:
-        i, v = pair
-        std, inf = _scaled(v.std, std_den), _scaled(v.inf, inf_den)
-        return std + bias_std[i], inf + bias_inf[i], std, inf, i != OUTSIDE, -i
-
-    return {pair: rank for rank, pair in enumerate(sorted(pairs, key=key))}
+    dens = (
+        _common_denominator([v.std for _, v in pairs] + [b.std for b in bias.values()]),
+        _common_denominator([v.inf for _, v in pairs] + [b.inf for b in bias.values()]),
+    )
+    ranked = sorted(pairs, key=lambda pair: choice_key(*pair, bias[pair[0]], dens))
+    return {pair: rank for rank, pair in enumerate(ranked)}
 
 
 class CorrelatedKernel(NamedTuple):

@@ -247,12 +247,14 @@ def test_kernel_is_compiled_once_per_instance(monkeypatch):
         random_independent(3, outside="random", n=4, support=3),
     ):
         rankings.clear()
+        keys.clear()
         for menu in all_menus(inst):
             evaluate(inst, menu)
         best_threshold(inst)
         assert inst.kernel is inst.kernel
         assert rankings == [pairs_of(inst)]
-    assert keys == []
+        assert len(keys) == len(pairs_of(inst))  # one choice key per distinct pair
+        assert {(i, v) for i, v, *_ in keys} == pairs_of(inst)
 
 
 def test_kernel_is_not_part_of_instance_equality():

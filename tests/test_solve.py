@@ -102,20 +102,6 @@ def test_threshold_menus_log_family():
     assert [t for t, _ in menus] == [xnum(0), xnum(4, -1), xnum(4), xnum(6, -1), xnum(6)]
 
 
-def test_threshold_menus_downward_closed():
-    for seed in range(30):
-        inst = random_independent(seed, n=4)
-        for t, menu in threshold_menus(inst):
-            if t is None:
-                assert menu == frozenset()
-                continue
-            assert menu == threshold_menu(inst, t)
-            for i in menu:
-                for j in range(1, inst.n + 1):
-                    if inst.bias_of(j) <= inst.bias_of(i):
-                        assert j in menu
-
-
 def with_grid_biases(instance, seed):
     """``instance`` with biases, outside option's included, on a grid with iota parts.
 
@@ -132,10 +118,11 @@ def with_grid_biases(instance, seed):
     return IndependentInstance(actions, outside)
 
 
-def test_threshold_menus_equal_per_threshold_definition():
+def test_threshold_menus_downward_closed():
     repeated = 0
     for seed in range(30):
         for inst in (
+            random_independent(seed, n=4),
             with_grid_biases(random_independent(seed, n=6), seed),
             with_grid_biases(random_correlated(seed, n=6), seed),
         ):
@@ -143,6 +130,11 @@ def test_threshold_menus_equal_per_threshold_definition():
             expected = [(None, frozenset())] if inst.has_outside else []
             expected += [(t, threshold_menu(inst, t)) for t in sorted(set(biases))]
             assert threshold_menus(inst) == expected
+            for _, menu in expected:
+                for i in menu:
+                    for j in range(1, inst.n + 1):
+                        if inst.bias_of(j) <= inst.bias_of(i):
+                            assert j in menu
             repeated += len(set(biases)) < len(biases)
     assert repeated > 30
 
