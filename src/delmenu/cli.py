@@ -80,6 +80,14 @@ def parse_xnum_literal(text: str) -> XNum:
         raise InvalidInstanceError(f"invalid number literal {text!r}") from exc
 
 
+def positive_int(text: str) -> int:
+    """An integer option of at least 1 (argparse reports anything else with exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_menu_spec(instance: Instance, spec: str) -> Menu:
     spec = spec.strip()
     if spec == "all":
@@ -596,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the guarantee-check suite on an instance")
     p_verify.add_argument("instance")
-    p_verify.add_argument("--menus", type=int, default=5)
+    p_verify.add_argument("--menus", type=positive_int, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cap-profiles", type=int, default=DEFAULT_PROFILE_CAP)
     p_verify.set_defaults(func=cmd_verify)

@@ -36,7 +36,7 @@ from .model import (
     threshold_menu,
     validate_menu,
 )
-from .xnum import XNum, ZERO, xsum
+from .xnum import XNum, ZERO, common_denominator, numerators, scaled, xsum
 
 DEFAULT_PROFILE_CAP = 10**6
 
@@ -147,10 +147,17 @@ def decompose_report(instance: Instance, menu: Menu, report: EvalReport) -> Deco
     """The decomposition of a valid ``menu`` from its already computed ``report``.
 
     ``bdif`` is computed from the exact choice frequencies: E[u_low -
-    b_chosen] = u_low - sum_i freq[i] * b_i.
+    b_chosen] = u_low - sum_i freq[i] * b_i, with the sum taken over
+    integer numerators, one per part, over common denominators.
     """
     u_low = max(instance.bias_of(i) for i in candidates(instance, menu))
-    expected_bias = xsum(instance.bias_of(i) * p for i, p in report.freq.items())
+    biases, (std_den, inf_den) = numerators([instance.bias_of(i) for i in report.freq])
+    freq_den = common_denominator(report.freq.values())
+    freq = [scaled(p, freq_den) for p in report.freq.values()]
+    expected_bias = XNum(
+        Fraction(sum(q * std for q, (std, _) in zip(freq, biases)), freq_den * std_den),
+        Fraction(sum(q * inf for q, (_, inf) in zip(freq, biases)), freq_den * inf_den),
+    )
     bdif = u_low - expected_bias
     sur = report.f - bdif
     return Decomposition(u_low=u_low, sur=sur, bdif=bdif)

@@ -3,7 +3,12 @@
 :func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
 so an instance's pairs get integer ranks once, by one sort on its integer
 form, and every later agent choice is an integer comparison: the agent
-picks the highest-ranked feasible pair.
+picks the highest-ranked feasible pair.  Compiling scales every value once
+to integer ``(std, inf)`` numerators over common denominators
+(:func:`~delmenu.xnum.numerators`), so each (index, value) occurrence has an
+integer identity: pairs are deduplicated and ranked on those integers, never
+by hashing exact rationals, and the same numerators fill the kernel's value
+rows.
 
 * A correlated instance becomes a weighted list of rankings, one per profile
   (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
@@ -35,7 +40,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     OUTSIDE,
@@ -47,7 +52,7 @@ from .model import (
     choice_key,
     full_menu,
 )
-from .xnum import XNum
+from .xnum import XNum, common_denominator, numerators, scaled
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
@@ -66,15 +71,6 @@ def _report(
     contrib = {i: XNum(_ratio(std[i], std_den), _ratio(inf[i], inf_den)) for i in feasible}
     f = XNum(_ratio(sum(std), std_den), _ratio(sum(inf), inf_den))
     return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
-
-
-def _common_denominator(fractions: Iterable[Fraction]) -> int:
-    return math.lcm(*{x.denominator for x in fractions})
-
-
-def _scaled(x: Fraction, den: int) -> int:
-    """``x * den`` for a ``den`` that ``x``'s denominator divides."""
-    return x.numerator * (den // x.denominator)
 
 
 def _best_menu(width, outside, root, include, exclude, value) -> Menu:
@@ -115,20 +111,29 @@ def _best_menu(width, outside, root, include, exclude, value) -> Menu:
     return frozenset(best_menu)
 
 
-def _rank_pairs(instance: Instance, pairs: set[tuple[int, XNum]]) -> dict[tuple[int, XNum], int]:
+Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
+
+
+def _rank_pairs(instance: Instance, pairs: set[Pair], dens: tuple[int, int]) -> dict[Pair, int]:
     """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
 
-    One :func:`~delmenu.model.choice_key` per pair, in its integer form:
-    values and biases share common denominators, standard and iota parts
-    separately, so the sort compares integers.
+    Values are integer numerators over ``dens``.  Values and biases are
+    scaled to common denominators, standard and iota parts separately, and
+    sorted by one :func:`~delmenu.model.choice_key` per pair, in its integer
+    form, so the sort compares integers.
     """
-    bias = {i: instance.bias_of(i) for i in {i for i, _ in pairs}}
-    dens = (
-        _common_denominator([v.std for _, v in pairs] + [b.std for b in bias.values()]),
-        _common_denominator([v.inf for _, v in pairs] + [b.inf for b in bias.values()]),
-    )
-    ranked = sorted(pairs, key=lambda pair: choice_key(*pair, bias[pair[0]], dens))
-    return {pair: rank for rank, pair in enumerate(ranked)}
+    indices = sorted({i for i, _ in pairs})
+    biases, bias_dens = numerators([instance.bias_of(i) for i in indices])
+    std_den, inf_den = math.lcm(dens[0], bias_dens[0]), math.lcm(dens[1], bias_dens[1])
+    std_mul, inf_mul = std_den // dens[0], inf_den // dens[1]
+    bias_std_mul, bias_inf_mul = std_den // bias_dens[0], inf_den // bias_dens[1]
+    bias = {i: (std * bias_std_mul, inf * bias_inf_mul) for i, (std, inf) in zip(indices, biases)}
+
+    def key(pair: Pair) -> tuple:
+        i, (std, inf) = pair
+        return choice_key(i, (std * std_mul, inf * inf_mul), bias[i])
+
+    return {pair: rank for rank, pair in enumerate(sorted(pairs, key=key))}
 
 
 class CorrelatedKernel(NamedTuple):
@@ -252,24 +257,24 @@ class CorrelatedKernel(NamedTuple):
 
 
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
+    # A profile lists its values in candidate order: the actions, then the outside option.
     indices = candidates(instance, full_menu(instance))
-    rows = [[(i, instance.value_in(p, i)) for i in indices] for p in instance.profiles]
-    rank = _rank_pairs(instance, {pair for row in rows for pair in row})
-    values = [v for row in rows for _, v in row]
-    value_std_den = _common_denominator(v.std for v in values)
-    value_inf_den = _common_denominator(v.inf for v in values)
-    prob_den = _common_denominator(p.prob for p in instance.profiles)
+    values, dens = numerators([v for profile in instance.profiles for v in profile.values])
+    width = len(indices)
+    rows = [list(zip(indices, values[k : k + width])) for k in range(0, len(values), width)]
+    rank = _rank_pairs(instance, {pair for row in rows for pair in row}, dens)
+    prob_den = common_denominator(p.prob for p in instance.profiles)
 
     orders, std, inf, prob = [], [], [], []
     for row, profile in zip(rows, instance.profiles):
         order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
         if instance.has_outside:
             del order[order.index(OUTSIDE) + 1 :]
-        p = _scaled(profile.prob, prob_den)
+        p = scaled(profile.prob, prob_den)
         std_k, inf_k = [0] * (instance.n + 1), [0] * (instance.n + 1)
-        for i, v in row:
-            std_k[i] = _scaled(v.std, value_std_den) * p
-            inf_k[i] = _scaled(v.inf, value_inf_den) * p
+        for i, (value_std, value_inf) in row:
+            std_k[i] = value_std * p
+            inf_k[i] = value_inf * p
         orders.append(tuple(order))
         std.append(tuple(std_k))
         inf.append(tuple(inf_k))
@@ -279,8 +284,8 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
         tuple(std),
         tuple(inf),
         tuple(prob),
-        value_std_den * prob_den,
-        value_inf_den * prob_den,
+        dens[0] * prob_den,
+        dens[1] * prob_den,
         prob_den,
     )
 
@@ -467,28 +472,31 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     actions = {i: instance.actions[i - 1] for i in range(1, instance.n + 1)}
     if instance.outside is not None:
         actions[OUTSIDE] = instance.outside
-    rank = _rank_pairs(instance, {(i, v) for i, a in actions.items() for v, _ in a.support})
-    std_den = _common_denominator(v.std for _, v in rank)
-    inf_den = _common_denominator(v.inf for _, v in rank)
+    draws = [(i, v, p) for i, a in actions.items() for v, p in a.support]
+    values, dens = numerators([v for _, v, _ in draws])
+    pairs = [(i, value) for (i, _, _), value in zip(draws, values)]
+    rank = _rank_pairs(instance, set(pairs), dens)
 
     width = instance.n + 1
+    ranked_draws: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]
+    for (i, _, p), pair in zip(draws, pairs):
+        ranked_draws[i].append((rank[pair], p))
     ranks: list[tuple[int, ...]] = [()] * width
     probs: list[tuple[int, ...]] = [()] * width
     prob_den = [1] * width
-    for i, action in actions.items():
-        draws = sorted((rank[i, v], p) for v, p in action.support)
-        prob_den[i] = _common_denominator(p for _, p in draws)
-        ranks[i] = tuple(r for r, _ in draws)
-        probs[i] = tuple(_scaled(p, prob_den[i]) for _, p in draws)
-    pairs = list(rank)  # in rank order
+    for i in actions:
+        ranked_draws[i].sort()
+        prob_den[i] = common_denominator(p for _, p in ranked_draws[i])
+        ranks[i] = tuple(r for r, _ in ranked_draws[i])
+        probs[i] = tuple(scaled(p, prob_den[i]) for _, p in ranked_draws[i])
+    by_rank = list(rank)  # in rank order
     return IndependentKernel(
         tuple(ranks),
         tuple(probs),
         tuple(prob_den),
-        tuple(i for i, _ in pairs),
-        tuple(_scaled(v.std, std_den) for _, v in pairs),
-        tuple(_scaled(v.inf, inf_den) for _, v in pairs),
-        std_den,
-        inf_den,
+        tuple(i for i, _ in by_rank),
+        tuple(std for _, (std, _) in by_rank),
+        tuple(inf for _, (_, inf) in by_rank),
+        *dens,
         tuple(instance.bias_of(i) if i in actions else None for i in range(width)),
     )

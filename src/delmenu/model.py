@@ -279,27 +279,21 @@ def threshold_menu(instance: Instance, t: XNum) -> Menu:
 # ---------------------------------------------------------------------------
 
 
-def choice_key(
-    index: int, value: XNum, bias: XNum, dens: tuple[int, int] | None = None
-) -> tuple:
+def choice_key(index: int, value: XNum | tuple[int, int], bias: XNum | tuple[int, int]) -> tuple:
     """Sort key implementing the agent's full tie-breaking order.
 
     Higher is better: (1) agent utility value+bias; (2) principal value;
     (3) any in-menu action over the outside option; (4) lower index.
 
-    With ``dens = (std_den, inf_den)``, common denominators that the
-    standard and the iota parts of ``value`` and ``bias`` divide, the
-    utility and value parts are integer numerators over them: the same
-    order, but keys sharing ``dens`` compare as integers, not fractions.
+    ``value`` and ``bias`` may instead both be ``(std, inf)`` pairs of
+    integer numerators over common denominators, standard and iota parts
+    separately (see :func:`~delmenu.xnum.numerators`): the same order, but
+    keys sharing those denominators compare as integers, not fractions.
     """
-    if dens is None:
+    if isinstance(value, XNum):
         return ((value + bias)._key(), value._key(), 1 if index != OUTSIDE else 0, -index)
-    std_den, inf_den = dens
-    std = value.std.numerator * (std_den // value.std.denominator)
-    inf = value.inf.numerator * (inf_den // value.inf.denominator)
-    u_std = std + bias.std.numerator * (std_den // bias.std.denominator)
-    u_inf = inf + bias.inf.numerator * (inf_den // bias.inf.denominator)
-    return ((u_std, u_inf), (std, inf), 1 if index != OUTSIDE else 0, -index)
+    (std, inf), (bias_std, bias_inf) = value, bias
+    return ((std + bias_std, inf + bias_inf), value, 1 if index != OUTSIDE else 0, -index)
 
 
 def agent_choice(instance: Instance, menu: Menu, values: Mapping[int, XNum]) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 
 from .evaluate import evaluate
 from .model import (
@@ -23,7 +24,7 @@ from .model import (
     Instance,
     Menu,
 )
-from .xnum import XNum
+from .xnum import XNum, numerators
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,17 @@ def _threshold_steps(instance: Instance) -> list[tuple[XNum | None, list[int]]]:
     """Each threshold with the actions it adds to the previous one's menu.
 
     Thresholds increase; the empty menu's ``(None, [])`` leads whenever the
-    instance has an outside option.  One sort by bias orders the actions,
-    and each distinct bias cuts a step.
+    instance has an outside option.  One sort on the biases' integer
+    numerators over common denominators orders the actions, and each
+    distinct bias cuts a step.
     """
     steps: list[tuple[XNum | None, list[int]]] = [(None, [])] if instance.has_outside else []
-    order = sorted(range(1, instance.n + 1), key=lambda i: instance.bias_of(i)._key())
-    return steps + [(t, list(added)) for t, added in groupby(order, key=instance.bias_of)]
+    biases = [instance.bias_of(i) for i in range(1, instance.n + 1)]
+    keys, _ = numerators(biases)
+    for _, group in groupby(sorted(zip(keys, range(1, instance.n + 1))), key=itemgetter(0)):
+        added = [i for _, i in group]
+        steps.append((biases[added[0] - 1], added))
+    return steps
 
 
 def threshold_menus(instance: Instance) -> list[tuple[XNum | None, Menu]]:

@@ -13,10 +13,11 @@ defined (iota**2 never arises).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -154,3 +155,24 @@ def xsum(terms) -> XNum:
     for t in terms:
         total = total + t
     return total
+
+
+def common_denominator(fractions: Iterable[Fraction]) -> int:
+    return math.lcm(*{x.denominator for x in fractions})
+
+
+def scaled(x: Fraction, den: int) -> int:
+    """``x * den`` for a ``den`` that ``x``'s denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def numerators(xs: list[XNum]) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """``xs`` as integer ``(std, inf)`` pairs over common denominators, and those.
+
+    The standard and iota parts each get the least common denominator of
+    their own, so the pairs compare lexicographically, and add, as the
+    XNums do.
+    """
+    std_den = common_denominator(x.std for x in xs)
+    inf_den = common_denominator(x.inf for x in xs)
+    return [(scaled(x.std, std_den), scaled(x.inf, inf_den)) for x in xs], (std_den, inf_den)

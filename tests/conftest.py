@@ -1,6 +1,17 @@
-import pytest
+from fractions import Fraction
 
-from delmenu import gen_random
+import pytest
+from hypothesis import strategies as st
+
+from delmenu import (
+    Action,
+    CorrelatedInstance,
+    IndependentInstance,
+    Profile,
+    deterministic,
+    gen_random,
+    xnum,
+)
 from delmenu.cli import sample_menus as random_menus  # noqa: F401  (the CLI's one sampling rule)
 
 OUTSIDE_MODES = ("none", "fixed", "random")
@@ -17,6 +28,56 @@ def random_correlated(seed: int, outside: str | None = None, n: int = 3, profile
     if outside is None:
         outside = OUTSIDE_MODES[seed % 3]
     return gen_random("correlated", n=n, support_size=profiles, seed=seed, outside=outside)
+
+
+# ---------------------------------------------------------------------------
+# Drawn instances: values and biases on a 0/1/2 grid, so utilities tie often
+# ---------------------------------------------------------------------------
+
+WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+def probabilities(weights):
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+@st.composite
+def small_instances(draw, kind, max_n=4, iota=None, max_den=1):
+    """n <= max_n actions, at most 3 support entries or profiles, any outside mode.
+
+    Half the instances (all with ``iota`` true) also put iota parts on the
+    grid, so the iota channel and its ties are drawn too.  With ``max_den``
+    above 1 each part of a grid number is divided by a drawn integer up to
+    it, so values and biases have unlike denominators.
+    """
+    if iota is None:
+        iota = draw(st.booleans())
+    den = st.integers(1, max_den) if max_den > 1 else st.just(1)
+    grid = st.builds(
+        lambda std, std_den, inf, inf_den: xnum(Fraction(std, std_den), Fraction(inf, inf_den)),
+        st.integers(0, 2), den, st.integers(0, 2) if iota else st.just(0), den,
+    )
+    n = draw(st.integers(1, max_n))
+    outside = draw(st.sampled_from(OUTSIDE_MODES))
+    if kind == "independent":
+
+        def action():
+            return Action(draw(grid), tuple((draw(grid), p) for p in probabilities(draw(WEIGHTS))))
+
+        actions = tuple(action() for _ in range(n))
+        if outside == "fixed":
+            return IndependentInstance(actions, deterministic(draw(grid), draw(grid)))
+        return IndependentInstance(actions, action() if outside == "random" else None)
+    biases = tuple(draw(grid) for _ in range(n))
+    outside_bias = None if outside == "none" else draw(grid)
+    fixed = draw(grid)
+    profiles = []
+    for prob in probabilities(draw(WEIGHTS)):
+        values = [draw(grid) for _ in range(n)]
+        if outside != "none":
+            values.append(fixed if outside == "fixed" else draw(grid))
+        profiles.append(Profile(prob, tuple(values)))
+    return CorrelatedInstance(biases, tuple(profiles), outside_bias)
 
 
 @pytest.fixture

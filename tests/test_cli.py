@@ -565,6 +565,37 @@ def test_verify_checks_each_distinct_sampled_menu_once(tmp_path, capsys, monkeyp
     ]
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_menu_counts_below_one(tmp_path, capsys, count):
+    path = str(tmp_path / "v.json")
+    assert main(["generate", "log", "--k", "3", "-o", path]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--menus", count])
+    assert exc.value.code == 2
+    assert "--menus" in capsys.readouterr().err
+
+
+def test_verify_one_menu_checks_the_full_menu(tmp_path, capsys, monkeypatch):
+    real = cli_mod.eval_bruteforce_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "eval_bruteforce_product", counting)
+    lines = verify_lines(tmp_path, capsys, "outside", "--n", "3", verify_args=("--menus", "1"))
+    assert calls == [frozenset(range(1, 6))]  # the full menu alone
+    assert lines == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "ok: derandomization certificates",
+    ]
+
+
 def test_verify_survives_profile_cap(tmp_path, capsys):
     # Every threshold menu that needs a certificate has a joint support far
     # over 10 profiles: derandomization is skipped, the other checks report.

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delmenu import (
     Action,
     CapExceededError,
     CorrelatedInstance,
+    Decomposition,
     IndependentInstance,
     InterferenceAction,
     Profile,
@@ -26,9 +30,9 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.model import joint_realizations, product_realizations
+from delmenu.model import candidates, joint_realizations, product_realizations
 
-from conftest import random_correlated, random_independent, random_menus
+from conftest import random_correlated, random_independent, random_menus, small_instances
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,27 @@ def test_decompose_identity_and_direct_bdif():
         for menu in random_menus(inst, 4, seed):
             dec = decompose(inst, menu)
             assert dec.sur + dec.bdif == eval_correlated(inst, menu).f
+
+
+def reference_decompose(instance, menu):
+    """The decomposition by XNum arithmetic, one product per candidate."""
+    report = evaluate(instance, menu)
+    u_low = max(instance.bias_of(i) for i in candidates(instance, menu))
+    bdif = u_low - xsum(instance.bias_of(i) * p for i, p in report.freq.items())
+    return Decomposition(u_low=u_low, sur=report.f - bdif, bdif=bdif)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, iota=True, max_den=3)
+    )
+)
+def test_decompose_equals_xnum_expression(instance):
+    first = 0 if instance.has_outside else 1
+    for size in range(first, instance.n + 1):
+        for menu in map(frozenset, combinations(range(1, instance.n + 1), size)):
+            assert decompose(instance, menu) == reference_decompose(instance, menu)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ instances for both checks.
 """
 
 import importlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -53,10 +54,24 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.kernel import _rank_pairs
-from delmenu.model import candidates, choice_key, product_realizations, profile_assignment
+from delmenu.kernel import CorrelatedKernel, IndependentKernel, _rank_pairs
+from delmenu.model import (
+    OUTSIDE,
+    candidates,
+    choice_key,
+    full_menu,
+    product_realizations,
+    profile_assignment,
+)
+from delmenu.xnum import XNum, numerators
 
-from conftest import OUTSIDE_MODES, random_correlated, random_independent, random_menus
+from conftest import (
+    OUTSIDE_MODES,
+    random_correlated,
+    random_independent,
+    random_menus,
+    small_instances,
+)
 
 
 def reference_correlated(instance, menu) -> EvalReport:
@@ -235,16 +250,38 @@ def pairs_of(instance):
     }
 
 
+def as_xnum_pairs(pairs, dens):
+    """Integer (index, (std, inf)) pairs over ``dens`` as (index, XNum) pairs."""
+    std_den, inf_den = dens
+    return {(i, XNum(Fraction(std, std_den), Fraction(inf, inf_den))) for i, (std, inf) in pairs}
+
+
+# Values repeat across profiles, and some differ only in their iota part.
+IOTA_REPEATS = CorrelatedInstance(
+    biases=(xnum(0), xnum("1/2", 1)),
+    profiles=(
+        Profile(Fraction(1, 3), (xnum(1), xnum("1/2"), xnum(1))),
+        Profile(Fraction(1, 3), (xnum(1, 1), xnum("1/2"), xnum(1, -1))),
+        Profile(Fraction(1, 3), (xnum(1, 2), xnum("1/2", 1), xnum(1))),
+    ),
+    outside_bias=xnum("1/3"),
+)
+
+
 def test_kernel_is_compiled_once_per_instance(monkeypatch):
     rankings, keys = [], []
     rank_pairs, key = delmenu.kernel._rank_pairs, delmenu.kernel.choice_key
     monkeypatch.setattr(
-        delmenu.kernel, "_rank_pairs", lambda *a: rankings.append(a[1]) or rank_pairs(*a)
+        delmenu.kernel,
+        "_rank_pairs",
+        lambda *a: rankings.append(as_xnum_pairs(a[1], a[2])) or rank_pairs(*a),
     )
     monkeypatch.setattr(delmenu.kernel, "choice_key", lambda *a: keys.append(a) or key(*a))
     for inst in (
         random_correlated(3, outside="random", n=4, profiles=5),
         random_independent(3, outside="random", n=4, support=3),
+        gen_log_family(3),
+        IOTA_REPEATS,
     ):
         rankings.clear()
         keys.clear()
@@ -253,8 +290,8 @@ def test_kernel_is_compiled_once_per_instance(monkeypatch):
         best_threshold(inst)
         assert inst.kernel is inst.kernel
         assert rankings == [pairs_of(inst)]
-        assert len(keys) == len(pairs_of(inst))  # one choice key per distinct pair
-        assert {(i, v) for i, v, *_ in keys} == pairs_of(inst)
+        assert len(keys) == len(set(keys)) == len(pairs_of(inst))  # one choice key per pair
+        assert sorted(i for i, *_ in keys) == sorted(i for i, _ in pairs_of(inst))
 
 
 def test_kernel_is_not_part_of_instance_equality():
@@ -397,46 +434,8 @@ def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Drawn instances: values and biases on a 0/1/2 grid, so utilities tie often
+# Drawn instances (``small_instances``): values and biases on a small grid
 # ---------------------------------------------------------------------------
-
-WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
-
-
-def probabilities(weights):
-    return [Fraction(w, sum(weights)) for w in weights]
-
-
-@st.composite
-def small_instances(draw, kind, max_n=4):
-    """n <= max_n actions, at most 3 support entries or profiles, any outside mode.
-
-    Half the instances also put iota parts on the grid, so the iota channel
-    and its ties are drawn too.
-    """
-    iota = st.integers(0, 2) if draw(st.booleans()) else st.just(0)
-    grid = st.builds(xnum, st.integers(0, 2), iota)
-    n = draw(st.integers(1, max_n))
-    outside = draw(st.sampled_from(OUTSIDE_MODES))
-    if kind == "independent":
-
-        def action():
-            return Action(draw(grid), tuple((draw(grid), p) for p in probabilities(draw(WEIGHTS))))
-
-        actions = tuple(action() for _ in range(n))
-        if outside == "fixed":
-            return IndependentInstance(actions, deterministic(draw(grid), draw(grid)))
-        return IndependentInstance(actions, action() if outside == "random" else None)
-    biases = tuple(draw(grid) for _ in range(n))
-    outside_bias = None if outside == "none" else draw(grid)
-    fixed = draw(grid)
-    profiles = []
-    for prob in probabilities(draw(WEIGHTS)):
-        values = [draw(grid) for _ in range(n)]
-        if outside != "none":
-            values.append(fixed if outside == "fixed" else draw(grid))
-        profiles.append(Profile(prob, tuple(values)))
-    return CorrelatedInstance(biases, tuple(profiles), outside_bias)
 
 
 @settings(max_examples=100, deadline=None)
@@ -472,9 +471,81 @@ def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
     )
 )
 def test_integer_rank_order_equals_choice_key_order(instance):
-    pairs = pairs_of(instance)
+    pairs = list(pairs_of(instance))
+    values, dens = numerators([v for _, v in pairs])
+    as_pair = {(i, value): (i, v) for (i, v), value in zip(pairs, values)}
     by_key = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
-    assert list(_rank_pairs(instance, pairs)) == by_key
+    assert [as_pair[pair] for pair in _rank_pairs(instance, set(as_pair), dens)] == by_key
+
+
+def reference_compile(instance):
+    """The kernel from ``(index, XNum)`` pairs hashed into a rank dict.
+
+    Pairs are ranked by ``choice_key``'s fraction form, and values and
+    probabilities scaled to integers one at a time; the oracle for the
+    compile's integer pair identities.
+    """
+    indices = candidates(instance, full_menu(instance))
+    if isinstance(instance, CorrelatedInstance):
+        rows = [[(i, instance.value_in(p, i)) for i in indices] for p in instance.profiles]
+    else:
+        rows = [[(i, v) for v, _ in instance.support_of(i)] for i in indices]
+    pairs = {pair for row in rows for pair in row}
+    ranked = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
+    rank = {pair: r for r, pair in enumerate(ranked)}
+    std_den = math.lcm(*{v.std.denominator for _, v in pairs})
+    inf_den = math.lcm(*{v.inf.denominator for _, v in pairs})
+
+    def scaled(x, den):
+        return x.numerator * (den // x.denominator)
+
+    width = instance.n + 1
+    if isinstance(instance, CorrelatedInstance):
+        prob_den = math.lcm(*{p.prob.denominator for p in instance.profiles})
+        orders, std, inf, prob = [], [], [], []
+        for row, profile in zip(rows, instance.profiles):
+            order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
+            if instance.has_outside:
+                order = order[: order.index(OUTSIDE) + 1]
+            p = scaled(profile.prob, prob_den)
+            std_k, inf_k = [0] * width, [0] * width
+            for i, v in row:
+                std_k[i] = scaled(v.std, std_den) * p
+                inf_k[i] = scaled(v.inf, inf_den) * p
+            orders.append(tuple(order))
+            std.append(tuple(std_k))
+            inf.append(tuple(inf_k))
+            prob.append(p)
+        return CorrelatedKernel(
+            tuple(orders), tuple(std), tuple(inf), tuple(prob),
+            std_den * prob_den, inf_den * prob_den, prob_den,
+        )
+    ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
+    for i in indices:
+        draws = sorted((rank[i, v], p) for v, p in instance.support_of(i))
+        prob_dens[i] = math.lcm(*{p.denominator for _, p in draws})
+        ranks[i] = tuple(r for r, _ in draws)
+        probs[i] = tuple(scaled(p, prob_dens[i]) for _, p in draws)
+    return IndependentKernel(
+        tuple(ranks), tuple(probs), tuple(prob_dens),
+        tuple(i for i, _ in ranked),
+        tuple(scaled(v.std, std_den) for _, v in ranked),
+        tuple(scaled(v.inf, inf_den) for _, v in ranked),
+        std_den, inf_den,
+        tuple(instance.bias_of(i) if i in indices else None for i in range(width)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, max_den=3)
+    )
+)
+@example(gen_log_family(3))
+@example(IOTA_REPEATS)
+def test_kernel_equals_reference_compile(instance):
+    assert instance.kernel == reference_compile(instance)
 
 
 def scan_threshold(instance):
