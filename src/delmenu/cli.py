@@ -482,7 +482,7 @@ def run_verify(
         except CapExceededError:
             brute = None
         if brute is not None:
-            holds = brute.f == report.f and brute.freq == report.freq
+            holds = brute == report  # f, every contribution and every frequency
             check(oracle, holds, f"dp/oracle mismatch {on}")
             expected_bias = xsum(instance.bias_of(i) * p for i, p in brute.freq.items())
             holds = dec.bdif == dec.u_low - expected_bias

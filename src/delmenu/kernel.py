@@ -32,14 +32,23 @@ Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
 their integer program; independent kernels have no bound.  A kernel finds
 the best of a nested sequence of menus, such as the threshold menus in bias
 order, in one pass that adds each step's indices once (``best_prefix``).
+
+An independent kernel keeps the winner states that pass reaches for the best
+menu and for the last, largest one, keyed by feasible set, and later
+evaluations of those two menus read them instead of folding again.  The memo
+holds those two entries at most, and each pass replaces them.  Fold order
+changes no state, so a memo hit is exactly a fresh fold; the memo is not part
+of the kernel's equality, repr or pickle.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .model import (
@@ -290,17 +299,8 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     )
 
 
-class IndependentKernel(NamedTuple):
-    """Per-action draws as integer ranks and probabilities.
-
-    ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
-    with probabilities as numerators over ``prob_den[i]`` (index 0 is the
-    outside option, empty when there is none).  The pair of rank r belongs
-    to index ``owner[r]`` and has value ``std[r] / std_den`` plus
-    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias (None
-    for a missing outside option), so a pair's choice key is computed only
-    when it is needed.
-    """
+class _IndependentTables(NamedTuple):
+    """The fields of :class:`IndependentKernel`, which compare, print and pickle it."""
 
     ranks: tuple[tuple[int, ...], ...]
     probs: tuple[tuple[int, ...], ...]
@@ -312,26 +312,55 @@ class IndependentKernel(NamedTuple):
     inf_den: int
     bias: tuple[XNum | None, ...]
 
-    def winners(self, feasible: list[int]) -> tuple[list[int], list[int], int]:
+
+States = tuple[tuple[int, ...], tuple[int, ...], int]  # winner states: (ranks, masses, den)
+
+
+class IndependentKernel(_IndependentTables):
+    """Per-action draws as integer ranks and probabilities.
+
+    ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
+    with probabilities as numerators over ``prob_den[i]`` (index 0 is the
+    outside option, empty when there is none).  The pair of rank r belongs
+    to index ``owner[r]`` and has value ``std[r] / std_den`` plus
+    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias (None
+    for a missing outside option), so a pair's choice key is computed only
+    when it is needed.
+    """
+
+    # Winner states by feasible set: set whole by best_prefix, read by winners.
+    _memo: Mapping[frozenset[int], States] = MappingProxyType({})
+
+    def __getstate__(self) -> None:
+        # Pickles and copies carry the fields alone, so a filled memo leaves
+        # the bytes as they were.
+        return None
+
+    def winners(self, feasible: list[int]) -> States:
         """Winner states of the DP folded over ``feasible``: (ranks, masses, den).
 
         A state is a rank: the pair that is the agent's favorite so far, with
         probability ``mass / den``; ranks ascend.  The winner is a max under a
         total order, so actions fold in any order, and independence makes
         each fold exact.  Folding nothing leaves the one state of rank -1,
-        which every draw beats.
+        which every draw beats.  A feasible set that the memo holds is not
+        folded again: fold order changes no state, so the stored states are
+        exactly those a fresh fold would give.
         """
+        hit = self._memo.get(frozenset(feasible))
+        if hit is not None:
+            return hit
         ranks, masses, den = [-1], [1], 1
         for i in feasible:
             ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
             den *= self.prob_den[i]
-        return ranks, masses, den
+        return tuple(ranks), tuple(masses), den
 
     def value(self, r: int) -> XNum:
         """Value of the pair of rank r."""
         return XNum(Fraction(self.std[r], self.std_den), Fraction(self.inf[r], self.inf_den))
 
-    def total(self, ranks: list[int], masses: list[int]) -> tuple[int, int]:
+    def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
         """Sum of value times mass over states: (std, inf) numerators over the value dens."""
         return (
             sum(self.std[r] * m for r, m in zip(ranks, masses)),
@@ -386,11 +415,13 @@ class IndependentKernel(NamedTuple):
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
 
         One pass: the outside option is folded first, then each step's
-        actions, each once.  Step j's (std, inf) numerators are over the
-        product of the folded actions' ``prob_den``; scaled by that product
-        over the later steps' actions, every step's are over the same
-        denominator and compare as integer pairs.  Ties go to the earlier
-        step.
+        actions, each once; the steps are disjoint.  Step j's (std, inf)
+        numerators are over the product of the folded actions' ``prob_den``;
+        scaled by that product over the later steps' actions, every step's
+        are over the same denominator and compare as integer pairs.  Ties go
+        to the earlier step.  The pass replaces the memo with the winner
+        states of the best step's menu and of the last step's, the union of
+        all steps, so :meth:`winners` does not fold those menus again.
         """
         scales = []
         scale = 1
@@ -398,14 +429,24 @@ class IndependentKernel(NamedTuple):
             scales.append(scale)
             for i in added:
                 scale *= self.prob_den[i]
-        ranks, masses, _ = self.winners([OUTSIDE] if self.ranks[OUTSIDE] else [])
-        values = []
-        for added, scale in zip(steps, reversed(scales)):
+        feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
+        ranks, masses, den = self.winners(feasible)
+        best = None
+        for j, (added, scale) in enumerate(zip(steps, reversed(scales))):
             for i in added:
                 ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
+                den *= self.prob_den[i]
+            feasible += added
             std, inf = self.total(ranks, masses)
-            values.append((std * scale, inf * scale))
-        return values.index(max(values))
+            value = std * scale, inf * scale
+            if best is None or value > best[0]:
+                best = value, j, len(feasible), ranks, masses, den
+        _, j, size, best_ranks, best_masses, best_den = best
+        self._memo = {
+            frozenset(feasible[:size]): (tuple(best_ranks), tuple(best_masses), best_den),
+            frozenset(feasible): (tuple(ranks), tuple(masses), den),
+        }
+        return j
 
     def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
         """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.
@@ -441,7 +482,10 @@ class IndependentKernel(NamedTuple):
 
 
 def _fold(
-    ranks: list[int], masses: list[int], new_ranks: tuple[int, ...], new_masses: tuple[int, ...]
+    ranks: Sequence[int],
+    masses: Sequence[int],
+    new_ranks: tuple[int, ...],
+    new_masses: tuple[int, ...],
 ) -> tuple[list[int], list[int]]:
     """Winner states after one more independent action; every list ascends by rank.
 

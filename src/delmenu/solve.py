@@ -110,8 +110,10 @@ def best_threshold(instance: Instance) -> tuple[XNum | None, Menu, XNum]:
 
     Threshold menus are nested, so the kernel values them all in one pass
     over the actions in bias order (``instance.kernel.best_prefix``), and
-    only the winner is evaluated.  ``None`` stands for the empty menu, which
-    leads the thresholds when there is an outside option.
+    ``evaluate`` runs on the winner alone.  On an independent instance that
+    pass leaves the winner's states, and the full menu's, in the kernel's
+    memo, so neither menu is folded again.  ``None`` stands for the empty
+    menu, which leads the thresholds when there is an outside option.
     """
     steps = _threshold_steps(instance)
     j = instance.kernel.best_prefix([added for _, added in steps])

@@ -717,6 +717,24 @@ def test_verify_reports_dp_oracle_mismatch(tmp_path, capsys, monkeypatch):
     assert all(line.startswith("VIOLATION: dp/oracle mismatch on menu [") for line in lines)
 
 
+def test_verify_reports_contribution_moved_between_actions(tmp_path, capsys, monkeypatch):
+    # f and every frequency still match; only the split of f by action differs.
+    real = cli_mod.eval_bruteforce_product
+
+    def broken(*args, **kwargs):
+        report = real(*args, **kwargs)
+        contrib = dict(report.contrib)
+        if len(contrib) > 1:  # the empty menu offers the outside option alone
+            first, second, *_ = contrib
+            contrib[first] += 1
+            contrib[second] -= 1
+        return dataclasses.replace(report, contrib=contrib)
+
+    monkeypatch.setattr(cli_mod, "eval_bruteforce_product", broken)
+    lines = verify_violations(tmp_path, capsys, "outside", "--n", "3")
+    assert all(line.startswith("VIOLATION: dp/oracle mismatch on menu [") for line in lines)
+
+
 def test_verify_reports_bias_difference_mismatch(tmp_path, capsys, monkeypatch):
     # The identity and both signs still hold; only the oracle's frequencies
     # disagree with bdif.

@@ -9,8 +9,10 @@ over explicit product realizations.  Hypothesis draws small tie-heavy
 instances for both checks.
 """
 
+import dataclasses
 import importlib
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -33,6 +35,7 @@ from delmenu import (
     agent_choice,
     best_threshold,
     brute_force_opt,
+    decompose,
     derandomize_interference,
     deterministic,
     eval_bruteforce_product,
@@ -594,3 +597,81 @@ def test_best_threshold_equals_reference_scan(instance):
 def test_best_threshold_examples_cover_their_cases():
     assert [t for t, _ in threshold_menus(EQUAL_BIASES)] == [None, xnum(1)]
     assert best_threshold(EMPTY_WINS) == (None, frozenset(), xnum(5))
+
+
+# ---------------------------------------------------------------------------
+# Winner-state memo
+# ---------------------------------------------------------------------------
+
+
+def every_result(instance):
+    """Each menu's report and decomposition, and, on an independent instance,
+    each threshold's derandomization against each menu."""
+    menus = list(all_menus(instance))
+    out = [(evaluate(instance, menu), decompose(instance, menu)) for menu in menus]
+    if isinstance(instance, IndependentInstance):
+        thresholds = [t for t, _ in threshold_menus(instance) if t is not None]
+        out += [derandomize_interference(instance, m, t) for t in thresholds for m in menus]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@example(EQUAL_BIASES)
+@example(EMPTY_WINS)
+@example(gen_log_family(3))
+@example(partition_at_minimal_m((1, 2, 3)))
+def test_results_are_the_same_before_and_after_best_threshold(instance):
+    before = every_result(instance)
+    best = best_threshold(instance)
+    assert every_result(instance) == before
+    assert best_threshold(instance) == best
+    fresh = dataclasses.replace(instance)
+    assert fresh == instance and "kernel" not in vars(fresh)
+    assert every_result(fresh) == before
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_MODES)
+def test_best_threshold_leaves_winner_and_full_menu_unfolded(outside, monkeypatch):
+    folds = []
+    fold = delmenu.kernel._fold
+    monkeypatch.setattr(delmenu.kernel, "_fold", lambda *a: folds.append(a) or fold(*a))
+    for seed in range(6):
+        inst = random_independent(seed, outside=outside, n=6, support=3)
+        _, menu, value = best_threshold(inst)
+        folds.clear()
+        assert evaluate(inst, menu).f == value
+        assert decompose(inst, full_menu(inst)) == decompose(dataclasses.replace(inst), full_menu(inst))
+        assert len(folds) == inst.n + inst.has_outside  # the fresh twin's full menu alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances("independent", max_den=3))
+@example(gen_three_approx(Fraction(1, 10)))
+def test_memo_changes_no_kernel_equality_repr_or_pickle(instance):
+    kernel = instance.kernel
+    blob, text, instance_blob = pickle.dumps(kernel), repr(kernel), pickle.dumps(instance)
+    best_threshold(instance)
+    evaluate(instance, full_menu(instance))
+    assert kernel._memo
+    assert kernel == reference_compile(instance)
+    assert (pickle.dumps(kernel), repr(kernel), pickle.dumps(instance)) == (blob, text, instance_blob)
+    assert not pickle.loads(blob)._memo and pickle.loads(instance_blob) == instance
+
+
+def test_memo_holds_at_most_two_entries_of_tuples():
+    rng = random.Random(0)
+    for seed in range(20):
+        inst = random_independent(seed, n=6, support=3)
+        kernel = inst.kernel
+        for _ in range(5):
+            order = rng.sample(range(1, inst.n + 1), inst.n)
+            cuts = sorted(rng.sample(range(1, inst.n), rng.randint(0, inst.n - 1)))
+            steps = [order[a:b] for a, b in zip([0, *cuts], [*cuts, inst.n])]
+            kernel.best_prefix(steps)
+            for menu in random_menus(inst, 4, seed):
+                evaluate(inst, menu)
+            assert 1 <= len(kernel._memo) <= 2
+            for states in kernel._memo.values():
+                assert all(isinstance(part, tuple) for part in states[:2])
+        assert all(isinstance(part, tuple) for part in kernel.winners([1, 2])[:2])
