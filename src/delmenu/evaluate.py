@@ -31,8 +31,8 @@ from .model import (
     Menu,
     agent_choice,
     candidates,
-    joint_realizations,
     joint_support_size,
+    product_realizations,
     threshold_menu,
     validate_menu,
 )
@@ -96,7 +96,7 @@ def eval_bruteforce_product(
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
     contrib = {i: ZERO for i in candidates(instance, menu)}
     freq = {i: Fraction(0) for i in candidates(instance, menu)}
-    for prob, values in joint_realizations(instance, menu):
+    for prob, values in product_realizations(instance, candidates(instance, menu)):
         chosen = agent_choice(instance, menu, values)
         contrib[chosen] = contrib[chosen] + values[chosen] * prob
         freq[chosen] += prob

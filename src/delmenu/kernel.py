@@ -3,26 +3,31 @@
 :func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
 so an instance's pairs get integer ranks once, by one sort on its integer
 form, and every later agent choice is an integer comparison: the agent
-picks the highest-ranked feasible pair.  Compiling scales every value once
-to integer ``(std, inf)`` numerators over common denominators
-(:func:`~delmenu.xnum.numerators`), so each (index, value) occurrence has an
-integer identity: pairs are deduplicated and ranked on those integers, never
-by hashing exact rationals, and the same numerators fill the kernel's value
-rows.
+picks the highest-ranked feasible pair.  Compiling scales every value and
+every candidate's bias to integer ``(std, inf)`` numerators in one
+:func:`~delmenu.xnum.numerators` call, so values and biases share their
+denominators: each (index, value) occurrence has an integer identity and an
+integer agent utility, value plus bias.  Pairs are deduplicated and ranked
+on those integers, never by hashing exact rationals, and the same numerators
+fill the kernel's value rows.
 
 * A correlated instance becomes a weighted list of rankings, one per profile
   (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
   2018).  The pick from a menu is the first menu member in the profile's
-  ranking, with the outside option, always feasible, as the floor.
+  ranking, with the outside option, always feasible, as the floor.  Each
+  profile's values, times its probability, are stored packed, ``std * scale
+  + inf`` in one integer, so sums of them add and compare as integers.
 * An independent instance becomes, per action, its draws as (rank, integer
   probability) pairs sorted by rank, which the winner-state DP folds.
 
 Probabilities and values are integer numerators over common denominators,
-with the standard and iota parts of values scaled separately.  This module is
-the only one that knows that encoding: every method returns exact rationals
-and :class:`~delmenu.xnum.XNum` values, built once per call.  Kernels are
-derived data: the instances build and cache them on first use (their
-``kernel`` attribute).
+with the standard and iota parts of values scaled separately.  Only kernels
+hold that encoding: every method returns exact rationals and
+:class:`~delmenu.xnum.XNum` values, built once per call.  (Two callers lift
+biases with ``numerators`` on their own: ``solve`` to sort actions into
+threshold steps, ``evaluate.decompose_report`` to sum expected biases.)
+Kernels are derived data: the instances build and cache them on first use
+(their ``kernel`` attribute).
 
 Each kernel also finds the optimal menu (``search``) by the one depth-first
 walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
@@ -43,7 +48,6 @@ of the kernel's equality, repr or pickle.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -55,7 +59,6 @@ from .model import (
     OUTSIDE,
     CorrelatedInstance,
     IndependentInstance,
-    Instance,
     Menu,
     candidates,
     choice_key,
@@ -123,26 +126,15 @@ def _best_menu(width, outside, root, include, exclude, value) -> Menu:
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
 
 
-def _rank_pairs(instance: Instance, pairs: set[Pair], dens: tuple[int, int]) -> dict[Pair, int]:
+def _rank_pairs(pairs: set[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[Pair, int]:
     """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
 
-    Values are integer numerators over ``dens``.  Values and biases are
-    scaled to common denominators, standard and iota parts separately, and
-    sorted by one :func:`~delmenu.model.choice_key` per pair, in its integer
-    form, so the sort compares integers.
+    Values and ``bias[i]`` are integer numerators over the same denominators,
+    so one :func:`~delmenu.model.choice_key` per pair, in its integer form,
+    sorts them by comparing integers.
     """
-    indices = sorted({i for i, _ in pairs})
-    biases, bias_dens = numerators([instance.bias_of(i) for i in indices])
-    std_den, inf_den = math.lcm(dens[0], bias_dens[0]), math.lcm(dens[1], bias_dens[1])
-    std_mul, inf_mul = std_den // dens[0], inf_den // dens[1]
-    bias_std_mul, bias_inf_mul = std_den // bias_dens[0], inf_den // bias_dens[1]
-    bias = {i: (std * bias_std_mul, inf * bias_inf_mul) for i, (std, inf) in zip(indices, biases)}
-
-    def key(pair: Pair) -> tuple:
-        i, (std, inf) = pair
-        return choice_key(i, (std * std_mul, inf * inf_mul), bias[i])
-
-    return {pair: rank for rank, pair in enumerate(sorted(pairs, key=key))}
+    ranked = sorted(pairs, key=lambda pair: choice_key(*pair, bias[pair[0]]))
+    return {pair: rank for rank, pair in enumerate(ranked)}
 
 
 class CorrelatedKernel(NamedTuple):
@@ -150,14 +142,19 @@ class CorrelatedKernel(NamedTuple):
 
     ``orders[k]`` lists profile k's candidate indices from the agent's
     favorite down, cut after the outside option: nothing ranked below it is
-    ever picked.  ``std[k][i]`` and ``inf[k][i]`` are index i's value times
-    profile k's probability, and ``prob[k]`` that probability, as numerators
-    over ``std_den``, ``inf_den`` and ``prob_den``.
+    ever picked.  Index i's value times profile k's probability has numerators
+    ``std`` over ``std_den`` and ``inf`` over ``inf_den`` (denominators the
+    biases share), stored packed as ``packed[k][i] = std * scale + inf``;
+    ``prob[k]`` is that probability over ``prob_den``.  ``scale`` is odd and
+    exceeds twice the sum over profiles of each one's largest |inf|, so a
+    sum of packed values, one per profile at most, has |inf| at most
+    ``scale // 2``: it adds and compares as the pairs do, lexicographically,
+    and its pair is recovered exactly.
     """
 
     orders: tuple[tuple[int, ...], ...]
-    std: tuple[tuple[int, ...], ...]
-    inf: tuple[tuple[int, ...], ...]
+    packed: tuple[tuple[int, ...], ...]
+    scale: int
     prob: tuple[int, ...]
     std_den: int
     inf_den: int
@@ -168,28 +165,18 @@ class CorrelatedKernel(NamedTuple):
         mask = 0
         for i in feasible:
             mask |= 1 << i
-        width = len(self.std[0])
-        std, inf, freq = [0] * width, [0] * width, [0] * width
-        for order, std_k, inf_k, prob_k in zip(self.orders, self.std, self.inf, self.prob):
+        width = len(self.packed[0])
+        total, freq = [0] * width, [0] * width
+        for order, packed_k, prob_k in zip(self.orders, self.packed, self.prob):
             for i in order:
                 if mask >> i & 1:
                     break
-            std[i] += std_k[i]
-            inf[i] += inf_k[i]
+            total[i] += packed_k[i]
             freq[i] += prob_k
+        half = self.scale // 2
+        inf = [(t + half) % self.scale - half for t in total]
+        std = [(t - r) // self.scale for t, r in zip(total, inf)]
         return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
-
-    def _packed(self) -> list[list[int]]:
-        """Each profile's (std, inf) numerators per index, as ``std * scale + inf``.
-
-        ``scale`` is above twice any sum of |inf| over profiles, so sums of
-        packed values compare as the sums of their pairs do, lexicographically.
-        """
-        scale = 2 * sum(max(map(abs, inf_k)) for inf_k in self.inf) + 1
-        return [
-            [std * scale + inf for std, inf in zip(std_k, inf_k)]
-            for std_k, inf_k in zip(self.std, self.inf)
-        ]
 
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` with an exact bound.
@@ -200,15 +187,14 @@ class CorrelatedKernel(NamedTuple):
         above the first member of ``stop`` in its ``orders`` row, so the best
         value among those bounds the profile's term, and the bounds' sum
         bounds the subtree: lexicographic order respects addition.  At a leaf
-        U is empty and the bound is the menu's exact value.
-
-        Values are packed by :meth:`_packed`.
+        U is empty and the bound is the menu's exact value.  Values are
+        ``packed``, so bounds add and compare as integers.
         """
-        width = len(self.std[0])
+        width = len(self.packed[0])
         outside = 1 if OUTSIDE in self.orders[0] else 0  # the outside option's bit
         rows = [
             tuple((1 << i, packed_k[i]) for i in order)
-            for order, packed_k in zip(self.orders, self._packed())
+            for order, packed_k in zip(self.orders, self.packed)
         ]
 
         def bound(state: tuple[int, int], leaf: bool) -> int:
@@ -238,11 +224,10 @@ class CorrelatedKernel(NamedTuple):
         One pass: each profile keeps its current pick, the outside option
         while the menu is empty, and moves it up only when an added index
         ranks higher in its ``orders`` row; the total is updated by the
-        difference.  Values are packed by :meth:`_packed`.  Ties go to the
-        earlier step.
+        difference, on ``packed`` values.  Ties go to the earlier step.
         """
-        width = len(self.std[0])
-        packed = self._packed()
+        width = len(self.packed[0])
+        packed = self.packed
         positions, picks, values = [], [], []
         for order in self.orders:
             position = [len(order)] * width
@@ -268,30 +253,30 @@ class CorrelatedKernel(NamedTuple):
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     # A profile lists its values in candidate order: the actions, then the outside option.
     indices = candidates(instance, full_menu(instance))
-    values, dens = numerators([v for profile in instance.profiles for v in profile.values])
+    values = [v for profile in instance.profiles for v in profile.values]
+    lifted, dens = numerators(values + [instance.bias_of(i) for i in indices])
+    bias = dict(zip(indices, lifted[len(values) :]))
     width = len(indices)
-    rows = [list(zip(indices, values[k : k + width])) for k in range(0, len(values), width)]
-    rank = _rank_pairs(instance, {pair for row in rows for pair in row}, dens)
+    rows = [list(zip(indices, lifted[k : k + width])) for k in range(0, len(values), width)]
+    rank = _rank_pairs({pair for row in rows for pair in row}, bias)
     prob_den = common_denominator(p.prob for p in instance.profiles)
+    prob = [scaled(profile.prob, prob_den) for profile in instance.profiles]
+    scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in zip(rows, prob)) + 1
 
-    orders, std, inf, prob = [], [], [], []
-    for row, profile in zip(rows, instance.profiles):
+    orders, packed = [], []
+    for row, p in zip(rows, prob):
         order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
         if instance.has_outside:
             del order[order.index(OUTSIDE) + 1 :]
-        p = scaled(profile.prob, prob_den)
-        std_k, inf_k = [0] * (instance.n + 1), [0] * (instance.n + 1)
-        for i, (value_std, value_inf) in row:
-            std_k[i] = value_std * p
-            inf_k[i] = value_inf * p
+        packed_k = [0] * (instance.n + 1)
+        for i, (std, inf) in row:
+            packed_k[i] = (std * scale + inf) * p
         orders.append(tuple(order))
-        std.append(tuple(std_k))
-        inf.append(tuple(inf_k))
-        prob.append(p)
+        packed.append(tuple(packed_k))
     return CorrelatedKernel(
         tuple(orders),
-        tuple(std),
-        tuple(inf),
+        tuple(packed),
+        scale,
         tuple(prob),
         dens[0] * prob_den,
         dens[1] * prob_den,
@@ -517,9 +502,9 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     if instance.outside is not None:
         actions[OUTSIDE] = instance.outside
     draws = [(i, v, p) for i, a in actions.items() for v, p in a.support]
-    values, dens = numerators([v for _, v, _ in draws])
-    pairs = [(i, value) for (i, _, _), value in zip(draws, values)]
-    rank = _rank_pairs(instance, set(pairs), dens)
+    lifted, dens = numerators([v for _, v, _ in draws] + [a.bias for a in actions.values()])
+    pairs = [(i, value) for (i, _, _), value in zip(draws, lifted)]
+    rank = _rank_pairs(set(pairs), dict(zip(actions, lifted[len(draws) :])))
 
     width = instance.n + 1
     ranked_draws: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]

@@ -231,13 +231,6 @@ class CorrelatedInstance:
 
         return compile_correlated(self)
 
-    def value_in(self, profile: Profile, index: int) -> XNum:
-        if index == OUTSIDE:
-            if self.outside_bias is None:
-                raise NoFeasibleActionError("instance has no outside option")
-            return profile.values[self.n]
-        return profile.values[index - 1]
-
 
 Instance = Union[IndependentInstance, CorrelatedInstance]
 
@@ -319,17 +312,6 @@ def profile_assignment(instance: CorrelatedInstance, profile: Profile) -> dict[i
     if instance.has_outside:
         values[OUTSIDE] = profile.values[instance.n]
     return values
-
-
-def joint_realizations(
-    instance: IndependentInstance, menu: Menu
-) -> Iterator[tuple[Fraction, dict[int, XNum]]]:
-    """Expand the product distribution over menu actions (and the outside option).
-
-    Yields (probability, values) pairs covering every joint realization,
-    in canonical support order.
-    """
-    yield from product_realizations(instance, candidates(instance, validate_menu(instance, menu)))
 
 
 def product_realizations(

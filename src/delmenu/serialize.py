@@ -91,13 +91,14 @@ def _parse_action(obj: Any, where: str) -> Action:
                     read_rational(entry["prob"], f"{where}.support[{i}].prob"),
                 )
             )
-        return Action(
-            _parse_xnum(obj["bias"], f"{where}.bias"),
-            tuple(support),
-            _parse_label(obj, "", where),
-        )
+        bias = _parse_xnum(obj["bias"], f"{where}.bias")
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
+    label = _parse_label(obj, "", where)
+    # Field errors above already name their field; only the action's own
+    # checks (probabilities, values) get the action's location here.
+    try:
+        return Action(bias, tuple(support), label)
     except DelegationError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

@@ -189,14 +189,8 @@ def log2_at_least(q: Fraction, threshold: Fraction) -> bool:
 def max_action_value(instance: Instance) -> XNum:
     """Largest value in any action's support (outside option excluded)."""
     if isinstance(instance, IndependentInstance):
-        return max(
-            (value for a in instance.actions for value, _ in a.support),
-            key=lambda v: v._key(),
-        )
-    return max(
-        (p.values[i] for p in instance.profiles for i in range(instance.n)),
-        key=lambda v: v._key(),
-    )
+        return max(value for a in instance.actions for value, _ in a.support)
+    return max(p.values[i] for p in instance.profiles for i in range(instance.n))
 
 
 def min_profile_mass(instance: Instance) -> Fraction:

@@ -37,7 +37,7 @@ from delmenu import (
     threshold_menus,
     xnum,
 )
-from delmenu.model import joint_realizations, profile_assignment
+from delmenu.model import candidates, product_realizations, profile_assignment
 from delmenu.reductions import Graph
 
 from conftest import random_correlated, random_independent, random_menus
@@ -200,7 +200,7 @@ def test_criterion_11_invariance_suite():
                                 shifted, menu, values
                             )
                     else:
-                        for _prob, values in joint_realizations(inst, menu):
+                        for _prob, values in product_realizations(inst, candidates(inst, menu)):
                             assert agent_choice(inst, menu, values) == agent_choice(
                                 shifted, menu, values
                             )

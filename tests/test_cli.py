@@ -11,7 +11,17 @@ import pytest
 
 import delmenu
 import delmenu.cli as cli_mod
-from delmenu import CapExceededError, InvalidInstanceError, gen_log_family, load_instance, xnum
+from delmenu import (
+    Action,
+    CapExceededError,
+    IndependentInstance,
+    InvalidInstanceError,
+    deterministic,
+    dump_instance,
+    gen_log_family,
+    load_instance,
+    xnum,
+)
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
 from delmenu.evaluate import Decomposition
 from delmenu.model import candidates
@@ -126,6 +136,53 @@ def test_eval_empty_menu_with_outside(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", path, "--menu", "empty")
     assert code == 0
     assert json.loads(out)["f"]["std"] == "5/3"
+
+
+def labeled_independent_file(tmp_path):
+    """Action 1 labeled "alpha", action 2 with the default label, an outside option.
+
+    Agent utilities: action 1 is 3 or 1 with probability 1/2 each, action 2
+    is 1, the outside option 3/2; the outside option takes the low draw.
+    """
+    inst = IndependentInstance(
+        (
+            Action(xnum(1), ((xnum(0), Fraction(1, 2)), (xnum(2), Fraction(1, 2))), "alpha"),
+            deterministic(xnum(0), xnum(1)),
+        ),
+        outside=deterministic(xnum("1/2"), xnum(1)),
+    )
+    path = str(tmp_path / "labeled.json")
+    dump_instance(inst, path)
+    return path
+
+
+def test_eval_independent_json_labels(tmp_path, capsys):
+    code, out, _ = run(capsys, "eval", labeled_independent_file(tmp_path), "--menu", "all")
+    assert code == 0
+    assert json.loads(out) == {
+        "menu": [1, 2],
+        "f": {"std": "3/2", "inf": "0"},
+        "contrib": {
+            "1": {"std": "1", "inf": "0"},
+            "2": {"std": "0", "inf": "0"},
+            "0": {"std": "1/2", "inf": "0"},
+        },
+        "freq": {"1": "1/2", "2": "0", "0": "1/2"},
+        "labels": {"1": "alpha", "2": "a2", "0": "outside"},
+    }
+
+
+def test_eval_independent_text_labels(tmp_path, capsys):
+    path = labeled_independent_file(tmp_path)
+    code, out, _ = run(capsys, "eval", path, "--menu", "all", "--format", "text")
+    assert code == 0
+    assert out == (
+        "menu: [1, 2]\n"
+        "f = 3/2\n"
+        "       alpha  contrib=1  freq=1/2\n"
+        "          a2  contrib=0  freq=0\n"
+        "     outside  contrib=1/2  freq=1/2\n"
+    )
 
 
 def test_solve_log3(log3_file, capsys):
@@ -860,3 +917,36 @@ def test_exit_code_non_canonical_rational(log3_file, capsys, text):
     code, _, err = run(capsys, "eval", log3_file, "--menu", "all")
     assert code == 2
     assert "actions[0].bias.std" in err
+
+
+@pytest.mark.parametrize(
+    "path, field, text, message",
+    [
+        (("actions", 0, "bias"), "std", "1.5", "actions[0].bias.std: invalid rational '1.5'"),
+        (
+            ("actions", 0, "support", 0, "value"), "std", "1.5",
+            "actions[0].support[0].value.std: invalid rational '1.5'",
+        ),
+        (("actions", 0), "label", None, "actions[0].label: expected a string, got None"),
+        (
+            ("outside", "support", 0), "prob", "0.5",
+            "outside.support[0].prob: invalid rational '0.5'",
+        ),
+        # The action's own check has no field of its own: the action names it.
+        (
+            ("actions", 0, "support", 0), "prob", "7",
+            "actions[0]: support probabilities sum to 22/3, not 1",
+        ),
+    ],
+)
+def test_instance_file_error_names_its_location_once(tmp_path, capsys, path, field, text, message):
+    file = tmp_path / "outside3.json"
+    assert main(["generate", "outside", "--n", "3", "-o", str(file)]) == 0
+    capsys.readouterr()
+    obj = json.loads(file.read_text())
+    node = obj
+    for key in path:
+        node = node[key]
+    node[field] = text
+    file.write_text(json.dumps(obj))
+    assert run(capsys, "solve", str(file)) == (2, "", f"error: {message}\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from delmenu import (
+    Action,
     InvalidInstanceError,
     agent_choice,
     brute_force_opt,
@@ -18,7 +19,7 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.model import OUTSIDE, joint_realizations
+from delmenu.model import OUTSIDE, candidates, product_realizations
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +242,31 @@ def test_assortment_choice_invariant_in_eps():
     inst_b = from_assortment(revenues, utils, eps=smaller)
     menus = [full_menu(inst_a), frozenset({1, 3}), frozenset({2})]
     for menu in menus:
-        joint_a = list(joint_realizations(inst_a, menu))
-        joint_b = list(joint_realizations(inst_b, menu))
+        joint_a = list(product_realizations(inst_a, candidates(inst_a, menu)))
+        joint_b = list(product_realizations(inst_b, candidates(inst_b, menu)))
         assert len(joint_a) == len(joint_b)
         for (pa, va), (pb, vb) in zip(joint_a, joint_b):
             assert pa == pb
             assert agent_choice(inst_a, menu, va) == agent_choice(inst_b, menu, vb)
+
+
+def test_assortment_with_no_buy_utility():
+    eps = Fraction(1, 10)
+    revenues = [3, 1, 3, 2]
+    utils = [[(4, 1)], [(2, Fraction(1, 2)), (0, Fraction(1, 2))], [(5, 1)], [(1, 1)]]
+    no_buy = [(2, Fraction(1, 4)), (6, Fraction(3, 4))]
+    inst = from_assortment(revenues, utils, outside_util=no_buy, eps=eps)
+    assert inst.outside == Action(
+        xnum(0), ((xnum(eps * 2), Fraction(1, 4)), (xnum(eps * 6), Fraction(3, 4))), "no-buy"
+    )
+    # Threshold menus are the revenue-ordered assortments: the empty one,
+    # then every item of revenue at least r, for r from the top down.
+    assortments = [frozenset()] + [
+        frozenset(i for i, ri in enumerate(revenues, 1) if ri >= r)
+        for r in sorted(set(revenues), reverse=True)
+    ]
+    assert [menu for _, menu in threshold_menus(inst)] == assortments
+    assert evaluate(inst, frozenset()).f == xnum(eps * 5)  # eps * E[w_0]
 
 
 def test_assortment_negative_revenue_rejected():

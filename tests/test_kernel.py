@@ -259,6 +259,21 @@ def as_xnum_pairs(pairs, dens):
     return {(i, XNum(Fraction(std, std_den), Fraction(inf, inf_den))) for i, (std, inf) in pairs}
 
 
+def candidate_biases(instance):
+    """Each candidate's (index, bias), outside option included."""
+    return {(i, instance.bias_of(i)) for i in candidates(instance, full_menu(instance))}
+
+
+def shared_dens(instance):
+    """The least common denominators of every ranked value and candidate bias,
+    standard and iota parts separately: the kernel's one lift."""
+    xs = [v for _, v in pairs_of(instance) | candidate_biases(instance)]
+    return (
+        math.lcm(*{x.std.denominator for x in xs}),
+        math.lcm(*{x.inf.denominator for x in xs}),
+    )
+
+
 # Values repeat across profiles, and some differ only in their iota part.
 IOTA_REPEATS = CorrelatedInstance(
     biases=(xnum(0), xnum("1/2", 1)),
@@ -272,14 +287,14 @@ IOTA_REPEATS = CorrelatedInstance(
 
 
 def test_kernel_is_compiled_once_per_instance(monkeypatch):
-    rankings, keys = [], []
+    rankings, keys, lifts = [], [], []
     rank_pairs, key = delmenu.kernel._rank_pairs, delmenu.kernel.choice_key
+    lift = delmenu.kernel.numerators
     monkeypatch.setattr(
-        delmenu.kernel,
-        "_rank_pairs",
-        lambda *a: rankings.append(as_xnum_pairs(a[1], a[2])) or rank_pairs(*a),
+        delmenu.kernel, "_rank_pairs", lambda *a: rankings.append(a) or rank_pairs(*a)
     )
     monkeypatch.setattr(delmenu.kernel, "choice_key", lambda *a: keys.append(a) or key(*a))
+    monkeypatch.setattr(delmenu.kernel, "numerators", lambda xs: lifts.append(xs) or lift(xs))
     for inst in (
         random_correlated(3, outside="random", n=4, profiles=5),
         random_independent(3, outside="random", n=4, support=3),
@@ -288,11 +303,17 @@ def test_kernel_is_compiled_once_per_instance(monkeypatch):
     ):
         rankings.clear()
         keys.clear()
+        lifts.clear()
         for menu in all_menus(inst):
             evaluate(inst, menu)
         best_threshold(inst)
         assert inst.kernel is inst.kernel
-        assert rankings == [pairs_of(inst)]
+        assert len(lifts) == 1  # values and biases in one lift
+        dens = shared_dens(inst)
+        assert [
+            (as_xnum_pairs(pairs, dens), as_xnum_pairs(bias.items(), dens))
+            for pairs, bias in rankings
+        ] == [(pairs_of(inst), candidate_biases(inst))]
         assert len(keys) == len(set(keys)) == len(pairs_of(inst))  # one choice key per pair
         assert sorted(i for i, *_ in keys) == sorted(i for i, _ in pairs_of(inst))
 
@@ -443,6 +464,7 @@ def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@example(IOTA_REPEATS)  # negative iota parts: packed sums must unpack to negative inf
 def test_kernel_equals_reference_on_drawn_instances(instance):
     assert_matches_reference(instance, all_menus(instance))
 
@@ -475,29 +497,33 @@ def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
 )
 def test_integer_rank_order_equals_choice_key_order(instance):
     pairs = list(pairs_of(instance))
-    values, dens = numerators([v for _, v in pairs])
-    as_pair = {(i, value): (i, v) for (i, v), value in zip(pairs, values)}
+    biases = list(candidate_biases(instance))
+    lifted, _ = numerators([v for _, v in pairs] + [b for _, b in biases])
+    as_pair = {(i, value): (i, v) for (i, v), value in zip(pairs, lifted)}
+    bias = {i: value for (i, _), value in zip(biases, lifted[len(pairs) :])}
     by_key = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
-    assert [as_pair[pair] for pair in _rank_pairs(instance, set(as_pair), dens)] == by_key
+    assert [as_pair[pair] for pair in _rank_pairs(set(as_pair), bias)] == by_key
 
 
 def reference_compile(instance):
     """The kernel from ``(index, XNum)`` pairs hashed into a rank dict.
 
     Pairs are ranked by ``choice_key``'s fraction form, and values and
-    probabilities scaled to integers one at a time; the oracle for the
-    compile's integer pair identities.
+    probabilities scaled to integers one at a time, values over the
+    denominators they share with the biases; the oracle for the compile's
+    integer pair identities.  Correlated values are packed with a scale
+    computed from the scaled rows.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
-        rows = [[(i, instance.value_in(p, i)) for i in indices] for p in instance.profiles]
+        assignments = [profile_assignment(instance, p) for p in instance.profiles]
+        rows = [[(i, values[i]) for i in indices] for values in assignments]
     else:
         rows = [[(i, v) for v, _ in instance.support_of(i)] for i in indices]
     pairs = {pair for row in rows for pair in row}
     ranked = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
     rank = {pair: r for r, pair in enumerate(ranked)}
-    std_den = math.lcm(*{v.std.denominator for _, v in pairs})
-    inf_den = math.lcm(*{v.inf.denominator for _, v in pairs})
+    std_den, inf_den = shared_dens(instance)
 
     def scaled(x, den):
         return x.numerator * (den // x.denominator)
@@ -516,11 +542,15 @@ def reference_compile(instance):
                 std_k[i] = scaled(v.std, std_den) * p
                 inf_k[i] = scaled(v.inf, inf_den) * p
             orders.append(tuple(order))
-            std.append(tuple(std_k))
-            inf.append(tuple(inf_k))
+            std.append(std_k)
+            inf.append(inf_k)
             prob.append(p)
+        scale = 2 * sum(max(abs(x) for x in inf_k) for inf_k in inf) + 1
+        packed = tuple(
+            tuple(s * scale + x for s, x in zip(std_k, inf_k)) for std_k, inf_k in zip(std, inf)
+        )
         return CorrelatedKernel(
-            tuple(orders), tuple(std), tuple(inf), tuple(prob),
+            tuple(orders), packed, scale, tuple(prob),
             std_den * prob_den, inf_den * prob_den, prob_den,
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width

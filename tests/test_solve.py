@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from dataclasses import replace
@@ -271,6 +272,45 @@ def test_bound_report_log_family(k):
     assert report.bound_log
     assert report.p_min == Fraction(1, 2**k - 1)
     assert report.bound_3 and report.bound_n  # vacuous for correlated instances
+
+
+def test_bound_report_log_branch_past_the_clamp(monkeypatch):
+    # opt / best = 1024/255 > 4, so the clamped factor does not settle it and
+    # the flag comes from the exact logarithm test.
+    solve_module = importlib.import_module("delmenu.solve")
+    calls = []
+    real = solve_module.log2_at_least
+    monkeypatch.setattr(solve_module, "log2_at_least", lambda *a: calls.append(a) or real(*a))
+    inst = gen_log_family(8)
+    result = solve(inst)
+    assert result.ratio == Fraction(1024, 255)
+    report = bound_report(inst, result)
+    assert report.bound_log and report.p_min == Fraction(1, 255)
+    assert calls == [(Fraction(255), Fraction(1024, 1020))]
+
+
+def with_best(result, best):
+    return replace(result, best_threshold_value=best)
+
+
+def test_bound_report_log_flag_at_its_edges():
+    inst = gen_log_family(8)
+    result = solve(inst)
+    opt = result.opt_value.std
+    assert not bound_report(inst, with_best(result, xnum(0))).bound_log
+    # 2**7.9943 < 255 < 2**7.9944, so opt / (4 log2 255) lies between these.
+    assert 2**7.9943 < 255 < 2**7.9944
+    inside, outside = opt / (4 * Fraction("7.9943")), opt / (4 * Fraction("7.9944"))
+    assert bound_report(inst, with_best(result, xnum(inside))).bound_log
+    assert not bound_report(inst, with_best(result, xnum(outside))).bound_log
+    # With p_min = 1/4 the bound is the rational opt / 8, and it is inclusive.
+    quarters = CorrelatedInstance(
+        (xnum(0),), tuple(Profile(Fraction(1, 4), (xnum(v),)) for v in range(1, 5))
+    )
+    result = solve(quarters)
+    edge = result.opt_value.std / 8
+    assert bound_report(quarters, with_best(result, xnum(edge))).bound_log
+    assert not bound_report(quarters, with_best(result, xnum(edge - Fraction(1, 10**9)))).bound_log
 
 
 def test_single_profile_correlated_threshold_is_optimal():
