@@ -23,7 +23,7 @@ from typing import Any, Callable
 from .evaluate import (
     DEFAULT_PROFILE_CAP,
     EvalReport,
-    decompose_report,
+    decompose,
     derandomize_interference,
     eval_bruteforce_product,
     evaluate,
@@ -50,7 +50,15 @@ from .reductions import (
     reduce_integer_partition,
     reduce_vertex_cover,
 )
-from .serialize import ParseError, dump_instance, load_instance, read_rational, xnum_to_obj
+from .serialize import (
+    ParseError,
+    dump_instance,
+    load_instance,
+    parse_json,
+    read_rational,
+    read_text,
+    xnum_to_obj,
+)
 from .solve import (
     BoundReport,
     SolveResult,
@@ -201,10 +209,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     if args.problem == "vertex-cover":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            graph = parse_graph(text, vertices=args.vertices)
+            graph = parse_graph(read_text(args.input), vertices=args.vertices)
         except InvalidInstanceError as exc:
             raise ParseError(f"{args.input}: {exc}") from exc
         instance = reduce_vertex_cover(graph)
@@ -217,8 +223,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             info["predicted_opt"] = str(Fraction(5 * m + 3 * n - cover, m + n))
         print(json.dumps(info, indent=2))
         return EXIT_OK
-    with open(args.input, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = read_text(args.input).split()
     bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
     if bad:
         raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
@@ -387,11 +392,11 @@ def sweep_workers(jobs: int, tasks: int, cpus: int | None) -> tuple[int, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"ensemble spec: invalid JSON: {exc.msg}") from exc
+    text = read_text(args.spec)
+    try:
+        spec = parse_json(text)
+    except ParseError as exc:
+        raise ParseError(f"ensemble spec: {exc}") from exc
     jobs = _ensemble_jobs(spec)
     payloads = [(job, args.cap_n) for job in jobs]
     workers, chunksize = sweep_workers(args.jobs, len(payloads), os.cpu_count())
@@ -474,7 +479,7 @@ def run_verify(
     for menu in dict.fromkeys(sample_menus(instance, menus, seed)):  # each distinct menu once
         report = report_of(menu)
         on = f"on menu {sorted(menu)}"
-        dec = decompose_report(instance, menu, report)
+        dec = decompose(instance, menu)
         holds = dec.sur + dec.bdif == report.f and dec.bdif >= 0 and dec.sur.std >= 0
         check("decomposition identity", holds, f"decomposition identity failed {on}")
         try:

@@ -14,7 +14,8 @@ Everything here runs on the instance's compiled integer choice kernel
 independent instance's product distribution into explicit profiles (capped)
 and applies :func:`~delmenu.model.agent_choice` with exact XNum arithmetic to
 each, as the oracle for the dynamic program.  :func:`decompose` splits a
-menu's utility into surplus and bias-difference parts.
+menu's utility into surplus and bias-difference parts, on the kernel too:
+one integer sum per part over the same per-index counts as the report.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     threshold_menu,
     validate_menu,
 )
-from .xnum import XNum, ZERO, common_denominator, numerators, scaled, xsum
+from .xnum import XNum, ZERO, xsum
 
 DEFAULT_PROFILE_CAP = 10**6
 
@@ -136,31 +137,14 @@ def evaluate(instance: Instance, menu: Menu) -> EvalReport:
 def decompose(instance: Instance, menu: Menu) -> Decomposition:
     """Decompose f(menu) into surplus and bias-difference parts.
 
-    Defined for any menu, not just an optimal one; see
-    :func:`decompose_report`.
+    Defined for any menu, not just an optimal one.  ``bdif`` is E[u_low -
+    b_chosen] over the exact choice frequencies, summed by the kernel
+    (``split``) in integer numerators, one sum per part, from the same
+    counts that give the menu's value; ``sur`` is the rest of that value.
     """
     menu = validate_menu(instance, menu)
-    return decompose_report(instance, menu, evaluate(instance, menu))
-
-
-def decompose_report(instance: Instance, menu: Menu, report: EvalReport) -> Decomposition:
-    """The decomposition of a valid ``menu`` from its already computed ``report``.
-
-    ``bdif`` is computed from the exact choice frequencies: E[u_low -
-    b_chosen] = u_low - sum_i freq[i] * b_i, with the sum taken over
-    integer numerators, one per part, over common denominators.
-    """
-    u_low = max(instance.bias_of(i) for i in candidates(instance, menu))
-    biases, (std_den, inf_den) = numerators([instance.bias_of(i) for i in report.freq])
-    freq_den = common_denominator(report.freq.values())
-    freq = [scaled(p, freq_den) for p in report.freq.values()]
-    expected_bias = XNum(
-        Fraction(sum(q * std for q, (std, _) in zip(freq, biases)), freq_den * std_den),
-        Fraction(sum(q * inf for q, (_, inf) in zip(freq, biases)), freq_den * inf_den),
-    )
-    bdif = u_low - expected_bias
-    sur = report.f - bdif
-    return Decomposition(u_low=u_low, sur=sur, bdif=bdif)
+    top, sur, bdif = instance.kernel.split(candidates(instance, menu))
+    return Decomposition(u_low=instance.bias_of(top), sur=sur, bdif=bdif)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,17 @@ fill the kernel's value rows.
 * An independent instance becomes, per action, its draws as (rank, integer
   probability) pairs sorted by rank, which the winner-state DP folds.
 
-Probabilities and values are integer numerators over common denominators,
-with the standard and iota parts of values scaled separately.  Only kernels
-hold that encoding: every method returns exact rationals and
-:class:`~delmenu.xnum.XNum` values, built once per call.  (Two callers lift
-biases with ``numerators`` on their own: ``solve`` to sort actions into
-threshold steps, ``evaluate.decompose_report`` to sum expected biases.)
-Kernels are derived data: the instances build and cache them on first use
-(their ``kernel`` attribute).
+Probabilities, values and biases are integer numerators over common
+denominators, with standard and iota parts scaled separately.  Only kernels
+hold that encoding: every method returns indices, exact rationals and
+:class:`~delmenu.xnum.XNum` values, built once per call.  Each kernel keeps
+every candidate's bias as numerators (``bias``), which order as the biases
+do; ``solve`` sorts actions into threshold steps on them.  Both kernels
+report a menu from the same per-index integer counts: its value split by
+chosen action (``tally``), and its surplus and bias-difference
+decomposition (``split``), where a pick probability's numerator times a
+bias numerator needs no new denominator.  Kernels are derived data: the
+instances build and cache them on first use (their ``kernel`` attribute).
 
 Each kernel also finds the optimal menu (``search``) by the one depth-first
 walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
@@ -68,6 +71,9 @@ from .xnum import XNum, common_denominator, numerators, scaled
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
+# Per index: contribution (std, inf) numerators and pick-probability numerator,
+# then their denominators (std_den, inf_den, freq_den).
+Counts = tuple[list[int], list[int], list[int], int, int, int]
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -75,14 +81,39 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
-def _report(
-    feasible: list[int], std: list[int], inf: list[int], freq: list[int],
-    std_den: int, inf_den: int, freq_den: int,
-) -> Report:
-    """``(f, contrib, freq)`` of per-index numerators over the given denominators."""
-    contrib = {i: XNum(_ratio(std[i], std_den), _ratio(inf[i], inf_den)) for i in feasible}
-    f = XNum(_ratio(sum(std), std_den), _ratio(sum(inf), inf_den))
-    return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
+class _Counted:
+    """The reports both kernels derive from their per-index integer counts.
+
+    A kernel's ``counts(feasible)`` gives the menu's picks per index (see
+    :data:`Counts`), and its ``bias[i]`` is index i's bias as ``(std, inf)``
+    numerators; a pick probability's numerator times a bias numerator is
+    over the contributions' denominators, so each sum below is one integer
+    sum per part.
+    """
+
+    __slots__ = ()
+
+    def tally(self, feasible: list[int]) -> Report:
+        """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
+        std, inf, freq, std_den, inf_den, freq_den = self.counts(feasible)
+        contrib = {i: XNum(_ratio(std[i], std_den), _ratio(inf[i], inf_den)) for i in feasible}
+        f = XNum(_ratio(sum(std), std_den), _ratio(sum(inf), inf_den))
+        return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
+
+    def split(self, feasible: list[int]) -> tuple[int, XNum, XNum]:
+        """``(top, sur, bdif)`` of the picks from ``feasible``, the menu's candidates.
+
+        ``top`` is a feasible index of largest bias u; ``bdif`` is the sum
+        over picks of freq_i * (u - b_i), and ``sur`` the rest of the value.
+        """
+        std, inf, freq, std_den, inf_den, _ = self.counts(feasible)
+        bias = self.bias
+        top = max(feasible, key=bias.__getitem__)
+        u_std, u_inf = bias[top]
+        gap_std = sum(freq[i] * (u_std - bias[i][0]) for i in feasible)
+        gap_inf = sum(freq[i] * (u_inf - bias[i][1]) for i in feasible)
+        sur = XNum(_ratio(sum(std) - gap_std, std_den), _ratio(sum(inf) - gap_inf, inf_den))
+        return top, sur, XNum(_ratio(gap_std, std_den), _ratio(gap_inf, inf_den))
 
 
 def _best_menu(width, outside, root, include, exclude, value) -> Menu:
@@ -137,20 +168,8 @@ def _rank_pairs(pairs: set[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[P
     return {pair: rank for rank, pair in enumerate(ranked)}
 
 
-class CorrelatedKernel(NamedTuple):
-    """One ranking per profile, with integer weights.
-
-    ``orders[k]`` lists profile k's candidate indices from the agent's
-    favorite down, cut after the outside option: nothing ranked below it is
-    ever picked.  Index i's value times profile k's probability has numerators
-    ``std`` over ``std_den`` and ``inf`` over ``inf_den`` (denominators the
-    biases share), stored packed as ``packed[k][i] = std * scale + inf``;
-    ``prob[k]`` is that probability over ``prob_den``.  ``scale`` is odd and
-    exceeds twice the sum over profiles of each one's largest |inf|, so a
-    sum of packed values, one per profile at most, has |inf| at most
-    ``scale // 2``: it adds and compares as the pairs do, lexicographically,
-    and its pair is recovered exactly.
-    """
+class _CorrelatedTables(NamedTuple):
+    """The fields of :class:`CorrelatedKernel`, which compare, print and pickle it."""
 
     orders: tuple[tuple[int, ...], ...]
     packed: tuple[tuple[int, ...], ...]
@@ -159,9 +178,30 @@ class CorrelatedKernel(NamedTuple):
     std_den: int
     inf_den: int
     prob_den: int
+    bias: tuple[tuple[int, int] | None, ...]
 
-    def tally(self, feasible: list[int]) -> Report:
-        """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
+
+class CorrelatedKernel(_CorrelatedTables, _Counted):
+    """One ranking per profile, with integer weights.
+
+    ``orders[k]`` lists profile k's candidate indices from the agent's
+    favorite down, cut after the outside option: nothing ranked below it is
+    ever picked.  Index i's value times profile k's probability has numerators
+    ``std`` over ``std_den`` and ``inf`` over ``inf_den``, stored packed as
+    ``packed[k][i] = std * scale + inf``; ``prob[k]`` is that probability
+    over ``prob_den``.  ``bias[i]`` is index i's bias as ``(std, inf)``
+    numerators over the value denominators, ``std_den`` and ``inf_den``
+    divided by ``prob_den`` (None for a missing outside option).  ``scale``
+    is odd and exceeds twice the sum over profiles of each one's largest
+    |inf|, so a sum of packed values, one per profile at most, has |inf| at
+    most ``scale // 2``: it adds and compares as the pairs do,
+    lexicographically, and its pair is recovered exactly.
+    """
+
+    __slots__ = ()
+
+    def counts(self, feasible: list[int]) -> Counts:
+        """Per-index integer counts of the picks from ``feasible``, unpacked."""
         mask = 0
         for i in feasible:
             mask |= 1 << i
@@ -176,7 +216,7 @@ class CorrelatedKernel(NamedTuple):
         half = self.scale // 2
         inf = [(t + half) % self.scale - half for t in total]
         std = [(t - r) // self.scale for t, r in zip(total, inf)]
-        return _report(feasible, std, inf, freq, self.std_den, self.inf_den, self.prob_den)
+        return std, inf, freq, self.std_den, self.inf_den, self.prob_den
 
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` with an exact bound.
@@ -281,6 +321,7 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
         dens[0] * prob_den,
         dens[1] * prob_den,
         prob_den,
+        tuple(map(bias.get, range(instance.n + 1))),
     )
 
 
@@ -295,22 +336,22 @@ class _IndependentTables(NamedTuple):
     inf: tuple[int, ...]
     std_den: int
     inf_den: int
-    bias: tuple[XNum | None, ...]
+    bias: tuple[tuple[int, int] | None, ...]
 
 
 States = tuple[tuple[int, ...], tuple[int, ...], int]  # winner states: (ranks, masses, den)
 
 
-class IndependentKernel(_IndependentTables):
+class IndependentKernel(_IndependentTables, _Counted):
     """Per-action draws as integer ranks and probabilities.
 
     ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
     with probabilities as numerators over ``prob_den[i]`` (index 0 is the
     outside option, empty when there is none).  The pair of rank r belongs
     to index ``owner[r]`` and has value ``std[r] / std_den`` plus
-    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias (None
-    for a missing outside option), so a pair's choice key is computed only
-    when it is needed.
+    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias as
+    ``(std, inf)`` numerators over the same denominators (None for a missing
+    outside option).
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -343,7 +384,11 @@ class IndependentKernel(_IndependentTables):
 
     def value(self, r: int) -> XNum:
         """Value of the pair of rank r."""
-        return XNum(Fraction(self.std[r], self.std_den), Fraction(self.inf[r], self.inf_den))
+        return self._xnum(self.std[r], self.inf[r])
+
+    def _xnum(self, std: int, inf: int) -> XNum:
+        """The number of numerators ``std`` and ``inf`` over the value denominators."""
+        return XNum(Fraction(std, self.std_den), Fraction(inf, self.inf_den))
 
     def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
         """Sum of value times mass over states: (std, inf) numerators over the value dens."""
@@ -352,8 +397,8 @@ class IndependentKernel(_IndependentTables):
             sum(self.inf[r] * m for r, m in zip(ranks, masses)),
         )
 
-    def tally(self, feasible: list[int]) -> Report:
-        """``(f, contrib, freq)`` of the winner states of ``feasible``, the menu's candidates."""
+    def counts(self, feasible: list[int]) -> Counts:
+        """Per-index integer counts of the winner states of ``feasible``."""
         ranks, masses, den = self.winners(feasible)
         width = len(self.ranks)
         std, inf, freq = [0] * width, [0] * width, [0] * width
@@ -362,7 +407,7 @@ class IndependentKernel(_IndependentTables):
             std[i] += self.std[r] * m
             inf[i] += self.inf[r] * m
             freq[i] += m
-        return _report(feasible, std, inf, freq, self.std_den * den, self.inf_den * den, den)
+        return std, inf, freq, self.std_den * den, self.inf_den * den, den
 
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` without a bound.
@@ -451,11 +496,11 @@ class IndependentKernel(_IndependentTables):
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
         )
-        value = self.value(top) + self.bias[self.owner[top]] - bias
+        value = self.value(top) + self._xnum(*self.bias[self.owner[top]]) - bias
 
         def pair_key(r: int) -> tuple:
             i = self.owner[r]
-            return choice_key(i, self.value(r), self.bias[i])
+            return choice_key(i, self.value(r), self._xnum(*self.bias[i]))
 
         below = bisect_left(
             range(len(self.owner)), choice_key(len(self.ranks), value, bias), key=pair_key
@@ -504,7 +549,8 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     draws = [(i, v, p) for i, a in actions.items() for v, p in a.support]
     lifted, dens = numerators([v for _, v, _ in draws] + [a.bias for a in actions.values()])
     pairs = [(i, value) for (i, _, _), value in zip(draws, lifted)]
-    rank = _rank_pairs(set(pairs), dict(zip(actions, lifted[len(draws) :])))
+    bias = dict(zip(actions, lifted[len(draws) :]))
+    rank = _rank_pairs(set(pairs), bias)
 
     width = instance.n + 1
     ranked_draws: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]
@@ -527,5 +573,5 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
         tuple(std for _, (std, _) in by_rank),
         tuple(inf for _, (_, inf) in by_rank),
         *dens,
-        tuple(instance.bias_of(i) if i in actions else None for i in range(width)),
+        tuple(map(bias.get, range(width))),
     )

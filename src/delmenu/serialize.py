@@ -136,8 +136,10 @@ def instance_to_obj(instance: Instance) -> dict[str, Any]:
 def instance_from_obj(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    # True and 1.0 equal 1 in Python; only the JSON integer 1 is the version.
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     kind = obj.get("kind")
     actions = obj.get("actions")
     if not isinstance(actions, list) or not actions:
@@ -196,12 +198,20 @@ def dumps_instance(instance: Instance) -> str:
     return json.dumps(instance_to_obj(instance), indent=2) + "\n"
 
 
-def loads_instance(text: str) -> Instance:
+def parse_json(text: str) -> Any:
+    """The JSON value of ``text``; ``ParseError`` for anything ``json.loads`` rejects."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_obj(obj)
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ParseError("invalid JSON: integer literal too long") from exc
+
+
+def loads_instance(text: str) -> Instance:
+    return instance_from_obj(parse_json(text))
 
 
 def dump_instance(instance: Instance, path: str) -> None:
@@ -209,6 +219,14 @@ def dump_instance(instance: Instance, path: str) -> None:
         fh.write(dumps_instance(instance))
 
 
-def load_instance(path: str) -> Instance:
+def read_text(path: str) -> str:
+    """The file's text, read as UTF-8; ``ParseError`` names the file if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def load_instance(path: str) -> Instance:
+    return loads_instance(read_text(path))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
 
 from .evaluate import evaluate
 from .model import (
@@ -24,7 +23,7 @@ from .model import (
     Instance,
     Menu,
 )
-from .xnum import XNum, numerators
+from .xnum import XNum
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,14 @@ def _threshold_steps(instance: Instance) -> list[tuple[XNum | None, list[int]]]:
     """Each threshold with the actions it adds to the previous one's menu.
 
     Thresholds increase; the empty menu's ``(None, [])`` leads whenever the
-    instance has an outside option.  One sort on the biases' integer
-    numerators over common denominators orders the actions, and each
-    distinct bias cuts a step.
+    instance has an outside option.  One sort on the kernel's integer biases
+    orders the actions, and each distinct bias cuts a step.
     """
     steps: list[tuple[XNum | None, list[int]]] = [(None, [])] if instance.has_outside else []
-    biases = [instance.bias_of(i) for i in range(1, instance.n + 1)]
-    keys, _ = numerators(biases)
-    for _, group in groupby(sorted(zip(keys, range(1, instance.n + 1))), key=itemgetter(0)):
-        added = [i for _, i in group]
-        steps.append((biases[added[0] - 1], added))
+    bias = instance.kernel.bias.__getitem__
+    for _, group in groupby(sorted(range(1, instance.n + 1), key=bias), key=bias):
+        added = list(group)
+        steps.append((instance.bias_of(added[0]), added))
     return steps
 
 

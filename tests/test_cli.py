@@ -253,7 +253,7 @@ def test_generate_random_byte_identical(tmp_path, capsys):
     for out in (a, b):
         assert main(["generate", "random", "--seed", "7", "-o", out]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def test_sweep_empty_header_only(tmp_path, capsys):
     out_file = str(tmp_path / "rows.csv")
     code, _, _ = run(capsys, "sweep", spec, "-o", out_file)
     assert code == 0
-    lines = open(out_file).read().strip().splitlines()
+    lines = Path(out_file).read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("instance_id,n,kind,opt_std,best_threshold_std,ratio")
 
@@ -725,13 +725,13 @@ def verify_violations(tmp_path, capsys, *generate_args):
 
 
 def test_verify_reports_broken_decomposition_identity(tmp_path, capsys, monkeypatch):
-    real = cli_mod.decompose_report
+    real = cli_mod.decompose
 
-    def broken(instance, menu, report):
-        dec = real(instance, menu, report)
+    def broken(instance, menu):
+        dec = real(instance, menu)
         return dataclasses.replace(dec, bdif=dec.bdif + 1)
 
-    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    monkeypatch.setattr(cli_mod, "decompose", broken)
     lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
     assert all(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
 
@@ -739,25 +739,26 @@ def test_verify_reports_broken_decomposition_identity(tmp_path, capsys, monkeypa
 def test_verify_reports_decomposition_from_the_minimum_bias(tmp_path, capsys, monkeypatch):
     # sur = f - bdif makes the identity hold by construction; with u_low the
     # least bias instead of the largest, bdif goes negative.
-    def min_bias(instance, menu, report):
+    def min_bias(instance, menu):
+        report = cli_mod.evaluate(instance, menu)
         u_low = min(instance.bias_of(i) for i in candidates(instance, menu))
         bdif = u_low - xsum(instance.bias_of(i) * p for i, p in report.freq.items())
         return Decomposition(u_low=u_low, sur=report.f - bdif, bdif=bdif)
 
-    monkeypatch.setattr(cli_mod, "decompose_report", min_bias)
+    monkeypatch.setattr(cli_mod, "decompose", min_bias)
     lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
     assert any(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
 
 
 def test_verify_reports_negative_surplus_standard_part(tmp_path, capsys, monkeypatch):
-    real = cli_mod.decompose_report
+    real = cli_mod.decompose
 
-    def broken(instance, menu, report):
-        dec = real(instance, menu, report)
-        shift = report.f.std + 1
+    def broken(instance, menu):
+        dec = real(instance, menu)
+        shift = cli_mod.evaluate(instance, menu).f.std + 1
         return dataclasses.replace(dec, sur=dec.sur - shift, bdif=dec.bdif + shift)
 
-    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    monkeypatch.setattr(cli_mod, "decompose", broken)
     lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
     assert all(line.startswith("VIOLATION: decomposition identity failed on menu [") for line in lines)
 
@@ -795,25 +796,25 @@ def test_verify_reports_contribution_moved_between_actions(tmp_path, capsys, mon
 def test_verify_reports_bias_difference_mismatch(tmp_path, capsys, monkeypatch):
     # The identity and both signs still hold; only the oracle's frequencies
     # disagree with bdif.
-    real = cli_mod.decompose_report
+    real = cli_mod.decompose
 
-    def broken(instance, menu, report):
-        dec = real(instance, menu, report)
+    def broken(instance, menu):
+        dec = real(instance, menu)
         return dataclasses.replace(dec, sur=dec.sur - IOTA, bdif=dec.bdif + IOTA)
 
-    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    monkeypatch.setattr(cli_mod, "decompose", broken)
     lines = verify_violations(tmp_path, capsys, "outside", "--n", "3")
     assert all(line.startswith("VIOLATION: bias-difference mismatch on menu [") for line in lines)
 
 
 def test_verify_reports_threshold_dominance_failure(tmp_path, capsys, monkeypatch):
-    real = cli_mod.decompose_report
+    real = cli_mod.decompose
 
-    def broken(instance, menu, report):
-        dec = real(instance, menu, report)
+    def broken(instance, menu):
+        dec = real(instance, menu)
         return dataclasses.replace(dec, sur=dec.sur + 100)
 
-    monkeypatch.setattr(cli_mod, "decompose_report", broken)
+    monkeypatch.setattr(cli_mod, "decompose", broken)
     lines = verify_violations(tmp_path, capsys, "log", "--k", "3")
     assert any(line.startswith("VIOLATION: threshold-dominance failed on menu [") for line in lines)
 
@@ -950,3 +951,48 @@ def test_instance_file_error_names_its_location_once(tmp_path, capsys, path, fie
     node[field] = text
     file.write_text(json.dumps(obj))
     assert run(capsys, "solve", str(file)) == (2, "", f"error: {message}\n")
+
+
+NOT_UTF8 = b"\xff\xfe"
+DEEP = b"[" * 100000 + b"]" * 100000  # beyond the JSON decoder's recursion limit
+LONG_INT = b'{"schema_version": ' + b"1" * 5000 + b"}"  # beyond int's digit limit
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (NOT_UTF8, ["eval", "FILE", "--menu", "all"]),
+        (NOT_UTF8, ["solve", "FILE"]),
+        (NOT_UTF8, ["verify", "FILE"]),
+        (NOT_UTF8, ["sweep", "FILE", "-o", "OUT"]),
+        (NOT_UTF8, ["reduce", "vertex-cover", "FILE", "-o", "OUT"]),
+        (NOT_UTF8, ["reduce", "partition", "FILE", "-o", "OUT"]),
+        (DEEP, ["solve", "FILE"]),
+        (DEEP, ["sweep", "FILE", "-o", "OUT"]),
+        (LONG_INT, ["solve", "FILE"]),
+        (LONG_INT, ["sweep", "FILE", "-o", "OUT"]),
+    ],
+)
+def test_malformed_file_exits_2_with_one_error_line(tmp_path, capsys, content, argv):
+    file = tmp_path / "input"
+    file.write_bytes(content)
+    paths = {"FILE": str(file), "OUT": str(tmp_path / "out")}
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "version, shown", [("true", "True"), ("1.0", "1.0"), ("1e0", "1.0"), ("1", None)]
+)
+def test_schema_version_is_the_json_integer_1(log3_file, capsys, version, shown):
+    text = Path(log3_file).read_text()
+    assert '"schema_version": 1,' in text
+    Path(log3_file).write_text(text.replace('"schema_version": 1,', f'"schema_version": {version},'))
+    code, out, err = run(capsys, "solve", log3_file)
+    if shown is None:
+        assert (code, err) == (0, "") and json.loads(out)["opt_menu"]
+    else:
+        assert (code, out, err) == (2, "", f"error: schema_version: expected 1, got {shown}\n")

@@ -26,11 +26,12 @@ from delmenu import (
     gen_log_family,
     gen_outside_family,
     gen_three_approx,
+    shift_biases,
     threshold_menus,
     xnum,
     xsum,
 )
-from delmenu.model import candidates, product_realizations
+from delmenu.model import candidates, product_realizations, profile_assignment
 
 from conftest import random_correlated, random_independent, random_menus, small_instances
 
@@ -185,10 +186,52 @@ def reference_decompose(instance, menu):
     )
 )
 def test_decompose_equals_xnum_expression(instance):
+    for menu in every_menu(instance):
+        assert decompose(instance, menu) == reference_decompose(instance, menu)
+
+
+def every_menu(instance):
     first = 0 if instance.has_outside else 1
     for size in range(first, instance.n + 1):
-        for menu in map(frozenset, combinations(range(1, instance.n + 1), size)):
-            assert decompose(instance, menu) == reference_decompose(instance, menu)
+        yield from map(frozenset, combinations(range(1, instance.n + 1), size))
+
+
+# The two properties below read no kernel result but the decomposition under
+# test: frequencies come from agent_choice, or not at all.
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances("correlated", iota=True, max_den=3))
+def test_correlated_bdif_equals_agent_choice_per_profile(instance):
+    for menu in every_menu(instance):
+        u_low = max(instance.bias_of(i) for i in candidates(instance, menu))
+        direct = xsum(
+            (u_low - instance.bias_of(agent_choice(instance, menu, profile_assignment(instance, p))))
+            * p.prob
+            for p in instance.profiles
+        )
+        dec = decompose(instance, menu)
+        assert (dec.u_low, dec.bdif) == (u_low, direct)
+
+
+SHIFTS = st.builds(
+    lambda std, std_den, inf, inf_den: xnum(Fraction(std, std_den), Fraction(inf, inf_den)),
+    st.integers(-6, 6), st.integers(1, 5), st.integers(-3, 3), st.integers(1, 4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, iota=True, max_den=3)
+    ),
+    SHIFTS,
+)
+def test_bias_shift_moves_u_low_alone(instance, c):
+    shifted = shift_biases(instance, c)
+    for menu in every_menu(instance):
+        dec, moved = decompose(instance, menu), decompose(shifted, menu)
+        assert (moved.u_low, moved.sur, moved.bdif) == (dec.u_low + c, dec.sur, dec.bdif)
 
 
 # ---------------------------------------------------------------------------

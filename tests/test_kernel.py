@@ -509,10 +509,10 @@ def reference_compile(instance):
     """The kernel from ``(index, XNum)`` pairs hashed into a rank dict.
 
     Pairs are ranked by ``choice_key``'s fraction form, and values and
-    probabilities scaled to integers one at a time, values over the
-    denominators they share with the biases; the oracle for the compile's
-    integer pair identities.  Correlated values are packed with a scale
-    computed from the scaled rows.
+    probabilities scaled to integers one at a time, values and biases over
+    the denominators they share; the oracle for the compile's integer pair
+    identities.  Correlated values are packed with a scale computed from the
+    scaled rows.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
@@ -529,6 +529,11 @@ def reference_compile(instance):
         return x.numerator * (den // x.denominator)
 
     width = instance.n + 1
+    biases = {i: instance.bias_of(i) for i in indices}
+    bias = tuple(
+        (scaled(biases[i].std, std_den), scaled(biases[i].inf, inf_den)) if i in biases else None
+        for i in range(width)
+    )
     if isinstance(instance, CorrelatedInstance):
         prob_den = math.lcm(*{p.prob.denominator for p in instance.profiles})
         orders, std, inf, prob = [], [], [], []
@@ -551,7 +556,7 @@ def reference_compile(instance):
         )
         return CorrelatedKernel(
             tuple(orders), packed, scale, tuple(prob),
-            std_den * prob_den, inf_den * prob_den, prob_den,
+            std_den * prob_den, inf_den * prob_den, prob_den, bias,
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
     for i in indices:
@@ -564,8 +569,7 @@ def reference_compile(instance):
         tuple(i for i, _ in ranked),
         tuple(scaled(v.std, std_den) for _, v in ranked),
         tuple(scaled(v.inf, inf_den) for _, v in ranked),
-        std_den, inf_den,
-        tuple(instance.bias_of(i) if i in indices else None for i in range(width)),
+        std_den, inf_den, bias,
     )
 
 

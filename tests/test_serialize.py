@@ -65,6 +65,17 @@ def test_parse_error_bad_json():
         loads_instance("{not json")
 
 
+def test_undecodable_deep_or_long_input_raises_parse_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_instance(str(path))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads_instance("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError, match="integer literal too long"):
+        loads_instance('{"schema_version": ' + "1" * 5000 + "}")
+
+
 def test_parse_error_fields():
     with pytest.raises(ParseError, match="schema_version"):
         loads_instance(json.dumps({"schema_version": 9, "kind": "independent", "actions": []}))
