@@ -16,6 +16,7 @@ import random
 import re
 import sys
 import time
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Callable
@@ -109,6 +110,28 @@ def parse_menu_spec(instance: Instance, spec: str) -> Menu:
     if not all(re.fullmatch(INTEGER, part) for part in parts):
         raise InvalidInstanceError(f"invalid menu spec {spec!r}")
     return validate_menu(instance, frozenset(map(int, parts)))
+
+
+@contextmanager
+def _digit_limit():
+    """Raise ``CapExceededError`` for a number too long to convert to text.
+
+    ``str`` of an integer of more digits than the interpreter allows
+    (``sys.get_int_max_str_digits()``, 4300 by default) raises a bare
+    ``ValueError``.  The limit stays: it is what keeps a huge input literal
+    from costing quadratic parse time.  So every command renders its output
+    before it writes any, and a result beyond the limit is a cap: exit 3,
+    or a skipped sweep row.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError or "integer string conversion" not in str(exc):
+            raise
+        raise CapExceededError(
+            f"a number exceeds the interpreter's limit of {sys.get_int_max_str_digits()}"
+            " digits for integer string conversion"
+        ) from exc
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -214,31 +237,27 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         except InvalidInstanceError as exc:
             raise ParseError(f"{args.input}: {exc}") from exc
         instance = reduce_vertex_cover(graph)
-        dump_instance(instance, args.out)
         n, m = graph.vertices, len(graph.edges)
         info: dict[str, Any] = {"actions": instance.n, "profiles": len(instance.profiles)}
         if n <= args.cap_n:
             cover = min_vertex_cover(graph, cap_n=args.cap_n)
             info["min_vertex_cover"] = cover
             info["predicted_opt"] = str(Fraction(5 * m + 3 * n - cover, m + n))
-        print(json.dumps(info, indent=2))
-        return EXIT_OK
-    tokens = read_text(args.input).split()
-    bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
-    if bad:
-        raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
-    try:
-        part = PartitionInstance(tuple(map(int, tokens)))
-    except InvalidInstanceError as exc:
-        raise ParseError(f"{args.input}: {exc}") from exc
-    M = args.big_m if args.big_m is not None else minimal_valid_m(part)
-    instance, threshold = reduce_integer_partition(part, M)
+    else:
+        tokens = read_text(args.input).split()
+        bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
+        if bad:
+            raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
+        try:
+            part = PartitionInstance(tuple(map(int, tokens)))
+        except InvalidInstanceError as exc:
+            raise ParseError(f"{args.input}: {exc}") from exc
+        M = args.big_m if args.big_m is not None else minimal_valid_m(part)
+        instance, threshold = reduce_integer_partition(part, M)
+        info = {"actions": instance.n, "M": M, "decision_threshold": str(threshold)}
+    text = json.dumps(info, indent=2)  # rendered first: a failure leaves no file
     dump_instance(instance, args.out)
-    print(
-        json.dumps(
-            {"actions": instance.n, "M": M, "decision_threshold": str(threshold)}, indent=2
-        )
-    )
+    print(text)
     return EXIT_OK
 
 
@@ -371,7 +390,8 @@ def _sweep_worker(payload: tuple[Job, int]) -> dict[str, str]:
     (instance_id, constructor, kwargs), cap_n = payload
     start = time.perf_counter()
     try:
-        return _instance_row(instance_id, constructor(**kwargs), cap_n)
+        with _digit_limit():
+            return _instance_row(instance_id, constructor(**kwargs), cap_n)
     except DelegationError as exc:
         row = {c: "" for c in SWEEP_COLUMNS}
         row["instance_id"] = instance_id
@@ -621,7 +641,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _digit_limit():
+            return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

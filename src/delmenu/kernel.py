@@ -11,12 +11,13 @@ integer agent utility, value plus bias.  Pairs are deduplicated and ranked
 on those integers, never by hashing exact rationals, and the same numerators
 fill the kernel's value rows.
 
-* A correlated instance becomes a weighted list of rankings, one per profile
-  (the ranking-based choice model of Aouad, Farias, Levi and Segev, Oper. Res.
-  2018).  The pick from a menu is the first menu member in the profile's
-  ranking, with the outside option, always feasible, as the floor.  Each
-  profile's values, times its probability, are stored packed, ``std * scale
-  + inf`` in one integer, so sums of them add and compare as integers.
+* A correlated instance becomes one ranking per profile (the ranking-based
+  choice model of Aouad, Farias, Levi and Segev, Oper. Res. 2018), stored
+  once as the table every walk reads: each candidate's bit with its value
+  times the profile's probability, packed ``std * scale + inf`` in one
+  integer so that sums add and compare as integers, favorite first and cut
+  after the outside option.  The pick from a menu is the first menu member
+  in the ranking, with the outside option, always feasible, as the floor.
 * An independent instance becomes, per action, its draws as (rank, integer
   probability) pairs sorted by rank, which the winner-state DP folds.
 
@@ -39,7 +40,9 @@ kernels bound each subtree with the rankings, the first-choice model of
 Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
 their integer program; independent kernels have no bound.  A kernel finds
 the best of a nested sequence of menus, such as the threshold menus in bias
-order, in one pass that adds each step's indices once (``best_prefix``).
+order (``best_prefix``): a correlated kernel values each menu by its bound
+at a leaf, which is exact, and an independent one in one pass that folds
+each step's indices once.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -81,6 +84,11 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
+def _exact(std: int, inf: int, std_den: int, inf_den: int) -> XNum:
+    """The number of numerators ``std`` over ``std_den`` and ``inf`` over ``inf_den``."""
+    return XNum(_ratio(std, std_den), _ratio(inf, inf_den))
+
+
 class _Counted:
     """The reports both kernels derive from their per-index integer counts.
 
@@ -96,8 +104,8 @@ class _Counted:
     def tally(self, feasible: list[int]) -> Report:
         """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
         std, inf, freq, std_den, inf_den, freq_den = self.counts(feasible)
-        contrib = {i: XNum(_ratio(std[i], std_den), _ratio(inf[i], inf_den)) for i in feasible}
-        f = XNum(_ratio(sum(std), std_den), _ratio(sum(inf), inf_den))
+        contrib = {i: _exact(std[i], inf[i], std_den, inf_den) for i in feasible}
+        f = _exact(sum(std), sum(inf), std_den, inf_den)
         return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
 
     def split(self, feasible: list[int]) -> tuple[int, XNum, XNum]:
@@ -112,8 +120,8 @@ class _Counted:
         u_std, u_inf = bias[top]
         gap_std = sum(freq[i] * (u_std - bias[i][0]) for i in feasible)
         gap_inf = sum(freq[i] * (u_inf - bias[i][1]) for i in feasible)
-        sur = XNum(_ratio(sum(std) - gap_std, std_den), _ratio(sum(inf) - gap_inf, inf_den))
-        return top, sur, XNum(_ratio(gap_std, std_den), _ratio(gap_inf, inf_den))
+        sur = _exact(sum(std) - gap_std, sum(inf) - gap_inf, std_den, inf_den)
+        return top, sur, _exact(gap_std, gap_inf, std_den, inf_den)
 
 
 def _best_menu(width, outside, root, include, exclude, value) -> Menu:
@@ -171,8 +179,7 @@ def _rank_pairs(pairs: set[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[P
 class _CorrelatedTables(NamedTuple):
     """The fields of :class:`CorrelatedKernel`, which compare, print and pickle it."""
 
-    orders: tuple[tuple[int, ...], ...]
-    packed: tuple[tuple[int, ...], ...]
+    rankings: tuple[tuple[tuple[int, int], ...], ...]
     scale: int
     prob: tuple[int, ...]
     std_den: int
@@ -184,109 +191,91 @@ class _CorrelatedTables(NamedTuple):
 class CorrelatedKernel(_CorrelatedTables, _Counted):
     """One ranking per profile, with integer weights.
 
-    ``orders[k]`` lists profile k's candidate indices from the agent's
-    favorite down, cut after the outside option: nothing ranked below it is
-    ever picked.  Index i's value times profile k's probability has numerators
-    ``std`` over ``std_den`` and ``inf`` over ``inf_den``, stored packed as
-    ``packed[k][i] = std * scale + inf``; ``prob[k]`` is that probability
-    over ``prob_den``.  ``bias[i]`` is index i's bias as ``(std, inf)``
-    numerators over the value denominators, ``std_den`` and ``inf_den``
-    divided by ``prob_den`` (None for a missing outside option).  ``scale``
-    is odd and exceeds twice the sum over profiles of each one's largest
-    |inf|, so a sum of packed values, one per profile at most, has |inf| at
-    most ``scale // 2``: it adds and compares as the pairs do,
-    lexicographically, and its pair is recovered exactly.
+    ``rankings[k]`` lists profile k's candidates from the agent's favorite
+    down, cut after the outside option: nothing ranked below it is ever
+    picked.  Each entry is a candidate's bit, ``1 << i`` for index i, and its
+    value times profile k's probability, whose numerators ``std`` over
+    ``std_den`` and ``inf`` over ``inf_den`` are stored packed as ``std *
+    scale + inf``; ``prob[k]`` is that probability over ``prob_den``.
+    ``bias[i]`` is index i's bias as ``(std, inf)`` numerators over the value
+    denominators, ``std_den`` and ``inf_den`` divided by ``prob_den`` (None
+    for a missing outside option).  ``scale`` is odd and exceeds twice the
+    sum over profiles of each one's largest |inf|, so a sum of packed values,
+    one per profile at most, has |inf| at most ``scale // 2``: it adds and
+    compares as the pairs do, lexicographically, and its pair is recovered
+    exactly.
+
+    Every walk reads the rankings: ``counts`` takes each profile's first
+    feasible entry, and ``search`` and ``best_prefix`` value menus by one
+    bound (:meth:`_bound`), which is a menu's exact value at a leaf.
     """
 
     __slots__ = ()
 
     def counts(self, feasible: list[int]) -> Counts:
         """Per-index integer counts of the picks from ``feasible``, unpacked."""
-        mask = 0
-        for i in feasible:
-            mask |= 1 << i
-        width = len(self.packed[0])
-        total, freq = [0] * width, [0] * width
-        for order, packed_k, prob_k in zip(self.orders, self.packed, self.prob):
-            for i in order:
-                if mask >> i & 1:
+        mask = sum(1 << i for i in feasible)
+        total, freq = [0] * len(self.bias), [0] * len(self.bias)
+        for ranking, prob_k in zip(self.rankings, self.prob):
+            for bit, value in ranking:
+                if mask & bit:
                     break
-            total[i] += packed_k[i]
+            i = bit.bit_length() - 1
+            total[i] += value
             freq[i] += prob_k
         half = self.scale // 2
         inf = [(t + half) % self.scale - half for t in total]
         std = [(t - r) // self.scale for t, r in zip(total, inf)]
         return std, inf, freq, self.std_den, self.inf_den, self.prob_den
 
-    def search(self) -> Menu:
-        """The best menu, by :func:`_best_menu` with an exact bound.
+    def _bound(self, state: tuple[int, int], leaf: bool) -> int:
+        """An exact upper bound on the value of every menu below ``state``.
 
-        A node's state is ``(live, stop)``: bits of the included set I plus
-        the undecided set U plus the outside option, and of I plus the
-        outside option.  Each profile picks a member of ``live`` ranked at or
-        above the first member of ``stop`` in its ``orders`` row, so the best
-        value among those bounds the profile's term, and the bounds' sum
-        bounds the subtree: lexicographic order respects addition.  At a leaf
-        U is empty and the bound is the menu's exact value.  Values are
-        ``packed``, so bounds add and compare as integers.
+        ``state`` is ``(live, stop)``: bits of the included set I plus the
+        undecided set U plus the outside option, and of I plus the outside
+        option.  Each profile picks a member of ``live`` ranked at or above
+        the first member of ``stop`` in its ranking, so the best value among
+        those bounds the profile's term, and the bounds' sum bounds every
+        menu: lexicographic order respects addition.  With U empty,
+        ``live == stop`` and the bound is the menu's exact value.  Values are
+        packed, so bounds add and compare as integers.
         """
-        width = len(self.packed[0])
-        outside = 1 if OUTSIDE in self.orders[0] else 0  # the outside option's bit
-        rows = [
-            tuple((1 << i, packed_k[i]) for i in order)
-            for order, packed_k in zip(self.orders, self.packed)
-        ]
+        live, stop = state
+        total = 0
+        for ranking in self.rankings:
+            top = None
+            for bit, value in ranking:
+                if live & bit:
+                    if top is None or value > top:
+                        top = value
+                    if stop & bit:
+                        break
+            total += top
+        return total
 
-        def bound(state: tuple[int, int], leaf: bool) -> int:
-            live, stop = state
-            total = 0
-            for row in rows:
-                top = None
-                for bit, key in row:
-                    if live & bit:
-                        if top is None or key > top:
-                            top = key
-                        if stop & bit:
-                            break
-                total += top
-            return total
-
+    def search(self) -> Menu:
+        """The best menu, by :func:`_best_menu` with the exact bound :meth:`_bound`."""
+        width = len(self.bias)
+        outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
         return _best_menu(
             width, outside, ((1 << width) - 2 | outside, outside),
             lambda state, i: (state[0], state[1] | 1 << i),
             lambda state, i: (state[0] & ~(1 << i), state[1]),
-            bound,
+            self._bound,
         )
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
 
-        One pass: each profile keeps its current pick, the outside option
-        while the menu is empty, and moves it up only when an added index
-        ranks higher in its ``orders`` row; the total is updated by the
-        difference, on ``packed`` values.  Ties go to the earlier step.
+        Each step's menu is valued by :meth:`_bound` at its leaf, where
+        ``live`` and ``stop`` are both the menu plus the outside option.
+        Ties go to the earlier step.
         """
-        width = len(self.packed[0])
-        packed = self.packed
-        positions, picks, values = [], [], []
-        for order in self.orders:
-            position = [len(order)] * width
-            for p, i in enumerate(order):
-                position[i] = p
-            positions.append(position)
-            picks.append(position[OUTSIDE])
-        # Without an outside option its position is past every row's end and
-        # its value numerators are 0, so the empty pick is worth 0.
-        current = [packed_k[OUTSIDE] for packed_k in packed]
-        total = sum(current)
+        menu = 0 if self.bias[OUTSIDE] is None else 1
+        values = []
         for added in steps:
-            for i in added:
-                for k, position in enumerate(positions):
-                    if position[i] < picks[k]:
-                        picks[k] = position[i]
-                        total += packed[k][i] - current[k]
-                        current[k] = packed[k][i]
-            values.append(total)
+            menu |= sum(1 << i for i in added)
+            values.append(self._bound((menu, menu), True))
         return values.index(max(values))
 
 
@@ -303,19 +292,16 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     prob = [scaled(profile.prob, prob_den) for profile in instance.profiles]
     scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in zip(rows, prob)) + 1
 
-    orders, packed = [], []
+    rankings = []
     for row, p in zip(rows, prob):
-        order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
-        if instance.has_outside:
-            del order[order.index(OUTSIDE) + 1 :]
-        packed_k = [0] * (instance.n + 1)
-        for i, (std, inf) in row:
-            packed_k[i] = (std * scale + inf) * p
-        orders.append(tuple(order))
-        packed.append(tuple(packed_k))
+        ranking = []
+        for i, (std, inf) in sorted(row, key=rank.__getitem__, reverse=True):
+            ranking.append((1 << i, (std * scale + inf) * p))
+            if i == OUTSIDE:
+                break
+        rankings.append(tuple(ranking))
     return CorrelatedKernel(
-        tuple(orders),
-        tuple(packed),
+        tuple(rankings),
         scale,
         tuple(prob),
         dens[0] * prob_den,
@@ -381,14 +367,6 @@ class IndependentKernel(_IndependentTables, _Counted):
             ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
             den *= self.prob_den[i]
         return tuple(ranks), tuple(masses), den
-
-    def value(self, r: int) -> XNum:
-        """Value of the pair of rank r."""
-        return self._xnum(self.std[r], self.inf[r])
-
-    def _xnum(self, std: int, inf: int) -> XNum:
-        """The number of numerators ``std`` and ``inf`` over the value denominators."""
-        return XNum(Fraction(std, self.std_den), Fraction(inf, self.inf_den))
 
     def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
         """Sum of value times mass over states: (std, inf) numerators over the value dens."""
@@ -496,18 +474,21 @@ class IndependentKernel(_IndependentTables, _Counted):
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
         )
-        value = self.value(top) + self._xnum(*self.bias[self.owner[top]]) - bias
+        dens = self.std_den, self.inf_den
+        bias_std, bias_inf = self.bias[self.owner[top]]
+        value = _exact(self.std[top] + bias_std, self.inf[top] + bias_inf, *dens) - bias
 
         def pair_key(r: int) -> tuple:
             i = self.owner[r]
-            return choice_key(i, self.value(r), self._xnum(*self.bias[i]))
+            value = _exact(self.std[r], self.inf[r], *dens)
+            return choice_key(i, value, _exact(*self.bias[i], *dens))
 
         below = bisect_left(
             range(len(self.owner)), choice_key(len(self.ranks), value, bias), key=pair_key
         )
         cut = bisect_left(ranks, below)
         std, inf = self.total(ranks[cut:], masses[cut:])
-        kept_part = XNum(Fraction(std, self.std_den * den), Fraction(inf, self.inf_den * den))
+        kept_part = _exact(std, inf, self.std_den * den, self.inf_den * den)
         return value, kept_part + value * Fraction(sum(masses[:cut]), den)
 
 
@@ -543,13 +524,11 @@ def _fold(
 
 
 def compile_independent(instance: IndependentInstance) -> IndependentKernel:
-    actions = {i: instance.actions[i - 1] for i in range(1, instance.n + 1)}
-    if instance.outside is not None:
-        actions[OUTSIDE] = instance.outside
-    draws = [(i, v, p) for i, a in actions.items() for v, p in a.support]
-    lifted, dens = numerators([v for _, v, _ in draws] + [a.bias for a in actions.values()])
+    indices = candidates(instance, full_menu(instance))
+    draws = [(i, v, p) for i in indices for v, p in instance.support_of(i)]
+    lifted, dens = numerators([v for _, v, _ in draws] + [instance.bias_of(i) for i in indices])
     pairs = [(i, value) for (i, _, _), value in zip(draws, lifted)]
-    bias = dict(zip(actions, lifted[len(draws) :]))
+    bias = dict(zip(indices, lifted[len(draws) :]))
     rank = _rank_pairs(set(pairs), bias)
 
     width = instance.n + 1
@@ -559,7 +538,7 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     ranks: list[tuple[int, ...]] = [()] * width
     probs: list[tuple[int, ...]] = [()] * width
     prob_den = [1] * width
-    for i in actions:
+    for i in indices:
         ranked_draws[i].sort()
         prob_den[i] = common_denominator(p for _, p in ranked_draws[i])
         ranks[i] = tuple(r for r, _ in ranked_draws[i])

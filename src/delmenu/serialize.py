@@ -215,8 +215,10 @@ def loads_instance(text: str) -> Instance:
 
 
 def dump_instance(instance: Instance, path: str) -> None:
+    """Write ``instance`` to ``path``; the text is rendered first, so a failure leaves no file."""
+    text = dumps_instance(instance)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(instance))
+        fh.write(text)
 
 
 def read_text(path: str) -> str:

@@ -984,6 +984,68 @@ def test_malformed_file_exits_2_with_one_error_line(tmp_path, capsys, content, a
     assert not (tmp_path / "out").exists()
 
 
+LONG_EPS = "1/1" + "0" * 2500  # three-approx results on this eps run past 4300 digits
+LONG_FILES = ("two.json", "three.json", "p360.txt", "p400.txt", "spec.json")
+
+
+@pytest.fixture
+def digit_limit_4300():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def write_long_number_files(tmp_path):
+    # Two actions worth 1 with probabilities 1/P, P about 10**2200: the
+    # menu's value has a denominator of about 4400 digits.
+    actions = tuple(
+        Action(xnum(0), ((xnum(0), 1 - Fraction(1, p)), (xnum(1), Fraction(1, p))))
+        for p in (10**2200 + 1, 10**2200 + 3)
+    )
+    dump_instance(IndependentInstance(actions), str(tmp_path / "two.json"))
+    assert main(["generate", "three-approx", "--eps", LONG_EPS, "-o", str(tmp_path / "three.json")]) == 0
+    (tmp_path / "p360.txt").write_text(f"{10**360}\n")  # M and the threshold run past the limit
+    (tmp_path / "p400.txt").write_text(f"{10**400} 3\n")  # so does the instance file
+    blocks = [{"generator": "log", "k": 2}, {"generator": "three_approx", "eps": LONG_EPS}]
+    write_spec(tmp_path, blocks + [{"generator": "log", "k": 3}])
+    write_spec(tmp_path, blocks[:1] + [{"generator": "log", "k": 3}], name="short.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "two.json", "--menu", "all"],
+        ["eval", "two.json", "--menu", "all", "--format", "text"],
+        ["solve", "two.json"],
+        ["solve", "two.json", "--format", "csv"],
+        ["solve", "three.json"],
+        ["reduce", "partition", "p360.txt", "-o", "OUT"],
+        ["reduce", "partition", "p400.txt", "-o", "OUT"],
+        ["sweep", "spec.json", "-o", "OUT"],
+    ],
+)
+def test_numbers_beyond_the_digit_limit_are_a_cap(tmp_path, capsys, digit_limit_4300, argv):
+    write_long_number_files(tmp_path)
+    capsys.readouterr()
+    out_file = tmp_path / "out"
+    paths = {name: str(tmp_path / name) for name in LONG_FILES} | {"OUT": str(out_file)}
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    reason = "a number exceeds the interpreter's limit of 4300 digits for integer string conversion"
+    if argv[0] != "sweep":
+        assert (code, out, err) == (3, "", f"error: {reason}\n")
+        assert not out_file.exists()
+        return
+    assert (code, err) == (0, "")
+    rows = read_rows(out_file)
+    assert rows[1]["status"] == f"skipped: {reason}"
+    short = tmp_path / "short.csv"
+    assert run(capsys, "sweep", str(tmp_path / "short.json"), "-o", str(short))[0] == 0
+    assert [r | {"runtime_ms": ""} for r in rows[::2]] == [
+        r | {"runtime_ms": ""} for r in read_rows(short)
+    ]
+
+
 @pytest.mark.parametrize(
     "version, shown", [("true", "True"), ("1.0", "1.0"), ("1e0", "1.0"), ("1", None)]
 )

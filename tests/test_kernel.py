@@ -9,6 +9,7 @@ over explicit product realizations.  Hypothesis draws small tie-heavy
 instances for both checks.
 """
 
+import ast
 import dataclasses
 import importlib
 import math
@@ -16,6 +17,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -326,6 +328,26 @@ def test_kernel_is_not_part_of_instance_equality():
     assert "kernel" in vars(inst) and "kernel" not in vars(twin)
 
 
+ENCODING = {"numerators", "scaled", "common_denominator"}
+
+
+def test_only_the_kernel_imports_the_integer_encoding():
+    # The integer encoding stays inside the kernel: every other module gets
+    # exact numbers from it, never numerators.
+    users = set()
+    for path in Path(delmenu.kernel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):  # module.numerators after a plain import
+                names = {node.attr}
+            else:
+                continue
+            if names & ENCODING:
+                users.add(path.name)
+    assert users == {"kernel.py"}  # xnum.py defines them
+
+
 # ---------------------------------------------------------------------------
 # Derandomized interference
 # ---------------------------------------------------------------------------
@@ -511,8 +533,9 @@ def reference_compile(instance):
     Pairs are ranked by ``choice_key``'s fraction form, and values and
     probabilities scaled to integers one at a time, values and biases over
     the denominators they share; the oracle for the compile's integer pair
-    identities.  Correlated values are packed with a scale computed from the
-    scaled rows.
+    identities.  Each correlated ranking lists (bit, packed value) entries,
+    favorite first and cut after the outside option, with a scale computed
+    from the scaled rows.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
@@ -536,26 +559,21 @@ def reference_compile(instance):
     )
     if isinstance(instance, CorrelatedInstance):
         prob_den = math.lcm(*{p.prob.denominator for p in instance.profiles})
-        orders, std, inf, prob = [], [], [], []
-        for row, profile in zip(rows, instance.profiles):
-            order = [i for i, _ in sorted(row, key=rank.__getitem__, reverse=True)]
+        prob = [scaled(profile.prob, prob_den) for profile in instance.profiles]
+        scale = 2 * sum(
+            max(abs(scaled(v.inf, inf_den)) * p for _, v in row) for row, p in zip(rows, prob)
+        ) + 1
+        rankings = []
+        for row, p in zip(rows, prob):
+            ranked = sorted(row, key=rank.__getitem__, reverse=True)
             if instance.has_outside:
-                order = order[: order.index(OUTSIDE) + 1]
-            p = scaled(profile.prob, prob_den)
-            std_k, inf_k = [0] * width, [0] * width
-            for i, v in row:
-                std_k[i] = scaled(v.std, std_den) * p
-                inf_k[i] = scaled(v.inf, inf_den) * p
-            orders.append(tuple(order))
-            std.append(std_k)
-            inf.append(inf_k)
-            prob.append(p)
-        scale = 2 * sum(max(abs(x) for x in inf_k) for inf_k in inf) + 1
-        packed = tuple(
-            tuple(s * scale + x for s, x in zip(std_k, inf_k)) for std_k, inf_k in zip(std, inf)
-        )
+                ranked = ranked[: [i for i, _ in ranked].index(OUTSIDE) + 1]
+            rankings.append(tuple(
+                (1 << i, (scaled(v.std, std_den) * scale + scaled(v.inf, inf_den)) * p)
+                for i, v in ranked
+            ))
         return CorrelatedKernel(
-            tuple(orders), packed, scale, tuple(prob),
+            tuple(rankings), scale, tuple(prob),
             std_den * prob_den, inf_den * prob_den, prob_den, bias,
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
@@ -616,12 +634,36 @@ EMPTY_WINS = IndependentInstance(
     (deterministic(xnum(5), xnum(1)), deterministic(xnum(6), xnum(0))),
     outside=deterministic(xnum(0), xnum(5)),
 )
+# Correlated: both actions rank above the outside option, worth 5, in every
+# profile; action 1 is worth 1 or 6 and action 2 nothing, so each nonempty
+# threshold menu is worth 7/2 and the empty menu wins.  Valuing a menu by its
+# best value above the outside option alone would give {1} 11/2.
+EMPTY_WINS_CORRELATED = CorrelatedInstance(
+    biases=(xnum(5), xnum(6)),
+    profiles=(
+        Profile(Fraction(1, 2), (xnum(1), xnum(0), xnum(5))),
+        Profile(Fraction(1, 2), (xnum(6), xnum(0), xnum(5))),
+    ),
+    outside_bias=xnum(0),
+)
+# Correlated: adding action 2 moves the first profile's pick from action 1 to
+# action 2, of the same value, so both threshold menus are worth 3/2 and the
+# earlier step wins.
+TIED_STEPS = CorrelatedInstance(
+    biases=(xnum(0), xnum(1)),
+    profiles=(
+        Profile(Fraction(1, 2), (xnum(2), xnum(2))),
+        Profile(Fraction(1, 2), (xnum(1), xnum(0))),
+    ),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
 @example(EQUAL_BIASES)
 @example(EMPTY_WINS)
+@example(EMPTY_WINS_CORRELATED)
+@example(TIED_STEPS)
 @example(gen_log_family(3))
 @example(partition_at_minimal_m((1, 2, 3)))
 def test_best_threshold_equals_reference_scan(instance):
@@ -631,6 +673,10 @@ def test_best_threshold_equals_reference_scan(instance):
 def test_best_threshold_examples_cover_their_cases():
     assert [t for t, _ in threshold_menus(EQUAL_BIASES)] == [None, xnum(1)]
     assert best_threshold(EMPTY_WINS) == (None, frozenset(), xnum(5))
+    assert best_threshold(EMPTY_WINS_CORRELATED) == (None, frozenset(), xnum(5))
+    values = [evaluate(TIED_STEPS, menu).f for _, menu in threshold_menus(TIED_STEPS)]
+    assert values == [xnum("3/2"), xnum("3/2")]
+    assert best_threshold(TIED_STEPS) == (xnum(0), frozenset({1}), xnum("3/2"))
 
 
 # ---------------------------------------------------------------------------
