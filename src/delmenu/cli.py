@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .evaluate import (
+    DEFAULT_ACTION_CAP,
     DEFAULT_PROFILE_CAP,
     EvalReport,
     decompose,
@@ -68,7 +69,7 @@ from .solve import (
     solve,
     threshold_menus,
 )
-from .xnum import INTEGER, RATIONAL, XNum, parse_rational, xnum, xsum
+from .xnum import RATIONAL, XNum, parse_integer, parse_rational, xnum, xsum
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,10 +107,11 @@ def parse_menu_spec(instance: Instance, spec: str) -> Menu:
     if spec.startswith("threshold:"):
         t = parse_xnum_literal(spec[len("threshold:") :])
         return validate_menu(instance, threshold_menu(instance, t))
-    parts = [part.strip() for part in spec.split(",")]
-    if not all(re.fullmatch(INTEGER, part) for part in parts):
-        raise InvalidInstanceError(f"invalid menu spec {spec!r}")
-    return validate_menu(instance, frozenset(map(int, parts)))
+    try:
+        menu = frozenset(parse_integer(part.strip()) for part in spec.split(","))
+    except ValueError as exc:
+        raise InvalidInstanceError(f"invalid menu spec {spec!r}") from exc
+    return validate_menu(instance, menu)
 
 
 @contextmanager
@@ -239,18 +241,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         instance = reduce_vertex_cover(graph)
         n, m = graph.vertices, len(graph.edges)
         info: dict[str, Any] = {"actions": instance.n, "profiles": len(instance.profiles)}
-        if n <= args.cap_n:
+        try:
             cover = min_vertex_cover(graph, cap_n=args.cap_n)
+        except CapExceededError:
+            pass  # the instance is still written, without the cover fields
+        else:
             info["min_vertex_cover"] = cover
             info["predicted_opt"] = str(Fraction(5 * m + 3 * n - cover, m + n))
     else:
         tokens = read_text(args.input).split()
-        bad = [tok for tok in tokens if not re.fullmatch(INTEGER, tok)]
-        if bad:
-            raise ParseError(f"{args.input}: invalid integer {bad[0]!r}")
-        try:
-            part = PartitionInstance(tuple(map(int, tokens)))
-        except InvalidInstanceError as exc:
+        try:  # an InvalidInstanceError is a ValueError too
+            part = PartitionInstance(tuple(map(parse_integer, tokens)))
+        except ValueError as exc:
             raise ParseError(f"{args.input}: {exc}") from exc
         M = args.big_m if args.big_m is not None else minimal_valid_m(part)
         instance, threshold = reduce_integer_partition(part, M)
@@ -579,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="optimal menu, best threshold, bound report")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--cap-n", type=int, default=20)
+    p_solve.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
     p_solve.add_argument("--format", choices=["json", "csv"], default="json")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -612,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_vc = red_sub.add_parser("vertex-cover", help="from an edge-list file")
     r_vc.add_argument("input")
     r_vc.add_argument("--vertices", type=int, default=None)
-    r_vc.add_argument("--cap-n", type=int, default=20)
+    r_vc.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
     r_part = red_sub.add_parser("partition", help="from a whitespace-separated integer file")
     r_part.add_argument("input")
     r_part.add_argument("--M", dest="big_m", type=int, default=None)
@@ -624,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="JSON ensemble spec")
     p_sweep.add_argument("-o", "--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--cap-n", type=int, default=20)
+    p_sweep.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the guarantee-check suite on an instance")

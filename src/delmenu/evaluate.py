@@ -40,6 +40,7 @@ from .model import (
 from .xnum import XNum, ZERO, xsum
 
 DEFAULT_PROFILE_CAP = 10**6
+DEFAULT_ACTION_CAP = 20  # the exact searches' size cap: actions, or graph vertices
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ so an instance's pairs get integer ranks once, by one sort on its integer
 form, and every later agent choice is an integer comparison: the agent
 picks the highest-ranked feasible pair.  Compiling scales every value and
 every candidate's bias to integer ``(std, inf)`` numerators in one
-:func:`~delmenu.xnum.numerators` call, so values and biases share their
-denominators: each (index, value) occurrence has an integer identity and an
-integer agent utility, value plus bias.  Pairs are deduplicated and ranked
-on those integers, never by hashing exact rationals, and the same numerators
-fill the kernel's value rows.
+:func:`~delmenu.xnum.numerators` call, over one denominator for both parts
+of every number: each (index, value) occurrence has an integer identity and
+an integer agent utility, value plus bias.  Pairs are deduplicated and
+ranked on those integers, never by hashing exact rationals, and the same
+numerators fill the kernel's value rows.
 
 * A correlated instance becomes one ranking per profile (the ranking-based
   choice model of Aouad, Farias, Levi and Segev, Oper. Res. 2018), stored
@@ -21,9 +21,9 @@ fill the kernel's value rows.
 * An independent instance becomes, per action, its draws as (rank, integer
   probability) pairs sorted by rank, which the winner-state DP folds.
 
-Probabilities, values and biases are integer numerators over common
-denominators, with standard and iota parts scaled separately.  Only kernels
-hold that encoding: every method returns indices, exact rationals and
+Values and biases are integer numerators over that one denominator, and
+probabilities over denominators of their own.  Only kernels hold that
+encoding: every method returns indices, exact rationals and
 :class:`~delmenu.xnum.XNum` values, built once per call.  Each kernel keeps
 every candidate's bias as numerators (``bias``), which order as the biases
 do; ``solve`` sorts actions into threshold steps on them.  Both kernels
@@ -38,11 +38,12 @@ walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
 only a root state, include and exclude steps, and a node value.  Correlated
 kernels bound each subtree with the rankings, the first-choice model of
 Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
-their integer program; independent kernels have no bound.  A kernel finds
-the best of a nested sequence of menus, such as the threshold menus in bias
-order (``best_prefix``): a correlated kernel values each menu by its bound
-at a leaf, which is exact, and an independent one in one pass that folds
-each step's indices once.
+their integer program; independent kernels have no bound, and value every
+menu over one denominator that all menus share.  A kernel finds the best of
+a nested sequence of menus, such as the threshold menus in bias order
+(``best_prefix``): a correlated kernel values each menu by its bound at a
+leaf, which is exact, and an independent one in one pass that folds each
+step's indices once.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -58,6 +59,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import product
+from math import prod
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -70,23 +72,23 @@ from .model import (
     choice_key,
     full_menu,
 )
-from .xnum import XNum, common_denominator, numerators, scaled
+from .xnum import Rational, XNum, common_denominator, numerators, scaled
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
 # Per index: contribution (std, inf) numerators and pick-probability numerator,
-# then their denominators (std_den, inf_den, freq_den).
-Counts = tuple[list[int], list[int], list[int], int, int, int]
+# then their denominators (den, freq_den).
+Counts = tuple[list[int], list[int], list[int], int, int]
 
 
-def _ratio(num: int, den: int) -> Fraction:
+def _ratio(num: Rational, den: int) -> Fraction:
     # Most iota channels and many contributions are zero; skip their gcd.
     return Fraction(num, den) if num else _ZERO
 
 
-def _exact(std: int, inf: int, std_den: int, inf_den: int) -> XNum:
-    """The number of numerators ``std`` over ``std_den`` and ``inf`` over ``inf_den``."""
-    return XNum(_ratio(std, std_den), _ratio(inf, inf_den))
+def _exact(std: Rational, inf: Rational, den: int) -> XNum:
+    """The number of numerators ``std`` and ``inf``, maybe fractions, over ``den``."""
+    return XNum(_ratio(std, den), _ratio(inf, den))
 
 
 class _Counted:
@@ -95,7 +97,7 @@ class _Counted:
     A kernel's ``counts(feasible)`` gives the menu's picks per index (see
     :data:`Counts`), and its ``bias[i]`` is index i's bias as ``(std, inf)``
     numerators; a pick probability's numerator times a bias numerator is
-    over the contributions' denominators, so each sum below is one integer
+    over the contributions' denominator, so each sum below is one integer
     sum per part.
     """
 
@@ -103,9 +105,9 @@ class _Counted:
 
     def tally(self, feasible: list[int]) -> Report:
         """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
-        std, inf, freq, std_den, inf_den, freq_den = self.counts(feasible)
-        contrib = {i: _exact(std[i], inf[i], std_den, inf_den) for i in feasible}
-        f = _exact(sum(std), sum(inf), std_den, inf_den)
+        std, inf, freq, den, freq_den = self.counts(feasible)
+        contrib = {i: _exact(std[i], inf[i], den) for i in feasible}
+        f = _exact(sum(std), sum(inf), den)
         return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
 
     def split(self, feasible: list[int]) -> tuple[int, XNum, XNum]:
@@ -114,14 +116,14 @@ class _Counted:
         ``top`` is a feasible index of largest bias u; ``bdif`` is the sum
         over picks of freq_i * (u - b_i), and ``sur`` the rest of the value.
         """
-        std, inf, freq, std_den, inf_den, _ = self.counts(feasible)
+        std, inf, freq, den, _ = self.counts(feasible)
         bias = self.bias
         top = max(feasible, key=bias.__getitem__)
         u_std, u_inf = bias[top]
         gap_std = sum(freq[i] * (u_std - bias[i][0]) for i in feasible)
         gap_inf = sum(freq[i] * (u_inf - bias[i][1]) for i in feasible)
-        sur = _exact(sum(std) - gap_std, sum(inf) - gap_inf, std_den, inf_den)
-        return top, sur, _exact(gap_std, gap_inf, std_den, inf_den)
+        sur = _exact(sum(std) - gap_std, sum(inf) - gap_inf, den)
+        return top, sur, _exact(gap_std, gap_inf, den)
 
 
 def _best_menu(width, outside, root, include, exclude, value) -> Menu:
@@ -168,7 +170,7 @@ Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numera
 def _rank_pairs(pairs: set[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[Pair, int]:
     """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
 
-    Values and ``bias[i]`` are integer numerators over the same denominators,
+    Values and ``bias[i]`` are integer numerators over the same denominator,
     so one :func:`~delmenu.model.choice_key` per pair, in its integer form,
     sorts them by comparing integers.
     """
@@ -182,8 +184,7 @@ class _CorrelatedTables(NamedTuple):
     rankings: tuple[tuple[tuple[int, int], ...], ...]
     scale: int
     prob: tuple[int, ...]
-    std_den: int
-    inf_den: int
+    den: int
     prob_den: int
     bias: tuple[tuple[int, int] | None, ...]
 
@@ -194,16 +195,15 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
     ``rankings[k]`` lists profile k's candidates from the agent's favorite
     down, cut after the outside option: nothing ranked below it is ever
     picked.  Each entry is a candidate's bit, ``1 << i`` for index i, and its
-    value times profile k's probability, whose numerators ``std`` over
-    ``std_den`` and ``inf`` over ``inf_den`` are stored packed as ``std *
-    scale + inf``; ``prob[k]`` is that probability over ``prob_den``.
-    ``bias[i]`` is index i's bias as ``(std, inf)`` numerators over the value
-    denominators, ``std_den`` and ``inf_den`` divided by ``prob_den`` (None
-    for a missing outside option).  ``scale`` is odd and exceeds twice the
-    sum over profiles of each one's largest |inf|, so a sum of packed values,
-    one per profile at most, has |inf| at most ``scale // 2``: it adds and
-    compares as the pairs do, lexicographically, and its pair is recovered
-    exactly.
+    value times profile k's probability, whose numerators ``std`` and
+    ``inf`` over ``den`` are stored packed as ``std * scale + inf``;
+    ``prob[k]`` is that probability over ``prob_den``.  ``bias[i]`` is index
+    i's bias as ``(std, inf)`` numerators over the value denominator, ``den
+    // prob_den`` (None for a missing outside option).  ``scale`` is odd and
+    exceeds twice the sum over profiles of each one's largest |inf|, so a sum
+    of packed values, one per profile at most, has |inf| at most ``scale //
+    2``: it adds and compares as the pairs do, lexicographically, and its
+    pair is recovered exactly.
 
     Every walk reads the rankings: ``counts`` takes each profile's first
     feasible entry, and ``search`` and ``best_prefix`` value menus by one
@@ -226,7 +226,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         half = self.scale // 2
         inf = [(t + half) % self.scale - half for t in total]
         std = [(t - r) // self.scale for t, r in zip(total, inf)]
-        return std, inf, freq, self.std_den, self.inf_den, self.prob_den
+        return std, inf, freq, self.den, self.prob_den
 
     def _bound(self, state: tuple[int, int], leaf: bool) -> int:
         """An exact upper bound on the value of every menu below ``state``.
@@ -283,7 +283,7 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     # A profile lists its values in candidate order: the actions, then the outside option.
     indices = candidates(instance, full_menu(instance))
     values = [v for profile in instance.profiles for v in profile.values]
-    lifted, dens = numerators(values + [instance.bias_of(i) for i in indices])
+    lifted, den = numerators(values + [instance.bias_of(i) for i in indices])
     bias = dict(zip(indices, lifted[len(values) :]))
     width = len(indices)
     rows = [list(zip(indices, lifted[k : k + width])) for k in range(0, len(values), width)]
@@ -304,8 +304,7 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
         tuple(rankings),
         scale,
         tuple(prob),
-        dens[0] * prob_den,
-        dens[1] * prob_den,
+        den * prob_den,
         prob_den,
         tuple(map(bias.get, range(instance.n + 1))),
     )
@@ -320,8 +319,7 @@ class _IndependentTables(NamedTuple):
     owner: tuple[int, ...]
     std: tuple[int, ...]
     inf: tuple[int, ...]
-    std_den: int
-    inf_den: int
+    den: int
     bias: tuple[tuple[int, int] | None, ...]
 
 
@@ -334,10 +332,14 @@ class IndependentKernel(_IndependentTables, _Counted):
     ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
     with probabilities as numerators over ``prob_den[i]`` (index 0 is the
     outside option, empty when there is none).  The pair of rank r belongs
-    to index ``owner[r]`` and has value ``std[r] / std_den`` plus
-    ``inf[r] / inf_den`` times iota.  ``bias[i]`` is index i's bias as
-    ``(std, inf)`` numerators over the same denominators (None for a missing
-    outside option).
+    to index ``owner[r]`` and has value ``std[r] / den`` plus ``inf[r] /
+    den`` times iota.  ``bias[i]`` is index i's bias as ``(std, inf)``
+    numerators over ``den`` too (None for a missing outside option).
+
+    Winner states are ``(ranks, masses, den)``, and :meth:`_add` is the one
+    step that folds an action into them.  Menus compare by :meth:`_value`,
+    over the product of every candidate's ``prob_den``, which every menu's
+    state ``den`` divides.
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -347,6 +349,22 @@ class IndependentKernel(_IndependentTables, _Counted):
         # Pickles and copies carry the fields alone, so a filled memo leaves
         # the bytes as they were.
         return None
+
+    def _add(self, states: States, i: int) -> States:
+        """The winner states with index i folded in, and ``den`` times its ``prob_den``."""
+        ranks, masses, den = states
+        return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), den * self.prob_den[i])
+
+    def _value(self, states: States, shared: int) -> tuple[int, int]:
+        """The states' value as (std, inf) numerators over ``self.den * shared``.
+
+        ``shared`` is a multiple of the states' ``den``, the same for every
+        menu compared, so values compare as integer pairs.
+        """
+        ranks, masses, den = states
+        std, inf = self.total(ranks, masses)
+        factor = shared // den
+        return std * factor, inf * factor
 
     def winners(self, feasible: list[int]) -> States:
         """Winner states of the DP folded over ``feasible``: (ranks, masses, den).
@@ -359,17 +377,15 @@ class IndependentKernel(_IndependentTables, _Counted):
         folded again: fold order changes no state, so the stored states are
         exactly those a fresh fold would give.
         """
-        hit = self._memo.get(frozenset(feasible))
-        if hit is not None:
-            return hit
-        ranks, masses, den = [-1], [1], 1
-        for i in feasible:
-            ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
-            den *= self.prob_den[i]
-        return tuple(ranks), tuple(masses), den
+        states = self._memo.get(frozenset(feasible))
+        if states is None:
+            states = (-1,), (1,), 1
+            for i in feasible:
+                states = self._add(states, i)
+        return states
 
     def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
-        """Sum of value times mass over states: (std, inf) numerators over the value dens."""
+        """Sum of value times mass over states: (std, inf) numerators over ``den``."""
         return (
             sum(self.std[r] * m for r, m in zip(ranks, masses)),
             sum(self.inf[r] * m for r, m in zip(ranks, masses)),
@@ -385,75 +401,48 @@ class IndependentKernel(_IndependentTables, _Counted):
             std[i] += self.std[r] * m
             inf[i] += self.inf[r] * m
             freq[i] += m
-        return std, inf, freq, self.std_den * den, self.inf_den * den, den
+        return std, inf, freq, self.den * den, den
 
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` without a bound.
 
-        A node's state is its winner states' ranks and masses and a scale.
-        The outside option is folded once at the root, and each include
-        folds one action into its parent's states, so there is one fold per
-        tree edge rather than one per action of every menu.  Each exclude
-        multiplies the scale by the action's ``prob_den``, so at a leaf the
-        scaled (std, inf) numerators are over the mass denominator every menu
-        shares, the product of ``prob_den``, and leaves compare as integer
-        pairs.
+        A node's state is its winner states.  The outside option is folded
+        once at the root, and each include folds one action into its
+        parent's states, so there is one fold per tree edge rather than one
+        per action of every menu; an exclude leaves the states as they are.
+        Leaves compare by :meth:`_value`.
         """
-
-        def include(state: tuple, i: int) -> tuple:
-            ranks, masses, scale = state
-            return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), scale)
-
-        def exclude(state: tuple, i: int) -> tuple:
-            ranks, masses, scale = state
-            return ranks, masses, scale * self.prob_den[i]
-
-        def value(state: tuple, leaf: bool) -> tuple[int, int] | None:
-            if not leaf:
-                return None
-            ranks, masses, scale = state
-            std, inf = self.total(ranks, masses)
-            return std * scale, inf * scale
-
+        shared = prod(self.prob_den)
         outside = bool(self.ranks[OUTSIDE])
-        ranks, masses, _ = self.winners([OUTSIDE] if outside else [])
-        return _best_menu(len(self.ranks), outside, (ranks, masses, 1), include, exclude, value)
+        return _best_menu(
+            len(self.ranks), outside, self.winners([OUTSIDE] if outside else []),
+            self._add, lambda states, i: states,
+            lambda states, leaf: self._value(states, shared) if leaf else None,
+        )
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
 
         One pass: the outside option is folded first, then each step's
-        actions, each once; the steps are disjoint.  Step j's (std, inf)
-        numerators are over the product of the folded actions' ``prob_den``;
-        scaled by that product over the later steps' actions, every step's
-        are over the same denominator and compare as integer pairs.  Ties go
-        to the earlier step.  The pass replaces the memo with the winner
-        states of the best step's menu and of the last step's, the union of
-        all steps, so :meth:`winners` does not fold those menus again.
+        actions, each once; the steps are disjoint.  Steps compare by
+        :meth:`_value`, and ties go to the earlier step.  The pass replaces
+        the memo with the winner states of the best step's menu and of the
+        last step's, the union of all steps, so :meth:`winners` does not
+        fold those menus again.
         """
-        scales = []
-        scale = 1
-        for added in reversed(steps):
-            scales.append(scale)
-            for i in added:
-                scale *= self.prob_den[i]
+        shared = prod(self.prob_den)
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
-        ranks, masses, den = self.winners(feasible)
+        states = self.winners(feasible)
         best = None
-        for j, (added, scale) in enumerate(zip(steps, reversed(scales))):
+        for j, added in enumerate(steps):
             for i in added:
-                ranks, masses = _fold(ranks, masses, self.ranks[i], self.probs[i])
-                den *= self.prob_den[i]
+                states = self._add(states, i)
             feasible += added
-            std, inf = self.total(ranks, masses)
-            value = std * scale, inf * scale
+            value = self._value(states, shared)
             if best is None or value > best[0]:
-                best = value, j, len(feasible), ranks, masses, den
-        _, j, size, best_ranks, best_masses, best_den = best
-        self._memo = {
-            frozenset(feasible[:size]): (tuple(best_ranks), tuple(best_masses), best_den),
-            frozenset(feasible): (tuple(ranks), tuple(masses), den),
-        }
+                best = value, j, len(feasible), states
+        _, j, size, best_states = best
+        self._memo = {frozenset(feasible[:size]): best_states, frozenset(feasible): states}
         return j
 
     def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
@@ -467,29 +456,29 @@ class IndependentKernel(_IndependentTables, _Counted):
         The worst one's top pair, re-biased to ``bias`` with its agent utility
         kept, is the stand-in, with an index above every action's.  It wins
         the kept winner states ranked below it; agent utilities can tie, so
-        it is placed by its real choice key.
+        it is placed by its integer choice key over ``den``, where ``bias``
+        scales to exact rational numerators that compare with the pairs'.
         """
         ranks, masses, den = self.winners(kept)
         top = min(
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
         )
-        dens = self.std_den, self.inf_den
+        t = bias.std * self.den, bias.inf * self.den
         bias_std, bias_inf = self.bias[self.owner[top]]
-        value = _exact(self.std[top] + bias_std, self.inf[top] + bias_inf, *dens) - bias
+        value = self.std[top] + bias_std - t[0], self.inf[top] + bias_inf - t[1]
 
         def pair_key(r: int) -> tuple:
             i = self.owner[r]
-            value = _exact(self.std[r], self.inf[r], *dens)
-            return choice_key(i, value, _exact(*self.bias[i], *dens))
+            return choice_key(i, (self.std[r], self.inf[r]), self.bias[i])
 
-        below = bisect_left(
-            range(len(self.owner)), choice_key(len(self.ranks), value, bias), key=pair_key
-        )
+        stand_in_key = choice_key(len(self.ranks), value, t)
+        below = bisect_left(range(len(self.owner)), stand_in_key, key=pair_key)
         cut = bisect_left(ranks, below)
         std, inf = self.total(ranks[cut:], masses[cut:])
-        kept_part = _exact(std, inf, self.std_den * den, self.inf_den * den)
-        return value, kept_part + value * Fraction(sum(masses[:cut]), den)
+        mass = sum(masses[:cut])
+        kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * den)
+        return _exact(*value, self.den), kept_part
 
 
 def _fold(
@@ -497,8 +486,8 @@ def _fold(
     masses: Sequence[int],
     new_ranks: tuple[int, ...],
     new_masses: tuple[int, ...],
-) -> tuple[list[int], list[int]]:
-    """Winner states after one more independent action; every list ascends by rank.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Winner states after one more independent action; every tuple ascends by rank.
 
     An incumbent of rank r keeps winning against every new draw ranked below
     r; a new draw of rank s wins against every incumbent ranked below s.
@@ -520,13 +509,13 @@ def _fold(
         lo = hi
     out_ranks += ranks[lo:]
     out_masses += [m * below_new for m in masses[lo:]]
-    return out_ranks, out_masses
+    return tuple(out_ranks), tuple(out_masses)
 
 
 def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     indices = candidates(instance, full_menu(instance))
     draws = [(i, v, p) for i in indices for v, p in instance.support_of(i)]
-    lifted, dens = numerators([v for _, v, _ in draws] + [instance.bias_of(i) for i in indices])
+    lifted, den = numerators([v for _, v, _ in draws] + [instance.bias_of(i) for i in indices])
     pairs = [(i, value) for (i, _, _), value in zip(draws, lifted)]
     bias = dict(zip(indices, lifted[len(draws) :]))
     rank = _rank_pairs(set(pairs), bias)
@@ -551,6 +540,6 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
         tuple(i for i, _ in by_rank),
         tuple(std for _, (std, _) in by_rank),
         tuple(inf for _, (_, inf) in by_rank),
-        *dens,
+        den,
         tuple(map(bias.get, range(width))),
     )

@@ -14,6 +14,7 @@ values are exact (:class:`~delmenu.xnum.XNum` over rationals).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +45,29 @@ class NoFeasibleActionError(DelegationError):
 
 class CapExceededError(DelegationError):
     """An enumeration would exceed its configured size cap."""
+
+
+# Frames a recursive search may need beyond one per level: its leaf's calls.
+_SEARCH_FRAMES = 50
+
+
+def check_depth(levels: int) -> None:
+    """Raise ``CapExceededError`` if a recursion ``levels`` deep would pass the interpreter's limit.
+
+    The limit (``sys.getrecursionlimit()``) counts the frames already on the
+    stack, so the levels left are that limit less those frames and a margin
+    for the search's own calls at its deepest level.  The limit itself is
+    kept.
+    """
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+    limit = sys.getrecursionlimit() - used - _SEARCH_FRAMES
+    if levels > limit:
+        raise CapExceededError(
+            f"a search {levels} levels deep exceeds the depth limit of {limit} levels"
+            f" under the interpreter's recursion limit of {sys.getrecursionlimit()}"
+        )
 
 
 Support = tuple[tuple[XNum, Fraction], ...]
@@ -279,12 +303,13 @@ def choice_key(index: int, value: XNum | tuple[int, int], bias: XNum | tuple[int
     (3) any in-menu action over the outside option; (4) lower index.
 
     ``value`` and ``bias`` may instead both be ``(std, inf)`` pairs of
-    integer numerators over common denominators, standard and iota parts
-    separately (see :func:`~delmenu.xnum.numerators`): the same order, but
-    keys sharing those denominators compare as integers, not fractions.
+    numerators over one common denominator (see
+    :func:`~delmenu.xnum.numerators`): the same order, but keys sharing that
+    denominator compare as integers, not fractions.  XNums are read as their
+    ``(std, inf)`` pairs, over the common denominator 1.
     """
     if isinstance(value, XNum):
-        return ((value + bias)._key(), value._key(), 1 if index != OUTSIDE else 0, -index)
+        value, bias = value._key(), bias._key()
     (std, inf), (bias_std, bias_inf) = value, bias
     return ((std + bias_std, inf + bias_inf), value, 1 if index != OUTSIDE else 0, -index)
 

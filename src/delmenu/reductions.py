@@ -7,10 +7,10 @@ can be checked instance by instance with exact arithmetic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .evaluate import DEFAULT_ACTION_CAP
 from .model import (
     Action,
     CapExceededError,
@@ -18,8 +18,9 @@ from .model import (
     IndependentInstance,
     InvalidInstanceError,
     Profile,
+    check_depth,
 )
-from .xnum import INTEGER, IOTA, XNum
+from .xnum import IOTA, XNum, parse_integer
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,10 @@ def parse_graph(text: str, vertices: int | None = None) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidInstanceError(f"line {lineno}: expected 'u v', got {line!r}")
-        if not all(re.fullmatch(INTEGER, part) for part in parts):
-            raise InvalidInstanceError(f"line {lineno}: non-integer endpoint in {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((parse_integer(parts[0]), parse_integer(parts[1])))
+        except ValueError as exc:
+            raise InvalidInstanceError(f"line {lineno}: non-integer endpoint: {exc}") from exc
     if vertices is None:
         if not edges:
             raise InvalidInstanceError("empty edge list; pass an explicit vertex count")
@@ -72,16 +74,20 @@ def parse_graph(text: str, vertices: int | None = None) -> Graph:
     return Graph(vertices, tuple(edges))
 
 
-def min_vertex_cover(g: Graph, cap_n: int = 20) -> int:
+def min_vertex_cover(g: Graph, cap_n: int = DEFAULT_ACTION_CAP) -> int:
     """Exact minimum vertex cover size by branching on a vertex of maximum degree.
 
     Every cover holds a vertex v or all of its neighbours, so the vertex v
     with the most uncovered edges splits the search into v in the cover or
     its remaining neighbours in it.  A branch stops once it is as large as
     the best cover found so far, which starts at all vertices but one.
+    Raises ``CapExceededError`` above ``cap_n`` vertices and, whatever
+    ``cap_n`` says, when the branching, one level per decided vertex, would
+    recurse deeper than the interpreter allows.
     """
     if g.vertices > cap_n:
         raise CapExceededError(f"graph has {g.vertices} vertices, cap is {cap_n}")
+    check_depth(g.vertices + 1)
     neighbours = [0] * (g.vertices + 1)
     for u, v in g.edges:
         neighbours[u] |= 1 << v

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .evaluate import evaluate
+from .evaluate import DEFAULT_ACTION_CAP, evaluate
 from .model import (
     CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
     Instance,
     Menu,
+    check_depth,
 )
 from .xnum import XNum
 
@@ -54,7 +55,7 @@ class BoundReport:
     vacuous: bool = False
 
 
-def brute_force_opt(instance: Instance, cap_n: int = 20) -> tuple[Menu, XNum]:
+def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tuple[Menu, XNum]:
     """The optimal menu and its value; ties favor smaller, then lexicographic.
 
     An exact search over the empty menu (legal only with an outside option)
@@ -65,10 +66,13 @@ def brute_force_opt(instance: Instance, cap_n: int = 20) -> tuple[Menu, XNum]:
     instances).  Among menus of equal value it returns the smallest, then
     the lexicographically smallest: the first maximizer of a
     size-then-lexicographic scan.  Raises ``CapExceededError`` above
-    ``cap_n`` actions, since the worst case still doubles per action.
+    ``cap_n`` actions, since the worst case still doubles per action, and,
+    whatever ``cap_n`` says, when the walk, one level per action, would
+    recurse deeper than the interpreter allows.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
+    check_depth(instance.n + 1)
     menu = instance.kernel.search()
     return menu, evaluate(instance, menu).f
 
@@ -118,7 +122,7 @@ def best_threshold(instance: Instance) -> tuple[XNum | None, Menu, XNum]:
     return steps[j][0], menu, evaluate(instance, menu).f
 
 
-def solve(instance: Instance, cap_n: int = 20) -> SolveResult:
+def solve(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> SolveResult:
     opt_menu, opt_value = brute_force_opt(instance, cap_n)
     t, t_menu, t_value = best_threshold(instance)
     ratio = opt_value.std / t_value.std if t_value.std > 0 else None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -25,6 +26,24 @@ Rational = Union[int, Fraction]
 # digits, with an optional sign and nothing around it.
 INTEGER = r"[+-]?[0-9]+"
 RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"
+
+
+def parse_integer(text: str) -> int:
+    """An integer literal in ASCII digits, with an optional sign, as an int.
+
+    ``int``'s own grammar also reads underscores, blanks and non-ASCII
+    digits.  Raises ``ValueError``, also for a literal of more digits than
+    the interpreter converts (``sys.get_int_max_str_digits()``).
+    """
+    if not re.fullmatch(INTEGER, text):
+        raise ValueError(f"invalid integer {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(
+            f"integer of {len(text.lstrip('+-'))} digits exceeds the interpreter's limit"
+            f" of {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -166,13 +185,11 @@ def scaled(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def numerators(xs: list[XNum]) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """``xs`` as integer ``(std, inf)`` pairs over common denominators, and those.
+def numerators(xs: list[XNum]) -> tuple[list[tuple[int, int]], int]:
+    """``xs`` as integer ``(std, inf)`` pairs over one common denominator, and it.
 
-    The standard and iota parts each get the least common denominator of
-    their own, so the pairs compare lexicographically, and add, as the
-    XNums do.
+    The denominator is the least common one of both parts of every number,
+    so the pairs compare lexicographically, and add, as the XNums do.
     """
-    std_den = common_denominator(x.std for x in xs)
-    inf_den = common_denominator(x.inf for x in xs)
-    return [(scaled(x.std, std_den), scaled(x.inf, inf_den)) for x in xs], (std_den, inf_den)
+    den = math.lcm(common_denominator(x.std for x in xs), common_denominator(x.inf for x in xs))
+    return [(scaled(x.std, den), scaled(x.inf, den)) for x in xs], den

@@ -541,6 +541,54 @@ def test_sweep_skips_over_cap(tmp_path, capsys):
     assert rows[0]["status"].startswith("skipped")
 
 
+def test_search_deeper_than_the_recursion_limit_is_a_cap(tmp_path, capsys):
+    # The walk recurses once per action: n + 1 levels, past the interpreter's
+    # recursion limit whatever --cap-n allows.
+    n = sys.getrecursionlimit() + 100
+    big = str(tmp_path / "big.json")
+    argv = ["--kind", "correlated", "--seed", "1", "--n", str(n), "--support-size", "2"]
+    assert main(["generate", "random", *argv, "-o", big]) == 0
+    capsys.readouterr()
+    reason = f"a search {n + 1} levels deep exceeds the depth limit of "
+    code, out, err = run(capsys, "solve", big, "--cap-n", str(2 * n))
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {reason}") and "recursion limit" in err
+    spec = write_spec(
+        tmp_path,
+        {"generator": "random", "kind": "correlated", "n": n, "count": 1, "seed0": 1},
+    )
+    out_file = str(tmp_path / "rows.csv")
+    assert run(capsys, "sweep", spec, "-o", out_file, "--cap-n", str(2 * n))[0] == 0
+    assert read_rows(out_file)[0]["status"].startswith(f"skipped: {reason}")
+
+
+def stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_reduce_vertex_cover_past_the_depth_limit_omits_the_cover(tmp_path, capsys):
+    # 60 disjoint edges: the cover search recurses once per edge.  The limit
+    # is lowered so that so small a graph passes it; at the default limit
+    # 1,100 edges do, and their instance file takes about 465 MB.
+    edges = tmp_path / "matching.edges"
+    edges.write_text("".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(60)))
+    out_file = tmp_path / "vc.json"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        code, out, err = run(
+            capsys, "reduce", "vertex-cover", str(edges), "--cap-n", "3000", "-o", str(out_file)
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"actions": 121, "profiles": 180}
+    assert load_instance(str(out_file)).n == 121
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -1044,6 +1092,39 @@ def test_numbers_beyond_the_digit_limit_are_a_cap(tmp_path, capsys, digit_limit_
     assert [r | {"runtime_ms": ""} for r in rows[::2]] == [
         r | {"runtime_ms": ""} for r in read_rows(short)
     ]
+
+
+LONG_TOKEN = "1" * 5000  # more digits than int converts under a limit of 4300
+OVER_LIMIT = "integer of 5000 digits exceeds the interpreter's limit of 4300 digits"
+PARTITION = ["reduce", "partition", "FILE", "-o", "OUT"]
+VERTEX_COVER = ["reduce", "vertex-cover", "FILE", "-o", "OUT"]
+ENDPOINT = "non-integer endpoint"
+
+
+@pytest.mark.parametrize(
+    "content, argv, code, message",
+    [
+        (f"{LONG_TOKEN} 3\n", PARTITION, 2, f"FILE: {OVER_LIMIT}"),
+        ("1 1_0 2\n", PARTITION, 2, "FILE: invalid integer '1_0'"),
+        (f"1 {LONG_TOKEN}\n", VERTEX_COVER, 2, f"FILE: line 1: {ENDPOINT}: {OVER_LIMIT}"),
+        ("1 2\n2 \u0663\n", VERTEX_COVER, 2, f"FILE: line 2: {ENDPOINT}: invalid integer '\u0663'"),
+        (None, ["eval", "LOG", "--menu", LONG_TOKEN], 3, f"invalid menu spec {LONG_TOKEN!r}"),
+        (None, ["eval", "LOG", "--menu", "0_1"], 3, "invalid menu spec '0_1'"),
+    ],
+    ids=["partition-long", "partition-1_0", "edge-long", "edge-arabic-3", "menu-long", "menu-0_1"],
+)
+def test_integer_tokens_go_through_one_reader(
+    tmp_path, capsys, digit_limit_4300, log3_file, content, argv, code, message
+):
+    # A token over the digit limit is malformed input, as in an instance
+    # file, not a result too long to print.
+    file, out_file = tmp_path / "input", tmp_path / "out"
+    if content is not None:
+        file.write_text(content, encoding="utf-8")
+    paths = {"FILE": str(file), "OUT": str(out_file), "LOG": log3_file}
+    got = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert got == (code, "", f"error: {message.replace('FILE', str(file))}\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

@@ -255,10 +255,9 @@ def pairs_of(instance):
     }
 
 
-def as_xnum_pairs(pairs, dens):
-    """Integer (index, (std, inf)) pairs over ``dens`` as (index, XNum) pairs."""
-    std_den, inf_den = dens
-    return {(i, XNum(Fraction(std, std_den), Fraction(inf, inf_den))) for i, (std, inf) in pairs}
+def as_xnum_pairs(pairs, den):
+    """Integer (index, (std, inf)) pairs over ``den`` as (index, XNum) pairs."""
+    return {(i, XNum(Fraction(std, den), Fraction(inf, den))) for i, (std, inf) in pairs}
 
 
 def candidate_biases(instance):
@@ -266,14 +265,11 @@ def candidate_biases(instance):
     return {(i, instance.bias_of(i)) for i in candidates(instance, full_menu(instance))}
 
 
-def shared_dens(instance):
-    """The least common denominators of every ranked value and candidate bias,
-    standard and iota parts separately: the kernel's one lift."""
+def shared_den(instance):
+    """The least common denominator of both parts of every ranked value and
+    candidate bias: the kernel's one lift."""
     xs = [v for _, v in pairs_of(instance) | candidate_biases(instance)]
-    return (
-        math.lcm(*{x.std.denominator for x in xs}),
-        math.lcm(*{x.inf.denominator for x in xs}),
-    )
+    return math.lcm(*{part.denominator for x in xs for part in (x.std, x.inf)})
 
 
 # Values repeat across profiles, and some differ only in their iota part.
@@ -311,9 +307,9 @@ def test_kernel_is_compiled_once_per_instance(monkeypatch):
         best_threshold(inst)
         assert inst.kernel is inst.kernel
         assert len(lifts) == 1  # values and biases in one lift
-        dens = shared_dens(inst)
+        den = shared_den(inst)
         assert [
-            (as_xnum_pairs(pairs, dens), as_xnum_pairs(bias.items(), dens))
+            (as_xnum_pairs(pairs, den), as_xnum_pairs(bias.items(), den))
             for pairs, bias in rankings
         ] == [(pairs_of(inst), candidate_biases(inst))]
         assert len(keys) == len(set(keys)) == len(pairs_of(inst))  # one choice key per pair
@@ -484,15 +480,22 @@ def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# Drawn with unlike denominators: the standard and iota parts of one grid
+# number are divided by their own integers up to 3.
+UNLIKE_DENS = st.sampled_from(["independent", "correlated"]).flatmap(
+    lambda kind: small_instances(kind, max_den=3)
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@given(UNLIKE_DENS)
 @example(IOTA_REPEATS)  # negative iota parts: packed sums must unpack to negative inf
 def test_kernel_equals_reference_on_drawn_instances(instance):
     assert_matches_reference(instance, all_menus(instance))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_instances("independent"), st.data())
+@given(small_instances("independent", max_den=3), st.data())
 def test_derandomize_equals_reference_on_drawn_instances(instance, data):
     indices = st.sets(st.integers(1, instance.n), min_size=0 if instance.has_outside else 1)
     opt_menu = frozenset(data.draw(indices))
@@ -500,7 +503,11 @@ def test_derandomize_equals_reference_on_drawn_instances(instance, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["independent", "correlated"]).flatmap(lambda k: small_instances(k, 5)))
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, 5, max_den=3)
+    )
+)
 def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
     assert brute_force_opt(instance) == scan_opt(instance)
 
@@ -532,7 +539,7 @@ def reference_compile(instance):
 
     Pairs are ranked by ``choice_key``'s fraction form, and values and
     probabilities scaled to integers one at a time, values and biases over
-    the denominators they share; the oracle for the compile's integer pair
+    the one denominator they share; the oracle for the compile's integer pair
     identities.  Each correlated ranking lists (bit, packed value) entries,
     favorite first and cut after the outside option, with a scale computed
     from the scaled rows.
@@ -546,7 +553,7 @@ def reference_compile(instance):
     pairs = {pair for row in rows for pair in row}
     ranked = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
     rank = {pair: r for r, pair in enumerate(ranked)}
-    std_den, inf_den = shared_dens(instance)
+    den = shared_den(instance)
 
     def scaled(x, den):
         return x.numerator * (den // x.denominator)
@@ -554,14 +561,14 @@ def reference_compile(instance):
     width = instance.n + 1
     biases = {i: instance.bias_of(i) for i in indices}
     bias = tuple(
-        (scaled(biases[i].std, std_den), scaled(biases[i].inf, inf_den)) if i in biases else None
+        (scaled(biases[i].std, den), scaled(biases[i].inf, den)) if i in biases else None
         for i in range(width)
     )
     if isinstance(instance, CorrelatedInstance):
         prob_den = math.lcm(*{p.prob.denominator for p in instance.profiles})
         prob = [scaled(profile.prob, prob_den) for profile in instance.profiles]
         scale = 2 * sum(
-            max(abs(scaled(v.inf, inf_den)) * p for _, v in row) for row, p in zip(rows, prob)
+            max(abs(scaled(v.inf, den)) * p for _, v in row) for row, p in zip(rows, prob)
         ) + 1
         rankings = []
         for row, p in zip(rows, prob):
@@ -569,12 +576,12 @@ def reference_compile(instance):
             if instance.has_outside:
                 ranked = ranked[: [i for i, _ in ranked].index(OUTSIDE) + 1]
             rankings.append(tuple(
-                (1 << i, (scaled(v.std, std_den) * scale + scaled(v.inf, inf_den)) * p)
+                (1 << i, (scaled(v.std, den) * scale + scaled(v.inf, den)) * p)
                 for i, v in ranked
             ))
         return CorrelatedKernel(
             tuple(rankings), scale, tuple(prob),
-            std_den * prob_den, inf_den * prob_den, prob_den, bias,
+            den * prob_den, prob_den, bias,
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
     for i in indices:
@@ -585,9 +592,9 @@ def reference_compile(instance):
     return IndependentKernel(
         tuple(ranks), tuple(probs), tuple(prob_dens),
         tuple(i for i, _ in ranked),
-        tuple(scaled(v.std, std_den) for _, v in ranked),
-        tuple(scaled(v.inf, inf_den) for _, v in ranked),
-        std_den, inf_den, bias,
+        tuple(scaled(v.std, den) for _, v in ranked),
+        tuple(scaled(v.inf, den) for _, v in ranked),
+        den, bias,
     )
 
 
@@ -659,7 +666,7 @@ TIED_STEPS = CorrelatedInstance(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["independent", "correlated"]).flatmap(small_instances))
+@given(UNLIKE_DENS)
 @example(EQUAL_BIASES)
 @example(EMPTY_WINS)
 @example(EMPTY_WINS_CORRELATED)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -90,6 +91,15 @@ def test_min_vertex_cover_complete_graph_and_cap():
         assert min_vertex_cover(Graph(n, tuple(combinations(range(1, n + 1), 2)))) == n - 1
     with pytest.raises(CapExceededError, match="graph has 7 vertices, cap is 6"):
         min_vertex_cover(Graph(7, ((1, 2),)), cap_n=6)
+
+
+def test_min_vertex_cover_refuses_a_search_deeper_than_the_recursion_limit():
+    # Disjoint edges: one level per vertex, past the interpreter's limit
+    # whatever cap_n says.
+    edges = sys.getrecursionlimit()
+    graph = Graph(2 * edges, tuple((2 * i + 1, 2 * i + 2) for i in range(edges)))
+    with pytest.raises(CapExceededError, match=f"a search {2 * edges + 1} levels deep exceeds"):
+        min_vertex_cover(graph, cap_n=4 * edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -55,6 +56,14 @@ def test_brute_force_cap():
     inst = random_independent(0, n=3)
     with pytest.raises(CapExceededError):
         brute_force_opt(inst, cap_n=2)
+
+
+def test_brute_force_refuses_a_walk_deeper_than_the_recursion_limit():
+    # One level per action, past the interpreter's limit whatever cap_n says.
+    n = sys.getrecursionlimit() + 100
+    inst = CorrelatedInstance((xnum(0),) * n, (Profile(Fraction(1), (xnum(1),) * n),))
+    with pytest.raises(CapExceededError, match=f"a search {n + 1} levels deep exceeds the depth"):
+        brute_force_opt(inst, cap_n=2 * n)
 
 
 def test_brute_force_tiebreak_smaller_then_lex():
