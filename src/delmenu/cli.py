@@ -81,8 +81,7 @@ _XNUM_RE = re.compile(f"(?:(?P<std>{RATIONAL})(?=[+-]))?(?P<inf>{RATIONAL})i")
 
 
 def parse_xnum_literal(text: str) -> XNum:
-    """Parse '24/7', '-3', '4-1i', '3/2+2i', '1i' into an exact number."""
-    text = text.strip().replace(" ", "")
+    """Parse '24/7', '-3', '4-1i', '3/2+2i', '1i' into an exact number; blanks are rejected."""
     match = _XNUM_RE.fullmatch(text)
     try:
         return xnum(match["std"] or 0, match["inf"]) if match else xnum(text)

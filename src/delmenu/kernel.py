@@ -18,8 +18,11 @@ numerators fill the kernel's value rows.
   integer so that sums add and compare as integers, favorite first and cut
   after the outside option.  The pick from a menu is the first menu member
   in the ranking, with the outside option, always feasible, as the floor.
-* An independent instance becomes, per action, its draws as (rank, integer
-  probability) pairs sorted by rank, which the winner-state DP folds.
+* An independent instance becomes, per action, its support as integer ranks
+  and probabilities, which the winner-state DP folds.  Supports need no
+  sort and no deduplication: :func:`~delmenu.model.make_support` merges
+  equal values and sorts by value, and for one action, of one bias, value
+  order is rank order.
 
 Values and biases are integer numerators over that one denominator, and
 probabilities over denominators of their own.  Only kernels hold that
@@ -38,8 +41,10 @@ walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
 only a root state, include and exclude steps, and a node value.  Correlated
 kernels bound each subtree with the rankings, the first-choice model of
 Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
-their integer program; independent kernels have no bound, and value every
-menu over one denominator that all menus share.  A kernel finds the best of
+their integer program.  Independent kernels have no bound; a node's winner
+states carry ``rest``, the product of the probability denominators of the
+actions not yet folded, so one multiplication scales a menu's value to the
+denominator that all menus share.  A kernel finds the best of
 a nested sequence of menus, such as the threshold menus in bias order
 (``best_prefix``): a correlated kernel values each menu by its bound at a
 leaf, which is exact, and an independent one in one pass that folds each
@@ -56,9 +61,9 @@ of the kernel's equality, repr or pickle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 from types import MappingProxyType
 from typing import NamedTuple
@@ -167,7 +172,7 @@ def _best_menu(width, outside, root, include, exclude, value) -> Menu:
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
 
 
-def _rank_pairs(pairs: set[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[Pair, int]:
+def _rank_pairs(pairs: Iterable[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[Pair, int]:
     """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
 
     Values and ``bias[i]`` are integer numerators over the same denominator,
@@ -323,7 +328,7 @@ class _IndependentTables(NamedTuple):
     bias: tuple[tuple[int, int] | None, ...]
 
 
-States = tuple[tuple[int, ...], tuple[int, ...], int]  # winner states: (ranks, masses, den)
+States = tuple[tuple[int, ...], tuple[int, ...], int]  # winner states: (ranks, masses, rest)
 
 
 class IndependentKernel(_IndependentTables, _Counted):
@@ -336,10 +341,13 @@ class IndependentKernel(_IndependentTables, _Counted):
     den`` times iota.  ``bias[i]`` is index i's bias as ``(std, inf)``
     numerators over ``den`` too (None for a missing outside option).
 
-    Winner states are ``(ranks, masses, den)``, and :meth:`_add` is the one
-    step that folds an action into them.  Menus compare by :meth:`_value`,
-    over the product of every candidate's ``prob_den``, which every menu's
-    state ``den`` divides.
+    Winner states are ``(ranks, masses, rest)``, and :meth:`_add` is the one
+    step that folds an action into them.  The masses are over the product
+    of the folded actions' ``prob_den``, which is their sum: a fold
+    multiplies the total by the folded action's ``prob_den`` and drops only
+    zero masses.  ``rest`` is the product of the ``prob_den`` of the
+    candidates not folded, so menus compare by :meth:`_value` over the
+    product of every candidate's ``prob_den``.
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -351,35 +359,34 @@ class IndependentKernel(_IndependentTables, _Counted):
         return None
 
     def _add(self, states: States, i: int) -> States:
-        """The winner states with index i folded in, and ``den`` times its ``prob_den``."""
-        ranks, masses, den = states
-        return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), den * self.prob_den[i])
+        """The winner states with index i folded in, and ``rest`` without its ``prob_den``."""
+        ranks, masses, rest = states
+        return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), rest // self.prob_den[i])
 
-    def _value(self, states: States, shared: int) -> tuple[int, int]:
-        """The states' value as (std, inf) numerators over ``self.den * shared``.
+    def _value(self, states: States) -> tuple[int, int]:
+        """The states' value as (std, inf) numerators over ``self.den`` times every ``prob_den``.
 
-        ``shared`` is a multiple of the states' ``den``, the same for every
-        menu compared, so values compare as integer pairs.
+        That denominator is the same for every menu, so values compare as
+        integer pairs.
         """
-        ranks, masses, den = states
+        ranks, masses, rest = states
         std, inf = self.total(ranks, masses)
-        factor = shared // den
-        return std * factor, inf * factor
+        return std * rest, inf * rest
 
     def winners(self, feasible: list[int]) -> States:
-        """Winner states of the DP folded over ``feasible``: (ranks, masses, den).
+        """Winner states of the DP folded over ``feasible``: (ranks, masses, rest).
 
         A state is a rank: the pair that is the agent's favorite so far, with
-        probability ``mass / den``; ranks ascend.  The winner is a max under a
-        total order, so actions fold in any order, and independence makes
-        each fold exact.  Folding nothing leaves the one state of rank -1,
+        probability ``mass / sum(masses)``; ranks ascend.  The winner is a
+        max under a total order, so actions fold in any order, and
+        independence makes each fold exact.  Folding nothing leaves the one state of rank -1,
         which every draw beats.  A feasible set that the memo holds is not
         folded again: fold order changes no state, so the stored states are
         exactly those a fresh fold would give.
         """
         states = self._memo.get(frozenset(feasible))
         if states is None:
-            states = (-1,), (1,), 1
+            states = (-1,), (1,), prod(self.prob_den)
             for i in feasible:
                 states = self._add(states, i)
         return states
@@ -393,7 +400,7 @@ class IndependentKernel(_IndependentTables, _Counted):
 
     def counts(self, feasible: list[int]) -> Counts:
         """Per-index integer counts of the winner states of ``feasible``."""
-        ranks, masses, den = self.winners(feasible)
+        ranks, masses, _ = self.winners(feasible)
         width = len(self.ranks)
         std, inf, freq = [0] * width, [0] * width, [0] * width
         for r, m in zip(ranks, masses):
@@ -401,6 +408,7 @@ class IndependentKernel(_IndependentTables, _Counted):
             std[i] += self.std[r] * m
             inf[i] += self.inf[r] * m
             freq[i] += m
+        den = sum(freq)
         return std, inf, freq, self.den * den, den
 
     def search(self) -> Menu:
@@ -412,12 +420,11 @@ class IndependentKernel(_IndependentTables, _Counted):
         per action of every menu; an exclude leaves the states as they are.
         Leaves compare by :meth:`_value`.
         """
-        shared = prod(self.prob_den)
         outside = bool(self.ranks[OUTSIDE])
         return _best_menu(
             len(self.ranks), outside, self.winners([OUTSIDE] if outside else []),
             self._add, lambda states, i: states,
-            lambda states, leaf: self._value(states, shared) if leaf else None,
+            lambda states, leaf: self._value(states) if leaf else None,
         )
 
     def best_prefix(self, steps: list[list[int]]) -> int:
@@ -430,7 +437,6 @@ class IndependentKernel(_IndependentTables, _Counted):
         last step's, the union of all steps, so :meth:`winners` does not
         fold those menus again.
         """
-        shared = prod(self.prob_den)
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
         states = self.winners(feasible)
         best = None
@@ -438,7 +444,7 @@ class IndependentKernel(_IndependentTables, _Counted):
             for i in added:
                 states = self._add(states, i)
             feasible += added
-            value = self._value(states, shared)
+            value = self._value(states)
             if best is None or value > best[0]:
                 best = value, j, len(feasible), states
         _, j, size, best_states = best
@@ -459,7 +465,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         it is placed by its integer choice key over ``den``, where ``bias``
         scales to exact rational numerators that compare with the pairs'.
         """
-        ranks, masses, den = self.winners(kept)
+        ranks, masses, _ = self.winners(kept)
         top = min(
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
@@ -477,7 +483,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         cut = bisect_left(ranks, below)
         std, inf = self.total(ranks[cut:], masses[cut:])
         mass = sum(masses[:cut])
-        kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * den)
+        kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * sum(masses))
         return _exact(*value, self.den), kept_part
 
 
@@ -513,25 +519,25 @@ def _fold(
 
 
 def compile_independent(instance: IndependentInstance) -> IndependentKernel:
+    # Supports are merged and sorted by value (make_support), and one
+    # action's bias is fixed, so each support is distinct pairs in rank order.
     indices = candidates(instance, full_menu(instance))
-    draws = [(i, v, p) for i in indices for v, p in instance.support_of(i)]
-    lifted, den = numerators([v for _, v, _ in draws] + [instance.bias_of(i) for i in indices])
-    pairs = [(i, value) for (i, _, _), value in zip(draws, lifted)]
+    draws = [(i, v) for i in indices for v, _ in instance.support_of(i)]
+    lifted, den = numerators([v for _, v in draws] + [instance.bias_of(i) for i in indices])
+    pairs = [(i, value) for (i, _), value in zip(draws, lifted)]
     bias = dict(zip(indices, lifted[len(draws) :]))
-    rank = _rank_pairs(set(pairs), bias)
+    rank = _rank_pairs(pairs, bias)
 
     width = instance.n + 1
-    ranked_draws: list[list[tuple[int, Fraction]]] = [[] for _ in range(width)]
-    for (i, _, p), pair in zip(draws, pairs):
-        ranked_draws[i].append((rank[pair], p))
     ranks: list[tuple[int, ...]] = [()] * width
     probs: list[tuple[int, ...]] = [()] * width
     prob_den = [1] * width
+    ranked = map(rank.__getitem__, pairs)  # in draw order: action by action
     for i in indices:
-        ranked_draws[i].sort()
-        prob_den[i] = common_denominator(p for _, p in ranked_draws[i])
-        ranks[i] = tuple(r for r, _ in ranked_draws[i])
-        probs[i] = tuple(scaled(p, prob_den[i]) for _, p in ranked_draws[i])
+        support = instance.support_of(i)
+        prob_den[i] = common_denominator(p for _, p in support)
+        ranks[i] = tuple(islice(ranked, len(support)))
+        probs[i] = tuple(scaled(p, prob_den[i]) for _, p in support)
     by_rank = list(rank)  # in rank order
     return IndependentKernel(
         tuple(ranks),

@@ -321,12 +321,9 @@ def agent_choice(instance: Instance, menu: Menu, values: Mapping[int, XNum]) -> 
     instance has an outside option.  Deterministic: the result is independent
     of iteration order by totality of :func:`choice_key`.
     """
-    menu = validate_menu(instance, menu)
-    feasible = candidates(instance, menu)
-    if not feasible:
-        raise NoFeasibleActionError("no feasible action")
+    menu = validate_menu(instance, menu)  # refuses an empty menu without an outside option
     return max(
-        feasible,
+        candidates(instance, menu),
         key=lambda i: choice_key(i, values[i], instance.bias_of(i)),
     )
 

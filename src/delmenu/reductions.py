@@ -22,6 +22,11 @@ from .model import (
 )
 from .xnum import IOTA, XNum, parse_integer
 
+# Most values a vertex-cover instance may hold, (edges + vertices) profiles of
+# vertices + 1 values each: as many as the default profile cap of
+# eval_bruteforce_product, about 65 MB of instance file.
+VERTEX_COVER_VALUE_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -79,8 +84,10 @@ def min_vertex_cover(g: Graph, cap_n: int = DEFAULT_ACTION_CAP) -> int:
 
     Every cover holds a vertex v or all of its neighbours, so the vertex v
     with the most uncovered edges splits the search into v in the cover or
-    its remaining neighbours in it.  A branch stops once it is as large as
-    the best cover found so far, which starts at all vertices but one.
+    its remaining neighbours in it.  A branch stops once its cover plus a
+    greedy matching of the uncovered edges, each of which needs a cover
+    vertex of its own, is as large as the best cover found so far, which
+    starts at all vertices but one.
     Raises ``CapExceededError`` above ``cap_n`` vertices and, whatever
     ``cap_n`` says, when the branching, one level per decided vertex, would
     recurse deeper than the interpreter allows.
@@ -94,18 +101,28 @@ def min_vertex_cover(g: Graph, cap_n: int = DEFAULT_ACTION_CAP) -> int:
         neighbours[v] |= 1 << u
     best = g.vertices - 1
 
+    def matching(left: int) -> int:
+        """Size of a greedy matching of the edges inside ``left``."""
+        size = 0
+        for v in range(1, g.vertices + 1):
+            mates = neighbours[v] & left
+            if left >> v & 1 and mates:
+                left &= ~(1 << v | mates & -mates)
+                size += 1
+        return size
+
     def branch(left: int, size: int) -> None:  # left: the vertices still undecided
         nonlocal best
+        if size + matching(left) >= best:
+            return
         degree, v = max(
             ((neighbours[v] & left).bit_count(), v) for v in range(g.vertices + 1) if left >> v & 1
         )
         if not degree:
             best = size
             return
-        if size + 1 < best:
-            branch(left & ~(1 << v), size + 1)
-        if size + degree < best:
-            branch(left & ~(1 << v) & ~neighbours[v], size + degree)
+        branch(left & ~(1 << v), size + 1)
+        branch(left & ~(1 << v) & ~neighbours[v], size + degree)
 
     branch((1 << g.vertices + 1) - 2, 0)
     return best
@@ -123,9 +140,15 @@ def reduce_vertex_cover(g: Graph) -> CorrelatedInstance:
     The best menu is a minimum vertex cover plus the default, worth exactly
     (5*edges + 3*vertices - cover) / (edges + vertices): covered edges pay 5,
     vertices in the cover pay 2, and the rest fall through to the default
-    for 3.
+    for 3.  Raises ``CapExceededError``, before any profile is built, when
+    the instance would hold more than ``VERTEX_COVER_VALUE_CAP`` values.
     """
     n, m = g.vertices, len(g.edges)
+    if (m + n) * (n + 1) > VERTEX_COVER_VALUE_CAP:
+        raise CapExceededError(
+            f"instance of {m + n} profiles of {n + 1} values exceeds the cap of"
+            f" {VERTEX_COVER_VALUE_CAP} values"
+        )
     prob = Fraction(1, m + n)
     zero = XNum(Fraction(0))
     default_value = XNum(Fraction(3))
@@ -224,11 +247,7 @@ def reduce_integer_partition(
     actions = []
     for i, c in enumerate(p.values, start=1):
         p_high = Fraction(c, M**3) + Fraction(c**2, 2 * M**4 - C * M**3)
-        q_low = Fraction(c, M)
-        if not (0 < p_high and 0 < q_low and p_high + q_low < 1):
-            raise InvalidInstanceError(
-                f"action {i}: probabilities p={p_high}, q={q_low} not a distribution"
-            )
+        q_low = Fraction(c, M)  # the M bounds give 0 < q_low <= 1/4 and a tiny p_high
         actions.append(
             Action(
                 XNum(big_bias),

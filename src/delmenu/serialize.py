@@ -148,10 +148,7 @@ def instance_from_obj(obj: Any) -> Instance:
         parsed = tuple(_parse_action(a, f"actions[{i}]") for i, a in enumerate(actions))
         outside = obj.get("outside")
         out = _parse_action(outside, "outside") if outside is not None else None
-        try:
-            return IndependentInstance(parsed, out)
-        except DelegationError as exc:
-            raise ParseError(str(exc)) from exc
+        return IndependentInstance(parsed, out)  # actions is nonempty, its one check
     if kind == "correlated":
         biases = []
         labels = []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,19 @@ def test_eval_threshold_menu(log3_file, capsys):
     code, out, _ = run(capsys, "eval", log3_file, "--menu", "threshold:4")
     assert code == 0
     assert json.loads(out)["menu"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("spec", ["threshold: 4", "threshold:4 - 1 i"])
+def test_eval_threshold_literal_rejects_blanks(log3_file, capsys, spec):
+    code, out, err = run(capsys, "eval", log3_file, "--menu", spec)
+    literal = spec[len("threshold:") :]
+    assert (code, out, err) == (3, "", f"error: invalid number literal {literal!r}\n")
+
+
+def test_eval_threshold_literal_with_an_iota_part(log3_file, capsys):
+    code, out, _ = run(capsys, "eval", log3_file, "--menu", "threshold:4-1i")
+    assert code == 0
+    assert json.loads(out)["menu"] == [1, 2]
 
 
 def test_eval_text_format(log3_file, capsys):
@@ -572,7 +586,7 @@ def stack_depth():
 def test_reduce_vertex_cover_past_the_depth_limit_omits_the_cover(tmp_path, capsys):
     # 60 disjoint edges: the cover search recurses once per edge.  The limit
     # is lowered so that so small a graph passes it; at the default limit
-    # 1,100 edges do, and their instance file takes about 465 MB.
+    # 1,100 edges do, and their instance is over the value cap.
     edges = tmp_path / "matching.edges"
     edges.write_text("".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(60)))
     out_file = tmp_path / "vc.json"
@@ -587,6 +601,30 @@ def test_reduce_vertex_cover_past_the_depth_limit_omits_the_cover(tmp_path, caps
     assert (code, err) == (0, "")
     assert json.loads(out) == {"actions": 121, "profiles": 180}
     assert load_instance(str(out_file)).n == 121
+
+
+def test_reduce_vertex_cover_of_100_disjoint_edges_finds_the_cover(tmp_path, capsys):
+    edges, out_file = tmp_path / "matching.edges", tmp_path / "vc.json"
+    edges.write_text("".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(100)))
+    code, out, err = run(
+        capsys, "reduce", "vertex-cover", str(edges), "--cap-n", "3000", "-o", str(out_file)
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["min_vertex_cover"] == 100
+    assert out_file.exists()
+
+
+def test_reduce_vertex_cover_over_the_value_cap_exits_3_and_writes_no_file(tmp_path, capsys):
+    edges, out_file = tmp_path / "matching.edges", tmp_path / "vc.json"
+    edges.write_text("".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(1100)))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "reduce", "vertex-cover", str(edges), "--cap-n", "3000", "-o", str(out_file)
+    )
+    assert time.perf_counter() - start < 1
+    message = "instance of 3300 profiles of 2201 values exceeds the cap of 1000000 values"
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1068,110 @@ def test_malformed_file_exits_2_with_one_error_line(tmp_path, capsys, content, a
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+ZERO_OBJ, ONE_OBJ = {"std": "0", "inf": "0"}, {"std": "1", "inf": "0"}
+MISSING = object()  # an edit that deletes the field
+INDEPENDENT_OBJ = {
+    "schema_version": 1,
+    "kind": "independent",
+    "actions": [{"bias": ZERO_OBJ, "support": [{"value": ONE_OBJ, "prob": "1"}]}],
+    "outside": None,
+}
+CORRELATED_OBJ = {
+    "schema_version": 1,
+    "kind": "correlated",
+    "actions": [{"bias": ZERO_OBJ}],
+    "outside": None,
+    "profiles": [{"prob": "1", "values": [ONE_OBJ]}],
+}
+
+
+def _edited(base, path, value):
+    obj = json.loads(json.dumps(base))
+    if not path:
+        return value
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [
+        (INDEPENDENT_OBJ, (), [], "top level: expected an object"),
+        (INDEPENDENT_OBJ, ("actions",), [], "actions: expected a nonempty list"),
+        (INDEPENDENT_OBJ, ("actions", 0), 5, "actions[0]: expected an object"),
+        (
+            INDEPENDENT_OBJ, ("actions", 0, "bias"), {"std": "1"},
+            "actions[0].bias: expected an object with 'std' and 'inf'",
+        ),
+        (INDEPENDENT_OBJ, ("actions", 0, "support"), [], "actions[0]: action support is empty"),
+        (
+            CORRELATED_OBJ, ("actions", 0, "bias"), MISSING,
+            "actions[0]: expected an object with 'bias'",
+        ),
+        (CORRELATED_OBJ, ("outside",), {}, "outside: expected an object with 'bias'"),
+        (CORRELATED_OBJ, ("profiles",), [], "profiles: expected a nonempty list"),
+        (CORRELATED_OBJ, ("profiles", 0), 3, "profiles[0]: expected an object"),
+        (CORRELATED_OBJ, ("profiles", 0, "prob"), MISSING, "profiles[0]: missing field 'prob'"),
+        (
+            CORRELATED_OBJ, ("profiles", 0, "prob"), "0",
+            "profiles[0]: profile probability 0 is not positive",
+        ),
+        (
+            CORRELATED_OBJ, ("profiles", 0, "values", 0, "std"), "-1",
+            "profiles[0]: profile value -1 has negative standard part",
+        ),
+        (
+            CORRELATED_OBJ, ("profiles",),
+            [{"prob": "2/3", "values": [ONE_OBJ]}, {"prob": "2/3", "values": [ZERO_OBJ]}],
+            "profile probabilities sum to 4/3, not 1",
+        ),
+    ],
+    ids=[
+        "top-level-list", "no-actions", "action-5", "bias-without-inf", "empty-support",
+        "correlated-action-without-bias", "outside-without-bias", "no-profiles", "profile-3",
+        "profile-without-prob", "prob-0", "negative-value", "probabilities-4/3",
+    ],
+)
+def test_instance_field_errors_exit_2_naming_the_field(
+    tmp_path, capsys, base, path, value, message
+):
+    file = tmp_path / "instance.json"
+    file.write_text(json.dumps(_edited(base, path, value)))
+    code, out, err = run(capsys, "solve", str(file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "random", "--support-size", "0", "--seed", "1"],
+        ["generate", "outside", "--n", "3", "--eps", "0"],
+    ],
+)
+def test_infeasible_generator_parameters_exit_3_and_write_no_file(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out_file.exists()
+
+
+def test_reduce_vertex_cover_of_no_vertices_exits_2(tmp_path, capsys):
+    edges, out_file = tmp_path / "empty.edges", tmp_path / "vc.json"
+    edges.write_text("")
+    code, out, err = run(
+        capsys, "reduce", "vertex-cover", str(edges), "--vertices", "0", "-o", str(out_file)
+    )
+    assert (code, out, err) == (2, "", f"error: {edges}: graph needs at least one vertex\n")
+    assert not out_file.exists()
 
 
 LONG_EPS = "1/1" + "0" * 2500  # three-approx results on this eps run past 4300 digits
