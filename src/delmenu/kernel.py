@@ -41,14 +41,19 @@ walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
 only a root state, include and exclude steps, and a node value.  Correlated
 kernels bound each subtree with the rankings, the first-choice model of
 Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
-their integer program.  Independent kernels have no bound; a node's winner
-states carry ``rest``, the product of the probability denominators of the
-actions not yet folded, so one multiplication scales a menu's value to the
-denominator that all menus share.  A kernel finds the best of
-a nested sequence of menus, such as the threshold menus in bias order
-(``best_prefix``): a correlated kernel values each menu by its bound at a
-leaf, which is exact, and an independent one in one pass that folds each
-step's indices once.
+their integer program.  Independent kernels have no bound, so their walk
+makes each node cheap instead: the draws are independent, so the chance
+that the winner ranks at most r is the product of the feasible candidates'
+CDFs at r, and by summation by parts a menu's value is a sum over ranks of
+that product times a value difference.  A node holds those terms, an
+include multiplies them by one action's CDF row, and a leaf sums them.  A
+kernel finds the best of a nested sequence of menus, such as the threshold
+menus in bias order (``best_prefix``): a correlated kernel values each menu
+by its bound at a leaf, which is exact, and an independent one in one pass
+that folds each step's indices into winner states once.  That pass keeps
+the fold, not the search's rows: it visits each action once, so rows as
+long as the whole ranking would cost more to build than they save, and its
+memo must hold winner states, which the reports read.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -63,8 +68,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from math import prod
+from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -347,7 +353,9 @@ class IndependentKernel(_IndependentTables, _Counted):
     multiplies the total by the folded action's ``prob_den`` and drops only
     zero masses.  ``rest`` is the product of the ``prob_den`` of the
     candidates not folded, so menus compare by :meth:`_value` over the
-    product of every candidate's ``prob_den``.
+    product of every candidate's ``prob_den``.  :meth:`winners`,
+    :meth:`counts`, :meth:`best_prefix` and the memo read winner states;
+    :meth:`search` walks a state of its own, on the same scale.
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -414,17 +422,45 @@ class IndependentKernel(_IndependentTables, _Counted):
     def search(self) -> Menu:
         """The best menu, by :func:`_best_menu` without a bound.
 
-        A node's state is its winner states.  The outside option is folded
-        once at the root, and each include folds one action into its
-        parent's states, so there is one fold per tree edge rather than one
-        per action of every menu; an exclude leaves the states as they are.
-        Leaves compare by :meth:`_value`.
+        The draws are independent, so the winner ranks at most r with
+        probability G(r), the product over the feasible candidates of their
+        CDFs at r.  Summation by parts gives a menu's value as the sum over
+        ranks r of G(r) * (v_r - v_{r+1}), where v_r is rank r's value and v
+        is 0 past the top rank; the term G(-1) * v_0 drops out, since G(-1)
+        is 0 once anything is feasible.  A node's state is that sum's terms,
+        one per rank, and ``rest``.  The root's terms are the value
+        differences and its ``rest`` the product of every ``prob_den``; an
+        include multiplies the terms by the action's cumulative probability
+        numerators and divides ``rest`` by its ``prob_den``, and an exclude
+        leaves the state as it is.  The outside option is included at the
+        root.  A leaf's value, ``sum(terms) * rest``, is over the same
+        denominator as :meth:`_value`'s.  Values are packed ``std * scale +
+        inf``, as in the correlated kernel's rankings, and ``scale`` exceeds
+        twice the largest |inf| a leaf can reach, so leaves compare as
+        :meth:`_value`'s pairs do.  The rows and the packing are built here,
+        not at compile time, since most compiled kernels are never searched.
         """
+        rest = prod(self.prob_den)
+        scale = 2 * max(map(abs, self.inf)) * rest + 1
+        packed = [std * scale + inf for std, inf in zip(self.std, self.inf)]
+        cdf = []
+        for ranks, probs in zip(self.ranks, self.probs):
+            row = [0] * len(packed)
+            for r, p in zip(ranks, probs):
+                row[r] = p
+            cdf.append(list(accumulate(row)))
+        prob_den = self.prob_den
+
+        def include(state: tuple[list[int], int], i: int) -> tuple[list[int], int]:
+            terms, rest = state
+            return list(map(mul, terms, cdf[i])), rest // prob_den[i]
+
+        root = [v - w for v, w in zip(packed, packed[1:] + [0])], rest
         outside = bool(self.ranks[OUTSIDE])
         return _best_menu(
-            len(self.ranks), outside, self.winners([OUTSIDE] if outside else []),
-            self._add, lambda states, i: states,
-            lambda states, leaf: self._value(states) if leaf else None,
+            len(self.ranks), outside, include(root, OUTSIDE) if outside else root,
+            include, lambda state, i: state,
+            lambda state, leaf: sum(state[0]) * state[1] if leaf else None,
         )
 
     def best_prefix(self, steps: list[list[int]]) -> int:

@@ -62,13 +62,14 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     and all 2^n - 1 nonempty menus, run on the instance's compiled kernel:
     a depth-first walk that prunes a subtree only when an exact bound shows
     it holds no menu of equal or higher value (correlated instances), or
-    that shares each prefix's work among the menus below it (independent
-    instances).  Among menus of equal value it returns the smallest, then
-    the lexicographically smallest: the first maximizer of a
-    size-then-lexicographic scan.  Raises ``CapExceededError`` above
-    ``cap_n`` actions, since the worst case still doubles per action, and,
-    whatever ``cap_n`` says, when the walk, one level per action, would
-    recurse deeper than the interpreter allows.
+    that visits every menu, with one elementwise product per included
+    action and one sum per menu (independent instances).  Among menus of
+    equal value it returns the smallest, then the lexicographically
+    smallest: the first maximizer of a size-then-lexicographic scan.
+    Raises ``CapExceededError`` above ``cap_n`` actions, since the worst
+    case still doubles per action, and, whatever ``cap_n`` says, when the
+    walk, one level per action, would recurse deeper than the interpreter
+    allows.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
@@ -187,11 +188,15 @@ def log2_at_least(q: Fraction, threshold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def max_action_value(instance: Instance) -> XNum:
-    """Largest value in any action's support (outside option excluded)."""
+def max_action_value(instance: Instance) -> Fraction:
+    """Standard part of the largest value in any action's support (outside option excluded).
+
+    Values order on their standard part first, so this is the largest
+    standard part, found without comparing whole values.
+    """
     if isinstance(instance, IndependentInstance):
-        return max(value for a in instance.actions for value, _ in a.support)
-    return max(p.values[i] for p in instance.profiles for i in range(instance.n))
+        return max(value.std for a in instance.actions for value, _ in a.support)
+    return max(p.values[i].std for p in instance.profiles for i in range(instance.n))
 
 
 def min_profile_mass(instance: Instance) -> Fraction:
@@ -231,7 +236,7 @@ def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
     best = result.best_threshold_value.std
     if opt == 0:
         return BoundReport(None, p_min, True, True, True, vacuous=True)
-    rho = max_action_value(instance).std / opt
+    rho = max_action_value(instance) / opt
 
     independent = isinstance(instance, IndependentInstance)
     fixed_outside = independent and (

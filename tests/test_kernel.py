@@ -59,7 +59,7 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.kernel import CorrelatedKernel, IndependentKernel, _rank_pairs
+from delmenu.kernel import CorrelatedKernel, IndependentKernel, _best_menu, _rank_pairs
 from delmenu.model import (
     OUTSIDE,
     candidates,
@@ -225,6 +225,39 @@ def test_brute_force_opt_equals_reference_scan():
         ]
     for inst in instances:
         assert brute_force_opt(inst) == scan_opt(inst)
+
+
+def fold_search(kernel):
+    """The independent kernel's best menu by winner states: the walk over
+    :meth:`~IndependentKernel._add` folds, valued by ``_value`` at leaves."""
+    outside = bool(kernel.ranks[OUTSIDE])
+    return _best_menu(
+        len(kernel.ranks), outside, kernel.winners([OUTSIDE] if outside else []),
+        kernel._add, lambda states, i: states,
+        lambda states, leaf: kernel._value(states) if leaf else None,
+    )
+
+
+def test_independent_search_equals_fold_search():
+    instances = [
+        random_independent(seed, outside, n=n, support=3)
+        for n in (9, 10)
+        for outside in OUTSIDE_MODES
+        for seed in range(2)
+    ]
+    rng = random.Random(0)
+    for size in (7, 8, 7, 8):
+        part = PartitionInstance(tuple([12] + rng.sample(range(1, 12), size - 1)))
+        instances.append(reduce_integer_partition(part, minimal_valid_m(part))[0])
+    for inst in instances:
+        assert inst.kernel.search() == fold_search(inst.kernel)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+def test_independent_search_equals_fold_search_at_16_actions(seed):
+    inst = random_independent(seed, n=16, support=3)
+    assert inst.kernel.search() == fold_search(inst.kernel)
 
 
 @pytest.mark.parametrize("vertices", [16, 19, 20])
@@ -502,12 +535,33 @@ def test_derandomize_equals_reference_on_drawn_instances(instance, data):
     assert_derandomize_matches_reference(instance, [opt_menu], pytest.MonkeyPatch)
 
 
+# Menus {1} and {2} tie at 1 on the standard part; iota decides for {2},
+# which the tie rule alone would not pick.
+IOTA_DECIDES = IndependentInstance(
+    (
+        Action(xnum(0), ((xnum(0), Fraction(1, 2)), (xnum(2), Fraction(1, 2)))),
+        deterministic(xnum(1), xnum(1, 1)),
+    )
+)
+# {1} is worth 2 - iota and {2} 1 + 5/3 iota: adding the parts in place of
+# ordering them lexicographically would pick {2}.
+NEGATIVE_IOTA = IndependentInstance(
+    (
+        deterministic(xnum(0), xnum(2, -1)),
+        Action(xnum(0), ((xnum(1, 1), Fraction(1, 3)), (xnum(1, 2), Fraction(2, 3)))),
+    ),
+    outside=deterministic(xnum(0), xnum(0)),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["independent", "correlated"]).flatmap(
         lambda kind: small_instances(kind, 5, max_den=3)
     )
 )
+@example(IOTA_DECIDES)
+@example(NEGATIVE_IOTA)
 def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
     assert brute_force_opt(instance) == scan_opt(instance)
 
@@ -740,7 +794,9 @@ def test_memo_changes_no_kernel_equality_repr_or_pickle(instance):
     blob, text, instance_blob = pickle.dumps(kernel), repr(kernel), pickle.dumps(instance)
     best_threshold(instance)
     evaluate(instance, full_menu(instance))
-    assert kernel._memo
+    memo = dict(kernel._memo)
+    kernel.search()  # the search's state is its own: the memo stays as it was
+    assert kernel._memo == memo and kernel._memo
     assert kernel == reference_compile(instance)
     assert (pickle.dumps(kernel), repr(kernel), pickle.dumps(instance)) == (blob, text, instance_blob)
     assert not pickle.loads(blob)._memo and pickle.loads(instance_blob) == instance
