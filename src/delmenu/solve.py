@@ -188,17 +188,6 @@ def log2_at_least(q: Fraction, threshold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def max_action_value(instance: Instance) -> Fraction:
-    """Standard part of the largest value in any action's support (outside option excluded).
-
-    Values order on their standard part first, so this is the largest
-    standard part, found without comparing whole values.
-    """
-    if isinstance(instance, IndependentInstance):
-        return max(value.std for a in instance.actions for value, _ in a.support)
-    return max(p.values[i].std for p in instance.profiles for i in range(instance.n))
-
-
 def min_profile_mass(instance: Instance) -> Fraction:
     """Mass of the least likely value profile.
 
@@ -236,9 +225,15 @@ def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
     best = result.best_threshold_value.std
     if opt == 0:
         return BoundReport(None, p_min, True, True, True, vacuous=True)
-    rho = max_action_value(instance) / opt
 
     independent = isinstance(instance, IndependentInstance)
+    # Values order on their standard part first, so the largest standard
+    # part is the largest action value's, found without comparing values.
+    if independent:
+        top = max(value.std for a in instance.actions for value, _ in a.support)
+    else:
+        top = max(p.values[i].std for p in instance.profiles for i in range(instance.n))
+    rho = top / opt
     fixed_outside = independent and (
         instance.outside is None or instance.outside.is_deterministic
     )

@@ -253,13 +253,6 @@ def test_independent_search_equals_fold_search():
         assert inst.kernel.search() == fold_search(inst.kernel)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [1, 2])
-def test_independent_search_equals_fold_search_at_16_actions(seed):
-    inst = random_independent(seed, n=16, support=3)
-    assert inst.kernel.search() == fold_search(inst.kernel)
-
-
 @pytest.mark.parametrize("vertices", [16, 19, 20])
 def test_vertex_cover_optimum_equals_closed_form(vertices):
     # vertices + 1 actions, one past the search's default cap of 20 at the
