@@ -37,23 +37,29 @@ bias numerator needs no new denominator.  Kernels are derived data: the
 instances build and cache them on first use (their ``kernel`` attribute).
 
 Each kernel also finds the optimal menu (``search``) by the one depth-first
-walk of :func:`_best_menu`, which holds the search policy; a kernel gives it
-only a root state, include and exclude steps, and a node value.  Correlated
-kernels bound each subtree with the rankings, the first-choice model of
-Bertsimas and Mišić (Oper. Res. 2019) with a combinatorial bound in place of
-their integer program.  Independent kernels have no bound, so their walk
-makes each node cheap instead: the draws are independent, so the chance
-that the winner ranks at most r is the product of the feasible candidates'
-CDFs at r, and by summation by parts a menu's value is a sum over ranks of
-that product times a value difference.  A node holds those terms, an
-include multiplies them by one action's CDF row, and a leaf sums them.  A
-kernel finds the best of a nested sequence of menus, such as the threshold
-menus in bias order (``best_prefix``): a correlated kernel values each menu
-by its bound at a leaf, which is exact, and an independent one in one pass
-that folds each step's indices into winner states once.  That pass keeps
-the fold, not the search's rows: it visits each action once, so rows as
-long as the whole ranking would cost more to build than they save, and its
-memo must hold winner states, which the reports read.
+walk of :func:`_best_menu`, which holds the search policy and the tie rule;
+a kernel gives it only the order in which to decide actions, a root state,
+include and exclude steps, and a node value.  Correlated kernels bound each
+subtree with the rankings, the first-choice model of Bertsimas and Mišić
+(Oper. Res. 2019) with a combinatorial bound in place of their integer
+program.  They decide the actions of largest total value first, so a good
+incumbent comes early, and the scan that computes the bound also finds each
+profile's pick from the included actions: a node where an included action
+is no profile's pick is dropped, since the same menus without it tie and
+are smaller.  Independent kernels decide in index order and have no bound
+or prune, so their walk makes each node cheap instead: the draws are
+independent, so the chance that the winner ranks at most r is the product
+of the feasible candidates' CDFs at r, and by summation by parts a menu's
+value is a sum over ranks of that product times a value difference.  A node
+holds those terms, an include multiplies them by one action's CDF row, and
+a leaf sums them.  A kernel finds the best of a nested sequence of menus,
+such as the threshold menus in bias order (``best_prefix``): a correlated
+kernel values each menu by its bound at a leaf, which is exact, and an
+independent one in one pass that folds each step's indices into winner
+states once.  That pass keeps the fold, not the search's rows: it visits
+each action once, so rows as long as the whole ranking would cost more to
+build than they save, and its memo must hold winner states, which the
+reports read.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -137,41 +143,48 @@ class _Counted:
         return top, sur, _exact(gap_std, gap_inf, den)
 
 
-def _best_menu(width, outside, root, include, exclude, value) -> Menu:
-    """The best menu of actions ``1..width-1``, by a depth-first walk.
+_DEAD = object()  # a node value: every menu below ties a smaller one, so the node is dropped
 
-    Actions are decided in index order, the include branch first: a state
+
+def _best_menu(order, outside, root, include, exclude, value) -> Menu:
+    """The best menu of the actions in ``order``, by a depth-first walk.
+
+    Actions are decided in ``order``, the include branch first: a state
     holds the decisions so far, and ``include(state, i)`` and
     ``exclude(state, i)`` decide action i.  ``value(state, leaf)`` is the
     menu's exact value at a leaf and, above one, an exact upper bound on
-    every value below or None for no bound; values need only compare.  A
-    subtree is pruned only when its bound is strictly below the incumbent's
-    value, so every menu that ties the winner reaches its leaf.  A higher
-    value wins; equal values go to the smaller menu, then to the
-    lexicographically smaller one, as in a size-then-lexicographic scan
-    that keeps the first maximizer.  The empty menu counts only with an
-    ``outside`` option.
+    every value below or None for no bound; values need only compare.  It
+    is :data:`_DEAD` for a node below which every menu ties a smaller one
+    elsewhere in the walk, and that node is dropped before any comparison
+    with the incumbent.  Otherwise a subtree is pruned only when its bound
+    is strictly below the incumbent's value, so every menu that ties the
+    winner reaches its leaf.  A higher value wins; equal values go to the
+    smaller menu, then to the lexicographically smaller sorted one, as in a
+    size-then-lexicographic scan that keeps the first maximizer, whatever
+    the order.  The empty menu counts only with an ``outside`` option.
     """
     menu: list[int] = []
     best = best_menu = None
+    depth = len(order)
 
-    def visit(i: int, state) -> None:
+    def visit(k: int, state) -> None:
         nonlocal best, best_menu
-        leaf = i == width
+        leaf = k == depth
         if leaf and not (menu or outside):
             return
         v = value(state, leaf)
-        if best_menu is not None and v is not None and v < best:
+        if v is _DEAD or best_menu is not None and v is not None and v < best:
             return
         if not leaf:
+            i = order[k]
             menu.append(i)
-            visit(i + 1, include(state, i))
+            visit(k + 1, include(state, i))
             menu.pop()
-            visit(i + 1, exclude(state, i))
-        elif best_menu is None or v > best or (len(menu), menu) < (len(best_menu), best_menu):
-            best, best_menu = v, menu.copy()
+            visit(k + 1, exclude(state, i))
+        elif best_menu is None or v > best or (len(menu), sorted(menu)) < (len(best_menu), best_menu):
+            best, best_menu = v, sorted(menu)
 
-    visit(1, root)
+    visit(0, root)
     return frozenset(best_menu)
 
 
@@ -239,8 +252,8 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         std = [(t - r) // self.scale for t, r in zip(total, inf)]
         return std, inf, freq, self.den, self.prob_den
 
-    def _bound(self, state: tuple[int, int], leaf: bool) -> int:
-        """An exact upper bound on the value of every menu below ``state``.
+    def _bound(self, state: tuple[int, int]) -> tuple[int, int]:
+        """An exact upper bound on the value of every menu below ``state``, and the picks.
 
         ``state`` is ``(live, stop)``: bits of the included set I plus the
         undecided set U plus the outside option, and of I plus the outside
@@ -249,10 +262,12 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         those bounds the profile's term, and the bounds' sum bounds every
         menu: lexicographic order respects addition.  With U empty,
         ``live == stop`` and the bound is the menu's exact value.  Values are
-        packed, so bounds add and compare as integers.
+        packed, so bounds add and compare as integers.  The same scan ORs
+        each profile's first member of ``stop``, its pick from I plus the
+        outside option, into the picks mask.
         """
         live, stop = state
-        total = 0
+        total = picks = 0
         for ranking in self.rankings:
             top = None
             for bit, value in ranking:
@@ -262,17 +277,39 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
                     if stop & bit:
                         break
             total += top
-        return total
+            picks |= bit
+        return total, picks
 
     def search(self) -> Menu:
-        """The best menu, by :func:`_best_menu` with the exact bound :meth:`_bound`."""
+        """The best menu, by :func:`_best_menu` with the exact bound :meth:`_bound`.
+
+        Actions are decided by decreasing total value over the rankings, so
+        the walk meets a high incumbent early and the bound prunes more; the
+        sort is stable, so equal totals keep index order.  A node is dead
+        when an included action is no profile's pick from the included set
+        I plus the outside option.  Adding actions only moves a profile's
+        pick up its ranking, so that action stays unpicked in every menu
+        below, and each such menu has the value of the same menu without
+        it, which is smaller and lies in that action's exclude branch.
+        """
         width = len(self.bias)
+        total = [0] * width
+        for ranking in self.rankings:
+            for bit, value in ranking:
+                total[bit.bit_length() - 1] += value
+        order = sorted(range(1, width), key=total.__getitem__, reverse=True)
+
+        def value(state: tuple[int, int], leaf: bool):
+            bound, picks = self._bound(state)
+            # Bit 0, the outside option's, is no action: only a higher bit can be dead.
+            return _DEAD if (state[1] & ~picks) > 1 else bound
+
         outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
         return _best_menu(
-            width, outside, ((1 << width) - 2 | outside, outside),
+            order, outside, ((1 << width) - 2 | outside, outside),
             lambda state, i: (state[0], state[1] | 1 << i),
             lambda state, i: (state[0] & ~(1 << i), state[1]),
-            self._bound,
+            value,
         )
 
     def best_prefix(self, steps: list[list[int]]) -> int:
@@ -286,7 +323,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         values = []
         for added in steps:
             menu |= sum(1 << i for i in added)
-            values.append(self._bound((menu, menu), True))
+            values.append(self._bound((menu, menu))[0])
         return values.index(max(values))
 
 
@@ -458,7 +495,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         root = [v - w for v, w in zip(packed, packed[1:] + [0])], rest
         outside = bool(self.ranks[OUTSIDE])
         return _best_menu(
-            len(self.ranks), outside, include(root, OUTSIDE) if outside else root,
+            range(1, len(self.ranks)), outside, include(root, OUTSIDE) if outside else root,
             include, lambda state, i: state,
             lambda state, leaf: sum(state[0]) * state[1] if leaf else None,
         )

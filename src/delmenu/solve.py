@@ -59,13 +59,16 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     """The optimal menu and its value; ties favor smaller, then lexicographic.
 
     An exact search over the empty menu (legal only with an outside option)
-    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel:
-    a depth-first walk that prunes a subtree only when an exact bound shows
-    it holds no menu of equal or higher value (correlated instances), or
-    that visits every menu, with one elementwise product per included
-    action and one sum per menu (independent instances).  Among menus of
-    equal value it returns the smallest, then the lexicographically
-    smallest: the first maximizer of a size-then-lexicographic scan.
+    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel.
+    On a correlated instance it is a depth-first walk that decides the
+    actions of largest total value first and skips a subtree when an exact
+    bound shows it holds no menu of equal or higher value, or when it holds
+    an action that no profile picks, since each of its menus ties the same
+    menu without that action.  On an independent instance the walk visits
+    every menu, with one elementwise product per included action and one
+    sum per menu.  Among menus of equal value it returns the smallest, then
+    the lexicographically smallest: the first maximizer of a
+    size-then-lexicographic scan, whatever order the walk takes.
     Raises ``CapExceededError`` above ``cap_n`` actions, since the worst
     case still doubles per action, and, whatever ``cap_n`` says, when the
     walk, one level per action, would recurse deeper than the interpreter

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from delmenu import (
     CorrelatedInstance,
     IndependentInstance,
     Profile,
+    XNum,
     deterministic,
     gen_random,
     xnum,
@@ -30,20 +32,43 @@ def random_correlated(seed: int, outside: str | None = None, n: int = 3, profile
     return gen_random("correlated", n=n, support_size=profiles, seed=seed, outside=outside)
 
 
+def with_iota(instance, seed: int):
+    """``instance`` with a seeded iota part in -2..2 on every value and bias.
+
+    ``gen_random`` draws standard parts only, so this is how seeded
+    ensembles exercise the iota channel.
+    """
+    rng = random.Random(seed)
+
+    def lift(x):
+        return XNum(x.std, rng.randint(-2, 2))
+
+    def action(a):
+        return Action(lift(a.bias), tuple((lift(v), p) for v, p in a.support), a.label)
+
+    if isinstance(instance, IndependentInstance):
+        outside = None if instance.outside is None else action(instance.outside)
+        return IndependentInstance(tuple(map(action, instance.actions)), outside)
+    outside_bias = None if instance.outside_bias is None else lift(instance.outside_bias)
+    return CorrelatedInstance(
+        tuple(map(lift, instance.biases)),
+        tuple(Profile(p.prob, tuple(map(lift, p.values))) for p in instance.profiles),
+        outside_bias,
+        instance.labels,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Drawn instances: values and biases on a 0/1/2 grid, so utilities tie often
 # ---------------------------------------------------------------------------
-
-WEIGHTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
-
 
 def probabilities(weights):
     return [Fraction(w, sum(weights)) for w in weights]
 
 
 @st.composite
-def small_instances(draw, kind, max_n=4, iota=None, max_den=1):
-    """n <= max_n actions, at most 3 support entries or profiles, any outside mode.
+def small_instances(draw, kind, max_n=4, iota=None, max_den=1, max_support=3):
+    """n <= max_n actions, at most ``max_support`` support entries or profiles, any outside mode.
 
     Half the instances (all with ``iota`` true) also put iota parts on the
     grid, so the iota channel and its ties are drawn too.  With ``max_den``
@@ -57,12 +82,13 @@ def small_instances(draw, kind, max_n=4, iota=None, max_den=1):
         lambda std, std_den, inf, inf_den: xnum(Fraction(std, std_den), Fraction(inf, inf_den)),
         st.integers(0, 2), den, st.integers(0, 2) if iota else st.just(0), den,
     )
+    weights = st.lists(st.integers(1, 3), min_size=1, max_size=max_support)
     n = draw(st.integers(1, max_n))
     outside = draw(st.sampled_from(OUTSIDE_MODES))
     if kind == "independent":
 
         def action():
-            return Action(draw(grid), tuple((draw(grid), p) for p in probabilities(draw(WEIGHTS))))
+            return Action(draw(grid), tuple((draw(grid), p) for p in probabilities(draw(weights))))
 
         actions = tuple(action() for _ in range(n))
         if outside == "fixed":
@@ -72,7 +98,7 @@ def small_instances(draw, kind, max_n=4, iota=None, max_den=1):
     outside_bias = None if outside == "none" else draw(grid)
     fixed = draw(grid)
     profiles = []
-    for prob in probabilities(draw(WEIGHTS)):
+    for prob in probabilities(draw(weights)):
         values = [draw(grid) for _ in range(n)]
         if outside != "none":
             values.append(fixed if outside == "fixed" else draw(grid))

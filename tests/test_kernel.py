@@ -76,6 +76,7 @@ from conftest import (
     random_independent,
     random_menus,
     small_instances,
+    with_iota,
 )
 
 
@@ -232,7 +233,7 @@ def fold_search(kernel):
     :meth:`~IndependentKernel._add` folds, valued by ``_value`` at leaves."""
     outside = bool(kernel.ranks[OUTSIDE])
     return _best_menu(
-        len(kernel.ranks), outside, kernel.winners([OUTSIDE] if outside else []),
+        range(1, len(kernel.ranks)), outside, kernel.winners([OUTSIDE] if outside else []),
         kernel._add, lambda states, i: states,
         lambda states, leaf: kernel._value(states) if leaf else None,
     )
@@ -245,12 +246,87 @@ def test_independent_search_equals_fold_search():
         for outside in OUTSIDE_MODES
         for seed in range(2)
     ]
+    instances += [with_iota(inst, seed) for seed, inst in enumerate(instances[:6])]
     rng = random.Random(0)
     for size in (7, 8, 7, 8):
         part = PartitionInstance(tuple([12] + rng.sample(range(1, 12), size - 1)))
         instances.append(reduce_integer_partition(part, minimal_valid_m(part))[0])
     for inst in instances:
         assert inst.kernel.search() == fold_search(inst.kernel)
+
+
+def index_order_search(kernel):
+    """The correlated kernel's best menu by the plain bound walk: actions in
+    index order, no dead-node prune, each node valued by ``_bound`` alone."""
+    width = len(kernel.bias)
+    outside = 0 if kernel.bias[OUTSIDE] is None else 1
+    return _best_menu(
+        range(1, width), outside, ((1 << width) - 2 | outside, outside),
+        lambda state, i: (state[0], state[1] | 1 << i),
+        lambda state, i: (state[0] & ~(1 << i), state[1]),
+        lambda state, leaf: kernel._bound(state)[0],
+    )
+
+
+def test_correlated_search_equals_index_order_search():
+    instances = [
+        with_iota(random_correlated(seed, outside, n=n, profiles=12), seed)
+        for n in range(12, 17)
+        for outside in OUTSIDE_MODES
+        for seed in (n, n + 20)
+    ]
+    rng = random.Random(0)
+    for vertices in range(10, 15):
+        pairs = list(combinations(range(1, vertices + 1), 2))
+        instances.append(reduce_vertex_cover(Graph(vertices, tuple(rng.sample(pairs, 2 * vertices)))))
+    for inst in instances:
+        assert inst.kernel.search() == index_order_search(inst.kernel)
+
+
+def traced_search(instance, monkeypatch):
+    """``instance.kernel.search()``, with the included sets of the nodes the
+    walk values and of the nodes it expands, in walk order."""
+    valued, expanded = [], []
+
+    def traced(order, outside, root, include, exclude, value):
+        def spy_value(state, leaf):
+            valued.append(state)
+            return value(state, leaf)
+
+        def spy_include(state, i):
+            expanded.append(state)
+            return include(state, i)
+
+        return _best_menu(order, outside, root, spy_include, exclude, spy_value)
+
+    monkeypatch.setattr(delmenu.kernel, "_best_menu", traced)
+    menu = instance.kernel.search()
+
+    def included(state):
+        return frozenset(i for i in range(1, instance.n + 1) if state[1] >> i & 1)
+
+    return menu, list(map(included, valued)), list(map(included, expanded))
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_MODES)
+def test_correlated_search_never_expands_a_dead_node(outside, monkeypatch):
+    # Dead: an included action that the reference picks in no profile.
+    dead_seen = 0
+    for seed in range(6):
+        inst = random_correlated(seed, outside, n=7, profiles=6)
+        dead = {}
+
+        def is_dead(menu):
+            if menu not in dead:
+                freq = reference(inst, menu).freq if menu or inst.has_outside else {}
+                dead[menu] = any(freq[i] == 0 for i in menu)
+            return dead[menu]
+
+        menu, valued, expanded = traced_search(inst, monkeypatch)
+        assert menu == scan_opt(inst)[0]
+        assert not any(map(is_dead, expanded))
+        dead_seen += sum(map(is_dead, valued))
+    assert dead_seen > 0
 
 
 @pytest.mark.parametrize("vertices", [16, 19, 20])
@@ -557,6 +633,60 @@ NEGATIVE_IOTA = IndependentInstance(
 @example(NEGATIVE_IOTA)
 def test_brute_force_opt_equals_reference_scan_on_drawn_instances(instance):
     assert brute_force_opt(instance) == scan_opt(instance)
+
+
+# Action 2 ranks below the outside option in every profile, so no menu's
+# profile picks it: {2} ties the empty menu and {1, 2} ties {1}.
+OUTSIDE_OUTRANKS = CorrelatedInstance(
+    biases=(xnum(0), xnum(-3)),
+    profiles=(
+        Profile(Fraction(1, 2), (xnum(3), xnum(4), xnum(2))),
+        Profile(Fraction(1, 2), (xnum(0), xnum(4), xnum(2))),
+    ),
+    outside_bias=xnum(0),
+)
+# Action 3 is picked from {1, 3} (second profile) and from {2, 3} (first),
+# but not from {1, 2, 3}: 1 outranks it in the first profile, 2 in the second.
+SET_OUTRANKS = CorrelatedInstance(
+    biases=(xnum(0), xnum(0), xnum(0)),
+    profiles=(
+        Profile(Fraction(1, 2), (xnum(2), xnum(0), xnum("3/2"))),
+        Profile(Fraction(1, 2), (xnum(0), xnum(2), xnum("3/2"))),
+    ),
+)
+# {1, 3}, {2, 3} and {3, 4} tie at 5/2, the best value.  Total values order
+# the actions 2, 3, 1, 4, so the walk meets {2, 3} first and {1, 3} later, in
+# visit order [3, 1], which compares above [2, 3] unless menus are sorted.
+TIE_AFTER_ORDER = CorrelatedInstance(
+    biases=(xnum(0), xnum(2), xnum(1), xnum(0)),
+    profiles=(
+        Profile(Fraction(1, 2), (xnum(0), xnum(2), xnum(3), xnum(0))),
+        Profile(Fraction(1, 2), (xnum(2), xnum(2), xnum(0), xnum(2))),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances("correlated", 7, iota=True, max_den=3, max_support=6))
+@example(OUTSIDE_OUTRANKS)
+@example(SET_OUTRANKS)
+@example(TIE_AFTER_ORDER)
+def test_correlated_opt_equals_reference_scan_in_value_order(instance):
+    assert brute_force_opt(instance) == scan_opt(instance)
+
+
+def test_correlated_search_examples_cover_their_cases():
+    def picks(instance, menu):
+        return evaluate(instance, frozenset(menu)).freq
+
+    assert picks(OUTSIDE_OUTRANKS, {2})[2] == picks(OUTSIDE_OUTRANKS, {1, 2})[2] == 0
+    assert brute_force_opt(OUTSIDE_OUTRANKS) == (frozenset({1}), xnum("5/2"))
+    assert picks(SET_OUTRANKS, {1, 3})[3] > 0 and picks(SET_OUTRANKS, {2, 3})[3] > 0
+    assert picks(SET_OUTRANKS, {1, 2, 3})[3] == 0
+    assert brute_force_opt(SET_OUTRANKS) == (frozenset({1, 2}), xnum(2))
+    tied = [evaluate(TIE_AFTER_ORDER, frozenset(m)).f for m in ({1, 3}, {2, 3}, {3, 4})]
+    assert tied == [xnum("5/2")] * 3
+    assert brute_force_opt(TIE_AFTER_ORDER) == (frozenset({1, 3}), xnum("5/2"))
 
 
 @settings(max_examples=100, deadline=None)
