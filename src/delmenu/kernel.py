@@ -39,7 +39,9 @@ instances build and cache them on first use (their ``kernel`` attribute).
 Each kernel also finds the optimal menu (``search``) by the one depth-first
 walk of :func:`_best_menu`, which holds the search policy and the tie rule;
 a kernel gives it only the order in which to decide actions, a root state,
-include and exclude steps, and a node value.  Correlated kernels bound each
+include and exclude steps, and a node value.  The walk returns the winner
+with the packed integer it held at the winner's leaf, and ``search``
+unpacks that integer into the menu's exact value, so no evaluator runs.  Correlated kernels bound each
 subtree with the rankings, the first-choice model of Bertsimas and Mišić
 (Oper. Res. 2019) with a combinatorial bound in place of their integer
 program.  They decide the actions of largest total value first, so a good
@@ -52,7 +54,8 @@ independent, so the chance that the winner ranks at most r is the product
 of the feasible candidates' CDFs at r, and by summation by parts a menu's
 value is a sum over ranks of that product times a value difference.  A node
 holds those terms, an include multiplies them by one action's CDF row, and
-a leaf sums them.  A kernel finds the best of a nested sequence of menus,
+a leaf sums them; only the ranks whose value differs from the next rank's
+keep a term, since a zero term adds nothing to any sum.  A kernel finds the best of a nested sequence of menus,
 such as the threshold menus in bias order (``best_prefix``): a correlated
 kernel values each menu by its bound at a leaf, which is exact, and an
 independent one in one pass that folds each step's indices into winner
@@ -74,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, compress, islice, product
 from math import prod
 from operator import mul
 from types import MappingProxyType
@@ -95,7 +98,7 @@ _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
 # Per index: contribution (std, inf) numerators and pick-probability numerator,
 # then their denominators (den, freq_den).
-Counts = tuple[list[int], list[int], list[int], int, int]
+Counts = tuple[Sequence[int], Sequence[int], list[int], int, int]
 
 
 def _ratio(num: Rational, den: int) -> Fraction:
@@ -106,6 +109,13 @@ def _ratio(num: Rational, den: int) -> Fraction:
 def _exact(std: Rational, inf: Rational, den: int) -> XNum:
     """The number of numerators ``std`` and ``inf``, maybe fractions, over ``den``."""
     return XNum(_ratio(std, den), _ratio(inf, den))
+
+
+def _unpack(t: int, scale: int) -> tuple[int, int]:
+    """The ``(std, inf)`` of ``t``, packed ``std * scale + inf`` with |inf| at most ``scale // 2``."""
+    half = scale // 2
+    inf = (t + half) % scale - half
+    return (t - inf) // scale, inf
 
 
 class _Counted:
@@ -146,8 +156,8 @@ class _Counted:
 _DEAD = object()  # a node value: every menu below ties a smaller one, so the node is dropped
 
 
-def _best_menu(order, outside, root, include, exclude, value) -> Menu:
-    """The best menu of the actions in ``order``, by a depth-first walk.
+def _best_menu(order, outside, root, include, exclude, value) -> tuple[Menu, object]:
+    """The best menu of the actions in ``order`` and its value, by a depth-first walk.
 
     Actions are decided in ``order``, the include branch first: a state
     holds the decisions so far, and ``include(state, i)`` and
@@ -162,6 +172,7 @@ def _best_menu(order, outside, root, include, exclude, value) -> Menu:
     smaller menu, then to the lexicographically smaller sorted one, as in a
     size-then-lexicographic scan that keeps the first maximizer, whatever
     the order.  The empty menu counts only with an ``outside`` option.
+    The winner's value is returned as ``value`` gave it at the winner's leaf.
     """
     menu: list[int] = []
     best = best_menu = None
@@ -185,7 +196,7 @@ def _best_menu(order, outside, root, include, exclude, value) -> Menu:
             best, best_menu = v, sorted(menu)
 
     visit(0, root)
-    return frozenset(best_menu)
+    return frozenset(best_menu), best
 
 
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
@@ -211,6 +222,7 @@ class _CorrelatedTables(NamedTuple):
     den: int
     prob_den: int
     bias: tuple[tuple[int, int] | None, ...]
+    top: int
 
 
 class CorrelatedKernel(_CorrelatedTables, _Counted):
@@ -223,7 +235,9 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
     ``inf`` over ``den`` are stored packed as ``std * scale + inf``;
     ``prob[k]`` is that probability over ``prob_den``.  ``bias[i]`` is index
     i's bias as ``(std, inf)`` numerators over the value denominator, ``den
-    // prob_den`` (None for a missing outside option).  ``scale`` is odd and
+    // prob_den`` (None for a missing outside option), and ``top`` the largest
+    action value's std numerator over it, the outside option's excluded: the
+    rankings are cut, so they may not hold it.  ``scale`` is odd and
     exceeds twice the sum over profiles of each one's largest |inf|, so a sum
     of packed values, one per profile at most, has |inf| at most ``scale //
     2``: it adds and compares as the pairs do, lexicographically, and its
@@ -247,10 +261,16 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
             i = bit.bit_length() - 1
             total[i] += value
             freq[i] += prob_k
-        half = self.scale // 2
-        inf = [(t + half) % self.scale - half for t in total]
-        std = [(t - r) // self.scale for t, r in zip(total, inf)]
+        std, inf = zip(*(_unpack(t, self.scale) for t in total))
         return std, inf, freq, self.den, self.prob_den
+
+    def largest_std(self) -> Fraction:
+        """The largest standard part of any action's value; the outside option is no action."""
+        return _ratio(self.top, self.den // self.prob_den)
+
+    def least_mass(self) -> Fraction:
+        """The probability of the least likely profile."""
+        return Fraction(min(self.prob), self.prob_den)
 
     def _bound(self, state: tuple[int, int]) -> tuple[int, int]:
         """An exact upper bound on the value of every menu below ``state``, and the picks.
@@ -280,8 +300,8 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
             picks |= bit
         return total, picks
 
-    def search(self) -> Menu:
-        """The best menu, by :func:`_best_menu` with the exact bound :meth:`_bound`.
+    def search(self) -> tuple[Menu, XNum]:
+        """The best menu and its value, by :func:`_best_menu` with the exact bound :meth:`_bound`.
 
         Actions are decided by decreasing total value over the rankings, so
         the walk meets a high incumbent early and the bound prunes more; the
@@ -290,7 +310,9 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         I plus the outside option.  Adding actions only moves a profile's
         pick up its ranking, so that action stays unpicked in every menu
         below, and each such menu has the value of the same menu without
-        it, which is smaller and lies in that action's exclude branch.
+        it, which is smaller and lies in that action's exclude branch.  The
+        walk's value at the winner's leaf is its packed exact value, over
+        ``den``.
         """
         width = len(self.bias)
         total = [0] * width
@@ -305,12 +327,13 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
             return _DEAD if (state[1] & ~picks) > 1 else bound
 
         outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
-        return _best_menu(
+        menu, best = _best_menu(
             order, outside, ((1 << width) - 2 | outside, outside),
             lambda state, i: (state[0], state[1] | 1 << i),
             lambda state, i: (state[0] & ~(1 << i), state[1]),
             value,
         )
+        return menu, _exact(*_unpack(best, self.scale), self.den)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
@@ -355,6 +378,7 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
         den * prob_den,
         prob_den,
         tuple(map(bias.get, range(instance.n + 1))),
+        max(std for row in rows for i, (std, _) in row if i != OUTSIDE),
     )
 
 
@@ -456,8 +480,16 @@ class IndependentKernel(_IndependentTables, _Counted):
         den = sum(freq)
         return std, inf, freq, self.den * den, den
 
-    def search(self) -> Menu:
-        """The best menu, by :func:`_best_menu` without a bound.
+    def largest_std(self) -> Fraction:
+        """The largest standard part of any action's value; the outside option is no action."""
+        return _ratio(max(std for std, i in zip(self.std, self.owner) if i != OUTSIDE), self.den)
+
+    def least_mass(self) -> Fraction:
+        """The probability of the least likely joint draw: each candidate's least mass, multiplied."""
+        return Fraction(prod(min(probs) for probs in self.probs if probs), prod(self.prob_den))
+
+    def search(self) -> tuple[Menu, XNum]:
+        """The best menu and its value, by :func:`_best_menu` without a bound.
 
         The draws are independent, so the winner ranks at most r with
         probability G(r), the product over the feasible candidates of their
@@ -471,34 +503,42 @@ class IndependentKernel(_IndependentTables, _Counted):
         numerators and divides ``rest`` by its ``prob_den``, and an exclude
         leaves the state as it is.  The outside option is included at the
         root.  A leaf's value, ``sum(terms) * rest``, is over the same
-        denominator as :meth:`_value`'s.  Values are packed ``std * scale +
-        inf``, as in the correlated kernel's rankings, and ``scale`` exceeds
-        twice the largest |inf| a leaf can reach, so leaves compare as
-        :meth:`_value`'s pairs do.  The rows and the packing are built here,
-        not at compile time, since most compiled kernels are never searched.
+        denominator as :meth:`_value`'s, ``den`` times every ``prob_den``.
+        Values are packed ``std * scale + inf``, as in the correlated
+        kernel's rankings, and ``scale`` exceeds twice the largest |inf| a
+        leaf can reach, so leaves compare as :meth:`_value`'s pairs do, and
+        the winner's unpacks to its exact value.  Only the ranks whose packed
+        difference is nonzero keep a term and a column of the CDF rows: a
+        zero term stays zero under every product, so no sum changes.  On a
+        partition reduction most ranks are dropped: its actions share three
+        values and one bias, so equal values sit next to each other in the
+        agent's order.  The rows and the packing are built here, not at
+        compile time, since most compiled kernels are never searched.
         """
         rest = prod(self.prob_den)
         scale = 2 * max(map(abs, self.inf)) * rest + 1
         packed = [std * scale + inf for std, inf in zip(self.std, self.inf)]
+        diff = [v - w for v, w in zip(packed, packed[1:] + [0])]
         cdf = []
         for ranks, probs in zip(self.ranks, self.probs):
             row = [0] * len(packed)
             for r, p in zip(ranks, probs):
                 row[r] = p
-            cdf.append(list(accumulate(row)))
+            cdf.append(list(compress(accumulate(row), diff)))
         prob_den = self.prob_den
 
         def include(state: tuple[list[int], int], i: int) -> tuple[list[int], int]:
             terms, rest = state
             return list(map(mul, terms, cdf[i])), rest // prob_den[i]
 
-        root = [v - w for v, w in zip(packed, packed[1:] + [0])], rest
+        root = [d for d in diff if d], rest
         outside = bool(self.ranks[OUTSIDE])
-        return _best_menu(
+        menu, best = _best_menu(
             range(1, len(self.ranks)), outside, include(root, OUTSIDE) if outside else root,
             include, lambda state, i: state,
             lambda state, leaf: sum(state[0]) * state[1] if leaf else None,
         )
+        return menu, _exact(*_unpack(best, scale), self.den * rest)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.

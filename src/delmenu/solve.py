@@ -66,19 +66,20 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     an action that no profile picks, since each of its menus ties the same
     menu without that action.  On an independent instance the walk visits
     every menu, with one elementwise product per included action and one
-    sum per menu.  Among menus of equal value it returns the smallest, then
-    the lexicographically smallest: the first maximizer of a
-    size-then-lexicographic scan, whatever order the walk takes.
-    Raises ``CapExceededError`` above ``cap_n`` actions, since the worst
-    case still doubles per action, and, whatever ``cap_n`` says, when the
-    walk, one level per action, would recurse deeper than the interpreter
-    allows.
+    sum per menu, over only the ranks whose value differs from the next
+    rank's.  Among menus of equal value it returns the smallest, then the
+    lexicographically smallest: the first maximizer of a
+    size-then-lexicographic scan, whatever order the walk takes.  The value
+    is the one the walk held at the winner's leaf, unpacked from the
+    kernel's integers; no evaluator runs.  Raises ``CapExceededError``
+    above ``cap_n`` actions, since the worst case still doubles per action,
+    and, whatever ``cap_n`` says, when the walk, one level per action, would
+    recurse deeper than the interpreter allows.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
     check_depth(instance.n + 1)
-    menu = instance.kernel.search()
-    return menu, evaluate(instance, menu).f
+    return instance.kernel.search()
 
 
 def _threshold_steps(instance: Instance) -> list[tuple[XNum | None, list[int]]]:
@@ -196,17 +197,10 @@ def min_profile_mass(instance: Instance) -> Fraction:
 
     Correlated instances: minimum over the explicit profiles as given.
     Independent instances: the least likely joint realization is the product
-    of each marginal's smallest mass (outside option included).
+    of each marginal's smallest mass (outside option included).  Both are
+    read from the kernel's integer probabilities.
     """
-    if isinstance(instance, CorrelatedInstance):
-        return min(p.prob for p in instance.profiles)
-    mass = Fraction(1)
-    actions = list(instance.actions)
-    if instance.outside is not None:
-        actions.append(instance.outside)
-    for a in actions:
-        mass *= min(prob for _, prob in a.support)
-    return mass
+    return instance.kernel.least_mass()
 
 
 def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
@@ -231,12 +225,8 @@ def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
 
     independent = isinstance(instance, IndependentInstance)
     # Values order on their standard part first, so the largest standard
-    # part is the largest action value's, found without comparing values.
-    if independent:
-        top = max(value.std for a in instance.actions for value, _ in a.support)
-    else:
-        top = max(p.values[i].std for p in instance.profiles for i in range(instance.n))
-    rho = top / opt
+    # part is the largest action value's; the kernel finds it on integers.
+    rho = instance.kernel.largest_std() / opt
     fixed_outside = independent and (
         instance.outside is None or instance.outside.is_deterministic
     )

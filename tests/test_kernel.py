@@ -229,8 +229,9 @@ def test_brute_force_opt_equals_reference_scan():
 
 
 def fold_search(kernel):
-    """The independent kernel's best menu by winner states: the walk over
-    :meth:`~IndependentKernel._add` folds, valued by ``_value`` at leaves."""
+    """The independent kernel's best menu and its ``_value`` by winner states:
+    the walk over :meth:`~IndependentKernel._add` folds, valued by ``_value``
+    at leaves, over every rank."""
     outside = bool(kernel.ranks[OUTSIDE])
     return _best_menu(
         range(1, len(kernel.ranks)), outside, kernel.winners([OUTSIDE] if outside else []),
@@ -252,12 +253,15 @@ def test_independent_search_equals_fold_search():
         part = PartitionInstance(tuple([12] + rng.sample(range(1, 12), size - 1)))
         instances.append(reduce_integer_partition(part, minimal_valid_m(part))[0])
     for inst in instances:
-        assert inst.kernel.search() == fold_search(inst.kernel)
+        menu, value = inst.kernel.search()
+        assert menu == fold_search(inst.kernel)[0]
+        assert value == evaluate(inst, menu).f
 
 
 def index_order_search(kernel):
-    """The correlated kernel's best menu by the plain bound walk: actions in
-    index order, no dead-node prune, each node valued by ``_bound`` alone."""
+    """The correlated kernel's best menu and its packed value by the plain
+    bound walk: actions in index order, no dead-node prune, each node valued
+    by ``_bound`` alone."""
     width = len(kernel.bias)
     outside = 0 if kernel.bias[OUTSIDE] is None else 1
     return _best_menu(
@@ -280,7 +284,7 @@ def test_correlated_search_equals_index_order_search():
         pairs = list(combinations(range(1, vertices + 1), 2))
         instances.append(reduce_vertex_cover(Graph(vertices, tuple(rng.sample(pairs, 2 * vertices)))))
     for inst in instances:
-        assert inst.kernel.search() == index_order_search(inst.kernel)
+        assert inst.kernel.search()[0] == index_order_search(inst.kernel)[0]
 
 
 def traced_search(instance, monkeypatch):
@@ -300,7 +304,7 @@ def traced_search(instance, monkeypatch):
         return _best_menu(order, outside, root, spy_include, exclude, spy_value)
 
     monkeypatch.setattr(delmenu.kernel, "_best_menu", traced)
-    menu = instance.kernel.search()
+    menu, _ = instance.kernel.search()
 
     def included(state):
         return frozenset(i for i in range(1, instance.n + 1) if state[1] >> i & 1)
@@ -719,7 +723,8 @@ def reference_compile(instance):
     the one denominator they share; the oracle for the compile's integer pair
     identities.  Each correlated ranking lists (bit, packed value) entries,
     favorite first and cut after the outside option, with a scale computed
-    from the scaled rows.
+    from the scaled rows, and ``top`` is the largest action value's standard
+    part, scaled, from the instance's values.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
@@ -756,9 +761,10 @@ def reference_compile(instance):
                 (1 << i, (scaled(v.std, den) * scale + scaled(v.inf, den)) * p)
                 for i, v in ranked
             ))
+        top = max(v.std for values in assignments for i, v in values.items() if i != OUTSIDE)
         return CorrelatedKernel(
             tuple(rankings), scale, tuple(prob),
-            den * prob_den, prob_den, bias,
+            den * prob_den, prob_den, bias, scaled(top, den),
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
     for i in indices:
@@ -861,6 +867,41 @@ def test_best_threshold_examples_cover_their_cases():
     values = [evaluate(TIED_STEPS, menu).f for _, menu in threshold_menus(TIED_STEPS)]
     assert values == [xnum("3/2"), xnum("3/2")]
     assert best_threshold(TIED_STEPS) == (xnum(0), frozenset({1}), xnum("3/2"))
+
+
+# Every value is zero, so every packed difference is zero and the independent
+# walk keeps no rank: every menu is worth 0 and the tie rule alone picks {1}.
+ALL_ZERO = IndependentInstance((deterministic(xnum(1), xnum(0)), deterministic(xnum(0), xnum(0))))
+
+
+def kept_ranks(kernel):
+    """The ranks whose value differs from the next rank's, 0 past the top one."""
+    pairs = list(zip(kernel.std, kernel.inf))
+    return [r for r, (a, b) in enumerate(zip(pairs, pairs[1:] + [(0, 0)])) if a != b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, 5, iota=True, max_den=3)
+    )
+)
+@example(partition_at_minimal_m((1, 2, 3)))
+@example(NEGATIVE_IOTA)
+@example(IOTA_REPEATS)
+@example(ALL_ZERO)
+def test_search_value_equals_evaluate(instance):
+    menu, value = instance.kernel.search()
+    assert value == evaluate(instance, menu).f
+
+
+def test_search_value_examples_cover_their_cases():
+    part = partition_at_minimal_m((1, 2, 3))
+    assert 0 < len(kept_ranks(part.kernel)) < len(part.kernel.std)
+    assert NEGATIVE_IOTA.kernel.search() == (frozenset({1}), xnum(2, -1))
+    assert IOTA_REPEATS.kernel.search() == (frozenset(), xnum(1, Fraction(-1, 3)))
+    assert kept_ranks(ALL_ZERO.kernel) == []
+    assert ALL_ZERO.kernel.search() == (frozenset({1}), xnum(0))
 
 
 # ---------------------------------------------------------------------------

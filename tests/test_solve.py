@@ -7,12 +7,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delmenu import (
     Action,
     CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
+    PartitionInstance,
     Profile,
     best_threshold,
     bound_report,
@@ -20,16 +23,22 @@ from delmenu import (
     decompose,
     deterministic,
     evaluate,
+    from_assortment,
     gen_log_family,
+    gen_outside_family,
     gen_three_approx,
     log2_at_least,
+    minimal_valid_m,
+    parse_graph,
+    reduce_integer_partition,
+    reduce_vertex_cover,
     solve,
     threshold_menu,
     threshold_menus,
     xnum,
 )
 
-from conftest import random_correlated, random_independent, random_menus
+from conftest import random_correlated, random_independent, random_menus, small_instances
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +369,82 @@ def test_bound_properties_random_ensembles():
         inst = random_correlated(seed)
         report = bound_report(inst, solve(inst))
         assert report.bound_log
+
+
+def reference_top_std(instance):
+    """The largest standard part of an action value, outside option excluded, from the instance."""
+    if isinstance(instance, IndependentInstance):
+        return max(value.std for a in instance.actions for value, _ in a.support)
+    return max(p.values[i].std for p in instance.profiles for i in range(instance.n))
+
+
+def reference_min_profile_mass(instance):
+    """Least profile probability, or the product of every candidate's least mass."""
+    if isinstance(instance, CorrelatedInstance):
+        return min(p.prob for p in instance.profiles)
+    mass = Fraction(1)
+    for a in (*instance.actions, *filter(None, [instance.outside])):
+        mass *= min(prob for _, prob in a.support)
+    return mass
+
+
+def assert_rho_and_p_min_match_reference(instance):
+    result = solve(instance)
+    report = bound_report(instance, result)
+    assert report.p_min == reference_min_profile_mass(instance)
+    opt = result.opt_value.std
+    assert report.rho == (None if opt == 0 else reference_top_std(instance) / opt)
+
+
+# The outside option, worth 5 or 7, holds the largest value and wins; rho
+# must read the actions' values alone.  In the correlated one, action 1
+# ranks below the outside option in every profile, so no ranking holds it.
+OUTSIDE_LARGEST = (
+    IndependentInstance(
+        (deterministic(xnum(5), xnum(1)), deterministic(xnum(6), xnum(0))),
+        outside=deterministic(xnum(0), xnum(5)),
+    ),
+    CorrelatedInstance(
+        biases=(xnum(0), xnum(6)),
+        profiles=(
+            Profile(Fraction(1, 3), (xnum(1), xnum(0), xnum(7))),
+            Profile(Fraction(2, 3), (xnum(2), xnum(0), xnum(7))),
+        ),
+        outside_bias=xnum(0),
+    ),
+)
+
+
+@pytest.mark.parametrize("instance", OUTSIDE_LARGEST)
+def test_rho_excludes_the_outside_option(instance):
+    assert_rho_and_p_min_match_reference(instance)
+    assert bound_report(instance, solve(instance)).rho < 1
+
+
+def test_rho_and_p_min_equal_reference_on_families():
+    part = PartitionInstance((3, 1, 1, 2, 2, 1))
+    graph = parse_graph("1 2\n2 3\n3 4\n1 4\n1 3\n")
+    instances = [
+        *(gen_log_family(k) for k in (2, 3, 4)),
+        gen_three_approx(Fraction(1, 10)),
+        gen_outside_family(3),
+        gen_outside_family(3, alt_good_values=True),
+        from_assortment([3, 1, 2], [[(4, 1)], [(2, Fraction(1, 2)), (0, Fraction(1, 2))], [(1, 1)]]),
+        from_assortment([3, 1], [[(4, 1)], [(2, 1)]], outside_util=[(2, Fraction(1, 4)), (6, Fraction(3, 4))]),
+        reduce_vertex_cover(graph),
+        reduce_integer_partition(part, minimal_valid_m(part))[0],
+    ]
+    for seed in range(9):
+        instances += [random_independent(seed, n=4, support=3), random_correlated(seed, n=4)]
+    for inst in instances:
+        assert_rho_and_p_min_match_reference(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["independent", "correlated"]).flatmap(
+        lambda kind: small_instances(kind, max_den=3)
+    )
+)
+def test_rho_and_p_min_equal_reference_on_drawn_instances(instance):
+    assert_rho_and_p_min_match_reference(instance)
