@@ -7,7 +7,13 @@ symbolic tie-breaking infinitesimal), finds optimal menus and best threshold
 menus, builds the worst-case families and hardness reductions that
 characterize threshold performance, and checks the provable guarantees as
 executable properties.
+
+The instance generators (``families``) and the hardness reductions
+(``reductions``) load on first use of one of their names, so a command that
+needs neither does not import them.
 """
+
+import importlib
 
 from .evaluate import (
     Decomposition,
@@ -19,13 +25,6 @@ from .evaluate import (
     eval_correlated,
     eval_independent_dp,
     evaluate,
-)
-from .families import (
-    from_assortment,
-    gen_log_family,
-    gen_outside_family,
-    gen_random,
-    gen_three_approx,
 )
 from .model import (
     Action,
@@ -47,16 +46,6 @@ from .model import (
     threshold_menu,
     validate_menu,
 )
-from .reductions import (
-    Graph,
-    PartitionInstance,
-    has_partition,
-    min_vertex_cover,
-    minimal_valid_m,
-    parse_graph,
-    reduce_integer_partition,
-    reduce_vertex_cover,
-)
 from .serialize import (
     ParseError,
     dump_instance,
@@ -77,6 +66,28 @@ from .solve import (
 from .xnum import IOTA, ONE, XNum, ZERO, as_fraction, xnum, xsum
 
 __version__ = "0.1.0"
+
+# Names loaded on first use (PEP 562), by the module that defines them.
+_LAZY = {
+    "families": (
+        "from_assortment",
+        "gen_log_family",
+        "gen_outside_family",
+        "gen_random",
+        "gen_three_approx",
+    ),
+    "reductions": (
+        "Graph",
+        "PartitionInstance",
+        "has_partition",
+        "min_vertex_cover",
+        "minimal_valid_m",
+        "parse_graph",
+        "reduce_integer_partition",
+        "reduce_vertex_cover",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "Action",
@@ -140,3 +151,19 @@ __all__ = [
     "xnum",
     "xsum",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # the submodule itself, as an eager import would have bound it
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    # As if every name were imported eagerly: the lazy ones, not the machinery.
+    machinery = {"importlib", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"}
+    return sorted((globals().keys() - machinery) | _LAZY_HOME.keys() | _LAZY.keys())

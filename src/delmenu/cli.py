@@ -30,7 +30,6 @@ from .evaluate import (
     eval_bruteforce_product,
     evaluate,
 )
-from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
 from .model import (
     CapExceededError,
     CorrelatedInstance,
@@ -43,14 +42,6 @@ from .model import (
     full_menu,
     threshold_menu,
     validate_menu,
-)
-from .reductions import (
-    PartitionInstance,
-    minimal_valid_m,
-    min_vertex_cover,
-    parse_graph,
-    reduce_integer_partition,
-    reduce_vertex_cover,
 )
 from .serialize import (
     ParseError,
@@ -210,6 +201,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
+
     if args.family == "log":
         instance = gen_log_family(args.k)
     elif args.family == "three-approx":
@@ -232,6 +225,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .reductions import (
+        PartitionInstance,
+        min_vertex_cover,
+        minimal_valid_m,
+        parse_graph,
+        reduce_integer_partition,
+        reduce_vertex_cover,
+    )
+
     if args.problem == "vertex-cover":
         try:
             graph = parse_graph(read_text(args.input), vertices=args.vertices)
@@ -329,10 +331,12 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
     """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
 
     Every field is read once, with its type checked; a malformed one raises
-    ``ParseError``.  Constructors are this module's globals, looked up now,
-    so wrappers installed on them apply; being module-level functions, they
+    ``ParseError``.  Constructors are looked up on ``families`` now, so
+    wrappers installed on them apply; being module-level functions, they
     pickle for worker processes.
     """
+    from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
+
     blocks = spec.get("ensembles", [spec]) if isinstance(spec, dict) else spec
     if not isinstance(blocks, list):
         raise ParseError("ensemble spec: expected a block, a list or {'ensembles': [...]}")

@@ -7,8 +7,11 @@ picks the highest-ranked feasible pair.  Compiling scales every value and
 every candidate's bias to integer ``(std, inf)`` numerators in one
 :func:`~delmenu.xnum.numerators` call, over one denominator for both parts
 of every number: each (index, value) occurrence has an integer identity and
-an integer agent utility, value plus bias.  Pairs are deduplicated and
-ranked on those integers, never by hashing exact rationals, and the same
+an integer agent utility, value plus bias.  That lift reads each part once,
+as its integer ratio, and takes one ``lcm``; probabilities are lifted the
+same way (:func:`~delmenu.xnum.fraction_numerators`).  Pairs are ranked on
+those integers, never by hashing exact rationals: :func:`_rank_pairs` makes
+one key per pair and one sort of the pairs' positions, and the same
 numerators fill the kernel's value rows.
 
 * A correlated instance becomes one ranking per profile (the ranking-based
@@ -22,7 +25,8 @@ numerators fill the kernel's value rows.
   and probabilities, which the winner-state DP folds.  Supports need no
   sort and no deduplication: :func:`~delmenu.model.make_support` merges
   equal values and sorts by value, and for one action, of one bias, value
-  order is rank order.
+  order is rank order.  So the pairs are distinct as listed, and the
+  compile reads their ranks by position.
 
 Values and biases are integer numerators over that one denominator, and
 probabilities over denominators of their own.  Only kernels hold that
@@ -59,10 +63,11 @@ keep a term, since a zero term adds nothing to any sum.  A kernel finds the best
 such as the threshold menus in bias order (``best_prefix``): a correlated
 kernel values each menu by its bound at a leaf, which is exact, and an
 independent one in one pass that folds each step's indices into winner
-states once.  That pass keeps the fold, not the search's rows: it visits
-each action once, so rows as long as the whole ranking would cost more to
-build than they save, and its memo must hold winner states, which the
-reports read.
+states once and values each step by one sum of packed values times masses,
+on the search's packing.  That pass keeps the fold, not the search's rows:
+it visits each action once, so rows as long as the whole ranking would cost
+more to build than they save, and its memo must hold winner states, which
+the reports read.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -75,9 +80,9 @@ of the kernel's equality, repr or pickle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, compress, islice, product
+from itertools import accumulate, compress, islice, product, repeat
 from math import prod
 from operator import mul
 from types import MappingProxyType
@@ -92,7 +97,7 @@ from .model import (
     choice_key,
     full_menu,
 )
-from .xnum import Rational, XNum, common_denominator, numerators, scaled
+from .xnum import Rational, XNum, fraction_numerators, numerators
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
@@ -202,15 +207,23 @@ def _best_menu(order, outside, root, include, exclude, value) -> tuple[Menu, obj
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
 
 
-def _rank_pairs(pairs: Iterable[Pair], bias: Mapping[int, tuple[int, int]]) -> dict[Pair, int]:
-    """Rank of each distinct (index, value) pair in the agent's order (0 = least preferred).
+def _rank_pairs(pairs: Sequence[Pair], bias: Mapping[int, tuple[int, int]]) -> list[int]:
+    """The rank of each distinct (index, value) pair in the agent's order, in input order.
 
-    Values and ``bias[i]`` are integer numerators over the same denominator,
-    so one :func:`~delmenu.model.choice_key` per pair, in its integer form,
-    sorts them by comparing integers.
+    Rank 0 is the least preferred pair.  Values and ``bias[i]`` are integer
+    numerators over the same denominator, so one
+    :func:`~delmenu.model.choice_key` per pair, in its integer form, gives
+    keys that compare as integers; the tie rule lives in that function
+    alone.  One sort of the positions by their keys orders the pairs, and
+    each position gets its place in that order.
     """
-    ranked = sorted(pairs, key=lambda pair: choice_key(*pair, bias[pair[0]]))
-    return {pair: rank for rank, pair in enumerate(ranked)}
+    indices = [i for i, _ in pairs]
+    values = [value for _, value in pairs]
+    keys = list(map(choice_key, indices, values, map(bias.__getitem__, indices)))
+    ranks = [0] * len(keys)
+    for rank, k in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[k] = rank
+    return ranks
 
 
 class _CorrelatedTables(NamedTuple):
@@ -358,9 +371,9 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     bias = dict(zip(indices, lifted[len(values) :]))
     width = len(indices)
     rows = [list(zip(indices, lifted[k : k + width])) for k in range(0, len(values), width)]
-    rank = _rank_pairs({pair for row in rows for pair in row}, bias)
-    prob_den = common_denominator(p.prob for p in instance.profiles)
-    prob = [scaled(profile.prob, prob_den) for profile in instance.profiles]
+    distinct = list({pair for row in rows for pair in row})
+    rank = dict(zip(distinct, _rank_pairs(distinct, bias)))
+    prob, prob_den = fraction_numerators(profile.prob for profile in instance.profiles)
     scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in zip(rows, prob)) + 1
 
     rankings = []
@@ -413,8 +426,9 @@ class IndependentKernel(_IndependentTables, _Counted):
     of the folded actions' ``prob_den``, which is their sum: a fold
     multiplies the total by the folded action's ``prob_den`` and drops only
     zero masses.  ``rest`` is the product of the ``prob_den`` of the
-    candidates not folded, so menus compare by :meth:`_value` over the
-    product of every candidate's ``prob_den``.  :meth:`winners`,
+    candidates not folded, so menus compare by their sum of value times
+    mass, times ``rest``, over ``den`` times the product of every
+    candidate's ``prob_den``.  :meth:`winners`,
     :meth:`counts`, :meth:`best_prefix` and the memo read winner states;
     :meth:`search` walks a state of its own, on the same scale.
     """
@@ -432,15 +446,17 @@ class IndependentKernel(_IndependentTables, _Counted):
         ranks, masses, rest = states
         return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), rest // self.prob_den[i])
 
-    def _value(self, states: States) -> tuple[int, int]:
-        """The states' value as (std, inf) numerators over ``self.den`` times every ``prob_den``.
+    def _packing(self) -> tuple[int, list[int]]:
+        """``scale`` and every rank's value packed ``std * scale + inf``.
 
-        That denominator is the same for every menu, so values compare as
-        integer pairs.
+        A menu's value over ``den`` times every ``prob_den`` is a sum of
+        packed values times masses that sum, times ``rest``, to the product
+        of every ``prob_den``; so its |inf| is at most the largest |inf| times
+        that product, and ``scale`` exceeds twice that.  Such sums compare as
+        their ``(std, inf)`` pairs do, lexicographically, and unpack to them.
         """
-        ranks, masses, rest = states
-        std, inf = self.total(ranks, masses)
-        return std * rest, inf * rest
+        scale = 2 * max(map(abs, self.inf)) * prod(self.prob_den) + 1
+        return scale, [std * scale + inf for std, inf in zip(self.std, self.inf)]
 
     def winners(self, feasible: list[int]) -> States:
         """Winner states of the DP folded over ``feasible``: (ranks, masses, rest).
@@ -502,22 +518,20 @@ class IndependentKernel(_IndependentTables, _Counted):
         include multiplies the terms by the action's cumulative probability
         numerators and divides ``rest`` by its ``prob_den``, and an exclude
         leaves the state as it is.  The outside option is included at the
-        root.  A leaf's value, ``sum(terms) * rest``, is over the same
-        denominator as :meth:`_value`'s, ``den`` times every ``prob_den``.
-        Values are packed ``std * scale + inf``, as in the correlated
-        kernel's rankings, and ``scale`` exceeds twice the largest |inf| a
-        leaf can reach, so leaves compare as :meth:`_value`'s pairs do, and
-        the winner's unpacks to its exact value.  Only the ranks whose packed
-        difference is nonzero keep a term and a column of the CDF rows: a
-        zero term stays zero under every product, so no sum changes.  On a
+        root.  A leaf's value, ``sum(terms) * rest``, is over ``den`` times
+        every ``prob_den``.  Values are packed by :meth:`_packing`, as in the
+        correlated kernel's rankings, so leaves compare as their ``(std,
+        inf)`` pairs do, and the winner's unpacks to its exact value.  Only
+        the ranks whose packed difference is nonzero keep a term and a
+        column of the CDF rows: a zero term stays zero under every product,
+        so no sum changes.  On a
         partition reduction most ranks are dropped: its actions share three
         values and one bias, so equal values sit next to each other in the
         agent's order.  The rows and the packing are built here, not at
         compile time, since most compiled kernels are never searched.
         """
         rest = prod(self.prob_den)
-        scale = 2 * max(map(abs, self.inf)) * rest + 1
-        packed = [std * scale + inf for std, inf in zip(self.std, self.inf)]
+        scale, packed = self._packing()
         diff = [v - w for v, w in zip(packed, packed[1:] + [0])]
         cdf = []
         for ranks, probs in zip(self.ranks, self.probs):
@@ -544,12 +558,16 @@ class IndependentKernel(_IndependentTables, _Counted):
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
 
         One pass: the outside option is folded first, then each step's
-        actions, each once; the steps are disjoint.  Steps compare by
-        :meth:`_value`, and ties go to the earlier step.  The pass replaces
+        actions, each once; the steps are disjoint.  A step's value is one
+        packed sum over its winner states, ``sum(packed[r] * mass) * rest``
+        on :meth:`_packing`'s scale, the search's: an integer over ``den``
+        times every ``prob_den``, which orders the steps as their exact
+        values do.  Ties go to the earlier step.  The pass replaces
         the memo with the winner states of the best step's menu and of the
         last step's, the union of all steps, so :meth:`winners` does not
         fold those menus again.
         """
+        packed = self._packing()[1].__getitem__
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
         states = self.winners(feasible)
         best = None
@@ -557,7 +575,8 @@ class IndependentKernel(_IndependentTables, _Counted):
             for i in added:
                 states = self._add(states, i)
             feasible += added
-            value = self._value(states)
+            ranks, masses, rest = states
+            value = sum(map(mul, map(packed, ranks), masses)) * rest
             if best is None or value > best[0]:
                 best = value, j, len(feasible), states
         _, j, size, best_states = best
@@ -617,17 +636,19 @@ def _fold(
     lo = below_new = below_old = 0
     for s, q in zip(new_ranks, new_masses):
         hi = bisect_left(ranks, s, lo)
-        if below_new:
-            out_ranks += ranks[lo:hi]
-            out_masses += [m * below_new for m in masses[lo:hi]]
-        below_old += sum(masses[lo:hi])
+        if hi > lo:
+            segment = masses[lo:hi]
+            if below_new:
+                out_ranks += ranks[lo:hi]
+                out_masses += map(mul, segment, repeat(below_new))
+            below_old += sum(segment)
+            lo = hi
         if below_old:
             out_ranks.append(s)
             out_masses.append(q * below_old)
         below_new += q
-        lo = hi
     out_ranks += ranks[lo:]
-    out_masses += [m * below_new for m in masses[lo:]]
+    out_masses += map(mul, masses[lo:], repeat(below_new))
     return tuple(out_ranks), tuple(out_masses)
 
 
@@ -635,9 +656,10 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     # Supports are merged and sorted by value (make_support), and one
     # action's bias is fixed, so each support is distinct pairs in rank order.
     indices = candidates(instance, full_menu(instance))
-    draws = [(i, v) for i in indices for v, _ in instance.support_of(i)]
-    lifted, den = numerators([v for _, v in draws] + [instance.bias_of(i) for i in indices])
-    pairs = [(i, value) for (i, _), value in zip(draws, lifted)]
+    supports = [instance.support_of(i) for i in indices]
+    draws = [v for support in supports for v, _ in support]
+    lifted, den = numerators(draws + [instance.bias_of(i) for i in indices])
+    pairs = list(zip([i for i, support in zip(indices, supports) for _ in support], lifted))
     bias = dict(zip(indices, lifted[len(draws) :]))
     rank = _rank_pairs(pairs, bias)
 
@@ -645,20 +667,23 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     ranks: list[tuple[int, ...]] = [()] * width
     probs: list[tuple[int, ...]] = [()] * width
     prob_den = [1] * width
-    ranked = map(rank.__getitem__, pairs)  # in draw order: action by action
-    for i in indices:
-        support = instance.support_of(i)
-        prob_den[i] = common_denominator(p for _, p in support)
+    ranked = iter(rank)  # in draw order: action by action
+    for i, support in zip(indices, supports):
         ranks[i] = tuple(islice(ranked, len(support)))
-        probs[i] = tuple(scaled(p, prob_den[i]) for _, p in support)
-    by_rank = list(rank)  # in rank order
+        masses, prob_den[i] = fraction_numerators([p for _, p in support])
+        probs[i] = tuple(masses)
+    by_rank = [None] * len(pairs)  # each pair at its rank
+    for r, pair in zip(rank, pairs):
+        by_rank[r] = pair
+    owner, values = zip(*by_rank)
+    std, inf = zip(*values)
     return IndependentKernel(
         tuple(ranks),
         tuple(probs),
         tuple(prob_den),
-        tuple(i for i, _ in by_rank),
-        tuple(std for _, (std, _) in by_rank),
-        tuple(inf for _, (_, inf) in by_rank),
+        owner,
+        std,
+        inf,
         den,
         tuple(map(bias.get, range(width))),
     )

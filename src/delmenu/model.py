@@ -270,9 +270,10 @@ def full_menu(instance: Instance) -> Menu:
 
 def validate_menu(instance: Instance, menu: Menu) -> Menu:
     menu = frozenset(menu)
+    n = instance.n
     for i in menu:
-        if not 1 <= i <= instance.n:
-            raise InvalidInstanceError(f"menu index {i} out of range 1..{instance.n}")
+        if not 1 <= i <= n:
+            raise InvalidInstanceError(f"menu index {i} out of range 1..{n}")
     if not menu and not instance.has_outside:
         raise NoFeasibleActionError("no feasible action")
     return menu
@@ -306,12 +307,14 @@ def choice_key(index: int, value: XNum | tuple[int, int], bias: XNum | tuple[int
     numerators over one common denominator (see
     :func:`~delmenu.xnum.numerators`): the same order, but keys sharing that
     denominator compare as integers, not fractions.  XNums are read as their
-    ``(std, inf)`` pairs, over the common denominator 1.
+    ``(std, inf)`` pairs, over the common denominator 1.  The key is one
+    flat tuple, agent utility then value each as ``std, inf``, so keys
+    compare without nested tuples.
     """
     if isinstance(value, XNum):
         value, bias = value._key(), bias._key()
     (std, inf), (bias_std, bias_inf) = value, bias
-    return ((std + bias_std, inf + bias_inf), value, 1 if index != OUTSIDE else 0, -index)
+    return (std + bias_std, inf + bias_inf, std, inf, 1 if index != OUTSIDE else 0, -index)
 
 
 def agent_choice(instance: Instance, menu: Menu, values: Mapping[int, XNum]) -> int:

@@ -192,17 +192,6 @@ def log2_at_least(q: Fraction, threshold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def min_profile_mass(instance: Instance) -> Fraction:
-    """Mass of the least likely value profile.
-
-    Correlated instances: minimum over the explicit profiles as given.
-    Independent instances: the least likely joint realization is the product
-    of each marginal's smallest mass (outside option included).  Both are
-    read from the kernel's integer probabilities.
-    """
-    return instance.kernel.least_mass()
-
-
 def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
     """Check every guarantee that provably applies to this instance class.
 
@@ -217,7 +206,7 @@ def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
     Flags are the literal truth of each inequality on this instance,
     vacuously true where the guarantee does not apply or the optimum is zero.
     """
-    p_min = min_profile_mass(instance)
+    p_min = instance.kernel.least_mass()  # of the least likely value profile
     opt = result.opt_value.std
     best = result.best_threshold_value.std
     if opt == 0:

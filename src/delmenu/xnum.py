@@ -79,14 +79,18 @@ def as_fraction(x: Rational | str) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+_set = object.__setattr__  # XNum is frozen: its __init__ stores the parts past __setattr__
+
+
 @dataclass(frozen=True)
 class XNum:
     std: Fraction
     inf: Fraction = Fraction(0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "std", as_fraction(self.std))
-        object.__setattr__(self, "inf", as_fraction(self.inf))
+    def __init__(self, std: Rational | str, inf: Rational | str = Fraction(0)) -> None:
+        # The dataclass keeps this __init__: each part is coerced and stored once.
+        _set(self, "std", std if type(std) is Fraction else as_fraction(std))
+        _set(self, "inf", inf if type(inf) is Fraction else as_fraction(inf))
 
     # -- arithmetic (componentwise / scalar-linear) --------------------------
 
@@ -176,20 +180,23 @@ def xsum(terms) -> XNum:
     return total
 
 
-def common_denominator(fractions: Iterable[Fraction]) -> int:
-    return math.lcm(*{x.denominator for x in fractions})
+def fraction_numerators(fractions: Iterable[Fraction]) -> tuple[list[int], int]:
+    """``fractions`` as integer numerators over their least common denominator, and it.
 
-
-def scaled(x: Fraction, den: int) -> int:
-    """``x * den`` for a ``den`` that ``x``'s denominator divides."""
-    return x.numerator * (den // x.denominator)
+    Each fraction is read once, as its integer ratio, and the denominator is
+    one ``lcm`` of them all.
+    """
+    ratios = [x.as_integer_ratio() for x in fractions]
+    den = math.lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
 
 
 def numerators(xs: list[XNum]) -> tuple[list[tuple[int, int]], int]:
     """``xs`` as integer ``(std, inf)`` pairs over one common denominator, and it.
 
     The denominator is the least common one of both parts of every number,
-    so the pairs compare lexicographically, and add, as the XNums do.
+    so the pairs compare lexicographically, and add, as the XNums do.  One
+    integer lift, :func:`fraction_numerators`, reads both parts of every number.
     """
-    den = math.lcm(common_denominator(x.std for x in xs), common_denominator(x.inf for x in xs))
-    return [(scaled(x.std, den), scaled(x.inf, den)) for x in xs], den
+    lifted, den = fraction_numerators([part for x in xs for part in (x.std, x.inf)])
+    return list(zip(lifted[::2], lifted[1::2])), den

@@ -20,6 +20,7 @@ from delmenu import (
     deterministic,
     dump_instance,
     gen_log_family,
+    gen_random,
     load_instance,
     xnum,
 )
@@ -533,6 +534,25 @@ def test_import_leaves_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_solve_and_verify_leave_generators_and_reductions_unloaded(tmp_path):
+    # Only generate, reduce and sweep need the generators or the reductions;
+    # solve and verify would pay for importing them at start-up.
+    paths = [str(tmp_path / "log3.json"), str(tmp_path / "random.json")]
+    dump_instance(gen_log_family(3), paths[0])
+    dump_instance(gen_random("independent", n=3, support_size=2, seed=1, outside="random"), paths[1])
+    code = (
+        "import sys, delmenu.cli\n"
+        "codes = [delmenu.cli.main([cmd, path]) for cmd in ('solve', 'verify') for path in sys.argv[1:]]\n"
+        "print(codes, sorted({'delmenu.families', 'delmenu.reductions'} & sys.modules.keys()))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_sweep_workers_clamped():

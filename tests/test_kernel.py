@@ -228,15 +228,23 @@ def test_brute_force_opt_equals_reference_scan():
         assert brute_force_opt(inst) == scan_opt(inst)
 
 
+def fold_value(kernel, states):
+    """The winner states' value as (std, inf) numerators over ``den`` times
+    every ``prob_den``: ``total`` over the states, times ``rest``."""
+    ranks, masses, rest = states
+    std, inf = kernel.total(ranks, masses)
+    return std * rest, inf * rest
+
+
 def fold_search(kernel):
-    """The independent kernel's best menu and its ``_value`` by winner states:
-    the walk over :meth:`~IndependentKernel._add` folds, valued by ``_value``
-    at leaves, over every rank."""
+    """The independent kernel's best menu and its value by winner states:
+    the walk over :meth:`~IndependentKernel._add` folds, valued by
+    :func:`fold_value` at leaves, over every rank."""
     outside = bool(kernel.ranks[OUTSIDE])
     return _best_menu(
         range(1, len(kernel.ranks)), outside, kernel.winners([OUTSIDE] if outside else []),
         kernel._add, lambda states, i: states,
-        lambda states, leaf: kernel._value(states) if leaf else None,
+        lambda states, leaf: fold_value(kernel, states) if leaf else None,
     )
 
 
@@ -430,7 +438,7 @@ def test_kernel_is_not_part_of_instance_equality():
     assert "kernel" in vars(inst) and "kernel" not in vars(twin)
 
 
-ENCODING = {"numerators", "scaled", "common_denominator"}
+ENCODING = {"numerators", "fraction_numerators"}
 
 
 def test_only_the_kernel_imports_the_integer_encoding():
@@ -712,7 +720,10 @@ def test_integer_rank_order_equals_choice_key_order(instance):
     as_pair = {(i, value): (i, v) for (i, v), value in zip(pairs, lifted)}
     bias = {i: value for (i, _), value in zip(biases, lifted[len(pairs) :])}
     by_key = sorted(pairs, key=lambda pair: choice_key(*pair, instance.bias_of(pair[0])))
-    assert [as_pair[pair] for pair in _rank_pairs(set(as_pair), bias)] == by_key
+    integer_pairs = list(as_pair)
+    ranks = _rank_pairs(integer_pairs, bias)
+    assert sorted(ranks) == list(range(len(pairs)))
+    assert [as_pair[pair] for _, pair in sorted(zip(ranks, integer_pairs))] == by_key
 
 
 def reference_compile(instance):
@@ -867,6 +878,59 @@ def test_best_threshold_examples_cover_their_cases():
     values = [evaluate(TIED_STEPS, menu).f for _, menu in threshold_menus(TIED_STEPS)]
     assert values == [xnum("3/2"), xnum("3/2")]
     assert best_threshold(TIED_STEPS) == (xnum(0), frozenset({1}), xnum("3/2"))
+
+
+# Steps {1} and {1, 2} are both worth 2: from {1, 2} the agent takes action
+# 1's draw of 4 on a tie of agent utility 4, and action 2's value 0 when
+# action 1 draws 0.  The earlier step must win.
+EQUAL_STEP_VALUES = IndependentInstance(
+    (
+        Action(xnum(0), ((xnum(0), Fraction(1, 2)), (xnum(4), Fraction(1, 2)))),
+        deterministic(xnum(4), xnum(0)),
+    )
+)
+# Steps {1} and {1, 2} are worth 2 and 2 + iota: equal standard parts, and
+# the iota part decides for the later step.
+IOTA_DECIDES_STEP = IndependentInstance(
+    (deterministic(xnum(0), xnum(2)), deterministic(xnum(1), xnum(2, 1)))
+)
+# Steps {1} and {1, 2} are worth 2 - 19 iota and 5/3 + 8 iota.  The standard
+# parts differ by 1/3, one unit over the product of the prob_dens, and the
+# iota parts are near their bound, so a packing scale without the factor 2,
+# or without that product, lets the iota parts carry into the standard part
+# and picks the later step.
+LARGE_IOTA_STEPS = IndependentInstance(
+    (
+        deterministic(xnum(0), xnum(2, -19)),
+        Action(xnum(1), ((xnum(1, 14), Fraction(2, 3)), (xnum(3, -4), Fraction(1, 3)))),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances("independent", 5, iota=True, max_den=3))
+@example(EQUAL_STEP_VALUES)
+@example(IOTA_DECIDES_STEP)
+@example(LARGE_IOTA_STEPS)
+def test_best_threshold_step_is_the_first_maximizer_of_evaluate(instance):
+    # Each prefix menu evaluated on its own, on a twin without a kernel.
+    twin = dataclasses.replace(instance)
+    menus = threshold_menus(twin)
+    values = [evaluate(twin, menu).f for _, menu in menus]
+    j = values.index(max(values))
+    assert best_threshold(instance) == (*menus[j], values[j])
+
+
+def test_best_threshold_step_examples_cover_their_cases():
+    def step_values(instance):
+        return [evaluate(instance, menu).f for _, menu in threshold_menus(instance)]
+
+    assert step_values(EQUAL_STEP_VALUES) == [xnum(2), xnum(2)]
+    assert best_threshold(EQUAL_STEP_VALUES) == (xnum(0), frozenset({1}), xnum(2))
+    assert step_values(IOTA_DECIDES_STEP) == [xnum(2), xnum(2, 1)]
+    assert best_threshold(IOTA_DECIDES_STEP) == (xnum(1), frozenset({1, 2}), xnum(2, 1))
+    assert step_values(LARGE_IOTA_STEPS) == [xnum(2, -19), xnum("5/3", 8)]
+    assert best_threshold(LARGE_IOTA_STEPS) == (xnum(0), frozenset({1}), xnum(2, -19))
 
 
 # Every value is zero, so every packed difference is zero and the independent
