@@ -217,8 +217,7 @@ def _rank_pairs(pairs: Sequence[Pair], bias: Mapping[int, tuple[int, int]]) -> l
     alone.  One sort of the positions by their keys orders the pairs, and
     each position gets its place in that order.
     """
-    indices = [i for i, _ in pairs]
-    values = [value for _, value in pairs]
+    indices, values = zip(*pairs)
     keys = list(map(choice_key, indices, values, map(bias.__getitem__, indices)))
     ranks = [0] * len(keys)
     for rank, k in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
