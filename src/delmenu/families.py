@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 
 from .model import (
+    VALUE_CAP,
     Action,
+    CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
     Instance,
@@ -177,6 +179,10 @@ def gen_random(
     prob_denominator, so they are positive and sum to exactly 1.  For
     ``kind="correlated"``, ``support_size`` is the number of profiles.
     ``outside`` is "none", "fixed" (deterministic value), or "random".
+    Raises ``CapExceededError``, before any action is built, when the
+    instance could hold more than ``model.VALUE_CAP`` values, counted as
+    ``(n + 1) * support_size`` with an outside option and ``n *
+    support_size`` without.
     """
     if kind not in ("independent", "correlated"):
         raise InvalidInstanceError(f"unknown kind {kind!r}")
@@ -188,6 +194,9 @@ def gen_random(
         raise InvalidInstanceError("value_range and bias_range must be (lo, hi) with lo <= hi")
     if support_size < 1 or prob_denominator < support_size:
         raise InvalidInstanceError("support_size must be in 1..prob_denominator")
+    values = (n + (outside != "none")) * support_size
+    if values > VALUE_CAP:
+        raise CapExceededError(f"instance of {values} values exceeds the cap of {VALUE_CAP} values")
     rng = random.Random(seed)
 
     def rand_value() -> XNum:

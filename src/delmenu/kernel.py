@@ -40,31 +40,32 @@ decomposition (``split``), where a pick probability's numerator times a
 bias numerator needs no new denominator.  Kernels are derived data: the
 instances build and cache them on first use (their ``kernel`` attribute).
 
-Each kernel also finds the optimal menu (``search``) by the one depth-first
-walk of :func:`_best_menu`, which holds the search policy and the tie rule;
-a kernel gives it only the order in which to decide actions, a root state,
-include and exclude steps, and a node value.  The walk returns the winner
-with the packed integer it held at the winner's leaf, and ``search``
-unpacks that integer into the menu's exact value, so no evaluator runs.  Correlated kernels bound each
-subtree with the rankings, the first-choice model of Bertsimas and Mišić
-(Oper. Res. 2019) with a combinatorial bound in place of their integer
-program.  They decide the actions of largest total value first, so a good
-incumbent comes early, and the scan that computes the bound also finds each
-profile's pick from the included actions: a node where an included action
-is no profile's pick is dropped, since the same menus without it tie and
-are smaller.  Independent kernels decide in index order and have no bound
-or prune, so their walk makes each node cheap instead: the draws are
-independent, so the chance that the winner ranks at most r is the product
-of the feasible candidates' CDFs at r, and by summation by parts a menu's
-value is a sum over ranks of that product times a value difference.  A node
-holds those terms, an include multiplies them by one action's CDF row, and
-a leaf sums them; only the ranks whose value differs from the next rank's
-keep a term, since a zero term adds nothing to any sum.  A kernel finds the best of a nested sequence of menus,
-such as the threshold menus in bias order (``best_prefix``): a correlated
-kernel values each menu by its bound at a leaf, which is exact, and an
-independent one in one pass that folds each step's indices into winner
-states once and values each step by one sum of packed values times masses,
-on the search's packing.  That pass keeps the fold, not the search's rows:
+Each kernel also finds the optimal menu (``search``) by a depth-first walk
+of its own, include branch first, that keeps the winner by one tie rule
+(:func:`_wins`).  The walk keeps the packed integer it held at the winner's
+leaf, and ``search`` unpacks that integer into the menu's exact value, so
+no evaluator runs.  Correlated kernels bound each subtree with the
+rankings, the first-choice model of Bertsimas and Mišić (Oper. Res. 2019)
+with a combinatorial bound in place of their integer program.  They decide
+the actions of largest total value first, so a good incumbent comes early,
+and the scan that computes the bound also finds each profile's pick from
+the included actions: a node where an included action is no profile's pick
+is dropped, since the same menus without it tie and are smaller.
+Independent kernels decide in index order and have no bound or prune, so
+their walk makes each node cheap instead: the draws are independent, so the
+chance that the winner ranks at most r is the product of the feasible
+candidates' CDFs at r, and by summation by parts a menu's value is a sum
+over ranks of that product times a value difference.  A node holds those
+terms, an include multiplies them by one action's CDF row, and only a leaf
+sums them; only the ranks whose value differs from the next rank's keep a
+term, since a zero term adds nothing to any sum.
+
+A kernel finds the best of a nested sequence of menus, such as the
+threshold menus in bias order (``best_prefix``): a correlated kernel values
+each menu by its bound at a leaf, which is exact, and an independent one in
+one pass that folds each step's indices into winner states once and values
+each step by one sum of packed values times masses, on the search's
+packing.  That pass keeps the fold, not the search's rows:
 it visits each action once, so rows as long as the whole ranking would cost
 more to build than they save, and its memo must hold winner states, which
 the reports read.
@@ -158,50 +159,17 @@ class _Counted:
         return top, sur, _exact(gap_std, gap_inf, den)
 
 
-_DEAD = object()  # a node value: every menu below ties a smaller one, so the node is dropped
+def _wins(value, menu: list[int], best, best_menu: list[int] | None) -> bool:
+    """Whether ``menu``, sorted, of ``value`` beats the incumbent ``best_menu`` of ``best``.
 
-
-def _best_menu(order, outside, root, include, exclude, value) -> tuple[Menu, object]:
-    """The best menu of the actions in ``order`` and its value, by a depth-first walk.
-
-    Actions are decided in ``order``, the include branch first: a state
-    holds the decisions so far, and ``include(state, i)`` and
-    ``exclude(state, i)`` decide action i.  ``value(state, leaf)`` is the
-    menu's exact value at a leaf and, above one, an exact upper bound on
-    every value below or None for no bound; values need only compare.  It
-    is :data:`_DEAD` for a node below which every menu ties a smaller one
-    elsewhere in the walk, and that node is dropped before any comparison
-    with the incumbent.  Otherwise a subtree is pruned only when its bound
-    is strictly below the incumbent's value, so every menu that ties the
-    winner reaches its leaf.  A higher value wins; equal values go to the
-    smaller menu, then to the lexicographically smaller sorted one, as in a
-    size-then-lexicographic scan that keeps the first maximizer, whatever
-    the order.  The empty menu counts only with an ``outside`` option.
-    The winner's value is returned as ``value`` gave it at the winner's leaf.
+    A higher value wins; equal values go to the smaller menu, then to the
+    lexicographically smaller sorted one, as in a size-then-lexicographic
+    scan that keeps the first maximizer, whatever order the menus come in.
+    Any menu beats no incumbent (``best_menu`` None).
     """
-    menu: list[int] = []
-    best = best_menu = None
-    depth = len(order)
-
-    def visit(k: int, state) -> None:
-        nonlocal best, best_menu
-        leaf = k == depth
-        if leaf and not (menu or outside):
-            return
-        v = value(state, leaf)
-        if v is _DEAD or best_menu is not None and v is not None and v < best:
-            return
-        if not leaf:
-            i = order[k]
-            menu.append(i)
-            visit(k + 1, include(state, i))
-            menu.pop()
-            visit(k + 1, exclude(state, i))
-        elif best_menu is None or v > best or (len(menu), sorted(menu)) < (len(best_menu), best_menu):
-            best, best_menu = v, sorted(menu)
-
-    visit(0, root)
-    return frozenset(best_menu), best
+    if best_menu is None or value != best:
+        return best_menu is None or value > best
+    return (len(menu), menu) < (len(best_menu), best_menu)
 
 
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
@@ -284,11 +252,11 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         """The probability of the least likely profile."""
         return Fraction(min(self.prob), self.prob_den)
 
-    def _bound(self, state: tuple[int, int]) -> tuple[int, int]:
-        """An exact upper bound on the value of every menu below ``state``, and the picks.
+    def _bound(self, live: int, stop: int) -> tuple[int, int]:
+        """An exact upper bound on the value of every menu below a node, and the picks.
 
-        ``state`` is ``(live, stop)``: bits of the included set I plus the
-        undecided set U plus the outside option, and of I plus the outside
+        ``live`` holds the bits of the included set I plus the undecided set
+        U plus the outside option, and ``stop`` those of I plus the outside
         option.  Each profile picks a member of ``live`` ranked at or above
         the first member of ``stop`` in its ranking, so the best value among
         those bounds the profile's term, and the bounds' sum bounds every
@@ -298,7 +266,6 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         each profile's first member of ``stop``, its pick from I plus the
         outside option, into the picks mask.
         """
-        live, stop = state
         total = picks = 0
         for ranking in self.rankings:
             top = None
@@ -313,18 +280,22 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         return total, picks
 
     def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by :func:`_best_menu` with the exact bound :meth:`_bound`.
+        """The best menu and its value, by a depth-first walk bounded by :meth:`_bound`.
 
         Actions are decided by decreasing total value over the rankings, so
         the walk meets a high incumbent early and the bound prunes more; the
-        sort is stable, so equal totals keep index order.  A node is dead
-        when an included action is no profile's pick from the included set
-        I plus the outside option.  Adding actions only moves a profile's
-        pick up its ranking, so that action stays unpicked in every menu
-        below, and each such menu has the value of the same menu without
-        it, which is smaller and lies in that action's exclude branch.  The
-        walk's value at the winner's leaf is its packed exact value, over
-        ``den``.
+        sort is stable, so equal totals keep index order.  A node is
+        ``(live, stop)`` as :meth:`_bound` reads it, and its include branch
+        comes first.  A node is dead when an included action is no profile's
+        pick from the included set I plus the outside option.  Adding
+        actions only moves a profile's pick up its ranking, so that action
+        stays unpicked in every menu below, and each such menu has the value
+        of the same menu without it, which is smaller and lies in that
+        action's exclude branch; so a dead node is dropped before any
+        comparison.  Otherwise a subtree is pruned only when its bound is
+        strictly below the incumbent's value, so every menu that ties the
+        winner reaches its leaf, and :func:`_wins` keeps the winner.  The
+        bound at the winner's leaf is its packed exact value, over ``den``.
         """
         width = len(self.bias)
         total = [0] * width
@@ -332,20 +303,30 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
             for bit, value in ranking:
                 total[bit.bit_length() - 1] += value
         order = sorted(range(1, width), key=total.__getitem__, reverse=True)
-
-        def value(state: tuple[int, int], leaf: bool):
-            bound, picks = self._bound(state)
-            # Bit 0, the outside option's, is no action: only a higher bit can be dead.
-            return _DEAD if (state[1] & ~picks) > 1 else bound
-
         outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
-        menu, best = _best_menu(
-            order, outside, ((1 << width) - 2 | outside, outside),
-            lambda state, i: (state[0], state[1] | 1 << i),
-            lambda state, i: (state[0] & ~(1 << i), state[1]),
-            value,
-        )
-        return menu, _exact(*_unpack(best, self.scale), self.den)
+        depth = len(order)
+        menu: list[int] = []
+        best = best_menu = None
+
+        def visit(k: int, live: int, stop: int) -> None:
+            nonlocal best, best_menu
+            if k == depth and not (menu or outside):
+                return
+            bound, picks = self._bound(live, stop)
+            # Bit 0, the outside option's, is no action: only a higher bit can be dead.
+            if stop & ~picks > 1 or best_menu is not None and bound < best:
+                return
+            if k < depth:
+                i = order[k]
+                menu.append(i)
+                visit(k + 1, live, stop | 1 << i)
+                menu.pop()
+                visit(k + 1, live & ~(1 << i), stop)
+            elif _wins(bound, sorted(menu), best, best_menu):
+                best, best_menu = bound, sorted(menu)
+
+        visit(0, (1 << width) - 2 | outside, outside)
+        return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
@@ -358,7 +339,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         values = []
         for added in steps:
             menu |= sum(1 << i for i in added)
-            values.append(self._bound((menu, menu))[0])
+            values.append(self._bound(menu, menu)[0])
         return values.index(max(values))
 
 
@@ -407,7 +388,7 @@ class _IndependentTables(NamedTuple):
     bias: tuple[tuple[int, int] | None, ...]
 
 
-States = tuple[tuple[int, ...], tuple[int, ...], int]  # winner states: (ranks, masses, rest)
+States = tuple[tuple[int, ...], tuple[int, ...]]  # winner states: (ranks, masses)
 
 
 class IndependentKernel(_IndependentTables, _Counted):
@@ -420,16 +401,16 @@ class IndependentKernel(_IndependentTables, _Counted):
     den`` times iota.  ``bias[i]`` is index i's bias as ``(std, inf)``
     numerators over ``den`` too (None for a missing outside option).
 
-    Winner states are ``(ranks, masses, rest)``, and :meth:`_add` is the one
-    step that folds an action into them.  The masses are over the product
-    of the folded actions' ``prob_den``, which is their sum: a fold
-    multiplies the total by the folded action's ``prob_den`` and drops only
-    zero masses.  ``rest`` is the product of the ``prob_den`` of the
-    candidates not folded, so menus compare by their sum of value times
-    mass, times ``rest``, over ``den`` times the product of every
-    candidate's ``prob_den``.  :meth:`winners`,
-    :meth:`counts`, :meth:`best_prefix` and the memo read winner states;
-    :meth:`search` walks a state of its own, on the same scale.
+    Winner states are ``(ranks, masses)``, and :func:`_fold` folds an
+    action's support into them.  The masses are over the product of the
+    folded actions' ``prob_den``, which is their sum: a fold multiplies the
+    total by the folded action's ``prob_den`` and drops only zero masses.
+    :meth:`winners`, :meth:`counts`, :meth:`best_prefix` and the memo read
+    winner states; :meth:`search` walks a state of its own.  Both
+    :meth:`best_prefix` and :meth:`search` put menus on one scale by
+    ``rest``, the product of the ``prob_den`` of the candidates not folded:
+    a menu's value is then an integer over ``den`` times the product of
+    every candidate's ``prob_den``.
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -439,11 +420,6 @@ class IndependentKernel(_IndependentTables, _Counted):
         # Pickles and copies carry the fields alone, so a filled memo leaves
         # the bytes as they were.
         return None
-
-    def _add(self, states: States, i: int) -> States:
-        """The winner states with index i folded in, and ``rest`` without its ``prob_den``."""
-        ranks, masses, rest = states
-        return (*_fold(ranks, masses, self.ranks[i], self.probs[i]), rest // self.prob_den[i])
 
     def _packing(self) -> tuple[int, list[int]]:
         """``scale`` and every rank's value packed ``std * scale + inf``.
@@ -458,7 +434,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         return scale, [std * scale + inf for std, inf in zip(self.std, self.inf)]
 
     def winners(self, feasible: list[int]) -> States:
-        """Winner states of the DP folded over ``feasible``: (ranks, masses, rest).
+        """Winner states of the DP folded over ``feasible``: (ranks, masses).
 
         A state is a rank: the pair that is the agent's favorite so far, with
         probability ``mass / sum(masses)``; ranks ascend.  The winner is a
@@ -470,9 +446,9 @@ class IndependentKernel(_IndependentTables, _Counted):
         """
         states = self._memo.get(frozenset(feasible))
         if states is None:
-            states = (-1,), (1,), prod(self.prob_den)
+            states = (-1,), (1,)
             for i in feasible:
-                states = self._add(states, i)
+                states = _fold(*states, self.ranks[i], self.probs[i])
         return states
 
     def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
@@ -484,7 +460,7 @@ class IndependentKernel(_IndependentTables, _Counted):
 
     def counts(self, feasible: list[int]) -> Counts:
         """Per-index integer counts of the winner states of ``feasible``."""
-        ranks, masses, _ = self.winners(feasible)
+        ranks, masses = self.winners(feasible)
         width = len(self.ranks)
         std, inf, freq = [0] * width, [0] * width, [0] * width
         for r, m in zip(ranks, masses):
@@ -504,32 +480,33 @@ class IndependentKernel(_IndependentTables, _Counted):
         return Fraction(prod(min(probs) for probs in self.probs if probs), prod(self.prob_den))
 
     def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by :func:`_best_menu` without a bound.
+        """The best menu and its value, by a depth-first walk of every menu.
 
         The draws are independent, so the winner ranks at most r with
         probability G(r), the product over the feasible candidates of their
         CDFs at r.  Summation by parts gives a menu's value as the sum over
         ranks r of G(r) * (v_r - v_{r+1}), where v_r is rank r's value and v
         is 0 past the top rank; the term G(-1) * v_0 drops out, since G(-1)
-        is 0 once anything is feasible.  A node's state is that sum's terms,
-        one per rank, and ``rest``.  The root's terms are the value
-        differences and its ``rest`` the product of every ``prob_den``; an
-        include multiplies the terms by the action's cumulative probability
-        numerators and divides ``rest`` by its ``prob_den``, and an exclude
-        leaves the state as it is.  The outside option is included at the
-        root.  A leaf's value, ``sum(terms) * rest``, is over ``den`` times
-        every ``prob_den``.  Values are packed by :meth:`_packing`, as in the
-        correlated kernel's rankings, so leaves compare as their ``(std,
-        inf)`` pairs do, and the winner's unpacks to its exact value.  Only
-        the ranks whose packed difference is nonzero keep a term and a
-        column of the CDF rows: a zero term stays zero under every product,
-        so no sum changes.  On a
+        is 0 once anything is feasible.  A node holds that sum's terms, one
+        per rank, and ``rest``.  The root's terms are the value differences
+        times the outside option's CDF row, if there is one, and its
+        ``rest`` the product of every other ``prob_den``.  Actions are
+        decided in index order, include first: an include multiplies the
+        terms by the action's CDF row and divides ``rest`` by its
+        ``prob_den``, and an exclude passes the node on as it is.  There is
+        no bound, so only leaves sum: a leaf's value, ``sum(terms) * rest``,
+        is over ``den`` times every ``prob_den``, and :func:`_wins` keeps
+        the winner; the empty menu counts only with an outside option.
+        Values are packed by :meth:`_packing`, as in the correlated kernel's
+        rankings, so leaves compare as their ``(std, inf)`` pairs do, and the
+        winner's unpacks to its exact value.  Only the ranks whose packed
+        difference is nonzero keep a term and a column of the CDF rows: a
+        zero term stays zero under every product, so no sum changes.  On a
         partition reduction most ranks are dropped: its actions share three
         values and one bias, so equal values sit next to each other in the
         agent's order.  The rows and the packing are built here, not at
         compile time, since most compiled kernels are never searched.
         """
-        rest = prod(self.prob_den)
         scale, packed = self._packing()
         diff = [v - w for v, w in zip(packed, packed[1:] + [0])]
         cdf = []
@@ -539,42 +516,55 @@ class IndependentKernel(_IndependentTables, _Counted):
                 row[r] = p
             cdf.append(list(compress(accumulate(row), diff)))
         prob_den = self.prob_den
-
-        def include(state: tuple[list[int], int], i: int) -> tuple[list[int], int]:
-            terms, rest = state
-            return list(map(mul, terms, cdf[i])), rest // prob_den[i]
-
-        root = [d for d in diff if d], rest
         outside = bool(self.ranks[OUTSIDE])
-        menu, best = _best_menu(
-            range(1, len(self.ranks)), outside, include(root, OUTSIDE) if outside else root,
-            include, lambda state, i: state,
-            lambda state, leaf: sum(state[0]) * state[1] if leaf else None,
-        )
-        return menu, _exact(*_unpack(best, scale), self.den * rest)
+        terms = [d for d in diff if d]
+        if outside:
+            terms = list(map(mul, terms, cdf[OUTSIDE]))
+        depth = len(self.ranks)
+        menu: list[int] = []
+        best = best_menu = None
+
+        def visit(i: int, terms: list[int], rest: int) -> None:
+            nonlocal best, best_menu
+            if i < depth:
+                menu.append(i)
+                visit(i + 1, list(map(mul, terms, cdf[i])), rest // prob_den[i])
+                menu.pop()
+                visit(i + 1, terms, rest)
+            elif menu or outside:
+                value = sum(terms) * rest
+                if _wins(value, menu, best, best_menu):
+                    best, best_menu = value, menu[:]
+
+        whole = prod(prob_den)
+        visit(1, terms, whole // prob_den[OUTSIDE])
+        return frozenset(best_menu), _exact(*_unpack(best, scale), self.den * whole)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
 
         One pass: the outside option is folded first, then each step's
-        actions, each once; the steps are disjoint.  A step's value is one
-        packed sum over its winner states, ``sum(packed[r] * mass) * rest``
-        on :meth:`_packing`'s scale, the search's: an integer over ``den``
-        times every ``prob_den``, which orders the steps as their exact
-        values do.  Ties go to the earlier step.  The pass replaces
-        the memo with the winner states of the best step's menu and of the
-        last step's, the union of all steps, so :meth:`winners` does not
-        fold those menus again.
+        actions, each once; the steps are disjoint.  ``rest`` starts at the
+        product of every ``prob_den`` but the outside option's and drops
+        each folded action's.  A step's value is one packed sum over its
+        winner states, ``sum(packed[r] * mass) * rest`` on :meth:`_packing`'s
+        scale, the search's: an integer over ``den`` times every
+        ``prob_den``, which orders the steps as their exact values do.  Ties
+        go to the earlier step.  The pass replaces the memo with the winner
+        states of the best step's menu and of the last step's, the union of
+        all steps, so :meth:`winners` does not fold those menus again.
         """
         packed = self._packing()[1].__getitem__
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
         states = self.winners(feasible)
+        rest = prod(self.prob_den) // self.prob_den[OUTSIDE]
         best = None
         for j, added in enumerate(steps):
             for i in added:
-                states = self._add(states, i)
+                states = _fold(*states, self.ranks[i], self.probs[i])
+                rest //= self.prob_den[i]
             feasible += added
-            ranks, masses, rest = states
+            ranks, masses = states
             value = sum(map(mul, map(packed, ranks), masses)) * rest
             if best is None or value > best[0]:
                 best = value, j, len(feasible), states
@@ -596,7 +586,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         it is placed by its integer choice key over ``den``, where ``bias``
         scales to exact rational numerators that compare with the pairs'.
         """
-        ranks, masses, _ = self.winners(kept)
+        ranks, masses = self.winners(kept)
         top = min(
             (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
             key=lambda top: self.total([max(r, top) for r in ranks], masses),

@@ -47,6 +47,11 @@ class CapExceededError(DelegationError):
     """An enumeration would exceed its configured size cap."""
 
 
+# Most values a generated instance may hold: as many as the default profile
+# cap of eval_bruteforce_product, about 65 MB of instance file.
+VALUE_CAP = 10**6
+
+
 # Frames a recursive search may need beyond one per level: its leaf's calls.
 _SEARCH_FRAMES = 50
 

@@ -17,15 +17,11 @@ from .model import (
     CorrelatedInstance,
     IndependentInstance,
     InvalidInstanceError,
+    VALUE_CAP,
     Profile,
     check_depth,
 )
 from .xnum import IOTA, XNum, parse_integer
-
-# Most values a vertex-cover instance may hold, (edges + vertices) profiles of
-# vertices + 1 values each: as many as the default profile cap of
-# eval_bruteforce_product, about 65 MB of instance file.
-VERTEX_COVER_VALUE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -141,13 +137,13 @@ def reduce_vertex_cover(g: Graph) -> CorrelatedInstance:
     (5*edges + 3*vertices - cover) / (edges + vertices): covered edges pay 5,
     vertices in the cover pay 2, and the rest fall through to the default
     for 3.  Raises ``CapExceededError``, before any profile is built, when
-    the instance would hold more than ``VERTEX_COVER_VALUE_CAP`` values.
+    the instance would hold more than ``model.VALUE_CAP`` values.
     """
     n, m = g.vertices, len(g.edges)
-    if (m + n) * (n + 1) > VERTEX_COVER_VALUE_CAP:
+    if (m + n) * (n + 1) > VALUE_CAP:
         raise CapExceededError(
             f"instance of {m + n} profiles of {n + 1} values exceeds the cap of"
-            f" {VERTEX_COVER_VALUE_CAP} values"
+            f" {VALUE_CAP} values"
         )
     prob = Fraction(1, m + n)
     zero = XNum(Fraction(0))

@@ -59,17 +59,19 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     """The optimal menu and its value; ties favor smaller, then lexicographic.
 
     An exact search over the empty menu (legal only with an outside option)
-    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel.
-    On a correlated instance it is a depth-first walk that decides the
-    actions of largest total value first and skips a subtree when an exact
-    bound shows it holds no menu of equal or higher value, or when it holds
-    an action that no profile picks, since each of its menus ties the same
-    menu without that action.  On an independent instance the walk visits
-    every menu, with one elementwise product per included action and one
-    sum per menu, over only the ranks whose value differs from the next
-    rank's.  Among menus of equal value it returns the smallest, then the
-    lexicographically smallest: the first maximizer of a
-    size-then-lexicographic scan, whatever order the walk takes.  The value
+    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel,
+    whose ``search`` is a depth-first walk of its own for each kind.  On a
+    correlated instance the walk decides the actions of largest total value
+    first and skips a subtree when an exact bound shows it holds no menu of
+    equal or higher value, or when it holds an action that no profile
+    picks, since each of its menus ties the same menu without that action.
+    On an independent instance the walk decides the actions in index order
+    and visits every menu, with one elementwise product per included action
+    and one sum per menu, over only the ranks whose value differs from the
+    next rank's.  Both walks keep the winner by one tie rule: among menus of
+    equal value the smallest, then the lexicographically smallest, the
+    first maximizer of a size-then-lexicographic scan, whatever order the
+    walk takes.  The value
     is the one the walk held at the winner's leaf, unpacked from the
     kernel's integers; no evaluator runs.  Raises ``CapExceededError``
     above ``cap_n`` actions, since the worst case still doubles per action,

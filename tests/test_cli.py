@@ -647,6 +647,40 @@ def test_reduce_vertex_cover_over_the_value_cap_exits_3_and_writes_no_file(tmp_p
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+def test_generate_random_over_the_value_cap_exits_3_and_sweeps_a_skipped_row(tmp_path, kind):
+    # Subprocesses with a timeout: without the cap, each call builds 10**8
+    # actions or values until it is killed.
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    cli = [sys.executable, "-m", "delmenu.cli"]
+    message = "instance of 200000000 values exceeds the cap of 1000000 values"
+    out_file = tmp_path / "x.json"
+
+    def run_cli(*argv):
+        return subprocess.run([*cli, *argv], capture_output=True, text=True, env=env, timeout=10)
+
+    proc = run_cli(
+        "generate", "random", "--kind", kind, "--n", "100000000", "--seed", "1", "-o", str(out_file)
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+    assert not out_file.exists()
+    spec = write_spec(tmp_path, {"generator": "random", "kind": kind, "n": 100000000})
+    rows = tmp_path / "rows.csv"
+    proc = run_cli("sweep", spec, "-o", str(rows))
+    assert proc.returncode == 0, proc.stderr
+    assert [r["status"] for r in read_rows(rows)] == [f"skipped: {message}"]
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+def test_gen_random_value_cap_counts_the_outside_option(kind, monkeypatch):
+    # (n + 1) * support_size values with an outside option, n * support_size without.
+    monkeypatch.setattr(delmenu.families, "VALUE_CAP", 12)
+    assert gen_random(kind, n=3, support_size=3, seed=1, outside="random").n == 3
+    assert gen_random(kind, n=4, support_size=3, seed=1, outside="none").n == 4
+    with pytest.raises(CapExceededError, match="instance of 15 values exceeds the cap of 12 values"):
+        gen_random(kind, n=4, support_size=3, seed=1, outside="fixed")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.kernel import CorrelatedKernel, IndependentKernel, _best_menu, _rank_pairs
+from delmenu.kernel import CorrelatedKernel, IndependentKernel, _rank_pairs
 from delmenu.model import (
     OUTSIDE,
     candidates,
@@ -197,12 +197,16 @@ def test_shift_biases_leaves_every_report_unchanged(shift):
                 assert evaluate(shifted, menu) == evaluate(inst, menu)
 
 
-def scan_opt(instance):
-    """Best menu by the reference evaluators; ties: smaller, then lexicographic."""
-    scored = [(reference(instance, menu).f, menu) for menu in all_menus(instance)]
+def first_best(scored):
+    """The best ``(value, menu)``'s menu and value; ties: smaller, then lexicographic."""
     best = max(value for value, _ in scored)
     winners = [menu for value, menu in scored if value == best]
     return min(winners, key=lambda m: (len(m), sorted(m))), best
+
+
+def scan_opt(instance):
+    """Best menu by the reference evaluators, by :func:`first_best`."""
+    return first_best([(reference(instance, menu).f, menu) for menu in all_menus(instance)])
 
 
 def test_brute_force_opt_equals_reference_scan():
@@ -228,24 +232,22 @@ def test_brute_force_opt_equals_reference_scan():
         assert brute_force_opt(inst) == scan_opt(inst)
 
 
-def fold_value(kernel, states):
-    """The winner states' value as (std, inf) numerators over ``den`` times
-    every ``prob_den``: ``total`` over the states, times ``rest``."""
-    ranks, masses, rest = states
-    std, inf = kernel.total(ranks, masses)
+def fold_value(kernel, feasible):
+    """The value of ``feasible``'s winner states as (std, inf) numerators over
+    ``den`` times every ``prob_den``: ``total`` over the states, times
+    ``rest``, the product of the non-candidates' ``prob_den``."""
+    std, inf = kernel.total(*kernel.winners(feasible))
+    rest = math.prod(d for i, d in enumerate(kernel.prob_den) if i not in feasible)
     return std * rest, inf * rest
 
 
-def fold_search(kernel):
-    """The independent kernel's best menu and its value by winner states:
-    the walk over :meth:`~IndependentKernel._add` folds, valued by
-    :func:`fold_value` at leaves, over every rank."""
-    outside = bool(kernel.ranks[OUTSIDE])
-    return _best_menu(
-        range(1, len(kernel.ranks)), outside, kernel.winners([OUTSIDE] if outside else []),
-        kernel._add, lambda states, i: states,
-        lambda states, leaf: fold_value(kernel, states) if leaf else None,
-    )
+def fold_search(instance):
+    """The independent kernel's best menu and its value by winner states: a
+    scan of every menu, each valued by :func:`fold_value` over every rank,
+    with the tie rule of :func:`scan_opt`."""
+    outside = [OUTSIDE] if instance.has_outside else []
+    kernel = instance.kernel
+    return first_best([(fold_value(kernel, outside + sorted(m)), m) for m in all_menus(instance)])
 
 
 def test_independent_search_equals_fold_search():
@@ -262,22 +264,34 @@ def test_independent_search_equals_fold_search():
         instances.append(reduce_integer_partition(part, minimal_valid_m(part))[0])
     for inst in instances:
         menu, value = inst.kernel.search()
-        assert menu == fold_search(inst.kernel)[0]
+        assert menu == fold_search(inst)[0]
         assert value == evaluate(inst, menu).f
 
 
 def index_order_search(kernel):
     """The correlated kernel's best menu and its packed value by the plain
-    bound walk: actions in index order, no dead-node prune, each node valued
-    by ``_bound`` alone."""
+    bound walk: actions in index order, include first, no dead-node prune,
+    each node valued by ``_bound`` alone and pruned strictly below the
+    incumbent, ties as in :func:`scan_opt`."""
     width = len(kernel.bias)
     outside = 0 if kernel.bias[OUTSIDE] is None else 1
-    return _best_menu(
-        range(1, width), outside, ((1 << width) - 2 | outside, outside),
-        lambda state, i: (state[0], state[1] | 1 << i),
-        lambda state, i: (state[0] & ~(1 << i), state[1]),
-        lambda state, leaf: kernel._bound(state)[0],
-    )
+    best = []  # the incumbent's (-value, size, sorted menu)
+
+    def visit(i, live, stop):
+        if i == width and not stop:
+            return  # the empty menu without an outside option
+        bound = kernel._bound(live, stop)[0]
+        if best and -bound > best[0][0]:
+            return
+        if i < width:
+            visit(i + 1, live, stop | 1 << i)
+            visit(i + 1, live & ~(1 << i), stop)
+        else:
+            menu = [j for j in range(1, width) if stop >> j & 1]
+            best[:] = [min(best + [(-bound, len(menu), menu)])]
+
+    visit(1, (1 << width) - 2 | outside, outside)
+    return frozenset(best[0][2]), -best[0][0]
 
 
 def test_correlated_search_equals_index_order_search():
@@ -296,28 +310,26 @@ def test_correlated_search_equals_index_order_search():
 
 
 def traced_search(instance, monkeypatch):
-    """``instance.kernel.search()``, with the included sets of the nodes the
-    walk values and of the nodes it expands, in walk order."""
-    valued, expanded = [], []
+    """``instance.kernel.search()``, with the ``(live, stop)`` nodes the walk
+    values by ``_bound``, in walk order."""
+    valued = []
+    bound = CorrelatedKernel._bound
 
-    def traced(order, outside, root, include, exclude, value):
-        def spy_value(state, leaf):
-            valued.append(state)
-            return value(state, leaf)
+    def spy(kernel, live, stop):
+        valued.append((live, stop))
+        return bound(kernel, live, stop)
 
-        def spy_include(state, i):
-            expanded.append(state)
-            return include(state, i)
-
-        return _best_menu(order, outside, root, spy_include, exclude, spy_value)
-
-    monkeypatch.setattr(delmenu.kernel, "_best_menu", traced)
+    monkeypatch.setattr(CorrelatedKernel, "_bound", spy)
     menu, _ = instance.kernel.search()
+    return menu, valued
 
-    def included(state):
-        return frozenset(i for i in range(1, instance.n + 1) if state[1] >> i & 1)
 
-    return menu, list(map(included, valued)), list(map(included, expanded))
+def below(node, top):
+    """Whether ``node`` lies strictly below ``top`` in the walk: every
+    action included at ``top`` is included, every one excluded there is
+    excluded, and the node is another."""
+    (live, stop), (top_live, top_stop) = node, top
+    return stop & top_stop == top_stop and live & ~top_live == 0 and node != top
 
 
 @pytest.mark.parametrize("outside", OUTSIDE_MODES)
@@ -328,16 +340,18 @@ def test_correlated_search_never_expands_a_dead_node(outside, monkeypatch):
         inst = random_correlated(seed, outside, n=7, profiles=6)
         dead = {}
 
-        def is_dead(menu):
+        def is_dead(node):
+            menu = frozenset(i for i in range(1, inst.n + 1) if node[1] >> i & 1)
             if menu not in dead:
                 freq = reference(inst, menu).freq if menu or inst.has_outside else {}
                 dead[menu] = any(freq[i] == 0 for i in menu)
             return dead[menu]
 
-        menu, valued, expanded = traced_search(inst, monkeypatch)
+        menu, valued = traced_search(inst, monkeypatch)
         assert menu == scan_opt(inst)[0]
-        assert not any(map(is_dead, expanded))
-        dead_seen += sum(map(is_dead, valued))
+        dead_nodes = list(filter(is_dead, valued))
+        assert not any(below(node, top) for node in valued for top in dead_nodes)
+        dead_seen += len(dead_nodes)
     assert dead_seen > 0
 
 
@@ -1044,5 +1058,6 @@ def test_memo_holds_at_most_two_entries_of_tuples():
                 evaluate(inst, menu)
             assert 1 <= len(kernel._memo) <= 2
             for states in kernel._memo.values():
-                assert all(isinstance(part, tuple) for part in states[:2])
-        assert all(isinstance(part, tuple) for part in kernel.winners([1, 2])[:2])
+                assert len(states) == 2 and all(isinstance(part, tuple) for part in states)
+        states = kernel.winners([1, 2])  # (ranks, masses)
+        assert len(states) == 2 and all(isinstance(part, tuple) for part in states)
