@@ -289,6 +289,8 @@ SWEEP_COLUMNS = [
 
 Job = tuple[str, Callable[..., Instance], dict[str, Any]]
 
+SWEEP_ROW_CAP = 10**5  # rows of one sweep spec, across all its blocks
+
 RANDOM_FIELDS = {
     "kind": "independent",
     "n": 3,
@@ -330,10 +332,13 @@ def _block_field(block: dict[str, Any], b: int, name: str, default: Any) -> Any:
 def _ensemble_jobs(spec: Any) -> list[Job]:
     """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
 
-    Every field is read once, with its type checked; a malformed one raises
-    ``ParseError``.  Constructors are looked up on ``families`` now, so
-    wrappers installed on them apply; being module-level functions, they
-    pickle for worker processes.
+    Every field is read once, with its type checked; a malformed one, or a
+    ``count`` below 1, raises ``ParseError``.  A spec of more than
+    ``SWEEP_ROW_CAP`` rows raises ``CapExceededError``; a random block's
+    rows are counted before its jobs are built, so a huge ``count`` builds
+    nothing.  Constructors are looked up on ``families`` now, so wrappers
+    installed on them apply; being module-level functions, they pickle for
+    worker processes.
     """
     from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
 
@@ -348,8 +353,11 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
         field = functools.partial(_block_field, block, b)
         if gen == "random":
             kwargs = {name: field(name, default) for name, default in RANDOM_FIELDS.items()}
-            seed0 = field("seed0", 0)
-            for seed in range(seed0, seed0 + field("count", 1)):
+            seed0, count = field("seed0", 0), field("count", 1)
+            if count < 1:
+                raise ParseError(f"ensemble block {b}.count: expected at least 1, got {count}")
+            _check_rows(len(jobs) + count)
+            for seed in range(seed0, seed0 + count):
                 job_id = f"random-{kwargs['kind']}-s{seed}"
                 jobs.append((job_id, gen_random, {**kwargs, "seed": seed}))
         elif gen == "log":
@@ -363,7 +371,15 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
             jobs.append((f"outside-n{n}", gen_outside_family, {"n": n}))
         else:
             raise ParseError(f"ensemble block {b}: unknown generator {gen!r}")
+        _check_rows(len(jobs))
     return jobs
+
+
+def _check_rows(rows: int) -> None:
+    if rows > SWEEP_ROW_CAP:
+        raise CapExceededError(
+            f"sweep of at least {rows} rows exceeds the cap of {SWEEP_ROW_CAP} rows"
+        )
 
 
 def _instance_row(instance_id: str, instance: Instance, cap_n: int) -> dict[str, str]:

@@ -75,7 +75,7 @@ class Decomposition:
 
 
 def eval_correlated(instance: CorrelatedInstance, menu: Menu) -> EvalReport:
-    """Expected utility by exhaustive enumeration of the explicit profiles."""
+    """Expected utility over the explicit profiles, each pick read from the kernel's rankings."""
     if not isinstance(instance, CorrelatedInstance):
         raise InvalidInstanceError("eval_correlated requires a correlated instance")
     return EvalReport(*instance.kernel.tally(candidates(instance, validate_menu(instance, menu))))

@@ -14,19 +14,26 @@ those integers, never by hashing exact rationals: :func:`_rank_pairs` makes
 one key per pair and one sort of the pairs' positions, and the same
 numerators fill the kernel's value rows.
 
+Both kernels hold values in one format: a value's numerators ``std`` and
+``inf`` packed ``std * scale + inf`` in one integer, on a ``scale`` fixed at
+compile time.  The scale is odd and exceeds twice the largest |inf| that any
+sum the kernel forms can reach, so sums of packed values add and compare as
+integers, as their ``(std, inf)`` pairs do lexicographically, and unpack to
+those pairs exactly.
+
 * A correlated instance becomes one ranking per profile (the ranking-based
   choice model of Aouad, Farias, Levi and Segev, Oper. Res. 2018), stored
-  once as the table every walk reads: each candidate's bit with its value
-  times the profile's probability, packed ``std * scale + inf`` in one
-  integer so that sums add and compare as integers, favorite first and cut
-  after the outside option.  The pick from a menu is the first menu member
-  in the ranking, with the outside option, always feasible, as the floor.
+  once as the table every walk reads: each candidate's bit with its packed
+  value times the profile's probability, favorite first and cut after the
+  outside option.  The pick from a menu is the first menu member in the
+  ranking, with the outside option, always feasible, as the floor.
 * An independent instance becomes, per action, its support as integer ranks
-  and probabilities, which the winner-state DP folds.  Supports need no
-  sort and no deduplication: :func:`~delmenu.model.make_support` merges
-  equal values and sorts by value, and for one action, of one bias, value
-  order is rank order.  So the pairs are distinct as listed, and the
-  compile reads their ranks by position.
+  and probabilities, which the winner-state DP folds, and one packed value
+  per rank.  Supports need no sort and no deduplication:
+  :func:`~delmenu.model.make_support` merges equal values and sorts by
+  value, and for one action, of one bias, value order is rank order.  So
+  the pairs are distinct as listed, and the compile reads their ranks by
+  position.
 
 Values and biases are integer numerators over that one denominator, and
 probabilities over denominators of their own.  Only kernels hold that
@@ -34,11 +41,14 @@ encoding: every method returns indices, exact rationals and
 :class:`~delmenu.xnum.XNum` values, built once per call.  Each kernel keeps
 every candidate's bias as numerators (``bias``), which order as the biases
 do; ``solve`` sorts actions into threshold steps on them.  Both kernels
-report a menu from the same per-index integer counts: its value split by
-chosen action (``tally``), and its surplus and bias-difference
-decomposition (``split``), where a pick probability's numerator times a
-bias numerator needs no new denominator.  Kernels are derived data: the
-instances build and cache them on first use (their ``kernel`` attribute).
+report a menu from the same per-index integer counts, packed totals and
+pick-probability numerators: its value split by chosen action (``tally``),
+and its surplus and bias-difference decomposition (``split``), where a pick
+probability's numerator times a bias numerator needs no new denominator.
+Only those reports unpack, and only what they hold.  Biases stay
+``(std, inf)`` pairs, since the gap sums in ``split`` can exceed the scale.
+Kernels are derived data: the instances build and cache them on first use
+(their ``kernel`` attribute).
 
 Each kernel also finds the optimal menu (``search``) by a depth-first walk
 of its own, include branch first, that keeps the winner by one tie rule
@@ -64,11 +74,11 @@ A kernel finds the best of a nested sequence of menus, such as the
 threshold menus in bias order (``best_prefix``): a correlated kernel values
 each menu by its bound at a leaf, which is exact, and an independent one in
 one pass that folds each step's indices into winner states once and values
-each step by one sum of packed values times masses, on the search's
-packing.  That pass keeps the fold, not the search's rows:
-it visits each action once, so rows as long as the whole ranking would cost
-more to build than they save, and its memo must hold winner states, which
-the reports read.
+each step by one sum of packed values times masses (``total``), the same
+sum that values winner states everywhere.  That pass keeps the fold, not
+the search's rows: it visits each action once, so rows as long as the whole
+ranking would cost more to build than they save, and its memo must hold
+winner states, which the reports read.
 
 An independent kernel keeps the winner states that pass reaches for the best
 menu and for the last, largest one, keyed by feasible set, and later
@@ -102,9 +112,9 @@ from .xnum import Rational, XNum, fraction_numerators, numerators
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
-# Per index: contribution (std, inf) numerators and pick-probability numerator,
-# then their denominators (den, freq_den).
-Counts = tuple[Sequence[int], Sequence[int], list[int], int, int]
+# Per index: packed contribution and pick-probability numerator, then their
+# denominators (den, freq_den).
+Counts = tuple[list[int], list[int], int, int]
 
 
 def _ratio(num: Rational, den: int) -> Fraction:
@@ -120,27 +130,30 @@ def _exact(std: Rational, inf: Rational, den: int) -> XNum:
 def _unpack(t: int, scale: int) -> tuple[int, int]:
     """The ``(std, inf)`` of ``t``, packed ``std * scale + inf`` with |inf| at most ``scale // 2``."""
     half = scale // 2
-    inf = (t + half) % scale - half
-    return (t - inf) // scale, inf
+    std, inf = divmod(t + half, scale)
+    return std, inf - half
 
 
 class _Counted:
     """The reports both kernels derive from their per-index integer counts.
 
     A kernel's ``counts(feasible)`` gives the menu's picks per index (see
-    :data:`Counts`), and its ``bias[i]`` is index i's bias as ``(std, inf)``
-    numerators; a pick probability's numerator times a bias numerator is
-    over the contributions' denominator, so each sum below is one integer
-    sum per part.
+    :data:`Counts`), each contribution packed ``std * scale + inf`` on the
+    kernel's ``scale``; any sum of them unpacks exactly, and only what a
+    report holds is unpacked.  Its ``bias[i]`` is index i's bias as ``(std,
+    inf)`` numerators, kept apart since gap sums can exceed the scale; a
+    pick probability's numerator times a bias numerator is over the
+    contributions' denominator, so each gap is one integer sum per part.
     """
 
     __slots__ = ()
 
     def tally(self, feasible: list[int]) -> Report:
         """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
-        std, inf, freq, den, freq_den = self.counts(feasible)
-        contrib = {i: _exact(std[i], inf[i], den) for i in feasible}
-        f = _exact(sum(std), sum(inf), den)
+        total, freq, den, freq_den = self.counts(feasible)
+        scale = self.scale
+        contrib = {i: _exact(*_unpack(total[i], scale), den) for i in feasible}
+        f = _exact(*_unpack(sum(total), scale), den)
         return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
 
     def split(self, feasible: list[int]) -> tuple[int, XNum, XNum]:
@@ -149,13 +162,14 @@ class _Counted:
         ``top`` is a feasible index of largest bias u; ``bdif`` is the sum
         over picks of freq_i * (u - b_i), and ``sur`` the rest of the value.
         """
-        std, inf, freq, den, _ = self.counts(feasible)
+        total, freq, den, _ = self.counts(feasible)
         bias = self.bias
         top = max(feasible, key=bias.__getitem__)
         u_std, u_inf = bias[top]
         gap_std = sum(freq[i] * (u_std - bias[i][0]) for i in feasible)
         gap_inf = sum(freq[i] * (u_inf - bias[i][1]) for i in feasible)
-        sur = _exact(sum(std) - gap_std, sum(inf) - gap_inf, den)
+        std, inf = _unpack(sum(total), self.scale)
+        sur = _exact(std - gap_std, inf - gap_inf, den)
         return top, sur, _exact(gap_std, gap_inf, den)
 
 
@@ -231,7 +245,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
     __slots__ = ()
 
     def counts(self, feasible: list[int]) -> Counts:
-        """Per-index integer counts of the picks from ``feasible``, unpacked."""
+        """Per-index integer counts of the picks from ``feasible``, values packed."""
         mask = sum(1 << i for i in feasible)
         total, freq = [0] * len(self.bias), [0] * len(self.bias)
         for ranking, prob_k in zip(self.rankings, self.prob):
@@ -241,8 +255,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
             i = bit.bit_length() - 1
             total[i] += value
             freq[i] += prob_k
-        std, inf = zip(*(_unpack(t, self.scale) for t in total))
-        return std, inf, freq, self.den, self.prob_den
+        return total, freq, self.den, self.prob_den
 
     def largest_std(self) -> Fraction:
         """The largest standard part of any action's value; the outside option is no action."""
@@ -382,8 +395,8 @@ class _IndependentTables(NamedTuple):
     probs: tuple[tuple[int, ...], ...]
     prob_den: tuple[int, ...]
     owner: tuple[int, ...]
-    std: tuple[int, ...]
-    inf: tuple[int, ...]
+    value: tuple[int, ...]
+    scale: int
     den: int
     bias: tuple[tuple[int, int] | None, ...]
 
@@ -397,20 +410,26 @@ class IndependentKernel(_IndependentTables, _Counted):
     ``ranks[i]`` and ``probs[i]`` list index i's support in increasing rank,
     with probabilities as numerators over ``prob_den[i]`` (index 0 is the
     outside option, empty when there is none).  The pair of rank r belongs
-    to index ``owner[r]`` and has value ``std[r] / den`` plus ``inf[r] /
-    den`` times iota.  ``bias[i]`` is index i's bias as ``(std, inf)``
-    numerators over ``den`` too (None for a missing outside option).
+    to index ``owner[r]``, and its value's numerators ``std`` and ``inf``
+    over ``den`` are stored packed as ``value[r] = std * scale + inf``.
+    ``bias[i]`` is index i's bias as ``(std, inf)`` numerators over ``den``
+    too (None for a missing outside option).  A menu's value over ``den``
+    times every ``prob_den`` is a sum of packed values times masses that
+    sum to at most the product of every ``prob_den``, so its |inf| is at
+    most the largest |inf| times that product; ``scale`` exceeds twice
+    that, so such sums add and compare as their ``(std, inf)`` pairs do,
+    lexicographically, and unpack to them, as in the correlated kernel.
 
     Winner states are ``(ranks, masses)``, and :func:`_fold` folds an
     action's support into them.  The masses are over the product of the
     folded actions' ``prob_den``, which is their sum: a fold multiplies the
     total by the folded action's ``prob_den`` and drops only zero masses.
     :meth:`winners`, :meth:`counts`, :meth:`best_prefix` and the memo read
-    winner states; :meth:`search` walks a state of its own.  Both
-    :meth:`best_prefix` and :meth:`search` put menus on one scale by
-    ``rest``, the product of the ``prob_den`` of the candidates not folded:
-    a menu's value is then an integer over ``den`` times the product of
-    every candidate's ``prob_den``.
+    winner states, and :meth:`total` values them; :meth:`search` walks a
+    state of its own.  Both :meth:`best_prefix` and :meth:`search` put
+    menus on one footing by ``rest``, the product of the ``prob_den`` of the
+    candidates not folded: a menu's value is then a packed integer over
+    ``den`` times the product of every candidate's ``prob_den``.
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
@@ -420,18 +439,6 @@ class IndependentKernel(_IndependentTables, _Counted):
         # Pickles and copies carry the fields alone, so a filled memo leaves
         # the bytes as they were.
         return None
-
-    def _packing(self) -> tuple[int, list[int]]:
-        """``scale`` and every rank's value packed ``std * scale + inf``.
-
-        A menu's value over ``den`` times every ``prob_den`` is a sum of
-        packed values times masses that sum, times ``rest``, to the product
-        of every ``prob_den``; so its |inf| is at most the largest |inf| times
-        that product, and ``scale`` exceeds twice that.  Such sums compare as
-        their ``(std, inf)`` pairs do, lexicographically, and unpack to them.
-        """
-        scale = 2 * max(map(abs, self.inf)) * prod(self.prob_den) + 1
-        return scale, [std * scale + inf for std, inf in zip(self.std, self.inf)]
 
     def winners(self, feasible: list[int]) -> States:
         """Winner states of the DP folded over ``feasible``: (ranks, masses).
@@ -451,29 +458,26 @@ class IndependentKernel(_IndependentTables, _Counted):
                 states = _fold(*states, self.ranks[i], self.probs[i])
         return states
 
-    def total(self, ranks: Sequence[int], masses: Sequence[int]) -> tuple[int, int]:
-        """Sum of value times mass over states: (std, inf) numerators over ``den``."""
-        return (
-            sum(self.std[r] * m for r, m in zip(ranks, masses)),
-            sum(self.inf[r] * m for r, m in zip(ranks, masses)),
-        )
+    def total(self, ranks: Sequence[int], masses: Sequence[int]) -> int:
+        """Sum of value times mass over states, packed, over ``den``."""
+        return sum(map(mul, map(self.value.__getitem__, ranks), masses))
 
     def counts(self, feasible: list[int]) -> Counts:
-        """Per-index integer counts of the winner states of ``feasible``."""
+        """Per-index integer counts of the winner states of ``feasible``, values packed."""
         ranks, masses = self.winners(feasible)
         width = len(self.ranks)
-        std, inf, freq = [0] * width, [0] * width, [0] * width
+        total, freq = [0] * width, [0] * width
         for r, m in zip(ranks, masses):
             i = self.owner[r]
-            std[i] += self.std[r] * m
-            inf[i] += self.inf[r] * m
+            total[i] += self.value[r] * m
             freq[i] += m
         den = sum(freq)
-        return std, inf, freq, self.den * den, den
+        return total, freq, self.den * den, den
 
     def largest_std(self) -> Fraction:
         """The largest standard part of any action's value; the outside option is no action."""
-        return _ratio(max(std for std, i in zip(self.std, self.owner) if i != OUTSIDE), self.den)
+        top = max(v for v, i in zip(self.value, self.owner) if i != OUTSIDE)
+        return _ratio(_unpack(top, self.scale)[0], self.den)
 
     def least_mass(self) -> Fraction:
         """The probability of the least likely joint draw: each candidate's least mass, multiplied."""
@@ -497,21 +501,19 @@ class IndependentKernel(_IndependentTables, _Counted):
         no bound, so only leaves sum: a leaf's value, ``sum(terms) * rest``,
         is over ``den`` times every ``prob_den``, and :func:`_wins` keeps
         the winner; the empty menu counts only with an outside option.
-        Values are packed by :meth:`_packing`, as in the correlated kernel's
-        rankings, so leaves compare as their ``(std, inf)`` pairs do, and the
-        winner's unpacks to its exact value.  Only the ranks whose packed
-        difference is nonzero keep a term and a column of the CDF rows: a
-        zero term stays zero under every product, so no sum changes.  On a
-        partition reduction most ranks are dropped: its actions share three
-        values and one bias, so equal values sit next to each other in the
-        agent's order.  The rows and the packing are built here, not at
+        Values are packed, so leaves compare as their ``(std, inf)`` pairs
+        do, and the winner's unpacks to its exact value.  Only the ranks
+        whose packed difference is nonzero keep a term and a column of the
+        CDF rows: a zero term stays zero under every product, so no sum
+        changes.  On a partition reduction most ranks are dropped: its
+        actions share three values and one bias, so equal values sit next to
+        each other in the agent's order.  The rows are built here, not at
         compile time, since most compiled kernels are never searched.
         """
-        scale, packed = self._packing()
-        diff = [v - w for v, w in zip(packed, packed[1:] + [0])]
+        diff = [v - w for v, w in zip(self.value, self.value[1:] + (0,))]
         cdf = []
         for ranks, probs in zip(self.ranks, self.probs):
-            row = [0] * len(packed)
+            row = [0] * len(diff)
             for r, p in zip(ranks, probs):
                 row[r] = p
             cdf.append(list(compress(accumulate(row), diff)))
@@ -538,7 +540,7 @@ class IndependentKernel(_IndependentTables, _Counted):
 
         whole = prod(prob_den)
         visit(1, terms, whole // prob_den[OUTSIDE])
-        return frozenset(best_menu), _exact(*_unpack(best, scale), self.den * whole)
+        return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den * whole)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
@@ -546,15 +548,14 @@ class IndependentKernel(_IndependentTables, _Counted):
         One pass: the outside option is folded first, then each step's
         actions, each once; the steps are disjoint.  ``rest`` starts at the
         product of every ``prob_den`` but the outside option's and drops
-        each folded action's.  A step's value is one packed sum over its
-        winner states, ``sum(packed[r] * mass) * rest`` on :meth:`_packing`'s
-        scale, the search's: an integer over ``den`` times every
-        ``prob_den``, which orders the steps as their exact values do.  Ties
-        go to the earlier step.  The pass replaces the memo with the winner
-        states of the best step's menu and of the last step's, the union of
-        all steps, so :meth:`winners` does not fold those menus again.
+        each folded action's.  A step's value is its winner states'
+        :meth:`total` times ``rest``: a packed integer over ``den`` times
+        every ``prob_den``, which orders the steps as their exact values do.
+        Ties go to the earlier step.  The pass replaces the memo with the
+        winner states of the best step's menu and of the last step's, the
+        union of all steps, so :meth:`winners` does not fold those menus
+        again.
         """
-        packed = self._packing()[1].__getitem__
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
         states = self.winners(feasible)
         rest = prod(self.prob_den) // self.prob_den[OUTSIDE]
@@ -564,8 +565,7 @@ class IndependentKernel(_IndependentTables, _Counted):
                 states = _fold(*states, self.ranks[i], self.probs[i])
                 rest //= self.prob_den[i]
             feasible += added
-            ranks, masses = states
-            value = sum(map(mul, map(packed, ranks), masses)) * rest
+            value = self.total(*states) * rest
             if best is None or value > best[0]:
                 best = value, j, len(feasible), states
         _, j, size, best_states = best
@@ -577,14 +577,17 @@ class IndependentKernel(_IndependentTables, _Counted):
 
         Each joint realization of ``pinned`` is scored by the expected value
         of the agent's pick from it plus the random draws of ``kept``, which
-        its top rank decides.  Ranks ascend with each action's sorted support,
-        so the product walks realizations in canonical order, and ``min``
-        keeps the first minimizer; shared denominators let numerators compare.
-        The worst one's top pair, re-biased to ``bias`` with its agent utility
-        kept, is the stand-in, with an index above every action's.  It wins
+        its top rank decides, as one packed :meth:`total`.  Ranks ascend with
+        each action's sorted support, so the product walks realizations in
+        canonical order, and ``min`` keeps the first minimizer; shared
+        denominators let packed sums compare.  The worst one's top pair,
+        unpacked and re-biased to ``bias`` with its agent utility kept, is
+        the stand-in, with an index above every action's; its value stays a
+        ``(std, inf)`` pair, since a bias gap can exceed the scale.  It wins
         the kept winner states ranked below it; agent utilities can tie, so
-        it is placed by its integer choice key over ``den``, where ``bias``
-        scales to exact rational numerators that compare with the pairs'.
+        it is placed by its integer choice key over ``den``, against the
+        unpacked pairs, where ``bias`` scales to exact rational numerators
+        that compare with the pairs'.
         """
         ranks, masses = self.winners(kept)
         top = min(
@@ -592,17 +595,18 @@ class IndependentKernel(_IndependentTables, _Counted):
             key=lambda top: self.total([max(r, top) for r in ranks], masses),
         )
         t = bias.std * self.den, bias.inf * self.den
+        top_std, top_inf = _unpack(self.value[top], self.scale)
         bias_std, bias_inf = self.bias[self.owner[top]]
-        value = self.std[top] + bias_std - t[0], self.inf[top] + bias_inf - t[1]
+        value = top_std + bias_std - t[0], top_inf + bias_inf - t[1]
 
         def pair_key(r: int) -> tuple:
             i = self.owner[r]
-            return choice_key(i, (self.std[r], self.inf[r]), self.bias[i])
+            return choice_key(i, _unpack(self.value[r], self.scale), self.bias[i])
 
         stand_in_key = choice_key(len(self.ranks), value, t)
         below = bisect_left(range(len(self.owner)), stand_in_key, key=pair_key)
         cut = bisect_left(ranks, below)
-        std, inf = self.total(ranks[cut:], masses[cut:])
+        std, inf = _unpack(self.total(ranks[cut:], masses[cut:]), self.scale)
         mass = sum(masses[:cut])
         kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * sum(masses))
         return _exact(*value, self.den), kept_part
@@ -666,13 +670,14 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
         by_rank[r] = pair
     owner, values = zip(*by_rank)
     std, inf = zip(*values)
+    scale = 2 * max(map(abs, inf)) * prod(prob_den) + 1
     return IndependentKernel(
         tuple(ranks),
         tuple(probs),
         tuple(prob_den),
         owner,
-        std,
-        inf,
+        tuple([s * scale + i for s, i in zip(std, inf)]),
+        scale,
         den,
         tuple(map(bias.get, range(width))),
     )

@@ -468,6 +468,8 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
         ({"generator": "three_approx", "eps": "1e-3"}, "ensemble block 0.eps"),
         ({"generator": "three_approx", "eps": "2/4"}, "ensemble block 0.eps"),
         ({"generator": "three_approx", "eps": 0.5}, "ensemble block 0.eps"),
+        ({"generator": "random", "count": -3}, "ensemble block 0.count: expected at least 1"),
+        ({"generator": "random", "count": 0}, "ensemble block 0.count: expected at least 1"),
     ],
 )
 def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
@@ -475,6 +477,7 @@ def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
     code, _, err = run(capsys, "sweep", spec, "-o", str(tmp_path / "rows.csv"))
     assert code == 2
     assert where.replace("block 0", "block 1") in err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("spec", [3, "x", {"ensembles": {"generator": "log"}}, [5]])
@@ -573,6 +576,32 @@ def test_sweep_skips_over_cap(tmp_path, capsys):
     assert code == 0
     rows = read_rows(out_file)
     assert rows[0]["status"].startswith("skipped")
+
+
+def test_sweep_over_the_row_cap_exits_3_and_writes_no_csv(tmp_path):
+    # A subprocess with a timeout: without the cap, the sweep builds 10**8
+    # jobs until it is killed.
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    spec = write_spec(tmp_path, {"generator": "random", "count": 100000000})
+    rows = tmp_path / "rows.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "delmenu.cli", "sweep", spec, "-o", str(rows)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    message = "sweep of at least 100000000 rows exceeds the cap of 100000 rows"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+    assert not rows.exists()
+
+
+def test_sweep_row_cap_counts_every_block(monkeypatch):
+    monkeypatch.setattr(cli_mod, "SWEEP_ROW_CAP", 5)
+    log = {"generator": "log", "k": 2}
+    assert len(cli_mod._ensemble_jobs([{"generator": "random", "count": 4}, log])) == 5
+    assert len(cli_mod._ensemble_jobs([log] * 5)) == 5
+    with pytest.raises(CapExceededError, match="sweep of at least 6 rows exceeds the cap of 5"):
+        cli_mod._ensemble_jobs([{"generator": "random", "count": 3}] * 2)
+    with pytest.raises(CapExceededError, match="sweep of at least 6 rows"):
+        cli_mod._ensemble_jobs([log] * 6)
 
 
 def test_search_deeper_than_the_recursion_limit_is_a_cap(tmp_path, capsys):

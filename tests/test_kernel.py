@@ -233,12 +233,11 @@ def test_brute_force_opt_equals_reference_scan():
 
 
 def fold_value(kernel, feasible):
-    """The value of ``feasible``'s winner states as (std, inf) numerators over
-    ``den`` times every ``prob_den``: ``total`` over the states, times
-    ``rest``, the product of the non-candidates' ``prob_den``."""
-    std, inf = kernel.total(*kernel.winners(feasible))
+    """The value of ``feasible``'s winner states, packed, over ``den`` times
+    every ``prob_den``: ``total`` over the states, times ``rest``, the
+    product of the non-candidates' ``prob_den``."""
     rest = math.prod(d for i, d in enumerate(kernel.prob_den) if i not in feasible)
-    return std * rest, inf * rest
+    return kernel.total(*kernel.winners(feasible)) * rest
 
 
 def fold_search(instance):
@@ -749,7 +748,8 @@ def reference_compile(instance):
     identities.  Each correlated ranking lists (bit, packed value) entries,
     favorite first and cut after the outside option, with a scale computed
     from the scaled rows, and ``top`` is the largest action value's standard
-    part, scaled, from the instance's values.
+    part, scaled, from the instance's values.  Independent values are packed
+    on a scale computed from the scaled values and every ``prob_den``.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
@@ -797,12 +797,12 @@ def reference_compile(instance):
         prob_dens[i] = math.lcm(*{p.denominator for _, p in draws})
         ranks[i] = tuple(r for r, _ in draws)
         probs[i] = tuple(scaled(p, prob_dens[i]) for _, p in draws)
+    scale = 2 * max(abs(scaled(v.inf, den)) for _, v in ranked) * math.prod(prob_dens) + 1
     return IndependentKernel(
         tuple(ranks), tuple(probs), tuple(prob_dens),
         tuple(i for i, _ in ranked),
-        tuple(scaled(v.std, den) for _, v in ranked),
-        tuple(scaled(v.inf, den) for _, v in ranked),
-        den, bias,
+        tuple(scaled(v.std, den) * scale + scaled(v.inf, den) for _, v in ranked),
+        scale, den, bias,
     )
 
 
@@ -954,8 +954,7 @@ ALL_ZERO = IndependentInstance((deterministic(xnum(1), xnum(0)), deterministic(x
 
 def kept_ranks(kernel):
     """The ranks whose value differs from the next rank's, 0 past the top one."""
-    pairs = list(zip(kernel.std, kernel.inf))
-    return [r for r, (a, b) in enumerate(zip(pairs, pairs[1:] + [(0, 0)])) if a != b]
+    return [r for r, (a, b) in enumerate(zip(kernel.value, kernel.value[1:] + (0,))) if a != b]
 
 
 @settings(max_examples=100, deadline=None)
@@ -975,7 +974,7 @@ def test_search_value_equals_evaluate(instance):
 
 def test_search_value_examples_cover_their_cases():
     part = partition_at_minimal_m((1, 2, 3))
-    assert 0 < len(kept_ranks(part.kernel)) < len(part.kernel.std)
+    assert 0 < len(kept_ranks(part.kernel)) < len(part.kernel.value)
     assert NEGATIVE_IOTA.kernel.search() == (frozenset({1}), xnum(2, -1))
     assert IOTA_REPEATS.kernel.search() == (frozenset(), xnum(1, Fraction(-1, 3)))
     assert kept_ranks(ALL_ZERO.kernel) == []
