@@ -126,9 +126,9 @@ def _digit_limit():
         ) from exc
 
 
-def decimal_str(x: Fraction, digits: int = 12) -> str:
+def decimal_str(x: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
@@ -483,6 +483,8 @@ def sample_menus(instance: Instance, count: int, seed: int) -> list[Menu]:
     return menus
 
 
+VERIFY_MENU_CAP = 10**5  # sampled menus of one verify run: sample_menus keeps every draw
+
 VERIFY_CHECKS = (
     "decomposition identity",
     "dp/oracle equivalence",
@@ -499,7 +501,11 @@ def run_verify(
 
     Returns the violation descriptions and, for each check of
     ``VERIFY_CHECKS`` that ran on no case, the reason it was skipped.
+    Raises ``CapExceededError``, before any menu is drawn, for more than
+    ``VERIFY_MENU_CAP`` menus.
     """
+    if menus > VERIFY_MENU_CAP:
+        raise CapExceededError(f"{menus} menus exceed the cap of {VERIFY_MENU_CAP} menus")
     oracle, certificates = "dp/oracle equivalence", "derandomization certificates"
     independent = isinstance(instance, IndependentInstance)
     skipped = dict.fromkeys(VERIFY_CHECKS, "no applicable case")

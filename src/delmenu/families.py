@@ -158,6 +158,7 @@ def gen_outside_family(
 # ---------------------------------------------------------------------------
 
 OUTSIDE_KINDS = ("none", "fixed", "random")
+PROB_DENOMINATOR = 12  # gen_random's probabilities are multiples of 1/12
 
 
 def gen_random(
@@ -169,14 +170,13 @@ def gen_random(
     bias_range: tuple[int, int] = (-4, 4),
     outside: str = "none",
     denominator: int = 4,
-    prob_denominator: int = 12,
 ) -> Instance:
     """Deterministic pseudo-random instance from a seed.
 
     Values are drawn uniformly from the grid {lo, lo + 1/denominator, .., hi}
     (standard parts only, nonnegative range required), biases likewise from
     their own grid.  Probabilities are uniform random compositions of
-    prob_denominator, so they are positive and sum to exactly 1.  For
+    ``PROB_DENOMINATOR``, so they are positive and sum to exactly 1.  For
     ``kind="correlated"``, ``support_size`` is the number of profiles.
     ``outside`` is "none", "fixed" (deterministic value), or "random".
     Raises ``CapExceededError``, before any action is built, when the
@@ -192,8 +192,8 @@ def gen_random(
         raise InvalidInstanceError("value_range must be nonnegative")
     if value_range[0] > value_range[1] or bias_range[0] > bias_range[1]:
         raise InvalidInstanceError("value_range and bias_range must be (lo, hi) with lo <= hi")
-    if support_size < 1 or prob_denominator < support_size:
-        raise InvalidInstanceError("support_size must be in 1..prob_denominator")
+    if not 1 <= support_size <= PROB_DENOMINATOR:
+        raise InvalidInstanceError(f"support_size must be in 1..{PROB_DENOMINATOR}")
     values = (n + (outside != "none")) * support_size
     if values > VALUE_CAP:
         raise CapExceededError(f"instance of {values} values exceeds the cap of {VALUE_CAP} values")
@@ -208,10 +208,10 @@ def gen_random(
         return XNum(Fraction(rng.randint(lo * denominator, hi * denominator), denominator))
 
     def rand_probs(count: int) -> list[Fraction]:
-        cuts = sorted(rng.sample(range(1, prob_denominator), count - 1))
-        edges = [0] + cuts + [prob_denominator]
+        cuts = sorted(rng.sample(range(1, PROB_DENOMINATOR), count - 1))
+        edges = [0] + cuts + [PROB_DENOMINATOR]
         return [
-            Fraction(edges[i + 1] - edges[i], prob_denominator) for i in range(count)
+            Fraction(edges[i + 1] - edges[i], PROB_DENOMINATOR) for i in range(count)
         ]
 
     def rand_action(label: str, size: int) -> Action:

@@ -52,15 +52,17 @@ Kernels are derived data: the instances build and cache them on first use
 
 Each kernel also finds the optimal menu (``search``) by a depth-first walk
 of its own, include branch first, that keeps the winner by one tie rule
-(:func:`_wins`).  The walk keeps the packed integer it held at the winner's
-leaf, and ``search`` unpacks that integer into the menu's exact value, so
-no evaluator runs.  Correlated kernels bound each subtree with the
-rankings, the first-choice model of Bertsimas and Mišić (Oper. Res. 2019)
-with a combinatorial bound in place of their integer program.  They decide
-the actions of largest total value first, so a good incumbent comes early,
-and the scan that computes the bound also finds each profile's pick from
-the included actions: a node where an included action is no profile's pick
-is dropped, since the same menus without it tie and are smaller.
+(:func:`_wins`).  The walk is a loop over a stack of its own, so the
+interpreter's recursion limit bounds no instance.  It keeps the packed
+integer it held at the winner's leaf, and ``search`` unpacks that integer
+into the menu's exact value, so no evaluator runs.  Correlated kernels
+bound each subtree with the rankings, the first-choice model of Bertsimas
+and Mišić (Oper. Res. 2019) with a combinatorial bound in place of their
+integer program.  They decide the actions of largest total value first, so
+a good incumbent comes early, and the scan that computes the bound also
+finds each profile's pick from the included actions: a node where an
+included action is no profile's pick is dropped, since the same menus
+without it tie and are smaller.
 Independent kernels decide in index order and have no bound or prune, so
 their walk makes each node cheap instead: the draws are independent, so the
 chance that the winner ranks at most r is the product of the feasible
@@ -108,7 +110,7 @@ from .model import (
     choice_key,
     full_menu,
 )
-from .xnum import Rational, XNum, fraction_numerators, numerators
+from .xnum import ZERO, Rational, XNum, fraction_numerators, numerators
 
 _ZERO = Fraction(0)
 Report = tuple[XNum, dict[int, XNum], dict[int, Fraction]]
@@ -149,10 +151,15 @@ class _Counted:
     __slots__ = ()
 
     def tally(self, feasible: list[int]) -> Report:
-        """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates."""
+        """``(f, contrib, freq)`` of the picks from ``feasible``, the menu's candidates.
+
+        Many candidates are never picked; their zero contribution is not unpacked.
+        """
         total, freq, den, freq_den = self.counts(feasible)
         scale = self.scale
-        contrib = {i: _exact(*_unpack(total[i], scale), den) for i in feasible}
+        contrib = {
+            i: _exact(*_unpack(total[i], scale), den) if total[i] else ZERO for i in feasible
+        }
         f = _exact(*_unpack(sum(total), scale), den)
         return f, contrib, {i: _ratio(freq[i], freq_den) for i in feasible}
 
@@ -297,18 +304,22 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
 
         Actions are decided by decreasing total value over the rankings, so
         the walk meets a high incumbent early and the bound prunes more; the
-        sort is stable, so equal totals keep index order.  A node is
-        ``(live, stop)`` as :meth:`_bound` reads it, and its include branch
-        comes first.  A node is dead when an included action is no profile's
-        pick from the included set I plus the outside option.  Adding
-        actions only moves a profile's pick up its ranking, so that action
-        stays unpicked in every menu below, and each such menu has the value
-        of the same menu without it, which is smaller and lies in that
-        action's exclude branch; so a dead node is dropped before any
-        comparison.  Otherwise a subtree is pruned only when its bound is
-        strictly below the incumbent's value, so every menu that ties the
-        winner reaches its leaf, and :func:`_wins` keeps the winner.  The
-        bound at the winner's leaf is its packed exact value, over ``den``.
+        sort is stable, so equal totals keep index order.  A node is the
+        count ``k`` of decided actions and ``(live, stop)`` as :meth:`_bound`
+        reads it, and a leaf's menu is the action bits of ``stop``.  The walk
+        keeps its nodes on a stack of its own, so no instance is too deep for
+        it: a node pushes its exclude child, then its include child, which
+        pops first, as a recursion would visit them.  A node is dead when an
+        included action is no profile's pick from the included set I plus
+        the outside option.  Adding actions only moves a profile's pick up
+        its ranking, so that action stays unpicked in every menu below, and
+        each such menu has the value of the same menu without it, which is
+        smaller and lies in that action's exclude branch; so a dead node is
+        dropped before any comparison.  Otherwise a subtree is pruned only
+        when its bound is strictly below the incumbent's value, so every
+        menu that ties the winner reaches its leaf, and :func:`_wins` keeps
+        the winner.  The bound at the winner's leaf is its packed exact
+        value, over ``den``.
         """
         width = len(self.bias)
         total = [0] * width
@@ -318,27 +329,24 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         order = sorted(range(1, width), key=total.__getitem__, reverse=True)
         outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
         depth = len(order)
-        menu: list[int] = []
         best = best_menu = None
-
-        def visit(k: int, live: int, stop: int) -> None:
-            nonlocal best, best_menu
-            if k == depth and not (menu or outside):
-                return
+        stack = [(0, (1 << width) - 2 | outside, outside)]
+        while stack:
+            k, live, stop = stack.pop()
+            if k == depth and not stop:  # the empty menu, and no outside option
+                continue
             bound, picks = self._bound(live, stop)
             # Bit 0, the outside option's, is no action: only a higher bit can be dead.
             if stop & ~picks > 1 or best_menu is not None and bound < best:
-                return
+                continue
             if k < depth:
-                i = order[k]
-                menu.append(i)
-                visit(k + 1, live, stop | 1 << i)
-                menu.pop()
-                visit(k + 1, live & ~(1 << i), stop)
-            elif _wins(bound, sorted(menu), best, best_menu):
-                best, best_menu = bound, sorted(menu)
-
-        visit(0, (1 << width) - 2 | outside, outside)
+                bit = 1 << order[k]
+                stack.append((k + 1, live & ~bit, stop))
+                stack.append((k + 1, live, stop | bit))
+            else:
+                menu = [i for i in range(1, width) if stop >> i & 1]
+                if _wins(bound, menu, best, best_menu):
+                    best, best_menu = bound, menu
         return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
@@ -492,15 +500,20 @@ class IndependentKernel(_IndependentTables, _Counted):
         ranks r of G(r) * (v_r - v_{r+1}), where v_r is rank r's value and v
         is 0 past the top rank; the term G(-1) * v_0 drops out, since G(-1)
         is 0 once anything is feasible.  A node holds that sum's terms, one
-        per rank, and ``rest``.  The root's terms are the value differences
-        times the outside option's CDF row, if there is one, and its
-        ``rest`` the product of every other ``prob_den``.  Actions are
-        decided in index order, include first: an include multiplies the
-        terms by the action's CDF row and divides ``rest`` by its
-        ``prob_den``, and an exclude passes the node on as it is.  There is
-        no bound, so only leaves sum: a leaf's value, ``sum(terms) * rest``,
-        is over ``den`` times every ``prob_den``, and :func:`_wins` keeps
-        the winner; the empty menu counts only with an outside option.
+        per rank, ``rest`` and its menu, a tuple of the included indices.
+        The root's terms are the value differences times the outside
+        option's CDF row, if there is one, and its ``rest`` the product of
+        every other ``prob_den``.  Actions are decided in index order,
+        include first: an include multiplies the terms by the action's CDF
+        row and divides ``rest`` by its ``prob_den``, and an exclude passes
+        the node on as it is.  The walk keeps its nodes on a stack of its
+        own, so no instance is too deep for it: a node pushes its exclude
+        child and goes on to its include child at once, which visits the
+        nodes as a recursion would with half the pushes and pops of a walk
+        that pushes both children.  There is no bound, so only leaves sum: a
+        leaf's value, ``sum(terms) * rest``, is over ``den`` times every
+        ``prob_den``, and :func:`_wins` keeps the winner; the empty menu
+        counts only with an outside option.
         Values are packed, so leaves compare as their ``(std, inf)`` pairs
         do, and the winner's unpacks to its exact value.  Only the ranks
         whose packed difference is nonzero keep a term and a column of the
@@ -523,23 +536,19 @@ class IndependentKernel(_IndependentTables, _Counted):
         if outside:
             terms = list(map(mul, terms, cdf[OUTSIDE]))
         depth = len(self.ranks)
-        menu: list[int] = []
         best = best_menu = None
-
-        def visit(i: int, terms: list[int], rest: int) -> None:
-            nonlocal best, best_menu
-            if i < depth:
-                menu.append(i)
-                visit(i + 1, list(map(mul, terms, cdf[i])), rest // prob_den[i])
-                menu.pop()
-                visit(i + 1, terms, rest)
-            elif menu or outside:
+        whole = prod(prob_den)
+        stack = [(1, terms, whole // prob_den[OUTSIDE], ())]
+        while stack:
+            i, terms, rest, menu = stack.pop()
+            while i < depth:
+                stack.append((i + 1, terms, rest, menu))
+                terms, rest, menu = list(map(mul, terms, cdf[i])), rest // prob_den[i], menu + (i,)
+                i += 1
+            if menu or outside:
                 value = sum(terms) * rest
                 if _wins(value, menu, best, best_menu):
-                    best, best_menu = value, menu[:]
-
-        whole = prod(prob_den)
-        visit(1, terms, whole // prob_den[OUTSIDE])
+                    best, best_menu = value, menu
         return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den * whole)
 
     def best_prefix(self, steps: list[list[int]]) -> int:

@@ -14,7 +14,6 @@ values are exact (:class:`~delmenu.xnum.XNum` over rationals).
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,29 +49,6 @@ class CapExceededError(DelegationError):
 # Most values a generated instance may hold: as many as the default profile
 # cap of eval_bruteforce_product, about 65 MB of instance file.
 VALUE_CAP = 10**6
-
-
-# Frames a recursive search may need beyond one per level: its leaf's calls.
-_SEARCH_FRAMES = 50
-
-
-def check_depth(levels: int) -> None:
-    """Raise ``CapExceededError`` if a recursion ``levels`` deep would pass the interpreter's limit.
-
-    The limit (``sys.getrecursionlimit()``) counts the frames already on the
-    stack, so the levels left are that limit less those frames and a margin
-    for the search's own calls at its deepest level.  The limit itself is
-    kept.
-    """
-    frame, used = sys._getframe(), 0
-    while frame is not None:
-        frame, used = frame.f_back, used + 1
-    limit = sys.getrecursionlimit() - used - _SEARCH_FRAMES
-    if levels > limit:
-        raise CapExceededError(
-            f"a search {levels} levels deep exceeds the depth limit of {limit} levels"
-            f" under the interpreter's recursion limit of {sys.getrecursionlimit()}"
-        )
 
 
 Support = tuple[tuple[XNum, Fraction], ...]
@@ -334,14 +310,6 @@ def agent_choice(instance: Instance, menu: Menu, values: Mapping[int, XNum]) -> 
         candidates(instance, menu),
         key=lambda i: choice_key(i, values[i], instance.bias_of(i)),
     )
-
-
-def profile_assignment(instance: CorrelatedInstance, profile: Profile) -> dict[int, XNum]:
-    """Map every candidate index (actions and outside) to its profile value."""
-    values = {i: profile.values[i - 1] for i in range(1, instance.n + 1)}
-    if instance.has_outside:
-        values[OUTSIDE] = profile.values[instance.n]
-    return values
 
 
 def product_realizations(

@@ -19,7 +19,6 @@ from .model import (
     InvalidInstanceError,
     VALUE_CAP,
     Profile,
-    check_depth,
 )
 from .xnum import IOTA, XNum, parse_integer
 
@@ -83,14 +82,13 @@ def min_vertex_cover(g: Graph, cap_n: int = DEFAULT_ACTION_CAP) -> int:
     its remaining neighbours in it.  A branch stops once its cover plus a
     greedy matching of the uncovered edges, each of which needs a cover
     vertex of its own, is as large as the best cover found so far, which
-    starts at all vertices but one.
-    Raises ``CapExceededError`` above ``cap_n`` vertices and, whatever
-    ``cap_n`` says, when the branching, one level per decided vertex, would
-    recurse deeper than the interpreter allows.
+    starts at all vertices but one.  The branches are a loop over a stack
+    of ``(left, size)`` entries, the undecided vertices and the cover size so
+    far; the v-in-the-cover branch is pushed last, so it is taken first.
+    Raises ``CapExceededError`` above ``cap_n`` vertices.
     """
     if g.vertices > cap_n:
         raise CapExceededError(f"graph has {g.vertices} vertices, cap is {cap_n}")
-    check_depth(g.vertices + 1)
     neighbours = [0] * (g.vertices + 1)
     for u, v in g.edges:
         neighbours[u] |= 1 << v
@@ -107,20 +105,19 @@ def min_vertex_cover(g: Graph, cap_n: int = DEFAULT_ACTION_CAP) -> int:
                 size += 1
         return size
 
-    def branch(left: int, size: int) -> None:  # left: the vertices still undecided
-        nonlocal best
+    stack = [((1 << g.vertices + 1) - 2, 0)]
+    while stack:
+        left, size = stack.pop()
         if size + matching(left) >= best:
-            return
+            continue
         degree, v = max(
             ((neighbours[v] & left).bit_count(), v) for v in range(g.vertices + 1) if left >> v & 1
         )
         if not degree:
             best = size
-            return
-        branch(left & ~(1 << v), size + 1)
-        branch(left & ~(1 << v) & ~neighbours[v], size + degree)
-
-    branch((1 << g.vertices + 1) - 2, 0)
+            continue
+        stack.append((left & ~(1 << v) & ~neighbours[v], size + degree))
+        stack.append((left & ~(1 << v), size + 1))
     return best
 
 
@@ -228,9 +225,15 @@ def reduce_integer_partition(
 
     Returns the instance and the decision threshold
     (B+1)/2 + C^2/(16M^2) - 1/(32M^2): the optimal menu's standard part
-    reaches it iff the integers split evenly.
+    reaches it iff the integers split evenly.  Raises ``CapExceededError``,
+    before any action is built, when the instance would hold more than
+    ``model.VALUE_CAP`` values: three per integer and two for action n+1.
     """
     n, C, c_max = len(p.values), p.total, p.max_value
+    if 3 * n + 2 > VALUE_CAP:
+        raise CapExceededError(
+            f"instance of {3 * n + 2} values exceeds the cap of {VALUE_CAP} values"
+        )
     for name, lower in (
         ("2*C", 2 * C),
         ("4*n*c_max", 4 * n * c_max),

@@ -22,7 +22,6 @@ from .model import (
     IndependentInstance,
     Instance,
     Menu,
-    check_depth,
 )
 from .xnum import XNum
 
@@ -73,14 +72,13 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     first maximizer of a size-then-lexicographic scan, whatever order the
     walk takes.  The value
     is the one the walk held at the winner's leaf, unpacked from the
-    kernel's integers; no evaluator runs.  Raises ``CapExceededError``
-    above ``cap_n`` actions, since the worst case still doubles per action,
-    and, whatever ``cap_n`` says, when the walk, one level per action, would
-    recurse deeper than the interpreter allows.
+    kernel's integers; no evaluator runs.  Each walk is a loop over a stack
+    of its own, so the interpreter's recursion limit refuses no instance.
+    Raises ``CapExceededError`` above ``cap_n`` actions, since the worst
+    case still doubles per action.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")
-    check_depth(instance.n + 1)
     return instance.kernel.search()
 
 

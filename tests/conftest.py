@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from delmenu import (
     xnum,
 )
 from delmenu.cli import sample_menus as random_menus  # noqa: F401  (the CLI's one sampling rule)
+from delmenu.model import OUTSIDE
 
 OUTSIDE_MODES = ("none", "fixed", "random")
 
@@ -30,6 +32,22 @@ def random_correlated(seed: int, outside: str | None = None, n: int = 3, profile
     if outside is None:
         outside = OUTSIDE_MODES[seed % 3]
     return gen_random("correlated", n=n, support_size=profiles, seed=seed, outside=outside)
+
+
+def profile_assignment(instance: CorrelatedInstance, profile: Profile) -> dict[int, XNum]:
+    """Map every candidate index (actions and outside) to its profile value."""
+    values = {i: profile.values[i - 1] for i in range(1, instance.n + 1)}
+    if instance.has_outside:
+        values[OUTSIDE] = profile.values[instance.n]
+    return values
+
+
+def stack_depth():
+    """Frames on the caller's stack, counted as the interpreter's recursion limit counts them."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def with_iota(instance, seed: int):

@@ -37,10 +37,10 @@ from delmenu import (
     threshold_menus,
     xnum,
 )
-from delmenu.model import candidates, product_realizations, profile_assignment
+from delmenu.model import candidates, product_realizations
 from delmenu.reductions import Graph
 
-from conftest import random_correlated, random_independent, random_menus
+from conftest import profile_assignment, random_correlated, random_independent, random_menus
 
 
 @contextmanager

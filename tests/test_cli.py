@@ -12,6 +12,7 @@ import pytest
 
 import delmenu
 import delmenu.cli as cli_mod
+import delmenu.reductions as reductions_mod
 from delmenu import (
     Action,
     CapExceededError,
@@ -28,6 +29,8 @@ from delmenu.cli import main, parse_xnum_literal, sweep_workers
 from delmenu.evaluate import Decomposition
 from delmenu.model import candidates
 from delmenu.xnum import IOTA, xsum
+
+from conftest import stack_depth
 
 
 def run(capsys, *argv):
@@ -339,6 +342,17 @@ def test_reduce_partition_m_too_small_is_semantic(tmp_path, capsys):
     assert "M=5 violates" in err
 
 
+def test_reduce_partition_over_the_value_cap_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reductions_mod, "VALUE_CAP", 13)  # four integers make 14 values
+    ints = tmp_path / "c.txt"
+    ints.write_text("1 1 1 1\n")
+    out_file = tmp_path / "p.json"
+    code, out, err = run(capsys, "reduce", "partition", str(ints), "-o", str(out_file))
+    assert (code, out) == (3, "")
+    assert err == "error: instance of 14 values exceeds the cap of 13 values\n"
+    assert not out_file.exists()
+
+
 def test_reduce_partition(tmp_path, capsys):
     ints = tmp_path / "c.txt"
     ints.write_text("1 1 2\n")
@@ -604,38 +618,41 @@ def test_sweep_row_cap_counts_every_block(monkeypatch):
         cli_mod._ensemble_jobs([log] * 6)
 
 
-def test_search_deeper_than_the_recursion_limit_is_a_cap(tmp_path, capsys):
-    # The walk recurses once per action: n + 1 levels, past the interpreter's
-    # recursion limit whatever --cap-n allows.
-    n = sys.getrecursionlimit() + 100
-    big = str(tmp_path / "big.json")
-    argv = ["--kind", "correlated", "--seed", "1", "--n", str(n), "--support-size", "2"]
-    assert main(["generate", "random", *argv, "-o", big]) == 0
+def test_search_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
+    # The walk has one level per action, 1,101 here, past the interpreter's
+    # default recursion limit of 1,000: it keeps its own stack, so only
+    # --cap-n limits the size.
+    deep = str(tmp_path / "deep.json")
+    fields = ["--kind", "correlated", "--n", "1100", "--support-size", "1", "--seed", "1"]
+    assert main(["generate", "random", *fields, "--value-max", "100000", "-o", deep]) == 0
     capsys.readouterr()
-    reason = f"a search {n + 1} levels deep exceeds the depth limit of "
-    code, out, err = run(capsys, "solve", big, "--cap-n", str(2 * n))
-    assert (code, out) == (3, "") and len(err.splitlines()) == 1
-    assert err.startswith(f"error: {reason}") and "recursion limit" in err
+    code, out, err = run(capsys, "solve", deep, "--cap-n", "1100")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["opt_menu"] == [966]
+    assert result["opt_value"] == {"std": "199619/2", "inf": "0"}
     spec = write_spec(
         tmp_path,
-        {"generator": "random", "kind": "correlated", "n": n, "count": 1, "seed0": 1},
+        {
+            "generator": "random",
+            "kind": "correlated",
+            "n": 1100,
+            "support_size": 1,
+            "value_range": [0, 100000],
+            "count": 1,
+            "seed0": 1,
+        },
     )
     out_file = str(tmp_path / "rows.csv")
-    assert run(capsys, "sweep", spec, "-o", out_file, "--cap-n", str(2 * n))[0] == 0
-    assert read_rows(out_file)[0]["status"].startswith(f"skipped: {reason}")
+    assert run(capsys, "sweep", spec, "-o", out_file, "--cap-n", "1100")[0] == 0
+    row = read_rows(out_file)[0]
+    assert (row["status"], row["opt_std"]) == ("ok", "199619/2")
 
 
-def stack_depth():
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
-def test_reduce_vertex_cover_past_the_depth_limit_omits_the_cover(tmp_path, capsys):
-    # 60 disjoint edges: the cover search recurses once per edge.  The limit
-    # is lowered so that so small a graph passes it; at the default limit
-    # 1,100 edges do, and their instance is over the value cap.
+def test_reduce_vertex_cover_past_the_recursion_limit_finds_the_cover(tmp_path, capsys):
+    # 60 disjoint edges: the cover search has one level per vertex.  The
+    # limit is lowered below the graph's 120 vertices; the search keeps its
+    # own stack, so the cover is still found.
     edges = tmp_path / "matching.edges"
     edges.write_text("".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(60)))
     out_file = tmp_path / "vc.json"
@@ -648,7 +665,12 @@ def test_reduce_vertex_cover_past_the_depth_limit_omits_the_cover(tmp_path, caps
     finally:
         sys.setrecursionlimit(limit)
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"actions": 121, "profiles": 180}
+    assert json.loads(out) == {
+        "actions": 121,
+        "profiles": 180,
+        "min_vertex_cover": 60,
+        "predicted_opt": "10/3",
+    }
     assert load_instance(str(out_file)).n == 121
 
 
@@ -800,6 +822,18 @@ def test_verify_rejects_menu_counts_below_one(tmp_path, capsys, count):
         main(["verify", path, "--menus", count])
     assert exc.value.code == 2
     assert "--menus" in capsys.readouterr().err
+
+
+def test_verify_refuses_more_menus_than_the_cap(tmp_path, capsys):
+    # Every sampled menu is kept, so a huge --menus would fill memory.
+    path = str(tmp_path / "v.json")
+    assert main(["generate", "log", "--k", "3", "-o", path]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", path, "--menus", str(cli_mod.VERIFY_MENU_CAP + 1))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: 100001 menus exceed the cap of 100000 menus\n"
 
 
 def test_verify_one_menu_checks_the_full_menu(tmp_path, capsys, monkeypatch):

@@ -31,9 +31,15 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.model import candidates, product_realizations, profile_assignment
+from delmenu.model import candidates, product_realizations
 
-from conftest import random_correlated, random_independent, random_menus, small_instances
+from conftest import (
+    profile_assignment,
+    random_correlated,
+    random_independent,
+    random_menus,
+    small_instances,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,12 @@ from delmenu.model import (
     choice_key,
     full_menu,
     product_realizations,
-    profile_assignment,
 )
 from delmenu.xnum import XNum, numerators
 
 from conftest import (
     OUTSIDE_MODES,
+    profile_assignment,
     random_correlated,
     random_independent,
     random_menus,

@@ -19,9 +19,7 @@ from delmenu import (
     validate_menu,
     xnum,
 )
-from delmenu.model import profile_assignment
-
-from conftest import random_independent, random_menus
+from conftest import profile_assignment, random_independent, random_menus
 
 
 def oracle_choice(instance, menu, values):

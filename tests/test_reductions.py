@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import delmenu.reductions as reductions_mod
 from delmenu import (
     CapExceededError,
     Graph,
@@ -20,6 +21,8 @@ from delmenu import (
     reduce_vertex_cover,
     xnum,
 )
+
+from conftest import stack_depth
 
 TRIANGLE = Graph(3, ((1, 2), (2, 3), (1, 3)))
 SINGLE_EDGE = Graph(2, ((1, 2),))
@@ -103,13 +106,18 @@ def test_min_vertex_cover_prunes_disjoint_edges_with_the_matching_bound():
     assert time.perf_counter() - start < 1
 
 
-def test_min_vertex_cover_refuses_a_search_deeper_than_the_recursion_limit():
-    # Disjoint edges: one level per vertex, past the interpreter's limit
-    # whatever cap_n says.
-    edges = sys.getrecursionlimit()
-    graph = Graph(2 * edges, tuple((2 * i + 1, 2 * i + 2) for i in range(edges)))
-    with pytest.raises(CapExceededError, match=f"a search {2 * edges + 1} levels deep exceeds"):
-        min_vertex_cover(graph, cap_n=4 * edges)
+def test_min_vertex_cover_searches_deeper_than_the_recursion_limit():
+    # Disjoint edges: one level per vertex.  The limit is lowered below the
+    # edge count, and the walk, which keeps its own stack, still finds the cover.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        edges = sys.getrecursionlimit() + 1
+        graph = Graph(2 * edges, tuple((2 * i + 1, 2 * i + 2) for i in range(edges)))
+        cover = min_vertex_cover(graph, cap_n=4 * edges)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cover == edges
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +214,15 @@ def test_partition_reduction_probabilities_form_distribution():
     for action in inst.actions:
         assert sum(prob for _, prob in action.support) == 1
         assert all(prob > 0 for _, prob in action.support)
+
+
+def test_partition_reduction_refuses_an_instance_over_the_value_cap(monkeypatch):
+    # n integers make 3n + 2 values: 11 for three, 14 for four.
+    monkeypatch.setattr(reductions_mod, "VALUE_CAP", 13)
+    three, four = PartitionInstance((1, 1, 2)), PartitionInstance((1, 1, 1, 1))
+    assert reduce_integer_partition(three, minimal_valid_m(three))[0].n == 4
+    with pytest.raises(CapExceededError, match="instance of 14 values exceeds the cap of 13"):
+        reduce_integer_partition(four, minimal_valid_m(four))
 
 
 def test_partition_reduction_m_too_small():

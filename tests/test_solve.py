@@ -67,12 +67,13 @@ def test_brute_force_cap():
         brute_force_opt(inst, cap_n=2)
 
 
-def test_brute_force_refuses_a_walk_deeper_than_the_recursion_limit():
-    # One level per action, past the interpreter's limit whatever cap_n says.
+def test_brute_force_walks_deeper_than_the_recursion_limit():
+    # One level per action, past the interpreter's limit: the walk keeps its
+    # own stack, so only cap_n limits the size.  Action i is worth n - i + 1.
     n = sys.getrecursionlimit() + 100
-    inst = CorrelatedInstance((xnum(0),) * n, (Profile(Fraction(1), (xnum(1),) * n),))
-    with pytest.raises(CapExceededError, match=f"a search {n + 1} levels deep exceeds the depth"):
-        brute_force_opt(inst, cap_n=2 * n)
+    values = tuple(xnum(n - i) for i in range(n))
+    inst = CorrelatedInstance((xnum(0),) * n, (Profile(Fraction(1), values),))
+    assert brute_force_opt(inst, cap_n=2 * n) == (frozenset({1}), xnum(n))
 
 
 def test_brute_force_tiebreak_smaller_then_lex():
