@@ -7,8 +7,9 @@ Everything here runs on the instance's compiled integer choice kernel
   candidates.
 * :func:`eval_independent_dp` folds actions one at a time over a distribution
   of "current winner" states, which is polynomial in total support size.
-* :func:`derandomize_interference` pins each realization of a threshold
-  menu's interference set against the kept actions' winner states.
+* :func:`derandomize_interference` scans the draws of a threshold menu's
+  interference actions against the kept actions' winner states: a pinned
+  realization counts only through its top draw.
 
 :func:`eval_bruteforce_product` stays on the reference path: it expands an
 independent instance's product distribution into explicit profiles (capped)
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .model import (
     CapExceededError,
@@ -32,7 +34,6 @@ from .model import (
     Menu,
     agent_choice,
     candidates,
-    joint_support_size,
     product_realizations,
     threshold_menu,
     validate_menu,
@@ -93,12 +94,13 @@ def eval_bruteforce_product(
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("eval_bruteforce_product requires an independent instance")
     menu = validate_menu(instance, menu)
-    size = joint_support_size(instance, menu)
+    indices = candidates(instance, menu)
+    size = prod(len(instance.support_of(i)) for i in indices)
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
-    contrib = {i: ZERO for i in candidates(instance, menu)}
-    freq = {i: Fraction(0) for i in candidates(instance, menu)}
-    for prob, values in product_realizations(instance, candidates(instance, menu)):
+    contrib = {i: ZERO for i in indices}
+    freq = {i: Fraction(0) for i in indices}
+    for prob, values in product_realizations(instance, indices):
         chosen = agent_choice(instance, menu, values)
         contrib[chosen] = contrib[chosen] + values[chosen] * prob
         freq[chosen] += prob
@@ -167,24 +169,27 @@ class InterferenceAction:
 
 
 def derandomize_interference(
-    instance: IndependentInstance,
-    opt_menu: Menu,
-    t: XNum,
-    cap: int = DEFAULT_PROFILE_CAP,
+    instance: IndependentInstance, opt_menu: Menu, t: XNum
 ) -> tuple[InterferenceAction | None, bool]:
     """Collapse a threshold menu's non-opt actions to one deterministic action.
 
     Let A_t be the threshold menu at t and B = A_t minus ``opt_menu``.  Among
     the joint realizations of B, pick the one minimizing the conditional
-    expected utility of A_t (ties: first in canonical enumeration order).
-    The agent's favorite action in that frozen set, re-biased to t with its
-    agent utility preserved (value v + b - t), summarizes the interference:
-    the returned flag certifies f(A_t) >= f((A_t intersect opt_menu) + that
-    single action), which holds for every independent instance.
+    expected utility of A_t (ties: first in canonical enumeration order,
+    that of :func:`~delmenu.model.product_realizations` over B in index
+    order).  The agent's favorite action in that frozen set, re-biased to t
+    with its agent utility preserved (value v + b - t), summarizes the
+    interference: the returned flag certifies f(A_t) >= f((A_t intersect
+    opt_menu) + that single action), which holds for every independent
+    instance.
 
     One kernel call finds the worst realization against the kept
     candidates' random draws and values the kept candidates plus the
-    stand-in.  With B empty there is nothing to collapse: returns (None, True).
+    stand-in.  A realization counts only through its favorite draw, so the
+    call scans B's draws, one binary search each, never its joint
+    realizations: it costs a winner-state fold, like evaluating A_t, and no
+    joint support is too large for it.  With B empty there is nothing to
+    collapse: returns (None, True).
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
@@ -193,10 +198,6 @@ def derandomize_interference(
     interference = sorted(a_t - opt_menu)
     if not interference:
         return None, True
-
-    size = joint_support_size(instance, a_t)
-    if size > cap:
-        raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
 
     kept = candidates(instance, a_t & opt_menu)
     value, rhs = instance.kernel.stand_in(kept, interference, t)

@@ -37,12 +37,16 @@ def gen_log_family(k: int) -> CorrelatedInstance:
 
     The odd actions alone are worth k*2^k/m, while every threshold menu
     collapses to standard part at most 2: the even actions shadow the odd
-    ones whenever they are allowed.
+    ones whenever they are allowed.  Raises ``CapExceededError``, before
+    any profile is built, when the instance would hold more than
+    ``model.VALUE_CAP`` values, m * n: k = 16 does, k = 15 does not.
     """
     if not 2 <= k <= 16:
         raise InvalidInstanceError(f"k must be in 2..16, got {k}")
     n = 2 * k - 1
     m = 2**k - 1
+    if m * n > VALUE_CAP:
+        raise CapExceededError(f"instance of {m * n} values exceeds the cap of {VALUE_CAP} values")
 
     biases = [XNum(Fraction(0))]
     for i in range(1, k):

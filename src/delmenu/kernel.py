@@ -95,7 +95,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import prod
 from operator import mul
 from types import MappingProxyType
@@ -584,25 +584,44 @@ class IndependentKernel(_IndependentTables, _Counted):
     def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
         """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.
 
-        Each joint realization of ``pinned`` is scored by the expected value
-        of the agent's pick from it plus the random draws of ``kept``, which
-        its top rank decides, as one packed :meth:`total`.  Ranks ascend with
-        each action's sorted support, so the product walks realizations in
-        canonical order, and ``min`` keeps the first minimizer; shared
-        denominators let packed sums compare.  The worst one's top pair,
-        unpacked and re-biased to ``bias`` with its agent utility kept, is
-        the stand-in, with an index above every action's; its value stays a
-        ``(std, inf)`` pair, since a bias gap can exceed the scale.  It wins
-        the kept winner states ranked below it; agent utilities can tie, so
-        it is placed by its integer choice key over ``den``, against the
-        unpacked pairs, where ``bias`` scales to exact rational numerators
-        that compare with the pairs'.
+        A joint realization of ``pinned`` is scored by the expected value of
+        the agent's pick from it plus the random draws of ``kept``, and its
+        top rank alone decides that: the top wins the kept winner states
+        ranked below it, of mass ``heads[cut]``, and the rest win over it, of
+        packed :meth:`total` ``tails[cut]``.  So the scan reads the pinned
+        actions' own ranks, never their joint realizations.  A rank r is
+        some realization's top exactly when r is at least ``floor``, the
+        largest of the pinned actions' lowest ranks, and the first such
+        realization in canonical order (the last action varying fastest)
+        holds r at its owner and every other action's lowest rank.  The scan
+        visits the tops in the order of those first realizations: ``floor``,
+        the top of the realization of lowest ranks, then the pinned actions
+        from the last back, each by ascending rank.  So ``min``, which keeps
+        the first minimizer, finds the first worst realization in canonical
+        order; shared denominators let packed sums compare.  The worst
+        one's top pair, unpacked and re-biased to ``bias`` with its agent
+        utility kept, is the stand-in, with an index above every action's;
+        its value stays a ``(std, inf)`` pair, since a bias gap can exceed
+        the scale.  It wins the kept winner states ranked below it; agent
+        utilities can tie, so it is placed by its integer choice key over
+        ``den``, against the unpacked pairs, where ``bias`` scales to exact
+        rational numerators that compare with the pairs'.  The same
+        ``heads`` and ``tails`` value the kept part at that place.
         """
         ranks, masses = self.winners(kept)
-        top = min(
-            (max(combo) for combo in product(*(self.ranks[i] for i in pinned))),
-            key=lambda top: self.total([max(r, top) for r in ranks], masses),
-        )
+        heads = [0, *accumulate(masses)]
+        # With nothing kept, the one state's rank -1 is below every top, so
+        # tails[0], which reads value[-1], is never used.
+        terms = list(map(mul, map(self.value.__getitem__, ranks), masses))
+        tails = [*accumulate(reversed(terms), initial=0)][::-1]
+
+        def conditional(top: int) -> int:
+            cut = bisect_left(ranks, top)
+            return self.value[top] * heads[cut] + tails[cut]
+
+        floor = max(self.ranks[i][0] for i in pinned)
+        tops = chain([floor], (r for i in reversed(pinned) for r in self.ranks[i] if r > floor))
+        top = min(tops, key=conditional)
         t = bias.std * self.den, bias.inf * self.den
         top_std, top_inf = _unpack(self.value[top], self.scale)
         bias_std, bias_inf = self.bias[self.owner[top]]
@@ -615,9 +634,9 @@ class IndependentKernel(_IndependentTables, _Counted):
         stand_in_key = choice_key(len(self.ranks), value, t)
         below = bisect_left(range(len(self.owner)), stand_in_key, key=pair_key)
         cut = bisect_left(ranks, below)
-        std, inf = _unpack(self.total(ranks[cut:], masses[cut:]), self.scale)
-        mass = sum(masses[:cut])
-        kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * sum(masses))
+        std, inf = _unpack(tails[cut], self.scale)
+        mass = heads[cut]
+        kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * heads[-1])
         return _exact(*value, self.den), kept_part
 
 

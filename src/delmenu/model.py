@@ -330,13 +330,6 @@ def product_realizations(
         yield prob, values
 
 
-def joint_support_size(instance: IndependentInstance, menu: Menu) -> int:
-    size = 1
-    for i in candidates(instance, menu):
-        size *= len(instance.support_of(i))
-    return size
-
-
 # ---------------------------------------------------------------------------
 # Bias shifts
 # ---------------------------------------------------------------------------

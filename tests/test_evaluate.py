@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -309,6 +311,37 @@ def test_derandomize_certificates_outside_family():
             continue
         _, certified = derandomize_interference(inst, opt_menu, t)
         assert certified
+
+
+def test_derandomize_past_any_profile_cap():
+    # Three actions of 1,000 distinct draws and a two-point outside option:
+    # the top threshold menu has 2 * 10^9 joint realizations, and against
+    # the empty opt menu all three actions are pinned, 10^9 realizations of
+    # them.  The certificate scans the draws, not the realizations.
+    rng = random.Random(5)
+
+    def draws():
+        values = rng.sample(range(10**5), 1000)
+        return tuple((xnum(Fraction(v, 100)), Fraction(1, 1000)) for v in values)
+
+    inst = IndependentInstance(
+        tuple(Action(xnum(bias), draws()) for bias in (0, 1, 2)),
+        Action(xnum(1), ((xnum(0), Fraction(1, 2)), (xnum(500), Fraction(1, 2)))),
+    )
+    start = time.perf_counter()
+    for opt_menu in (frozenset(), frozenset({1})):
+        for t, menu in threshold_menus(inst):
+            if t is None:
+                continue
+            action, certified = derandomize_interference(inst, opt_menu, t)
+            assert certified
+            pinned = menu - opt_menu
+            if not pinned:  # the threshold menu {1} against the opt menu {1}
+                assert action is None
+                continue
+            utilities = {v + inst.bias_of(i) for i in pinned for v, _ in inst.support_of(i)}
+            assert action.value + t in utilities
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import delmenu.families
 from delmenu import (
     Action,
+    CapExceededError,
     InvalidInstanceError,
     agent_choice,
     brute_force_opt,
@@ -66,6 +68,14 @@ def test_log_family_bounds():
         gen_log_family(1)
     with pytest.raises(InvalidInstanceError):
         gen_log_family(17)
+
+
+def test_log_family_value_cap(monkeypatch):
+    # m * n values: k = 3 holds 7 * 5 = 35, k = 4 holds 15 * 7 = 105.
+    monkeypatch.setattr(delmenu.families, "VALUE_CAP", 35)
+    assert gen_log_family(3).n == 5
+    with pytest.raises(CapExceededError, match="instance of 105 values exceeds the cap of 35 values"):
+        gen_log_family(4)
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,28 @@ def test_derandomize_stand_in_ties_kept_pair_on_agent_utility(monkeypatch):
     assert_derandomize_matches_reference(inst, [opt_menu], monkeypatch)
 
 
+def test_derandomize_tie_goes_to_the_first_realization_in_canonical_order(monkeypatch):
+    # At t = 2 all three actions are pinned against the outside option's
+    # draws of 0 and 4.  Two tops are worst, at 3: action 1's draw of 2,
+    # which the outside draw of 4 beats on value, and action 3's draw of 3.
+    # The enumeration varies the last action fastest, so (1, 3, 3) comes
+    # before (2, 3, 0): the stand-in is action 3's draw, though action 1's
+    # top ranks lower and comes first by index.
+    half = Fraction(1, 2)
+
+    def two_draws(bias, lo, hi):
+        return Action(xnum(bias), ((xnum(lo), half), (xnum(hi), half)))
+
+    inst = IndependentInstance(
+        (two_draws(2, 1, 2), deterministic(xnum(0), xnum(3)), two_draws(2, 0, 3)),
+        two_draws(0, 0, 4),
+    )
+    action, rhs, _ = reference_derandomize(inst, frozenset(), xnum(2))
+    assert action == InterferenceAction(bias=xnum(2), value=xnum(3))
+    assert rhs == xnum(3)
+    assert_derandomize_matches_reference(inst, [frozenset()], monkeypatch)
+
+
 # ---------------------------------------------------------------------------
 # Drawn instances (``small_instances``): values and biases on a small grid
 # ---------------------------------------------------------------------------
