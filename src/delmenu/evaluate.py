@@ -184,12 +184,13 @@ def derandomize_interference(
     instance.
 
     One kernel call finds the worst realization against the kept
-    candidates' random draws and values the kept candidates plus the
-    stand-in.  A realization counts only through its favorite draw, so the
-    call scans B's draws, one binary search each, never its joint
-    realizations: it costs a winner-state fold, like evaluating A_t, and no
-    joint support is too large for it.  With B empty there is nothing to
-    collapse: returns (None, True).
+    candidates' random draws, values the kept candidates plus the
+    stand-in, and values A_t by folding B's actions onto the kept
+    candidates' winner states.  A realization counts only through its
+    favorite draw, so the call scans B's draws, one binary search each,
+    never its joint realizations: it costs one winner-state fold of A_t,
+    and no joint support is too large for it.  With B empty there is
+    nothing to collapse: returns (None, True).
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
@@ -200,5 +201,5 @@ def derandomize_interference(
         return None, True
 
     kept = candidates(instance, a_t & opt_menu)
-    value, rhs = instance.kernel.stand_in(kept, interference, t)
-    return InterferenceAction(t, value), rhs <= eval_independent_dp(instance, a_t).f
+    value, rhs, f_t = instance.kernel.stand_in(kept, interference, t)
+    return InterferenceAction(t, value), rhs <= f_t

@@ -63,14 +63,17 @@ a good incumbent comes early, and the scan that computes the bound also
 finds each profile's pick from the included actions: a node where an
 included action is no profile's pick is dropped, since the same menus
 without it tie and are smaller.
-Independent kernels decide in index order and have no bound or prune, so
+Independent kernels have no bound or prune, so
 their walk makes each node cheap instead: the draws are independent, so the
 chance that the winner ranks at most r is the product of the feasible
 candidates' CDFs at r, and by summation by parts a menu's value is a sum
 over ranks of that product times a value difference.  A node holds those
 terms, an include multiplies them by one action's CDF row, and only a leaf
 sums them; only the ranks whose value differs from the next rank's keep a
-term, since a zero term adds nothing to any sum.
+term, since a zero term adds nothing to any sum.  Actions with equal kept
+rows and probability denominators are interchangeable, so the walk decides
+how many of each such class a menu takes, always its lowest-indexed
+members, which the tie rule prefers.
 
 A kernel finds the best of a nested sequence of menus, such as the
 threshold menus in bias order (``best_prefix``): a correlated kernel values
@@ -97,7 +100,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
 from math import prod
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -180,17 +183,28 @@ class _Counted:
         return top, sur, _exact(gap_std, gap_inf, den)
 
 
-def _wins(value, menu: list[int], best, best_menu: list[int] | None) -> bool:
-    """Whether ``menu``, sorted, of ``value`` beats the incumbent ``best_menu`` of ``best``.
+def _wins(value, menu: int, best, best_menu: int | None) -> bool:
+    """Whether ``menu`` of ``value`` beats the incumbent ``best_menu`` of ``best``.
 
-    A higher value wins; equal values go to the smaller menu, then to the
-    lexicographically smaller sorted one, as in a size-then-lexicographic
-    scan that keeps the first maximizer, whatever order the menus come in.
-    Any menu beats no incumbent (``best_menu`` None).
+    Menus are bit masks, bit i for action i.  A higher value wins; equal
+    values go to the smaller menu, then to the lexicographically smaller
+    sorted one, as in a size-then-lexicographic scan that keeps the first
+    maximizer, whatever order the menus come in.  Of two sorted menus of one
+    size, the smaller holds the lowest index at which they differ: below it
+    they agree.  Any menu beats no incumbent (``best_menu`` None).
     """
     if best_menu is None or value != best:
         return best_menu is None or value > best
-    return (len(menu), menu) < (len(best_menu), best_menu)
+    size, best_size = menu.bit_count(), best_menu.bit_count()
+    if size != best_size:
+        return size < best_size
+    differ = menu ^ best_menu
+    return menu & differ & -differ != 0
+
+
+def _members(menu: int) -> Menu:
+    """The indices of the bit mask ``menu``."""
+    return frozenset(i for i in range(menu.bit_length()) if menu >> i & 1)
 
 
 Pair = tuple[int, tuple[int, int]]  # an index and its value's (std, inf) numerators
@@ -343,11 +357,9 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
                 bit = 1 << order[k]
                 stack.append((k + 1, live & ~bit, stop))
                 stack.append((k + 1, live, stop | bit))
-            else:
-                menu = [i for i in range(1, width) if stop >> i & 1]
-                if _wins(bound, menu, best, best_menu):
-                    best, best_menu = bound, menu
-        return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den)
+            elif _wins(bound, stop & ~1, best, best_menu):
+                best, best_menu = bound, stop & ~1
+        return _members(best_menu), _exact(*_unpack(best, self.scale), self.den)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
@@ -492,7 +504,7 @@ class IndependentKernel(_IndependentTables, _Counted):
         return Fraction(prod(min(probs) for probs in self.probs if probs), prod(self.prob_den))
 
     def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by a depth-first walk of every menu.
+        """The best menu and its value, by a depth-first walk over classes of equal actions.
 
         The draws are independent, so the winner ranks at most r with
         probability G(r), the product over the feasible candidates of their
@@ -500,56 +512,80 @@ class IndependentKernel(_IndependentTables, _Counted):
         ranks r of G(r) * (v_r - v_{r+1}), where v_r is rank r's value and v
         is 0 past the top rank; the term G(-1) * v_0 drops out, since G(-1)
         is 0 once anything is feasible.  A node holds that sum's terms, one
-        per rank, ``rest`` and its menu, a tuple of the included indices.
+        per rank, ``rest`` and its menu, a bit mask of the included indices.
         The root's terms are the value differences times the outside
         option's CDF row, if there is one, and its ``rest`` the product of
-        every other ``prob_den``.  Actions are decided in index order,
-        include first: an include multiplies the terms by the action's CDF
-        row and divides ``rest`` by its ``prob_den``, and an exclude passes
-        the node on as it is.  The walk keeps its nodes on a stack of its
-        own, so no instance is too deep for it: a node pushes its exclude
-        child and goes on to its include child at once, which visits the
-        nodes as a recursion would with half the pushes and pops of a walk
-        that pushes both children.  There is no bound, so only leaves sum: a
-        leaf's value, ``sum(terms) * rest``, is over ``den`` times every
-        ``prob_den``, and :func:`_wins` keeps the winner; the empty menu
-        counts only with an outside option.
-        Values are packed, so leaves compare as their ``(std, inf)`` pairs
-        do, and the winner's unpacks to its exact value.  Only the ranks
-        whose packed difference is nonzero keep a term and a column of the
-        CDF rows: a zero term stays zero under every product, so no sum
-        changes.  On a partition reduction most ranks are dropped: its
-        actions share three values and one bias, so equal values sit next to
-        each other in the agent's order.  The rows are built here, not at
-        compile time, since most compiled kernels are never searched.
+        every other ``prob_den``.  An include multiplies the terms by the
+        action's CDF row and divides ``rest`` by its ``prob_den``.  Only the
+        ranks whose packed difference is nonzero keep a term and a column of
+        the CDF rows: a zero term stays zero under every product, so no sum
+        changes.
+
+        So a menu's value depends only on its actions' kept rows and
+        ``prob_den``, and actions equal in both are interchangeable: they
+        form a class, and a menu's value depends only on how many members of
+        each class it holds.  Among menus of one value and the same counts,
+        the one that takes each class's lowest-indexed members is the
+        smallest sorted menu, the one the tie rule keeps.  So the walk
+        decides the classes in the order of their first members, and a class
+        of m members, in index order, has m + 1 children, which take its 0..m
+        lowest members: Π(m + 1) leaves over the classes instead of 2^n.  On
+        a partition reduction equal integers are equal actions, and most
+        ranks are dropped: its actions share three values and one bias, so
+        equal values sit next to each other in the agent's order.
+
+        The walk keeps its nodes on a stack of its own, so no instance is
+        too deep for it.  It steps through the classes' members in order:
+        a node at a member pushes the child that takes no more of its class,
+        which resumes past the class, and goes on at once to include the
+        member.  So each member taken costs one row product and one division
+        of ``rest``, and a class of one member costs an include and an
+        exclude, with half the pushes and pops of a walk that pushes both
+        children.  There is no bound, so only leaves sum: a leaf's value,
+        ``sum(terms) * rest``, is over ``den`` times every ``prob_den``, and
+        :func:`_wins` keeps the winner, called only for a leaf whose value
+        reaches the incumbent's; the empty menu counts only with an outside
+        option.  Values are packed, so leaves compare as their ``(std,
+        inf)`` pairs do, and the winner's unpacks to its exact value.  The
+        rows and classes are built here, not at compile time, since most
+        compiled kernels are never searched.
         """
-        diff = [v - w for v, w in zip(self.value, self.value[1:] + (0,))]
+        diff = list(map(sub, self.value, self.value[1:] + (0,)))
         cdf = []
         for ranks, probs in zip(self.ranks, self.probs):
             row = [0] * len(diff)
             for r, p in zip(ranks, probs):
                 row[r] = p
-            cdf.append(list(compress(accumulate(row), diff)))
+            cdf.append(tuple(compress(accumulate(row), diff)))
         prob_den = self.prob_den
+        classes: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        for i in range(1, len(cdf)):
+            classes.setdefault((cdf[i], prob_den[i]), []).append(1 << i)
+        steps = []  # class by class, per member: the step past its class, row, prob_den, bit
+        for (row, den), bits in classes.items():
+            end = len(steps) + len(bits)
+            for bit in bits:
+                steps.append((end, row, den, bit))
         outside = bool(self.ranks[OUTSIDE])
-        terms = [d for d in diff if d]
+        terms = list(filter(None, diff))
         if outside:
             terms = list(map(mul, terms, cdf[OUTSIDE]))
-        depth = len(self.ranks)
+        depth = len(steps)
         best = best_menu = None
         whole = prod(prob_den)
-        stack = [(1, terms, whole // prob_den[OUTSIDE], ())]
+        stack = [(0, terms, whole // prob_den[OUTSIDE], 0)]
         while stack:
-            i, terms, rest, menu = stack.pop()
-            while i < depth:
-                stack.append((i + 1, terms, rest, menu))
-                terms, rest, menu = list(map(mul, terms, cdf[i])), rest // prob_den[i], menu + (i,)
-                i += 1
+            k, terms, rest, menu = stack.pop()
+            while k < depth:
+                end, row, den, bit = steps[k]
+                stack.append((end, terms, rest, menu))
+                terms, rest, menu = list(map(mul, terms, row)), rest // den, menu | bit
+                k += 1
             if menu or outside:
                 value = sum(terms) * rest
-                if _wins(value, menu, best, best_menu):
+                if (best_menu is None or value >= best) and _wins(value, menu, best, best_menu):
                     best, best_menu = value, menu
-        return frozenset(best_menu), _exact(*_unpack(best, self.scale), self.den * whole)
+        return _members(best_menu), _exact(*_unpack(best, self.scale), self.den * whole)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
         """The step j whose menu, the union of ``steps[0..j]``, has the highest value.
@@ -581,8 +617,8 @@ class IndependentKernel(_IndependentTables, _Counted):
         self._memo = {frozenset(feasible[:size]): best_states, frozenset(feasible): states}
         return j
 
-    def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum]:
-        """Value of ``pinned``'s deterministic stand-in, and of ``kept`` plus it.
+    def stand_in(self, kept: list[int], pinned: list[int], bias: XNum) -> tuple[XNum, XNum, XNum]:
+        """Value of ``pinned``'s deterministic stand-in, of ``kept`` plus it, and of ``kept`` plus ``pinned``.
 
         A joint realization of ``pinned`` is scored by the expected value of
         the agent's pick from it plus the random draws of ``kept``, and its
@@ -606,7 +642,9 @@ class IndependentKernel(_IndependentTables, _Counted):
         utilities can tie, so it is placed by its integer choice key over
         ``den``, against the unpacked pairs, where ``bias`` scales to exact
         rational numerators that compare with the pairs'.  The same
-        ``heads`` and ``tails`` value the kept part at that place.
+        ``heads`` and ``tails`` value the kept part at that place.  The
+        pinned actions, folded onto the kept winner states, give the winner
+        states of ``kept`` plus ``pinned``, which :meth:`total` values.
         """
         ranks, masses = self.winners(kept)
         heads = [0, *accumulate(masses)]
@@ -637,7 +675,11 @@ class IndependentKernel(_IndependentTables, _Counted):
         std, inf = _unpack(tails[cut], self.scale)
         mass = heads[cut]
         kept_part = _exact(std + value[0] * mass, inf + value[1] * mass, self.den * heads[-1])
-        return _exact(*value, self.den), kept_part
+        states = ranks, masses
+        for i in pinned:
+            states = _fold(*states, self.ranks[i], self.probs[i])
+        both = _exact(*_unpack(self.total(*states), self.scale), self.den * sum(states[1]))
+        return _exact(*value, self.den), kept_part, both
 
 
 def _fold(

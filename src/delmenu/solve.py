@@ -64,13 +64,18 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     first and skips a subtree when an exact bound shows it holds no menu of
     equal or higher value, or when it holds an action that no profile
     picks, since each of its menus ties the same menu without that action.
-    On an independent instance the walk decides the actions in index order
-    and visits every menu, with one elementwise product per included action
-    and one sum per menu, over only the ranks whose value differs from the
-    next rank's.  Both walks keep the winner by one tie rule: among menus of
-    equal value the smallest, then the lexicographically smallest, the
-    first maximizer of a size-then-lexicographic scan, whatever order the
-    walk takes.  The value
+    On an independent instance the walk groups the actions whose CDF rows
+    and probability denominators are equal into classes: a menu's value
+    depends only on how many members of each class it holds, so the walk
+    visits, for each count per class, the one menu of the class's
+    lowest-indexed members, which the tie rule prefers among those menus.
+    Distinct actions still cost all 2^n menus; a partition reduction with
+    repeated integers costs far fewer.  It spends one elementwise product
+    per included action and one sum per menu, over only the ranks whose
+    value differs from the next rank's.  Both walks keep the winner by one
+    tie rule: among menus of equal value the smallest, then the
+    lexicographically smallest, the first maximizer of a
+    size-then-lexicographic scan, whatever order the walk takes.  The value
     is the one the walk held at the winner's leaf, unpacked from the
     kernel's integers; no evaluator runs.  Each walk is a loop over a stack
     of its own, so the interpreter's recursion limit refuses no instance.

@@ -11,7 +11,9 @@ from delmenu import (
     IndependentInstance,
     Profile,
     XNum,
+    brute_force_opt,
     deterministic,
+    evaluate,
     gen_random,
     xnum,
 )
@@ -40,6 +42,34 @@ def profile_assignment(instance: CorrelatedInstance, profile: Profile) -> dict[i
     if instance.has_outside:
         values[OUTSIDE] = profile.values[instance.n]
     return values
+
+
+def search_is_its_evaluation(instance, cap_n: int = 20):
+    """The optimal menu and value, checked by the evaluation identity.
+
+    The search's value must equal ``evaluate`` of its menu.  The evaluators
+    read the kernel's ``counts``, code apart from the walks, so this checks
+    a search at any size, past the reach of a scan of every menu.
+    """
+    menu, value = brute_force_opt(instance, cap_n=cap_n)
+    assert value == evaluate(instance, menu).f
+    return menu, value
+
+
+def assert_no_single_flip_beats(instance, menu, value):
+    """One-flip certificate: no menu one add or remove away from ``menu`` is
+    worth more, or as much and smaller by size, then sorted indices.
+
+    A necessary condition on an optimum under the searches' tie rule, with
+    one evaluation per action.
+    """
+    for i in range(1, instance.n + 1):
+        flipped = menu ^ {i}
+        if not flipped and not instance.has_outside:
+            continue
+        other = evaluate(instance, flipped).f
+        larger = (len(flipped), sorted(flipped)) > (len(menu), sorted(menu))
+        assert other < value or other == value and larger, sorted(flipped)
 
 
 def stack_depth():

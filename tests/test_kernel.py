@@ -11,7 +11,6 @@ instances for both checks.
 
 import ast
 import dataclasses
-import importlib
 import math
 import pickle
 import random
@@ -517,11 +516,13 @@ def reference_derandomize(instance, opt_menu, t):
 def assert_derandomize_matches_reference(instance, opt_menus, monkeypatch):
     """Exact equality with the oracle, on every threshold of every opt menu.
 
-    The flag hides f(kept + stand-in) whenever the certificate holds, so
-    f(A_t) is also pinned at the oracle's value of it and just below, which
-    makes the flag read that value exactly.
+    The kernel's ``stand_in`` values A_t as its third result, which must be
+    the oracle's f(A_t).  The flag hides f(kept + stand-in) whenever the
+    certificate holds, so that third result is also pinned at the oracle's
+    value of f(kept + stand-in) and just below, which makes the flag read
+    that value exactly.
     """
-    evaluate_module = importlib.import_module("delmenu.evaluate")
+    stand_in = IndependentKernel.stand_in
     cases = empty_kept = 0
     for opt_menu in opt_menus:
         for t, menu in threshold_menus(instance):
@@ -532,13 +533,15 @@ def assert_derandomize_matches_reference(instance, opt_menus, monkeypatch):
             assert got == (action, rhs <= lhs), (sorted(opt_menu), t)
             if action is None:
                 continue
+            kept = candidates(instance, menu & opt_menu)
+            assert instance.kernel.stand_in(kept, sorted(menu - opt_menu), t)[2] == lhs
             cases += 1
             empty_kept += not (menu & opt_menu or instance.has_outside)
             just_below = rhs - xnum(0, Fraction(1, 10**9))
             with monkeypatch.context() as patch:
                 for pinned, certified in ((rhs, True), (just_below, False)):
                     patch.setattr(
-                        evaluate_module, "eval_independent_dp", lambda *_: EvalReport(pinned, {}, {})
+                        IndependentKernel, "stand_in", lambda *args: (*stand_in(*args)[:2], pinned)
                     )
                     assert derandomize_interference(instance, opt_menu, t) == (action, certified)
     return cases, empty_kept
@@ -1001,6 +1004,98 @@ def test_search_value_examples_cover_their_cases():
     assert IOTA_REPEATS.kernel.search() == (frozenset(), xnum(1, Fraction(-1, 3)))
     assert kept_ranks(ALL_ZERO.kernel) == []
     assert ALL_ZERO.kernel.search() == (frozenset({1}), xnum(0))
+
+
+# ---------------------------------------------------------------------------
+# Classes of interchangeable actions in the independent search
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def repeated_actions(draw):
+    """An independent tie grid, iota parts and unlike denominators, with
+    1-3 of its actions copied to drawn positions."""
+    instance = draw(small_instances("independent", 3, iota=True, max_den=3, max_support=2))
+    actions = list(instance.actions)
+    for _ in range(draw(st.integers(1, 3))):
+        copy = draw(st.sampled_from(actions))
+        actions.insert(draw(st.integers(0, len(actions))), copy)
+    return IndependentInstance(tuple(actions), instance.outside)
+
+
+def cdf_rows(kernel, ranks):
+    """Each candidate's CDF numerators, over its ``prob_den``, at ``ranks``."""
+    return [
+        tuple(sum(p for r, p in zip(kernel.ranks[i], kernel.probs[i]) if r <= k) for k in ranks)
+        for i in range(len(kernel.ranks))
+    ]
+
+
+HALF = Fraction(1, 2)
+# Actions 1 and 3 draw 0 or 2 but differ in bias, so their pairs rank apart
+# and their CDF rows over every rank differ; at the kept ranks they are
+# equal, so they are one class.  The full menu, which takes both, wins.
+ROW_TWINS = IndependentInstance(
+    (
+        Action(xnum(0), ((xnum(0), HALF), (xnum(2), HALF))),
+        Action(xnum(1), ((xnum(1), HALF), (xnum(3), HALF))),
+        Action(xnum(1), ((xnum(0), HALF), (xnum(2), HALF))),
+    )
+)
+# The top-ranked pair is worth 0, so its rank is dropped, and the kept rows
+# of actions 1 and 2 are equal, (1,), over prob_dens 1 and 2: they are not
+# interchangeable.  {2} ties {1, 2} at -iota/2 and wins; a class of both
+# would never visit it.
+DEN_TWINS = IndependentInstance(
+    (
+        deterministic(xnum(0), xnum(0, -1)),
+        Action(xnum(0), ((xnum(0, -1), HALF), (xnum(0), HALF))),
+    )
+)
+# Actions 1 and 3 are equal, and {1, 2} ties {2, 3} at 7/3: the lowest
+# member of the class wins.
+LOWEST_TIE = IndependentInstance(
+    (
+        deterministic(xnum(2), xnum(2)),
+        Action(xnum(3), ((xnum(1), Fraction(2, 3)), (xnum(3), Fraction(1, 3)))),
+        deterministic(xnum(2), xnum(2)),
+    ),
+    outside=deterministic(xnum(2), xnum(1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_actions())
+@example(ROW_TWINS)
+@example(DEN_TWINS)
+@example(LOWEST_TIE)
+def test_independent_search_over_repeated_actions_equals_both_scans(instance):
+    result = instance.kernel.search()
+    assert result == scan_opt(instance)
+    assert result[0] == fold_search(instance)[0]
+
+
+def test_independent_search_class_examples_cover_their_cases():
+    kernel = ROW_TWINS.kernel
+    kept = cdf_rows(kernel, kept_ranks(kernel))
+    every = cdf_rows(kernel, range(len(kernel.value)))
+    assert ROW_TWINS.bias_of(1) != ROW_TWINS.bias_of(3)
+    assert kept[1] == kept[3] and every[1] != every[3]
+    assert kernel.prob_den[1] == kernel.prob_den[3]
+    assert brute_force_opt(ROW_TWINS) == (frozenset({1, 2, 3}), xnum("19/8"))
+
+    kernel = DEN_TWINS.kernel
+    kept = cdf_rows(kernel, kept_ranks(kernel))
+    assert kernel.value[-1] == 0 and kept[1] == kept[2] == (1,)
+    assert kernel.prob_den[1:] == (1, 2)
+    tied = evaluate(DEN_TWINS, frozenset({1, 2})).f
+    assert tied == evaluate(DEN_TWINS, frozenset({2})).f == xnum(0, Fraction(-1, 2))
+    assert brute_force_opt(DEN_TWINS) == (frozenset({2}), tied)
+
+    assert LOWEST_TIE.actions[0] == LOWEST_TIE.actions[2]
+    tied = evaluate(LOWEST_TIE, frozenset({1, 2})).f
+    assert tied == evaluate(LOWEST_TIE, frozenset({2, 3})).f == xnum("7/3")
+    assert brute_force_opt(LOWEST_TIE) == (frozenset({1, 2}), tied)
 
 
 # ---------------------------------------------------------------------------

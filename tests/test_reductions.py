@@ -252,3 +252,24 @@ def test_partition_decision_strict_for_112_113():
     inst, threshold = reduce_integer_partition(p_no, minimal_valid_m(p_no))
     _, value = brute_force_opt(inst)
     assert value.std < threshold
+
+
+@pytest.mark.parametrize("size", [12, 14, 16, 18])
+def test_partition_decision_with_repeated_integers(size):
+    # Equal integers are equal actions, one class of the independent search,
+    # so its walk takes each class's lowest-indexed members: the optimal menu
+    # holds, of each repeated integer, its first copies.
+    rng = random.Random(size)
+    for top in (4, 8):
+        p = PartitionInstance(tuple(rng.randint(1, top) for _ in range(size)))
+        inst, threshold = reduce_integer_partition(p, minimal_valid_m(p))
+        menu, value = brute_force_opt(inst)
+        assert (value.std >= threshold) == has_partition(p)
+        assert size + 1 in menu
+        chosen = sorted(menu - {size + 1})
+        for c in set(p.values):
+            copies = [i for i, v in enumerate(p.values, start=1) if v == c]
+            taken = [i for i in chosen if p.values[i - 1] == c]
+            assert taken == copies[: len(taken)]
+        if has_partition(p):
+            assert 2 * sum(p.values[i - 1] for i in chosen) == p.total
