@@ -58,11 +58,13 @@ integer it held at the winner's leaf, and ``search`` unpacks that integer
 into the menu's exact value, so no evaluator runs.  Correlated kernels
 bound each subtree with the rankings, the first-choice model of Bertsimas
 and Mišić (Oper. Res. 2019) with a combinatorial bound in place of their
-integer program.  They decide the actions of largest total value first, so
-a good incumbent comes early, and the scan that computes the bound also
-finds each profile's pick from the included actions: a node where an
-included action is no profile's pick is dropped, since the same menus
-without it tie and are smaller.
+integer program, and apply the tie rule at every node: a node is dropped
+unless its bound and its included set beat the incumbent, since every menu
+below it holds that set and is worth at most the bound.  They decide the
+actions of largest total value first, so a good incumbent comes early, and
+the scan that computes the bound also finds each profile's pick from the
+included actions: a node where an included action is no profile's pick is
+dropped, since the same menus without it tie and are smaller.
 Independent kernels have no bound or prune, so
 their walk makes each node cheap instead: the draws are independent, so the
 chance that the winner ranks at most r is the product of the feasible
@@ -192,6 +194,12 @@ def _wins(value, menu: int, best, best_menu: int | None) -> bool:
     maximizer, whatever order the menus come in.  Of two sorted menus of one
     size, the smaller holds the lowest index at which they differ: below it
     they agree.  Any menu beats no incumbent (``best_menu`` None).
+
+    The correlated walk also asks it of inner nodes, with a node's bound
+    for ``value`` and its included set for ``menu``.  That is exact because
+    every menu below a node holds its included set: each is no smaller than
+    the set, by size and then sorted indices, so if the set, valued at the
+    bound, does not win, no menu below, worth at most the bound, does.
     """
     if best_menu is None or value != best:
         return best_menu is None or value > best
@@ -329,11 +337,17 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         its ranking, so that action stays unpicked in every menu below, and
         each such menu has the value of the same menu without it, which is
         smaller and lies in that action's exclude branch; so a dead node is
-        dropped before any comparison.  Otherwise a subtree is pruned only
-        when its bound is strictly below the incumbent's value, so every
-        menu that ties the winner reaches its leaf, and :func:`_wins` keeps
-        the winner.  The bound at the winner's leaf is its packed exact
-        value, over ``den``.
+        dropped before any comparison.
+
+        Every other node is dropped unless :func:`_wins` holds for its bound
+        and its included set I, ``stop & ~1``, against the incumbent.  Every
+        menu below the node holds I and is worth at most the bound, so when
+        the pair does not win, each such menu is worth less than the
+        incumbent, or ties it and is no smaller than I by size and then
+        sorted indices, and loses the tie as well.  At a leaf the bound is
+        the menu's exact value and I is the menu, so a leaf that is not
+        dropped is the new incumbent.  The bound at the winner's leaf is its
+        packed exact value, over ``den``.
         """
         width = len(self.bias)
         total = [0] * width
@@ -351,13 +365,13 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
                 continue
             bound, picks = self._bound(live, stop)
             # Bit 0, the outside option's, is no action: only a higher bit can be dead.
-            if stop & ~picks > 1 or best_menu is not None and bound < best:
+            if stop & ~picks > 1 or not _wins(bound, stop & ~1, best, best_menu):
                 continue
             if k < depth:
                 bit = 1 << order[k]
                 stack.append((k + 1, live & ~bit, stop))
                 stack.append((k + 1, live, stop | bit))
-            elif _wins(bound, stop & ~1, best, best_menu):
+            else:
                 best, best_menu = bound, stop & ~1
         return _members(best_menu), _exact(*_unpack(best, self.scale), self.den)
 

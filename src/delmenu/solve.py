@@ -61,9 +61,12 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     and all 2^n - 1 nonempty menus, run on the instance's compiled kernel,
     whose ``search`` is a depth-first walk of its own for each kind.  On a
     correlated instance the walk decides the actions of largest total value
-    first and skips a subtree when an exact bound shows it holds no menu of
-    equal or higher value, or when it holds an action that no profile
-    picks, since each of its menus ties the same menu without that action.
+    first and skips a subtree when an exact bound shows it holds no menu
+    that beats the best one found so far under the tie rule below (every
+    menu in it holds the actions already chosen, so a tie goes to the
+    incumbent when those actions alone would lose it), or when it holds an
+    action that no profile picks, since each of its menus ties the same
+    menu without that action.
     On an independent instance the walk groups the actions whose CDF rows
     and probability denominators are equal into classes: a menu's value
     depends only on how many members of each class it holds, so the walk

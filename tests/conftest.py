@@ -18,7 +18,7 @@ from delmenu import (
     xnum,
 )
 from delmenu.cli import sample_menus as random_menus  # noqa: F401  (the CLI's one sampling rule)
-from delmenu.model import OUTSIDE
+from delmenu.model import OUTSIDE, product_realizations
 
 OUTSIDE_MODES = ("none", "fixed", "random")
 
@@ -34,6 +34,14 @@ def random_correlated(seed: int, outside: str | None = None, n: int = 3, profile
     if outside is None:
         outside = OUTSIDE_MODES[seed % 3]
     return gen_random("correlated", n=n, support_size=profiles, seed=seed, outside=outside)
+
+
+def tie_heavy(kind: str, seed: int, outside: str, n: int = 4, support: int = 3):
+    """Values in 0..2 and biases in 0..1, integers, so utilities and menu values tie often."""
+    return gen_random(
+        kind, n=n, support_size=support, seed=seed, outside=outside,
+        value_range=(0, 2), bias_range=(0, 1), denominator=1,
+    )
 
 
 def profile_assignment(instance: CorrelatedInstance, profile: Profile) -> dict[int, XNum]:
@@ -70,6 +78,18 @@ def assert_no_single_flip_beats(instance, menu, value):
         other = evaluate(instance, flipped).f
         larger = (len(flipped), sorted(flipped)) > (len(menu), sorted(menu))
         assert other < value or other == value and larger, sorted(flipped)
+
+
+def as_correlated(instance: IndependentInstance) -> CorrelatedInstance:
+    """``instance`` written out as a correlated instance: one profile per
+    joint realization of its candidates, in canonical order."""
+    indices = list(range(1, instance.n + 1)) + ([OUTSIDE] if instance.has_outside else [])
+    profiles = tuple(
+        Profile(prob, tuple(values[i] for i in indices))
+        for prob, values in product_realizations(instance, indices)
+    )
+    outside_bias = instance.outside.bias if instance.has_outside else None
+    return CorrelatedInstance(tuple(a.bias for a in instance.actions), profiles, outside_bias)
 
 
 def stack_depth():

@@ -14,6 +14,7 @@ from delmenu import (
     Decomposition,
     IndependentInstance,
     InterferenceAction,
+    InvalidInstanceError,
     Profile,
     agent_choice,
     brute_force_opt,
@@ -358,3 +359,16 @@ def test_evaluate_dispatch():
         eval_correlated(ind, full_menu(ind))
     with pytest.raises(Exception):
         eval_independent_dp(cor, full_menu(cor))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst: eval_bruteforce_product(inst, full_menu(inst)),
+        lambda inst: derandomize_interference(inst, full_menu(inst), xnum(0)),
+    ],
+    ids=["bruteforce-product", "derandomize"],
+)
+def test_independent_only_paths_refuse_a_correlated_instance(call):
+    with pytest.raises(InvalidInstanceError, match="requires an independent instance"):
+        call(gen_log_family(2))

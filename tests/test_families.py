@@ -284,6 +284,19 @@ def test_assortment_negative_revenue_rejected():
         from_assortment([-1], [[(1, 1)]])
 
 
+@pytest.mark.parametrize(
+    "revenues, utils, eps, match",
+    [
+        ([1], [[(1, 1)]], 0, "eps must be positive"),
+        ([1], [[(1, 1)]], Fraction(-1, 10), "eps must be positive"),
+        ([1, 2], [[(1, 1)]], Fraction(1, 1000), "lengths differ"),
+    ],
+)
+def test_assortment_rejects_a_nonpositive_eps_or_mismatched_lengths(revenues, utils, eps, match):
+    with pytest.raises(InvalidInstanceError, match=match):
+        from_assortment(revenues, utils, eps=eps)
+
+
 def test_assortment_no_buy_option():
     inst = from_assortment([1], [[(0, 1)]], eps=Fraction(1, 10))
     # Worthless item priced at 1: the buyer walks, seller gets nothing.

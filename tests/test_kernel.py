@@ -75,6 +75,7 @@ from conftest import (
     random_independent,
     random_menus,
     small_instances,
+    tie_heavy,
     with_iota,
 )
 
@@ -108,14 +109,6 @@ def assert_matches_reference(instance, menus):
         got = evaluate(instance, menu)
         assert got == reference(instance, menu), sorted(menu)
         assert list(got.contrib) == candidates(instance, menu)
-
-
-def tie_heavy(kind: str, seed: int, outside: str):
-    """Values and biases on a coarse integer grid, so utilities tie often."""
-    return gen_random(
-        kind, n=4, support_size=3, seed=seed, outside=outside,
-        value_range=(0, 2), bias_range=(0, 1), denominator=1,
-    )
 
 
 @pytest.mark.parametrize("outside", OUTSIDE_MODES)
@@ -307,6 +300,15 @@ def test_correlated_search_equals_index_order_search():
         assert inst.kernel.search()[0] == index_order_search(inst.kernel)[0]
 
 
+@pytest.mark.parametrize("n", range(8, 13))
+def test_tie_heavy_correlated_search_equals_index_order_search(n):
+    # Menus of equal value abound, and the walk drops the nodes whose ties
+    # the incumbent already wins, which the reference walks out.
+    for seed, outside in enumerate(OUTSIDE_MODES * 2):
+        inst = tie_heavy("correlated", 10 * n + seed, outside, n=n, support=12)
+        assert inst.kernel.search()[0] == index_order_search(inst.kernel)[0]
+
+
 def traced_search(instance, monkeypatch):
     """``instance.kernel.search()``, with the ``(live, stop)`` nodes the walk
     values by ``_bound``, in walk order."""
@@ -318,8 +320,20 @@ def traced_search(instance, monkeypatch):
         return bound(kernel, live, stop)
 
     monkeypatch.setattr(CorrelatedKernel, "_bound", spy)
-    menu, _ = instance.kernel.search()
-    return menu, valued
+    return instance.kernel.search(), valued
+
+
+def test_correlated_search_values_few_nodes_when_every_menu_ties(monkeypatch):
+    # n equal actions in one profile: every nonempty menu is worth 1, and
+    # {1} wins the tie.  Once {1} is the incumbent, a node's included set
+    # is empty, which wins the tie, or holds one later action, which loses
+    # it, so the walk values about 4n nodes; a prune only strictly below
+    # the incumbent values n(n + 1).
+    n = 400
+    inst = CorrelatedInstance((xnum(0),) * n, (Profile(Fraction(1), (xnum(1),) * n),))
+    result, valued = traced_search(inst, monkeypatch)
+    assert result == (frozenset({1}), xnum(1))
+    assert len(valued) <= 4 * n
 
 
 def below(node, top):
@@ -345,7 +359,7 @@ def test_correlated_search_never_expands_a_dead_node(outside, monkeypatch):
                 dead[menu] = any(freq[i] == 0 for i in menu)
             return dead[menu]
 
-        menu, valued = traced_search(inst, monkeypatch)
+        (menu, _), valued = traced_search(inst, monkeypatch)
         assert menu == scan_opt(inst)[0]
         dead_nodes = list(filter(is_dead, valued))
         assert not any(below(node, top) for node in valued for top in dead_nodes)
@@ -715,17 +729,30 @@ TIE_AFTER_ORDER = CorrelatedInstance(
     ),
 )
 
+# {1, 2} and {2} tie at 2: action 2 is worth 2 in both profiles, and the
+# agent picks action 1 from {1, 2} only where it is worth 2 too.  Total
+# values order the actions 2, 1, so the walk reaches {1, 2} first; {2}'s
+# bound equals the incumbent's value, and its smaller included set keeps it.
+SMALLER_TIE_LATER = CorrelatedInstance(
+    biases=(xnum(1), xnum(0)),
+    profiles=(
+        Profile(Fraction(2, 3), (xnum(0), xnum(2))),
+        Profile(Fraction(1, 3), (xnum(2), xnum(2))),
+    ),
+)
+
 
 @settings(max_examples=100, deadline=None)
 @given(small_instances("correlated", 7, iota=True, max_den=3, max_support=6))
 @example(OUTSIDE_OUTRANKS)
 @example(SET_OUTRANKS)
 @example(TIE_AFTER_ORDER)
+@example(SMALLER_TIE_LATER)
 def test_correlated_opt_equals_reference_scan_in_value_order(instance):
     assert brute_force_opt(instance) == scan_opt(instance)
 
 
-def test_correlated_search_examples_cover_their_cases():
+def test_correlated_search_examples_cover_their_cases(monkeypatch):
     def picks(instance, menu):
         return evaluate(instance, frozenset(menu)).freq
 
@@ -737,6 +764,12 @@ def test_correlated_search_examples_cover_their_cases():
     tied = [evaluate(TIE_AFTER_ORDER, frozenset(m)).f for m in ({1, 3}, {2, 3}, {3, 4})]
     assert tied == [xnum("5/2")] * 3
     assert brute_force_opt(TIE_AFTER_ORDER) == (frozenset({1, 3}), xnum("5/2"))
+    tied = [evaluate(SMALLER_TIE_LATER, frozenset(m)).f for m in ({1, 2}, {2})]
+    assert tied == [xnum(2)] * 2 and picks(SMALLER_TIE_LATER, {1, 2})[1] > 0
+    result, valued = traced_search(SMALLER_TIE_LATER, monkeypatch)
+    leaves = [stop for live, stop in valued if live == stop]
+    assert leaves.index(0b110) < leaves.index(0b100)
+    assert result == (frozenset({2}), xnum(2))
 
 
 @settings(max_examples=100, deadline=None)

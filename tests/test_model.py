@@ -5,15 +5,18 @@ import pytest
 
 from delmenu import (
     Action,
+    CorrelatedInstance,
     IndependentInstance,
     InvalidInstanceError,
     NoFeasibleActionError,
     OUTSIDE,
+    Profile,
     agent_choice,
     deterministic,
     evaluate,
     full_menu,
     gen_log_family,
+    make_support,
     shift_biases,
     threshold_menu,
     validate_menu,
@@ -60,6 +63,34 @@ def test_action_validation():
         Action(xnum(0), ((xnum(-1), Fraction(1)),))  # negative standard part
     with pytest.raises(InvalidInstanceError):
         IndependentInstance(())
+
+
+ONE_ACTION = IndependentInstance((deterministic(xnum(0), xnum(1)),))
+ONE_PROFILE = (Profile(Fraction(1), (xnum(1),)),)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ONE_ACTION.bias_of(OUTSIDE), NoFeasibleActionError),
+        (lambda: CorrelatedInstance((xnum(0),), ONE_PROFILE).bias_of(OUTSIDE), NoFeasibleActionError),
+        (lambda: ONE_ACTION.support_of(OUTSIDE), NoFeasibleActionError),
+        (lambda: CorrelatedInstance((), (Profile(Fraction(1), ()),)), InvalidInstanceError),
+        (lambda: CorrelatedInstance((xnum(0),), ()), InvalidInstanceError),
+        (lambda: CorrelatedInstance((xnum(0),), ONE_PROFILE, labels=("a", "b")), InvalidInstanceError),
+    ],
+    ids=["bias-independent", "bias-correlated", "support", "no-actions", "no-profiles", "labels"],
+)
+def test_instance_validation_raises(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_make_support_lifts_plain_rationals():
+    assert make_support([(1, Fraction(1, 2)), (Fraction(1, 2), "1/2")]) == (
+        (xnum("1/2"), Fraction(1, 2)),
+        (xnum(1), Fraction(1, 2)),
+    )
 
 
 def test_support_canonicalized():

@@ -1,12 +1,16 @@
-"""Exact relations that check the independent search past the exhaustive reach.
+"""Exact relations that check both searches past the exhaustive reach.
 
 A scan of every menu stops near a dozen actions.  These relations need no
 scan, and in this model they are exact (metamorphic testing: Chen, Cheung
 and Yiu, HKUST-CS98-01, 1998): the search's value is the evaluation of its
 menu, and no menu one add or remove away beats it under the tie rule.  They
-run on random independent instances of 12-14 actions and on partition
+run on random independent instances of 12-14 actions, on partition
 reductions of 14-16 integers, whose repeated integers the search walks as
-classes of interchangeable actions.
+classes of interchangeable actions, on random correlated instances of
+30-36 actions and on tie-heavy correlated ones of 16-24.  Across kernels,
+an independent instance written out over its joint realizations is a
+correlated instance with the same optimum, found by a walk that shares no
+code with the independent one.
 """
 
 import random
@@ -15,13 +19,20 @@ import pytest
 
 from delmenu import (
     PartitionInstance,
+    brute_force_opt,
     gen_random,
     has_partition,
     minimal_valid_m,
     reduce_integer_partition,
 )
 
-from conftest import OUTSIDE_MODES, assert_no_single_flip_beats, search_is_its_evaluation
+from conftest import (
+    OUTSIDE_MODES,
+    as_correlated,
+    assert_no_single_flip_beats,
+    search_is_its_evaluation,
+    tie_heavy,
+)
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])
@@ -40,3 +51,25 @@ def test_partition_search_relations(size):
     menu, value = search_is_its_evaluation(instance)
     assert_no_single_flip_beats(instance, menu, value)
     assert (value.std >= threshold) == has_partition(p)
+
+
+@pytest.mark.parametrize("n", [30, 33, 36])
+def test_correlated_search_relations(n):
+    for outside in OUTSIDE_MODES:
+        instance = gen_random("correlated", n=n, support_size=12, seed=n, outside=outside)
+        assert_no_single_flip_beats(instance, *search_is_its_evaluation(instance, cap_n=n))
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_tie_heavy_correlated_search_relations(n):
+    # Many one-flip neighbours tie the optimum, so the tie rule decides them.
+    for seed, outside in enumerate(OUTSIDE_MODES):
+        instance = tie_heavy("correlated", seed, outside, n=n, support=12)
+        assert_no_single_flip_beats(instance, *search_is_its_evaluation(instance, cap_n=n))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_independent_and_correlated_searches_agree(n):
+    for outside in OUTSIDE_MODES:
+        instance = gen_random("independent", n=n, support_size=3, seed=n, outside=outside)
+        assert brute_force_opt(as_correlated(instance)) == brute_force_opt(instance)

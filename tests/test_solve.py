@@ -214,6 +214,12 @@ def test_threshold_dominance_and_single_action_bound():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-1, 2)])
+def test_log2_at_least_refuses_a_nonpositive_argument(q):
+    with pytest.raises(ValueError, match="must be positive"):
+        log2_at_least(q, Fraction(0))
+
+
 def test_log2_at_least_exact_edges():
     assert log2_at_least(Fraction(8), Fraction(3))
     assert not log2_at_least(Fraction(8), Fraction(3) + Fraction(1, 10**5))

@@ -70,6 +70,21 @@ def test_hash_agrees_with_eq_for_mixed_keys():
     assert {xnum(3, 1): "z"}.get(3) is None
 
 
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (1 - xnum("1/2", 2), xnum("1/2", -2)),
+        (Fraction(1, 3) - xnum(0, 1), xnum("1/3", -1)),
+        (xnum(1).__eq__("x"), NotImplemented),
+        (xnum(1) == "1", False),
+        (repr(xnum("1/2", -1)), "XNum(Fraction(1, 2), Fraction(-1, 1))"),
+    ],
+    ids=["rsub-int", "rsub-fraction", "eq-str", "eq-str-operator", "repr"],
+)
+def test_reflected_subtraction_foreign_equality_and_repr(got, want):
+    assert got == want
+
+
 def test_xsum():
     assert xsum([]) == XNum(0)
     assert xsum([xnum(1, 1), xnum(2, -1), xnum("1/2")]) == xnum("7/2", 0)
