@@ -21,12 +21,17 @@ sum the kernel forms can reach, so sums of packed values add and compare as
 integers, as their ``(std, inf)`` pairs do lexicographically, and unpack to
 those pairs exactly.
 
-* A correlated instance becomes one ranking per profile (the ranking-based
-  choice model of Aouad, Farias, Levi and Segev, Oper. Res. 2018), stored
-  once as the table every walk reads: each candidate's bit with its packed
-  value times the profile's probability, favorite first and cut after the
-  outside option.  The pick from a menu is the first menu member in the
-  ranking, with the outside option, always feasible, as the floor.
+* A correlated instance becomes one ranking per distinct cut ranking of its
+  profiles (the ranking-based choice model of Aouad, Farias, Levi and
+  Segev, Oper. Res. 2018), stored once as the table every walk reads: each
+  candidate's bit with its packed value times the profile's probability,
+  favorite first and cut after the outside option.  The pick from a menu is
+  the first menu member in the ranking, with the outside option, always
+  feasible, as the floor.  Profiles whose cut rankings list the same
+  candidates in the same order pick alike from every menu, so they share
+  one ranking, whose entries and probability are their sums: the log
+  family's 2^k - 1 profiles make k rankings.  Equal value rows are ranked
+  once.  The rankings are stored in the order the search walks them.
 * An independent instance becomes, per action, its support as integer ranks
   and probabilities, which the winner-state DP folds, and one packed value
   per rank.  Supports need no sort and no deduplication:
@@ -60,19 +65,20 @@ bound each subtree with the rankings, the first-choice model of Bertsimas
 and Mišić (Oper. Res. 2019) with a combinatorial bound in place of their
 integer program, and apply the tie rule at every node: a node is dropped
 unless its bound and its included set beat the incumbent, since every menu
-below it holds that set and is worth at most the bound.  They decide the
-actions of largest total value first, so a good incumbent comes early, and
-the scan that computes the bound also finds each profile's pick from the
-included actions: a node where an included action is no profile's pick is
-dropped, since the same menus without it tie and are smaller.
-Independent kernels have no bound or prune, so
-their walk makes each node cheap instead: the draws are independent, so the
-chance that the winner ranks at most r is the product of the feasible
-candidates' CDFs at r, and by summation by parts a menu's value is a sum
-over ranks of that product times a value difference.  A node holds those
-terms, an include multiplies them by one action's CDF row, and only a leaf
-sums them; only the ranks whose value differs from the next rank's keep a
-term, since a zero term adds nothing to any sum.  Actions with equal kept
+below it holds that set and is worth at most the bound.  An optimal menu
+holds only actions that some ranking picks, so the correlated walk decides
+each ranking's pick in turn, not each action: its leaves are exactly the
+menus in which every action is some ranking's pick, at most one action per
+ranking.  It takes first the rankings whose favorite has the largest total
+value, so a good incumbent comes early.  Independent kernels have no bound
+or prune, so their walk makes each node cheap instead: the draws are
+independent, so the chance that the winner ranks at most r is the product
+of the feasible candidates' CDFs at r, and by summation by parts a menu's
+value is a sum over ranks of that product times a value difference.  A
+node holds those terms, an include multiplies them by one action's CDF
+row, and only a leaf sums them; only the ranks whose value differs from
+the next rank's keep a term, since a zero term adds nothing to any sum,
+and a CDF row is read at those ranks alone.  Actions with equal kept
 rows and probability denominators are interchangeable, so the walk decides
 how many of each such class a menu takes, always its lowest-indexed
 members, which the tie rule prefers.
@@ -100,9 +106,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import prod
-from operator import mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -246,27 +252,33 @@ class _CorrelatedTables(NamedTuple):
     prob_den: int
     bias: tuple[tuple[int, int] | None, ...]
     top: int
+    least_prob: int
 
 
 class CorrelatedKernel(_CorrelatedTables, _Counted):
-    """One ranking per profile, with integer weights.
+    """One ranking per distinct cut ranking of the profiles, with integer weights.
 
-    ``rankings[k]`` lists profile k's candidates from the agent's favorite
-    down, cut after the outside option: nothing ranked below it is ever
-    picked.  Each entry is a candidate's bit, ``1 << i`` for index i, and its
-    value times profile k's probability, whose numerators ``std`` and
-    ``inf`` over ``den`` are stored packed as ``std * scale + inf``;
-    ``prob[k]`` is that probability over ``prob_den``.  ``bias[i]`` is index
-    i's bias as ``(std, inf)`` numerators over the value denominator, ``den
-    // prob_den`` (None for a missing outside option), and ``top`` the largest
-    action value's std numerator over it, the outside option's excluded: the
-    rankings are cut, so they may not hold it.  ``scale`` is odd and
-    exceeds twice the sum over profiles of each one's largest |inf|, so a sum
-    of packed values, one per profile at most, has |inf| at most ``scale //
-    2``: it adds and compares as the pairs do, lexicographically, and its
-    pair is recovered exactly.
+    ``rankings[k]`` lists candidates from the agent's favorite down, cut
+    after the outside option: nothing ranked below it is ever picked.
+    Profiles whose cut rankings list the same candidates in the same order
+    pick the same candidate from every menu, so they share one ranking, and
+    ``prob[k]`` is the sum of their probabilities over ``prob_den``.  Each
+    entry is a candidate's bit, ``1 << i`` for index i, and the sum over
+    those profiles of its value times the profile's probability, whose
+    numerators ``std`` and ``inf`` over ``den`` are stored packed as ``std *
+    scale + inf``.  The rankings are in walk order (see :meth:`search`).
+    ``least_prob`` is the least likely profile's probability over
+    ``prob_den``, before any merge.  ``bias[i]`` is index i's bias as ``(std,
+    inf)`` numerators over the value denominator, ``den // prob_den`` (None
+    for a missing outside option), and ``top`` the largest action value's
+    std numerator over it, the outside option's excluded: the rankings are
+    cut, so they may not hold it.  ``scale`` is odd and exceeds twice the
+    sum over profiles of each one's largest |inf|, so a sum of packed
+    values, one per ranking at most, has |inf| at most ``scale // 2``: it
+    adds and compares as the pairs do, lexicographically, and its pair is
+    recovered exactly.
 
-    Every walk reads the rankings: ``counts`` takes each profile's first
+    Every walk reads the rankings: ``counts`` takes each ranking's first
     feasible entry, and ``search`` and ``best_prefix`` value menus by one
     bound (:meth:`_bound`), which is a menu's exact value at a leaf.
     """
@@ -292,24 +304,22 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
 
     def least_mass(self) -> Fraction:
         """The probability of the least likely profile."""
-        return Fraction(min(self.prob), self.prob_den)
+        return Fraction(self.least_prob, self.prob_den)
 
-    def _bound(self, live: int, stop: int) -> tuple[int, int]:
-        """An exact upper bound on the value of every menu below a node, and the picks.
+    def _bound(self, live: int, stop: int, k: int = 0) -> int:
+        """An exact upper bound on the terms of rankings k onward of every menu below a node.
 
         ``live`` holds the bits of the included set I plus the undecided set
         U plus the outside option, and ``stop`` those of I plus the outside
-        option.  Each profile picks a member of ``live`` ranked at or above
-        the first member of ``stop`` in its ranking, so the best value among
-        those bounds the profile's term, and the bounds' sum bounds every
-        menu: lexicographic order respects addition.  With U empty,
-        ``live == stop`` and the bound is the menu's exact value.  Values are
-        packed, so bounds add and compare as integers.  The same scan ORs
-        each profile's first member of ``stop``, its pick from I plus the
-        outside option, into the picks mask.
+        option.  Each ranking picks a member of ``live`` ranked at or above
+        the first member of ``stop``, so the best value among those bounds
+        the ranking's term, and the bounds' sum bounds every menu:
+        lexicographic order respects addition.  With U empty, ``live ==
+        stop`` and the bound is the menu's exact value.  Values are packed,
+        so bounds add and compare as integers.
         """
-        total = picks = 0
-        for ranking in self.rankings:
+        total = 0
+        for ranking in self.rankings[k:]:
             top = None
             for bit, value in ranking:
                 if live & bit:
@@ -318,61 +328,69 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
                     if stop & bit:
                         break
             total += top
-            picks |= bit
-        return total, picks
+        return total
 
     def search(self) -> tuple[Menu, XNum]:
-        """The best menu and its value, by a depth-first walk bounded by :meth:`_bound`.
+        """The best menu and its value, by a depth-first walk over the rankings' picks.
 
-        Actions are decided by decreasing total value over the rankings, so
-        the walk meets a high incumbent early and the bound prunes more; the
-        sort is stable, so equal totals keep index order.  A node is the
-        count ``k`` of decided actions and ``(live, stop)`` as :meth:`_bound`
-        reads it, and a leaf's menu is the action bits of ``stop``.  The walk
-        keeps its nodes on a stack of its own, so no instance is too deep for
-        it: a node pushes its exclude child, then its include child, which
-        pops first, as a recursion would visit them.  A node is dead when an
-        included action is no profile's pick from the included set I plus
-        the outside option.  Adding actions only moves a profile's pick up
-        its ranking, so that action stays unpicked in every menu below, and
-        each such menu has the value of the same menu without it, which is
-        smaller and lies in that action's exclude branch; so a dead node is
-        dropped before any comparison.
+        An optimal menu holds no action that no ranking picks: the same menu
+        without it ties and is smaller.  So the walk decides each ranking's
+        pick in turn, in walk order, and a leaf's menu is the set of picks.
+        A node is ``(k, included, excluded, acc, pos)``: rankings before k
+        have their picks fixed, worth ``acc`` in all, and ranking k is
+        scanned from position ``pos``, every entry above it excluded.  The
+        scan skips an excluded entry; an included entry, or the outside
+        option, is the ranking's pick, and the scan goes on to the next
+        ranking, so a ranking whose pick the decided entries fix costs no
+        branch.  An undecided entry branches: the include child makes it the
+        pick and goes on to ranking k + 1, and the exclude child goes on down
+        ranking k.  A fixed pick is final, since every entry above it is
+        excluded, so a leaf's value is ``acc`` exactly, and an action still
+        undecided at a leaf ranks below every pick and is left out.  Each
+        menu whose every action is some ranking's pick is one leaf, and no
+        leaf holds an action that no ranking picks.  Without an outside
+        option, an exclude child that would exclude every action holds only
+        the empty menu, and it is not made.
 
-        Every other node is dropped unless :func:`_wins` holds for its bound
-        and its included set I, ``stop & ~1``, against the incumbent.  Every
-        menu below the node holds I and is worth at most the bound, so when
-        the pair does not win, each such menu is worth less than the
+        A node is valued by ``acc`` plus :meth:`_bound` over the remaining
+        rankings, which is exact at a leaf, and dropped unless :func:`_wins`
+        holds for that bound and its included set I against the incumbent.
+        Every menu below the node holds I and is worth at most the bound, so
+        when the pair does not win, each such menu is worth less than the
         incumbent, or ties it and is no smaller than I by size and then
-        sorted indices, and loses the tie as well.  At a leaf the bound is
-        the menu's exact value and I is the menu, so a leaf that is not
-        dropped is the new incumbent.  The bound at the winner's leaf is its
-        packed exact value, over ``den``.
+        sorted indices, and loses the tie as well.  So a leaf that is not
+        dropped is the new incumbent.  The walk keeps its nodes on a stack
+        of its own, so no instance is too deep for it: a node pushes its
+        exclude child, then its include child, which pops first.  The bound
+        at the winner's leaf is its packed exact value, over ``den``.
         """
-        width = len(self.bias)
-        total = [0] * width
-        for ranking in self.rankings:
-            for bit, value in ranking:
-                total[bit.bit_length() - 1] += value
-        order = sorted(range(1, width), key=total.__getitem__, reverse=True)
+        rankings = self.rankings
+        depth = len(rankings)
         outside = 0 if self.bias[OUTSIDE] is None else 1  # the outside option's bit
-        depth = len(order)
+        every = (1 << len(self.bias)) - 2 | outside
         best = best_menu = None
-        stack = [(0, (1 << width) - 2 | outside, outside)]
+        stack = [(0, outside, 0, 0, 0)]
         while stack:
-            k, live, stop = stack.pop()
-            if k == depth and not stop:  # the empty menu, and no outside option
+            k, included, excluded, acc, pos = stack.pop()
+            while k < depth:
+                bit, value = rankings[k][pos]
+                if excluded & bit:
+                    pos += 1
+                elif included & bit:  # the ranking's pick is fixed
+                    k, acc, pos = k + 1, acc + value, 0
+                else:  # undecided: the node branches on it
+                    break
+            bound = acc + self._bound(every & ~excluded, included, k)
+            if not _wins(bound, included & ~1, best, best_menu):
                 continue
-            bound, picks = self._bound(live, stop)
-            # Bit 0, the outside option's, is no action: only a higher bit can be dead.
-            if stop & ~picks > 1 or not _wins(bound, stop & ~1, best, best_menu):
-                continue
-            if k < depth:
-                bit = 1 << order[k]
-                stack.append((k + 1, live & ~bit, stop))
-                stack.append((k + 1, live, stop | bit))
+            if k == depth:
+                best, best_menu = bound, included & ~1
             else:
-                best, best_menu = bound, stop & ~1
+                # With every action excluded, and no outside option, only the
+                # empty menu is left.
+                if excluded | bit != every:
+                    stack.append((k, included, excluded | bit, acc, pos + 1))
+                stack.append((k + 1, included | bit, excluded, acc + value, 0))
         return _members(best_menu), _exact(*_unpack(best, self.scale), self.den)
 
     def best_prefix(self, steps: list[list[int]]) -> int:
@@ -386,7 +404,7 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         values = []
         for added in steps:
             menu |= sum(1 << i for i in added)
-            values.append(self._bound(menu, menu)[0])
+            values.append(self._bound(menu, menu))
         return values.index(max(values))
 
 
@@ -397,28 +415,48 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     lifted, den = numerators(values + [instance.bias_of(i) for i in indices])
     bias = dict(zip(indices, lifted[len(values) :]))
     width = len(indices)
-    rows = [list(zip(indices, lifted[k : k + width])) for k in range(0, len(values), width)]
-    distinct = list({pair for row in rows for pair in row})
-    rank = dict(zip(distinct, _rank_pairs(distinct, bias)))
     prob, prob_den = fraction_numerators(profile.prob for profile in instance.profiles)
-    scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in zip(rows, prob)) + 1
+    # Equal value rows rank alike: each distinct row is ranked once, with
+    # its profiles' probabilities summed.
+    grouped: dict[tuple[tuple[int, int], ...], int] = {}
+    for k, p in zip(range(0, len(values), width), prob):
+        row = tuple(lifted[k : k + width])
+        grouped[row] = grouped.get(row, 0) + p
+    rows = [(list(zip(indices, row)), p) for row, p in grouped.items()]
+    distinct = list({pair for row, _ in rows for pair in row})
+    rank = dict(zip(distinct, _rank_pairs(distinct, bias)))
+    scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in rows) + 1
 
-    rankings = []
-    for row, p in zip(rows, prob):
-        ranking = []
+    # Rows whose cut rankings list the same candidates in the same order
+    # merge: their packed entries add, and their probabilities add.
+    merged: dict[tuple[int, ...], tuple[list[int], int]] = {}
+    total = [0] * (instance.n + 1)  # each candidate's packed values, summed
+    for row, p in rows:
+        bits, packed = [], []
         for i, (std, inf) in sorted(row, key=rank.__getitem__, reverse=True):
-            ranking.append((1 << i, (std * scale + inf) * p))
+            value = (std * scale + inf) * p
+            bits.append(1 << i)
+            packed.append(value)
+            total[i] += value
             if i == OUTSIDE:
                 break
-        rankings.append(tuple(ranking))
+        key = tuple(bits)
+        if key in merged:
+            sums, q = merged[key]
+            merged[key] = list(map(add, sums, packed)), q + p
+        else:
+            merged[key] = packed, p
+    # Walk order: by decreasing total of each ranking's favorite; the sort is stable.
+    order = sorted(merged, key=lambda bits: total[bits[0].bit_length() - 1], reverse=True)
     return CorrelatedKernel(
-        tuple(rankings),
+        tuple(tuple(zip(bits, merged[bits][0])) for bits in order),
         scale,
-        tuple(prob),
+        tuple(merged[bits][1] for bits in order),
         den * prob_den,
         prob_den,
         tuple(map(bias.get, range(instance.n + 1))),
-        max(std for row in rows for i, (std, _) in row if i != OUTSIDE),
+        max(std for row in grouped for std, _ in row[: instance.n]),
+        min(prob),
     )
 
 
@@ -565,12 +603,18 @@ class IndependentKernel(_IndependentTables, _Counted):
         compiled kernels are never searched.
         """
         diff = list(map(sub, self.value, self.value[1:] + (0,)))
+        below = [*accumulate(map(bool, diff), initial=0)]  # kept ranks below each rank
         cdf = []
         for ranks, probs in zip(self.ranks, self.probs):
-            row = [0] * len(diff)
+            # A CDF row is constant between the action's own ranks: read it
+            # at the kept ranks alone, one run per rank of its support.
+            row: list[int] = []
+            mass = start = 0
             for r, p in zip(ranks, probs):
-                row[r] = p
-            cdf.append(tuple(compress(accumulate(row), diff)))
+                row += [mass] * (below[r] - start)
+                mass, start = mass + p, below[r]
+            row += [mass] * (below[-1] - start)
+            cdf.append(tuple(row))
         prob_den = self.prob_den
         classes: dict[tuple[tuple[int, ...], int], list[int]] = {}
         for i in range(1, len(cdf)):

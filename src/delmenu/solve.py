@@ -60,13 +60,16 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     An exact search over the empty menu (legal only with an outside option)
     and all 2^n - 1 nonempty menus, run on the instance's compiled kernel,
     whose ``search`` is a depth-first walk of its own for each kind.  On a
-    correlated instance the walk decides the actions of largest total value
-    first and skips a subtree when an exact bound shows it holds no menu
-    that beats the best one found so far under the tie rule below (every
-    menu in it holds the actions already chosen, so a tie goes to the
-    incumbent when those actions alone would lose it), or when it holds an
-    action that no profile picks, since each of its menus ties the same
-    menu without that action.
+    correlated instance an optimal menu holds only actions that some
+    profile picks, since the same menu without an unpicked action ties and
+    is smaller.  So the walk decides each ranking's pick in turn, over the
+    kernel's rankings (profiles of one cut ranking share one), and visits
+    only menus of picked actions, at most one action per ranking.  It takes
+    first the rankings whose favorite has the largest total value, and skips
+    a subtree when an exact bound shows it holds no menu that beats the best
+    one found so far under the tie rule below (every menu in it holds the
+    actions already chosen, so a tie goes to the incumbent when those
+    actions alone would lose it).
     On an independent instance the walk groups the actions whose CDF rows
     and probability denominators are equal into classes: a menu's value
     depends only on how many members of each class it holds, so the walk
@@ -82,8 +85,8 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     is the one the walk held at the winner's leaf, unpacked from the
     kernel's integers; no evaluator runs.  Each walk is a loop over a stack
     of its own, so the interpreter's recursion limit refuses no instance.
-    Raises ``CapExceededError`` above ``cap_n`` actions, since the worst
-    case still doubles per action.
+    Raises ``CapExceededError`` above ``cap_n`` actions, since the
+    independent walk's worst case still doubles per action.
     """
     if instance.n > cap_n:
         raise CapExceededError(f"instance has {instance.n} actions, cap is {cap_n}")

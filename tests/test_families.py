@@ -44,12 +44,16 @@ def test_log_family_k3_exact_matrices():
     assert all(p.prob == Fraction(1, 7) for p in inst.profiles)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(2, 13))
 def test_log_family_optimum_formula(k):
+    # 2k - 1 actions, past the search's default cap from k = 11 on; the
+    # kernel merges the 2^k - 1 profiles into k rankings, and the least
+    # likely profile stays one of them.
     inst = gen_log_family(k)
-    menu, value = brute_force_opt(inst)
+    menu, value = brute_force_opt(inst, cap_n=2 * k - 1)
     assert menu == frozenset(range(1, 2 * k, 2))
     assert value.std == Fraction(k * 2**k, 2**k - 1)
+    assert inst.kernel.least_mass() == Fraction(1, 2**k - 1)
 
 
 def test_log_family_k2_value():

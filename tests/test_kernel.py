@@ -58,7 +58,8 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.kernel import CorrelatedKernel, IndependentKernel, _rank_pairs
+from delmenu.kernel import CorrelatedKernel, IndependentKernel, _members, _rank_pairs, _wins
+from delmenu.solve import _threshold_steps
 from delmenu.model import (
     OUTSIDE,
     candidates,
@@ -271,7 +272,7 @@ def index_order_search(kernel):
     def visit(i, live, stop):
         if i == width and not stop:
             return  # the empty menu without an outside option
-        bound = kernel._bound(live, stop)[0]
+        bound = kernel._bound(live, stop)
         if best and -bound > best[0][0]:
             return
         if i < width:
@@ -285,6 +286,65 @@ def index_order_search(kernel):
     return frozenset(best[0][2]), -best[0][0]
 
 
+def bound_and_picks(kernel, live, stop):
+    """The bound of the whole-action walk on every ranking, with the mask
+    of each ranking's first member of ``stop``: its pick from the included
+    set plus the outside option."""
+    total = picks = 0
+    for ranking in kernel.rankings:
+        top = None
+        for bit, value in ranking:
+            if live & bit:
+                if top is None or value > top:
+                    top = value
+                if stop & bit:
+                    break
+        total += top
+        picks |= bit
+    return total, picks
+
+
+def value_order_search(kernel):
+    """The correlated kernel's best menu and its packed value by the walk
+    over whole actions: actions of largest total value over the rankings
+    decided first, include first, a node dropped when an included action is
+    no ranking's pick from the included set plus the outside option, and
+    otherwise unless :func:`_wins` holds for its bound and included set."""
+    width = len(kernel.bias)
+    total = [0] * width
+    for ranking in kernel.rankings:
+        for bit, value in ranking:
+            total[bit.bit_length() - 1] += value
+    order = sorted(range(1, width), key=total.__getitem__, reverse=True)
+    outside = 0 if kernel.bias[OUTSIDE] is None else 1
+    best = best_menu = None
+    stack = [(0, (1 << width) - 2 | outside, outside)]
+    while stack:
+        k, live, stop = stack.pop()
+        if k == len(order) and not stop:  # the empty menu, and no outside option
+            continue
+        bound, picks = bound_and_picks(kernel, live, stop)
+        if stop & ~picks > 1 or not _wins(bound, stop & ~1, best, best_menu):
+            continue
+        if k < len(order):
+            bit = 1 << order[k]
+            stack.append((k + 1, live & ~bit, stop))
+            stack.append((k + 1, live, stop | bit))
+        else:
+            best, best_menu = bound, stop & ~1
+    return frozenset(i for i in range(1, width) if best_menu >> i & 1), best
+
+
+def covers(sizes, seed=0):
+    """Vertex-cover reductions of graphs of each size v, 2v edges drawn by one seeded draw."""
+    rng = random.Random(seed)
+    out = []
+    for vertices in sizes:
+        pairs = list(combinations(range(1, vertices + 1), 2))
+        out.append(reduce_vertex_cover(Graph(vertices, tuple(rng.sample(pairs, 2 * vertices)))))
+    return out
+
+
 def test_correlated_search_equals_index_order_search():
     instances = [
         with_iota(random_correlated(seed, outside, n=n, profiles=12), seed)
@@ -292,12 +352,29 @@ def test_correlated_search_equals_index_order_search():
         for outside in OUTSIDE_MODES
         for seed in (n, n + 20)
     ]
-    rng = random.Random(0)
-    for vertices in range(10, 15):
-        pairs = list(combinations(range(1, vertices + 1), 2))
-        instances.append(reduce_vertex_cover(Graph(vertices, tuple(rng.sample(pairs, 2 * vertices)))))
-    for inst in instances:
+    for inst in instances + covers(range(10, 15)):
         assert inst.kernel.search()[0] == index_order_search(inst.kernel)[0]
+
+
+def packed_search(kernel):
+    """``kernel.search()`` with its value packed as the reference walks return it."""
+    menu, value = kernel.search()
+    den = kernel.den
+    return menu, (value.std * den) * kernel.scale + value.inf * den
+
+
+def test_correlated_search_equals_value_order_search():
+    # Random instances of 12-24 actions and covers of 10-16 vertices, on
+    # which the walk by picks and the walk over whole actions visit
+    # different nodes in a different order.
+    instances = [
+        random_correlated(seed, outside, n=n, profiles=12)
+        for n in (12, 16, 20, 24)
+        for outside in OUTSIDE_MODES
+        for seed in (n, n + 20)
+    ]
+    for inst in instances + covers(range(10, 17), seed=1):
+        assert packed_search(inst.kernel) == value_order_search(inst.kernel)
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -310,67 +387,66 @@ def test_tie_heavy_correlated_search_equals_index_order_search(n):
 
 
 def traced_search(instance, monkeypatch):
-    """``instance.kernel.search()``, with the ``(live, stop)`` nodes the walk
-    values by ``_bound``, in walk order."""
+    """``instance.kernel.search()``, with the ``(live, stop, k)`` nodes the
+    walk values by ``_bound``, in walk order; ``k`` is the number of
+    rankings whose picks the node fixes, all of them at a leaf."""
     valued = []
     bound = CorrelatedKernel._bound
 
-    def spy(kernel, live, stop):
-        valued.append((live, stop))
-        return bound(kernel, live, stop)
+    def spy(kernel, live, stop, k=0):
+        valued.append((live, stop, k))
+        return bound(kernel, live, stop, k)
 
     monkeypatch.setattr(CorrelatedKernel, "_bound", spy)
     return instance.kernel.search(), valued
+
+
+def leaves(kernel, valued):
+    """The menus, as bit masks of ``stop``, of the leaves among ``valued``."""
+    return [stop & ~1 for _, stop, k in valued if k == len(kernel.rankings)]
 
 
 def test_correlated_search_values_few_nodes_when_every_menu_ties(monkeypatch):
     # n equal actions in one profile: every nonempty menu is worth 1, and
     # {1} wins the tie.  Once {1} is the incumbent, a node's included set
     # is empty, which wins the tie, or holds one later action, which loses
-    # it, so the walk values about 4n nodes; a prune only strictly below
+    # it, so the walk values about 2n nodes; a prune only strictly below
     # the incumbent values n(n + 1).
     n = 400
     inst = CorrelatedInstance((xnum(0),) * n, (Profile(Fraction(1), (xnum(1),) * n),))
     result, valued = traced_search(inst, monkeypatch)
     assert result == (frozenset({1}), xnum(1))
-    assert len(valued) <= 4 * n
-
-
-def below(node, top):
-    """Whether ``node`` lies strictly below ``top`` in the walk: every
-    action included at ``top`` is included, every one excluded there is
-    excluded, and the node is another."""
-    (live, stop), (top_live, top_stop) = node, top
-    return stop & top_stop == top_stop and live & ~top_live == 0 and node != top
+    assert n < len(valued) <= 4 * n
 
 
 @pytest.mark.parametrize("outside", OUTSIDE_MODES)
 def test_correlated_search_never_expands_a_dead_node(outside, monkeypatch):
-    # Dead: an included action that the reference picks in no profile.
-    dead_seen = 0
+    # Dead: an included action that the reference picks in no profile.  The
+    # walk includes an action only as a ranking's pick, so no node it
+    # values, leaf or not, is dead, and no leaf holds an unpicked action,
+    # though many menus of these instances do.
+    dead_menus = False
     for seed in range(6):
         inst = random_correlated(seed, outside, n=7, profiles=6)
-        dead = {}
 
-        def is_dead(node):
-            menu = frozenset(i for i in range(1, inst.n + 1) if node[1] >> i & 1)
-            if menu not in dead:
-                freq = reference(inst, menu).freq if menu or inst.has_outside else {}
-                dead[menu] = any(freq[i] == 0 for i in menu)
-            return dead[menu]
+        def is_dead(menu):
+            freq = reference(inst, menu).freq if menu or inst.has_outside else {}
+            return any(freq[i] == 0 for i in menu)
 
         (menu, _), valued = traced_search(inst, monkeypatch)
         assert menu == scan_opt(inst)[0]
-        dead_nodes = list(filter(is_dead, valued))
-        assert not any(below(node, top) for node in valued for top in dead_nodes)
-        dead_seen += len(dead_nodes)
-    assert dead_seen > 0
+        included = {_members(stop & ~1) for _, stop, _ in valued}
+        assert not any(map(is_dead, included))
+        found = leaves(inst.kernel, valued)
+        assert found and len(set(found)) == len(found)  # each menu is one leaf
+        dead_menus = dead_menus or any(map(is_dead, all_menus(inst)))
+    assert dead_menus
 
 
-@pytest.mark.parametrize("vertices", [16, 19, 20])
+@pytest.mark.parametrize("vertices", [16, 19, 20, 21, 22, 23, 24])
 def test_vertex_cover_optimum_equals_closed_form(vertices):
-    # vertices + 1 actions, one past the search's default cap of 20 at the
-    # largest size, and 2 * vertices edges; the cover comes from the
+    # vertices + 1 actions, past the search's default cap of 20 from 20
+    # vertices on, and 2 * vertices edges; the cover comes from the
     # branching solver, whose own oracle is a subset scan in
     # test_reductions.py.
     edges = 2 * vertices
@@ -378,7 +454,7 @@ def test_vertex_cover_optimum_equals_closed_form(vertices):
     pairs = list(combinations(range(1, vertices + 1), 2))
     graph = Graph(vertices, tuple(rng.sample(pairs, edges)))
     menu, value = brute_force_opt(reduce_vertex_cover(graph), cap_n=vertices + 1)
-    cover = min_vertex_cover(graph)
+    cover = min_vertex_cover(graph, cap_n=vertices)
     assert value == xnum(Fraction(5 * edges + 3 * vertices - cover, edges + vertices))
     assert len(menu) == cover + 1 and vertices + 1 in menu
     assert all(u in menu or v in menu for u, v in graph.edges)
@@ -718,9 +794,10 @@ SET_OUTRANKS = CorrelatedInstance(
         Profile(Fraction(1, 2), (xnum(0), xnum(2), xnum("3/2"))),
     ),
 )
-# {1, 3}, {2, 3} and {3, 4} tie at 5/2, the best value.  Total values order
-# the actions 2, 3, 1, 4, so the walk meets {2, 3} first and {1, 3} later, in
-# visit order [3, 1], which compares above [2, 3] unless menus are sorted.
+# {1, 3}, {2, 3} and {3, 4} tie at 5/2, the best value.  The walk meets
+# {2, 3} first, as the picks of its first ranking's favorite 2 and of the
+# second's favorite 3, and {1, 3} later, which must replace it: of two menus
+# of one size, the lexicographically smaller sorted one wins the tie.
 TIE_AFTER_ORDER = CorrelatedInstance(
     biases=(xnum(0), xnum(2), xnum(1), xnum(0)),
     profiles=(
@@ -730,9 +807,11 @@ TIE_AFTER_ORDER = CorrelatedInstance(
 )
 
 # {1, 2} and {2} tie at 2: action 2 is worth 2 in both profiles, and the
-# agent picks action 1 from {1, 2} only where it is worth 2 too.  Total
-# values order the actions 2, 1, so the walk reaches {1, 2} first; {2}'s
-# bound equals the incumbent's value, and its smaller included set keeps it.
+# agent picks action 1 from {1, 2} only where it is worth 2 too.  The
+# ranking whose favorite is action 2, of the larger total value, comes first
+# in walk order, so the walk takes 2 as its pick and 1 as the other
+# ranking's, and reaches {1, 2} first; {2}'s bound equals the incumbent's
+# value, and its smaller included set keeps it.
 SMALLER_TIE_LATER = CorrelatedInstance(
     biases=(xnum(1), xnum(0)),
     profiles=(
@@ -764,11 +843,14 @@ def test_correlated_search_examples_cover_their_cases(monkeypatch):
     tied = [evaluate(TIE_AFTER_ORDER, frozenset(m)).f for m in ({1, 3}, {2, 3}, {3, 4})]
     assert tied == [xnum("5/2")] * 3
     assert brute_force_opt(TIE_AFTER_ORDER) == (frozenset({1, 3}), xnum("5/2"))
+    _, valued = traced_search(TIE_AFTER_ORDER, monkeypatch)
+    found = leaves(TIE_AFTER_ORDER.kernel, valued)
+    assert found.index(0b1100) < found.index(0b1010)
     tied = [evaluate(SMALLER_TIE_LATER, frozenset(m)).f for m in ({1, 2}, {2})]
     assert tied == [xnum(2)] * 2 and picks(SMALLER_TIE_LATER, {1, 2})[1] > 0
     result, valued = traced_search(SMALLER_TIE_LATER, monkeypatch)
-    leaves = [stop for live, stop in valued if live == stop]
-    assert leaves.index(0b110) < leaves.index(0b100)
+    found = leaves(SMALLER_TIE_LATER.kernel, valued)
+    assert found.index(0b110) < found.index(0b100)
     assert result == (frozenset({2}), xnum(2))
 
 
@@ -797,17 +879,23 @@ def test_integer_rank_order_equals_choice_key_order(instance):
     assert [as_pair[pair] for _, pair in sorted(zip(ranks, integer_pairs))] == by_key
 
 
-def reference_compile(instance):
+def reference_compile(instance, merge=True):
     """The kernel from ``(index, XNum)`` pairs hashed into a rank dict.
 
     Pairs are ranked by ``choice_key``'s fraction form, and values and
     probabilities scaled to integers one at a time, values and biases over
     the one denominator they share; the oracle for the compile's integer pair
-    identities.  Each correlated ranking lists (bit, packed value) entries,
-    favorite first and cut after the outside option, with a scale computed
-    from the scaled rows, and ``top`` is the largest action value's standard
-    part, scaled, from the instance's values.  Independent values are packed
-    on a scale computed from the scaled values and every ``prob_den``.
+    identities.  Each profile's correlated ranking lists (bit, packed value)
+    entries, favorite first and cut after the outside option, with a scale
+    computed from the scaled rows.  Profiles whose rankings list the same
+    candidates in the same order share one ranking, with packed values and
+    probabilities summed, and the rankings are sorted by decreasing total of
+    their favorite's packed values over every ranking, first occurrences
+    first among equals; ``least_prob`` is the least profile probability, and
+    ``top`` is the largest action value's standard part, scaled, from the
+    instance's values.  Independent values are packed on a scale computed
+    from the scaled values and every ``prob_den``.  With ``merge`` false,
+    a correlated kernel keeps one ranking per profile, in table order.
     """
     indices = candidates(instance, full_menu(instance))
     if isinstance(instance, CorrelatedInstance):
@@ -835,19 +923,28 @@ def reference_compile(instance):
         scale = 2 * sum(
             max(abs(scaled(v.inf, den)) * p for _, v in row) for row, p in zip(rows, prob)
         ) + 1
-        rankings = []
-        for row, p in zip(rows, prob):
+        merged = {}  # per key: the candidates in ranked order, summed packed values and prob
+        for k, (row, p) in enumerate(zip(rows, prob)):
             ranked = sorted(row, key=rank.__getitem__, reverse=True)
             if instance.has_outside:
                 ranked = ranked[: [i for i, _ in ranked].index(OUTSIDE) + 1]
-            rankings.append(tuple(
-                (1 << i, (scaled(v.std, den) * scale + scaled(v.inf, den)) * p)
-                for i, v in ranked
-            ))
+            order = tuple(i for i, _ in ranked)
+            packed = [(scaled(v.std, den) * scale + scaled(v.inf, den)) * p for _, v in ranked]
+            key = order if merge else k
+            _, values, q = merged.get(key, (order, [0] * len(order), 0))
+            merged[key] = order, [a + b for a, b in zip(values, packed)], q + p
+        walk = list(merged.values())
+        if merge:
+            totals = {}
+            for order, values, _ in walk:
+                for i, value in zip(order, values):
+                    totals[i] = totals.get(i, 0) + value
+            walk.sort(key=lambda entry: -totals[entry[0][0]])
         top = max(v.std for values in assignments for i, v in values.items() if i != OUTSIDE)
         return CorrelatedKernel(
-            tuple(rankings), scale, tuple(prob),
-            den * prob_den, prob_den, bias, scaled(top, den),
+            tuple(tuple((1 << i, v) for i, v in zip(order, values)) for order, values, _ in walk),
+            scale, tuple(q for _, _, q in walk),
+            den * prob_den, prob_den, bias, scaled(top, den), min(prob),
         )
     ranks, probs, prob_dens = [()] * width, [()] * width, [1] * width
     for i in indices:
@@ -874,6 +971,51 @@ def reference_compile(instance):
 @example(IOTA_REPEATS)
 def test_kernel_equals_reference_compile(instance):
     assert instance.kernel == reference_compile(instance)
+
+
+def assert_merge_changes_no_result(instance, menus):
+    """The kernel, whose profiles of one cut ranking share a ranking, and
+    the kernel of one ranking per profile give equal searches, best
+    threshold steps, tallies and splits."""
+    merged, whole = instance.kernel, reference_compile(instance, merge=False)
+    assert len(whole.rankings) == len(instance.profiles)
+    assert merged.search() == whole.search()
+    assert merged.least_mass() == whole.least_mass() == min(p.prob for p in instance.profiles)
+    steps = [added for _, added in _threshold_steps(instance)]
+    assert merged.best_prefix(steps) == whole.best_prefix(steps)
+    for menu in menus:
+        feasible = candidates(instance, menu)
+        if feasible:
+            assert merged.tally(feasible) == whole.tally(feasible)
+            assert merged.split(feasible) == whole.split(feasible)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_merged_log_family_kernel_equals_one_ranking_per_profile(k):
+    # 2^k - 1 profiles, of k distinct cut rankings.
+    inst = gen_log_family(k)
+    assert len(inst.kernel.rankings) == k
+    menus = random_menus(inst, 12, k) + [menu for _, menu in threshold_menus(inst)]
+    assert_merge_changes_no_result(inst, menus)
+
+
+def test_merged_kernel_equals_one_ranking_per_profile_on_repeated_rankings():
+    # Three actions and twelve profiles on a small grid: cut rankings repeat,
+    # often with unequal values, and the iota copies put iota parts on them.
+    instances = [
+        tie_heavy("correlated", seed, OUTSIDE_MODES[seed % 3], n=3, support=12) for seed in range(9)
+    ]
+    instances += [with_iota(inst, seed) for seed, inst in enumerate(instances)]
+    for inst in instances:
+        assert len({p.values for p in inst.profiles}) > len(inst.kernel.rankings)
+        assert_merge_changes_no_result(inst, all_menus(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances("correlated", 3, max_den=3, max_support=8))
+@example(IOTA_REPEATS)
+def test_merged_kernel_equals_one_ranking_per_profile_on_drawn_instances(instance):
+    assert_merge_changes_no_result(instance, all_menus(instance))
 
 
 def scan_threshold(instance):

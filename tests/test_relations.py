@@ -7,7 +7,8 @@ menu, and no menu one add or remove away beats it under the tie rule.  They
 run on random independent instances of 12-14 actions, on partition
 reductions of 14-16 integers, whose repeated integers the search walks as
 classes of interchangeable actions, on random correlated instances of
-30-36 actions and on tie-heavy correlated ones of 16-24.  Across kernels,
+30-100 actions, past the reach of a walk that decides every action, and on
+tie-heavy correlated ones of 16-24.  Across kernels,
 an independent instance written out over its joint realizations is a
 correlated instance with the same optimum, found by a walk that shares no
 code with the independent one.
@@ -53,7 +54,7 @@ def test_partition_search_relations(size):
     assert (value.std >= threshold) == has_partition(p)
 
 
-@pytest.mark.parametrize("n", [30, 33, 36])
+@pytest.mark.parametrize("n", [30, 33, 36, 60, 80, 100])
 def test_correlated_search_relations(n):
     for outside in OUTSIDE_MODES:
         instance = gen_random("correlated", n=n, support_size=12, seed=n, outside=outside)
