@@ -143,7 +143,7 @@ def _report_obj(instance: Instance, menu: Menu, report: EvalReport) -> dict[str,
     }
 
 
-def _solve_obj(instance: Instance, result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
+def _solve_obj(result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
     return {
         "opt_menu": sorted(result.opt_menu),
         "opt_value": xnum_to_obj(result.opt_value),
@@ -188,16 +188,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
+    row, result, bounds = _solve_row(args.instance, load_instance(args.instance), args.cap_n)
     if args.format == "csv":
-        row = _instance_row(args.instance, instance, args.cap_n)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows([SWEEP_COLUMNS, [row[c] for c in SWEEP_COLUMNS]])
-        return EXIT_OK
-    result = solve(instance, cap_n=args.cap_n)
-    bounds = bound_report(instance, result)
-    print(json.dumps(_solve_obj(instance, result, bounds), indent=2))
-    return EXIT_OK
+    else:
+        print(json.dumps(_solve_obj(result, bounds), indent=2))
+    return _bound_status([row])
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -382,7 +379,10 @@ def _check_rows(rows: int) -> None:
         )
 
 
-def _instance_row(instance_id: str, instance: Instance, cap_n: int) -> dict[str, str]:
+def _solve_row(
+    instance_id: str, instance: Instance, cap_n: int
+) -> tuple[dict[str, str], SolveResult, BoundReport]:
+    """Solve ``instance``: the row that ``solve`` and ``sweep`` report, its solution and bounds."""
     row = {c: "" for c in SWEEP_COLUMNS}
     row["instance_id"] = instance_id
     start = time.perf_counter()
@@ -404,7 +404,20 @@ def _instance_row(instance_id: str, instance: Instance, cap_n: int) -> dict[str,
     row["bound_log"] = str(bounds.bound_log).lower()
     row["runtime_ms"] = str(int((time.perf_counter() - start) * 1000))
     row["status"] = "ok"
-    return row
+    return row, result, bounds
+
+
+def _bound_status(rows: list[dict[str, str]]) -> int:
+    """Exit status of solved rows: 4, with their ids on stderr, if any bound flag is false."""
+    violations = [
+        row["instance_id"]
+        for row in rows
+        if "false" in (row["bound_3"], row["bound_n"], row["bound_log"])
+    ]
+    if violations:
+        print(f"BOUND VIOLATIONS: {', '.join(violations)}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def _sweep_worker(payload: tuple[Job, int]) -> dict[str, str]:
@@ -412,7 +425,7 @@ def _sweep_worker(payload: tuple[Job, int]) -> dict[str, str]:
     start = time.perf_counter()
     try:
         with _digit_limit():
-            return _instance_row(instance_id, constructor(**kwargs), cap_n)
+            return _solve_row(instance_id, constructor(**kwargs), cap_n)[0]
     except DelegationError as exc:
         row = {c: "" for c in SWEEP_COLUMNS}
         row["instance_id"] = instance_id
@@ -441,29 +454,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _ensemble_jobs(spec)
     payloads = [(job, args.cap_n) for job in jobs]
     workers, chunksize = sweep_workers(args.jobs, len(payloads), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
-    else:
-        rows = [_sweep_worker(p) for p in payloads]
+    # Opened before any row is solved, so an unwritable path costs no solve.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_worker, payloads, chunksize=chunksize))
+        else:
+            rows = [_sweep_worker(p) for p in payloads]
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    violations = [
-        row["instance_id"]
-        for row in rows
-        if row["status"] == "ok"
-        and "false" in (row["bound_3"], row["bound_n"], row["bound_log"])
-    ]
+        writer.writerows(rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
-    if violations:
-        print(f"BOUND VIOLATIONS: {', '.join(violations)}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _bound_status(rows)
 
 
 # ---------------------------------------------------------------------------

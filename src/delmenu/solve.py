@@ -58,33 +58,13 @@ def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tupl
     """The optimal menu and its value; ties favor smaller, then lexicographic.
 
     An exact search over the empty menu (legal only with an outside option)
-    and all 2^n - 1 nonempty menus, run on the instance's compiled kernel,
-    whose ``search`` is a depth-first walk of its own for each kind.  On a
-    correlated instance an optimal menu holds only actions that some
-    profile picks, since the same menu without an unpicked action ties and
-    is smaller.  So the walk decides each ranking's pick in turn, over the
-    kernel's rankings (profiles of one cut ranking share one), and visits
-    only menus of picked actions, at most one action per ranking.  It takes
-    first the rankings whose favorite has the largest total value, and skips
-    a subtree when an exact bound shows it holds no menu that beats the best
-    one found so far under the tie rule below (every menu in it holds the
-    actions already chosen, so a tie goes to the incumbent when those
-    actions alone would lose it).
-    On an independent instance the walk groups the actions whose CDF rows
-    and probability denominators are equal into classes: a menu's value
-    depends only on how many members of each class it holds, so the walk
-    visits, for each count per class, the one menu of the class's
-    lowest-indexed members, which the tie rule prefers among those menus.
-    Distinct actions still cost all 2^n menus; a partition reduction with
-    repeated integers costs far fewer.  It spends one elementwise product
-    per included action and one sum per menu, over only the ranks whose
-    value differs from the next rank's.  Both walks keep the winner by one
-    tie rule: among menus of equal value the smallest, then the
-    lexicographically smallest, the first maximizer of a
+    and all 2^n - 1 nonempty menus, run by the instance's compiled kernel,
+    one walk per kind: :meth:`kernel.CorrelatedKernel.search` and
+    :meth:`kernel.IndependentKernel.search` describe them.  Both keep the
+    winner by one tie rule: among menus of equal value the smallest, then
+    the lexicographically smallest, the first maximizer of a
     size-then-lexicographic scan, whatever order the walk takes.  The value
-    is the one the walk held at the winner's leaf, unpacked from the
-    kernel's integers; no evaluator runs.  Each walk is a loop over a stack
-    of its own, so the interpreter's recursion limit refuses no instance.
+    is the exact one the walk held at the winner's leaf; no evaluator runs.
     Raises ``CapExceededError`` above ``cap_n`` actions, since the
     independent walk's worst case still doubles per action.
     """

@@ -447,6 +447,70 @@ def test_sweep_violation_exits_4(tmp_path, capsys, monkeypatch):
     assert "BOUND VIOLATIONS" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_false_bound_flag_exits_4(log3_file, capsys, monkeypatch, fmt):
+    # As for sweep: a faked false flag pins the exit-code contract, and
+    # stdout is the honest run's apart from that flag.
+    code, honest, err = run(capsys, "solve", log3_file, "--format", fmt)
+    assert (code, err) == (0, "")
+    real = cli_mod.bound_report
+
+    def broken(instance, result):
+        return dataclasses.replace(real(instance, result), bound_log=False)
+
+    monkeypatch.setattr(cli_mod, "bound_report", broken)
+    code, out, err = run(capsys, "solve", log3_file, "--format", fmt)
+    assert (code, err) == (4, f"BOUND VIOLATIONS: {log3_file}\n")
+    if fmt == "json":
+        assert honest.count('"bound_log": true') == 1
+        assert out == honest.replace('"bound_log": true', '"bound_log": false')
+    else:
+        (want,), (got,) = csv.DictReader(honest.splitlines()), csv.DictReader(out.splitlines())
+        assert want.pop("bound_log") == "true" and got.pop("bound_log") == "false"
+        del want["runtime_ms"], got["runtime_ms"]
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "generate, block",
+    [
+        (["log", "--k", "3"], {"generator": "log", "k": 3}),
+        (["three-approx", "--eps", "1/7"], {"generator": "three_approx", "eps": "1/7"}),
+        (["outside", "--n", "3"], {"generator": "outside", "n": 3}),
+        (
+            ["random", "--kind", "correlated", "--n", "4", "--support-size", "3", "--seed", "5"],
+            {"generator": "random", "kind": "correlated", "n": 4, "support_size": 3, "seed0": 5},
+        ),
+        (
+            ["random", "--n", "4", "--seed", "2", "--outside", "random"],
+            {"generator": "random", "n": 4, "outside": "random", "seed0": 2},
+        ),
+    ],
+)
+def test_solve_csv_row_is_the_sweep_row(tmp_path, capsys, generate, block):
+    instance, rows = str(tmp_path / "instance.json"), str(tmp_path / "rows.csv")
+    assert main(["generate", *generate, "-o", instance]) == 0
+    assert main(["sweep", write_spec(tmp_path, block), "-o", rows]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve", instance, "--format", "csv")
+    assert code == 0
+    (solved,), (swept,) = csv.DictReader(out.splitlines()), read_rows(rows)
+    assert solved["status"] == swept["status"] == "ok"
+    for row in (solved, swept):
+        del row["instance_id"], row["runtime_ms"]
+    assert solved == swept
+
+
+def test_sweep_unwritable_output_exits_2_before_generating(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("gen_log_family", "gen_random"):
+        monkeypatch.setattr(delmenu.families, name, lambda **kwargs: calls.append(kwargs))
+    spec = write_spec(tmp_path, [{"generator": "log", "k": 3}, {"generator": "random"}])
+    code, out, err = run(capsys, "sweep", spec, "-o", str(tmp_path / "missing" / "rows.csv"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_empty_header_only(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ensembles": []})
     out_file = str(tmp_path / "rows.csv")
@@ -500,6 +564,7 @@ def test_sweep_malformed_spec_exits_2(tmp_path, capsys, spec):
     code, _, err = run(capsys, "sweep", path, "-o", str(tmp_path / "rows.csv"))
     assert code == 2
     assert "ensemble" in err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_sweep_instance_ids(tmp_path, capsys):
