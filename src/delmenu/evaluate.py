@@ -13,16 +13,18 @@ Everything here runs on the instance's compiled integer choice kernel
 
 :func:`eval_bruteforce_product` stays on the reference path: it expands an
 independent instance's product distribution into explicit profiles (capped)
-and applies :func:`~delmenu.model.agent_choice` with exact XNum arithmetic to
-each, as the oracle for the dynamic program.  :func:`decompose` splits a
-menu's utility into surplus and bias-difference parts, on the kernel too:
-one integer sum per part over the same per-index counts as the report.
+and picks in each the draw of the largest :func:`~delmenu.model.choice_key`,
+each draw keyed once with exact XNum arithmetic, as the oracle for the
+dynamic program.  :func:`decompose` splits a menu's utility into surplus and
+bias-difference parts, on the kernel too: one integer sum per part over the
+same per-index counts as the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from .model import (
@@ -32,9 +34,8 @@ from .model import (
     Instance,
     InvalidInstanceError,
     Menu,
-    agent_choice,
     candidates,
-    product_realizations,
+    choice_key,
     threshold_menu,
     validate_menu,
 )
@@ -88,8 +89,11 @@ def eval_bruteforce_product(
     """Expected utility by expanding the full product distribution.
 
     Exponential in menu size; refuses to enumerate more than ``cap`` joint
-    profiles.  Exists as an independent oracle for the dynamic program: it
-    applies :func:`~delmenu.model.agent_choice` to every joint realization.
+    profiles.  Exists as an independent oracle for the dynamic program, on
+    exact XNum arithmetic.  A draw's :func:`~delmenu.model.choice_key` reads
+    its own value and its action's bias alone, so each draw is keyed once,
+    and each joint realization's pick is the draw of the largest key, as
+    :func:`~delmenu.model.agent_choice` picks.
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("eval_bruteforce_product requires an independent instance")
@@ -98,11 +102,16 @@ def eval_bruteforce_product(
     size = prod(len(instance.support_of(i)) for i in indices)
     if size > cap:
         raise CapExceededError(f"joint support has {size} profiles, cap is {cap}")
+    draws = [
+        [(choice_key(i, v, instance.bias_of(i)), i, v, p) for v, p in instance.support_of(i)]
+        for i in indices
+    ]
     contrib = {i: ZERO for i in indices}
     freq = {i: Fraction(0) for i in indices}
-    for prob, values in product_realizations(instance, indices):
-        chosen = agent_choice(instance, menu, values)
-        contrib[chosen] = contrib[chosen] + values[chosen] * prob
+    for realization in product(*draws):
+        _, chosen, value, _ = max(realization)  # keys differ by index, so max reads keys alone
+        prob = prod(p for *_, p in realization)
+        contrib[chosen] = contrib[chosen] + value * prob
         freq[chosen] += prob
     f = xsum(contrib.values())
     assert sum(freq.values()) == 1

@@ -20,7 +20,6 @@ from .model import (
     InvalidInstanceError,
     Profile,
     deterministic,
-    make_support,
 )
 from .xnum import IOTA, XNum, Rational, as_fraction
 
@@ -152,7 +151,7 @@ def gen_outside_family(
     outside_support = [(XNum(eps / 2), inv(n - 1))]
     for i in range(2, n + 1):
         outside_support.append((XNum(i * eps - eps / 2), inv(n - i) - inv(n - i + 1)))
-    outside = Action(XNum(Fraction(n ** (n - 1))), make_support(outside_support), "outside")
+    outside = Action(XNum(Fraction(n ** (n - 1))), outside_support, "outside")
 
     return IndependentInstance(tuple(good + bad), outside)
 
@@ -283,15 +282,11 @@ def from_assortment(
         r = as_fraction(revenue)
         if r < 0:
             raise InvalidInstanceError(f"item {idx} has negative revenue {r}")
-        support = make_support(
-            (XNum(r + eps * as_fraction(w)), as_fraction(p)) for w, p in utils
-        )
+        support = tuple((XNum(r + eps * as_fraction(w)), p) for w, p in utils)
         actions.append(Action(XNum(-(1 + eps) * r), support, f"item{idx}"))
     if outside_util is None:
         out = deterministic(XNum(Fraction(0)), XNum(Fraction(0)), "no-buy")
     else:
-        support = make_support(
-            (XNum(eps * as_fraction(w)), as_fraction(p)) for w, p in outside_util
-        )
+        support = tuple((XNum(eps * as_fraction(w)), p) for w, p in outside_util)
         out = Action(XNum(Fraction(0)), support, "no-buy")
     return IndependentInstance(tuple(actions), out)

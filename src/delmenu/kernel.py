@@ -55,50 +55,13 @@ Only those reports unpack, and only what they hold.  Biases stay
 Kernels are derived data: the instances build and cache them on first use
 (their ``kernel`` attribute).
 
-Each kernel also finds the optimal menu (``search``) by a depth-first walk
-of its own, include branch first, that keeps the winner by one tie rule
-(:func:`_wins`).  The walk is a loop over a stack of its own, so the
-interpreter's recursion limit bounds no instance.  It keeps the packed
-integer it held at the winner's leaf, and ``search`` unpacks that integer
-into the menu's exact value, so no evaluator runs.  Correlated kernels
-bound each subtree with the rankings, the first-choice model of Bertsimas
-and Mišić (Oper. Res. 2019) with a combinatorial bound in place of their
-integer program, and apply the tie rule at every node: a node is dropped
-unless its bound and its included set beat the incumbent, since every menu
-below it holds that set and is worth at most the bound.  An optimal menu
-holds only actions that some ranking picks, so the correlated walk decides
-each ranking's pick in turn, not each action: its leaves are exactly the
-menus in which every action is some ranking's pick, at most one action per
-ranking.  It takes first the rankings whose favorite has the largest total
-value, so a good incumbent comes early.  Independent kernels have no bound
-or prune, so their walk makes each node cheap instead: the draws are
-independent, so the chance that the winner ranks at most r is the product
-of the feasible candidates' CDFs at r, and by summation by parts a menu's
-value is a sum over ranks of that product times a value difference.  A
-node holds those terms, an include multiplies them by one action's CDF
-row, and only a leaf sums them; only the ranks whose value differs from
-the next rank's keep a term, since a zero term adds nothing to any sum,
-and a CDF row is read at those ranks alone.  Actions with equal kept
-rows and probability denominators are interchangeable, so the walk decides
-how many of each such class a menu takes, always its lowest-indexed
-members, which the tie rule prefers.
-
-A kernel finds the best of a nested sequence of menus, such as the
-threshold menus in bias order (``best_prefix``): a correlated kernel values
-each menu by its bound at a leaf, which is exact, and an independent one in
-one pass that folds each step's indices into winner states once and values
-each step by one sum of packed values times masses (``total``), the same
-sum that values winner states everywhere.  That pass keeps the fold, not
-the search's rows: it visits each action once, so rows as long as the whole
-ranking would cost more to build than they save, and its memo must hold
-winner states, which the reports read.
-
-An independent kernel keeps the winner states that pass reaches for the best
-menu and for the last, largest one, keyed by feasible set, and later
-evaluations of those two menus read them instead of folding again.  The memo
-holds those two entries at most, and each pass replaces them.  Fold order
-changes no state, so a memo hit is exactly a fresh fold; the memo is not part
-of the kernel's equality, repr or pickle.
+Each kernel also finds the optimal menu (``search``), and the best of a
+nested sequence of menus, such as the threshold menus in bias order
+(``best_prefix``), with no evaluator.  :meth:`CorrelatedKernel.search` and
+:meth:`IndependentKernel.search` describe the two walks, the two
+``best_prefix`` methods their passes, and :meth:`IndependentKernel.winners`
+the memo of winner states that the independent pass leaves, which changes
+no result.
 """
 
 from __future__ import annotations
@@ -336,6 +299,8 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         An optimal menu holds no action that no ranking picks: the same menu
         without it ties and is smaller.  So the walk decides each ranking's
         pick in turn, in walk order, and a leaf's menu is the set of picks.
+        Walk order takes first the rankings whose favorite has the largest
+        total value, so a good incumbent comes early.
         A node is ``(k, included, excluded, acc, pos)``: rankings before k
         have their picks fixed, worth ``acc`` in all, and ranking k is
         scanned from position ``pos``, every entry above it excluded.  The
@@ -353,7 +318,9 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         the empty menu, and it is not made.
 
         A node is valued by ``acc`` plus :meth:`_bound` over the remaining
-        rankings, which is exact at a leaf, and dropped unless :func:`_wins`
+        rankings, which is exact at a leaf: the first-choice model of
+        Bertsimas and Mišić (Oper. Res. 2019), with a combinatorial bound in
+        place of their integer program.  A node is dropped unless :func:`_wins`
         holds for that bound and its included set I against the incumbent.
         Every menu below the node holds I and is worth at most the bound, so
         when the pair does not win, each such menu is worth less than the
@@ -505,6 +472,7 @@ class IndependentKernel(_IndependentTables, _Counted):
     """
 
     # Winner states by feasible set: set whole by best_prefix, read by winners.
+    # Not a field, so no part of the kernel's equality, repr or pickle.
     _memo: Mapping[frozenset[int], States] = MappingProxyType({})
 
     def __getstate__(self) -> None:
@@ -657,7 +625,10 @@ class IndependentKernel(_IndependentTables, _Counted):
         Ties go to the earlier step.  The pass replaces the memo with the
         winner states of the best step's menu and of the last step's, the
         union of all steps, so :meth:`winners` does not fold those menus
-        again.
+        again.  It folds rather than build :meth:`search`'s CDF rows: it
+        visits each action once, so rows as long as the whole ranking would
+        cost more to build than they save, and the memo must hold winner
+        states, which the reports read.
         """
         feasible = [OUTSIDE] if self.ranks[OUTSIDE] else []
         states = self.winners(feasible)

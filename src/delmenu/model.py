@@ -64,7 +64,7 @@ def make_support(pairs) -> Support:
     merged: dict[XNum, Fraction] = {}
     for value, prob in pairs:
         if not isinstance(value, XNum):
-            value = XNum(as_fraction(value))
+            value = XNum(value)
         prob = as_fraction(prob)
         merged[value] = merged.get(value, Fraction(0)) + prob
     return tuple(sorted(merged.items(), key=lambda vp: vp[0]._key()))
@@ -343,7 +343,7 @@ def shift_biases(instance: Instance, c: XNum | Rational) -> Instance:
     is unchanged.
     """
     if not isinstance(c, XNum):
-        c = XNum(as_fraction(c))
+        c = XNum(c)
     if isinstance(instance, IndependentInstance):
         actions = tuple(dataclasses.replace(a, bias=a.bias + c) for a in instance.actions)
         outside = (

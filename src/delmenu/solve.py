@@ -18,7 +18,6 @@ from itertools import groupby
 from .evaluate import DEFAULT_ACTION_CAP, evaluate
 from .model import (
     CapExceededError,
-    CorrelatedInstance,
     IndependentInstance,
     Instance,
     Menu,
@@ -199,26 +198,23 @@ def bound_report(instance: Instance, result: SolveResult) -> BoundReport:
     """
     p_min = instance.kernel.least_mass()  # of the least likely value profile
     opt = result.opt_value.std
+    # No value has a negative standard part, so 0 <= best <= opt: with a
+    # zero optimum every inequality below holds and no logarithm is taken.
     best = result.best_threshold_value.std
-    if opt == 0:
-        return BoundReport(None, p_min, True, True, True, vacuous=True)
-
     independent = isinstance(instance, IndependentInstance)
     # Values order on their standard part first, so the largest standard
     # part is the largest action value's; the kernel finds it on integers.
-    rho = instance.kernel.largest_std() / opt
+    rho = instance.kernel.largest_std() / opt if opt > 0 else None
     fixed_outside = independent and (
         instance.outside is None or instance.outside.is_deterministic
     )
     bound_3 = (not fixed_outside) or opt <= 3 * best
     bound_n = (not independent) or opt <= instance.n * best
-    if isinstance(instance, CorrelatedInstance):
-        if opt <= 4 * best:
-            bound_log = True  # within the clamped factor regardless of p_min
-        elif best == 0:
-            bound_log = False
-        else:
-            bound_log = log2_at_least(1 / p_min, opt / (4 * best))
-    else:
-        bound_log = True
-    return BoundReport(rho, p_min, bound_3, bound_n, bound_log)
+    # Within the clamped factor 4 the bound holds regardless of p_min, and
+    # with best == 0 < opt it fails.
+    bound_log = (
+        independent
+        or opt <= 4 * best
+        or (best > 0 and log2_at_least(1 / p_min, opt / (4 * best)))
+    )
+    return BoundReport(rho, p_min, bound_3, bound_n, bound_log, vacuous=opt == 0)

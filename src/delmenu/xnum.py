@@ -159,12 +159,10 @@ class XNum:
 def _coerce(x: XNum | Rational) -> XNum:
     if isinstance(x, XNum):
         return x
-    return XNum(as_fraction(x))
+    return XNum(x)
 
 
-def xnum(std: Rational | str, inf: Rational | str = 0) -> XNum:
-    """Convenience constructor accepting ints, Fractions, or 'p/q' strings."""
-    return XNum(as_fraction(std), as_fraction(inf))
+xnum = XNum  # the constructor under a lower-case name: it takes ints, Fractions and 'p/q' strings
 
 
 ZERO = XNum(Fraction(0))

@@ -294,6 +294,22 @@ def test_reduce_vertex_cover(triangle_edges, tmp_path, capsys):
     assert inst.n == 4 and len(inst.profiles) == 6
 
 
+def test_reduce_vertex_cover_past_cap_n_writes_the_instance_without_the_cover(
+    triangle_edges, tmp_path, capsys
+):
+    # The graph has more vertices than --cap-n: the cover is not searched,
+    # and the instance is written without the cover fields.
+    out_file = str(tmp_path / "vc.json")
+    code, out, err = run(
+        capsys, "reduce", "vertex-cover", triangle_edges, "--cap-n", "2", "-o", out_file
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"actions": 4, "profiles": 6}
+    full_file = str(tmp_path / "full.json")
+    assert run(capsys, "reduce", "vertex-cover", triangle_edges, "-o", full_file)[0] == 0
+    assert Path(out_file).read_bytes() == Path(full_file).read_bytes()
+
+
 @pytest.mark.parametrize("token", ["1_0", "1.5", "1e0", "\u0663"])
 def test_reduce_vertex_cover_rejects_non_integer_endpoints(tmp_path, capsys, token):
     # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3.
@@ -635,6 +651,36 @@ def test_solve_and_verify_leave_generators_and_reductions_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_package_loads_generators_and_reductions_on_attribute_access():
+    # In a fresh interpreter, dir() lists the submodules without loading
+    # them, and reading them as attributes of the package loads them.
+    code = (
+        "import sys, delmenu\n"
+        "names = dir(delmenu)\n"
+        "print(sorted({'delmenu.families', 'delmenu.reductions'} & sys.modules.keys()))\n"
+        "print(delmenu.families is sys.modules['delmenu.families'],"
+        " delmenu.reductions is sys.modules['delmenu.reductions'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_package_dir_lists_the_lazy_names_not_the_machinery(monkeypatch):
+    # With no attribute bound, as before any import, the package's
+    # __getattr__ finds the submodule.
+    for name in ("families", "reductions"):
+        monkeypatch.delattr(delmenu, name)
+        assert getattr(delmenu, name) is sys.modules[f"delmenu.{name}"]
+    names = dir(delmenu)
+    assert names == sorted(names)
+    assert set(delmenu.__all__) | {"families", "reductions"} <= set(names)
+    assert not {"importlib", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"} & set(names)
 
 
 def test_sweep_workers_clamped():

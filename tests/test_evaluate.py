@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delmenu.model
 from delmenu import (
     Action,
     CapExceededError,
@@ -138,6 +140,49 @@ def test_bruteforce_cap_names_counts():
     )
     with pytest.raises(CapExceededError, match=r"8 profiles, cap is 4"):
         eval_bruteforce_product(inst, full_menu(inst), cap=4)
+
+
+def record_calls(monkeypatch, module, name):
+    """Record the calls of ``module.name`` through every delmenu module global naming it."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for home, loaded in list(sys.modules.items()):
+        if home.split(".")[0] == "delmenu" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, recorded)
+    return calls
+
+
+def test_bruteforce_validates_its_menu_once(monkeypatch):
+    calls = record_calls(monkeypatch, delmenu.model, "validate_menu")
+    for seed in range(6):
+        inst = random_independent(seed, n=3, support=3)
+        for menu in random_menus(inst, 3, seed):
+            calls.clear()
+            eval_bruteforce_product(inst, menu)
+            assert calls == [(inst, menu)]
+
+
+def test_bruteforce_keys_each_draw_once(monkeypatch):
+    calls = record_calls(monkeypatch, delmenu.model, "choice_key")
+    for seed in range(6):
+        inst = random_independent(seed, n=3, support=3)
+        for menu in random_menus(inst, 3, seed):
+            calls.clear()
+            report = eval_bruteforce_product(inst, menu)
+            indices = candidates(inst, menu)
+            draws = [(i, v, inst.bias_of(i)) for i in indices for v, _ in inst.support_of(i)]
+            assert calls == draws  # one key per draw: the sum of the support sizes
+            # Each realization's pick is agent_choice's, as a per-realization expansion gives.
+            contrib, freq = {i: xnum(0) for i in indices}, {i: Fraction(0) for i in indices}
+            for prob, values in product_realizations(inst, indices):
+                chosen = agent_choice(inst, menu, values)
+                contrib[chosen] += values[chosen] * prob
+                freq[chosen] += prob
+            assert (report.contrib, report.freq) == (contrib, freq)
 
 
 # ---------------------------------------------------------------------------

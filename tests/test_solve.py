@@ -366,6 +366,15 @@ def test_bound_report_zero_opt_vacuous():
     assert report.rho is None
 
 
+def test_bound_report_zero_opt_correlated_takes_no_log(monkeypatch):
+    solve_module = importlib.import_module("delmenu.solve")
+    monkeypatch.setattr(solve_module, "log2_at_least", None)  # any call would raise
+    inst = CorrelatedInstance((xnum(0), xnum(1)), (Profile(Fraction(1), (xnum(0), xnum(0))),))
+    report = bound_report(inst, solve(inst))
+    assert report.vacuous and report.rho is None
+    assert report.bound_3 and report.bound_n and report.bound_log
+
+
 def test_bound_properties_random_ensembles():
     for seed in range(100):
         inst = random_independent(seed, outside="fixed" if seed % 2 else "none")
