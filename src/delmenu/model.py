@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .xnum import XNum, Rational, as_fraction
+from .xnum import XNum, Rational, as_fraction, merge_distribution
 
 if TYPE_CHECKING:
     from .kernel import CorrelatedKernel, IndependentKernel
@@ -54,20 +54,30 @@ VALUE_CAP = 10**6
 Support = tuple[tuple[XNum, Fraction], ...]
 
 
+def _canonical(pairs) -> tuple[Support, Fraction]:
+    """``pairs`` as a canonical support, and its total probability.
+
+    Values are coerced by ``XNum`` and probabilities by ``as_fraction``, pair
+    by pair; :func:`~delmenu.xnum.merge_distribution` then sorts and merges
+    them in one integer lift.
+    """
+    merged, total = merge_distribution(
+        [(v if isinstance(v, XNum) else XNum(v), as_fraction(p)) for v, p in pairs]
+    )
+    return tuple(merged), total
+
+
 def make_support(pairs) -> Support:
     """Canonicalize a discrete distribution: merge equal values, sort by value.
 
-    Probabilities of merged entries add exactly.  Sorting makes supports a
-    canonical form, so structurally equal distributions compare equal and
-    enumeration order is reproducible.
+    Probabilities of merged entries add exactly; a merged entry keeps its
+    first value object, and an unmerged entry its probability as given.
+    Sorting makes supports a canonical form, so structurally equal
+    distributions compare equal and enumeration order is reproducible.
+    Values and probabilities are compared and added as integers over common
+    denominators (:func:`~delmenu.xnum.merge_distribution`), never hashed.
     """
-    merged: dict[XNum, Fraction] = {}
-    for value, prob in pairs:
-        if not isinstance(value, XNum):
-            value = XNum(value)
-        prob = as_fraction(prob)
-        merged[value] = merged.get(value, Fraction(0)) + prob
-    return tuple(sorted(merged.items(), key=lambda vp: vp[0]._key()))
+    return _canonical(pairs)[0]
 
 
 @dataclass(frozen=True)
@@ -84,16 +94,16 @@ class Action:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "support", make_support(self.support))
-        if not self.support:
+        support, total = _canonical(self.support)
+        object.__setattr__(self, "support", support)
+        if not support:
             raise InvalidInstanceError("action support is empty")
-        total = Fraction(0)
-        for value, prob in self.support:
-            if prob <= 0:
+        # A Fraction's denominator is positive, so its numerator holds its sign.
+        for value, prob in support:
+            if prob.numerator <= 0:
                 raise InvalidInstanceError(f"support probability {prob} is not positive")
-            if value.std < 0:
+            if value.std.numerator < 0:
                 raise InvalidInstanceError(f"value {value} has negative standard part")
-            total += prob
         if total != 1:
             raise InvalidInstanceError(f"support probabilities sum to {total}, not 1")
 
@@ -120,10 +130,11 @@ class Profile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prob", as_fraction(self.prob))
         object.__setattr__(self, "values", tuple(self.values))
-        if self.prob <= 0:
+        # A Fraction's denominator is positive, so its numerator holds its sign.
+        if self.prob.numerator <= 0:
             raise InvalidInstanceError(f"profile probability {self.prob} is not positive")
         for v in self.values:
-            if v.std < 0:
+            if v.std.numerator < 0:
                 raise InvalidInstanceError(f"profile value {v} has negative standard part")
 
 

@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -28,22 +29,31 @@ INTEGER = r"[+-]?[0-9]+"
 RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"
 
 
+class DigitLimitError(ValueError):
+    """A literal holds an integer of more digits than the interpreter converts."""
+
+
+def _over_limit(digits: int) -> DigitLimitError:
+    return DigitLimitError(
+        f"integer of {digits} digits exceeds the interpreter's limit"
+        f" of {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def parse_integer(text: str) -> int:
     """An integer literal in ASCII digits, with an optional sign, as an int.
 
     ``int``'s own grammar also reads underscores, blanks and non-ASCII
     digits.  Raises ``ValueError``, also for a literal of more digits than
-    the interpreter converts (``sys.get_int_max_str_digits()``).
+    the interpreter converts (``sys.get_int_max_str_digits()``), as a
+    :class:`DigitLimitError` that names the limit.
     """
     if not re.fullmatch(INTEGER, text):
         raise ValueError(f"invalid integer {text!r}")
     try:
         return int(text)
     except ValueError as exc:
-        raise ValueError(
-            f"integer of {len(text.lstrip('+-'))} digits exceeds the interpreter's limit"
-            f" of {sys.get_int_max_str_digits()} digits"
-        ) from exc
+        raise _over_limit(len(text.lstrip("+-"))) from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -52,7 +62,10 @@ def parse_rational(text: str) -> Fraction:
     ``Fraction``'s own grammar also reads decimals, exponents, underscores
     and surrounding blanks; none of them is an exact rational literal, and
     an exponent could build a huge integer from a short string.  Raises
-    ``ValueError``, also for a zero denominator.
+    ``ValueError``, also for a zero denominator, and a
+    :class:`DigitLimitError` naming the limit and the longer part's digit
+    count, not the literal, for a part of more digits than the interpreter
+    converts.
     """
     if not re.fullmatch(RATIONAL, text):
         raise ValueError(f"invalid rational {text!r}")
@@ -60,6 +73,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # only int's digit limit: the grammar matched
+        raise _over_limit(max(map(len, text.lstrip("+-").split("/")))) from exc
 
 
 def as_fraction(x: Rational | str) -> Fraction:
@@ -198,3 +213,27 @@ def numerators(xs: list[XNum]) -> tuple[list[tuple[int, int]], int]:
     """
     lifted, den = fraction_numerators([part for x in xs for part in (x.std, x.inf)])
     return list(zip(lifted[::2], lifted[1::2])), den
+
+
+def merge_distribution(
+    pairs: list[tuple[XNum, Fraction]],
+) -> tuple[list[tuple[XNum, Fraction]], Fraction]:
+    """``pairs`` sorted by value with equal values merged, and their total probability.
+
+    One integer lift reads the values (:func:`numerators`) and one the
+    probabilities (:func:`fraction_numerators`), so values sort and compare
+    as integer pairs and merged probabilities add as integers.  A merged
+    entry keeps the first of its value objects, in the order given, and the
+    sum of its probabilities; an entry of one pair is that pair as given.
+    """
+    lifted, _ = numerators([value for value, _ in pairs])
+    masses, den = fraction_numerators([prob for _, prob in pairs])
+    merged = []
+    order = sorted(range(len(pairs)), key=lifted.__getitem__)
+    for _, group in groupby(order, lifted.__getitem__):
+        group = list(group)
+        value, prob = pairs[group[0]]
+        if len(group) > 1:
+            prob = Fraction(sum(masses[i] for i in group), den)
+        merged.append((value, prob))
+    return merged, Fraction(sum(masses), den)

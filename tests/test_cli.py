@@ -1472,6 +1472,26 @@ def test_integer_tokens_go_through_one_reader(
 
 
 @pytest.mark.parametrize(
+    "literal", ["1" * 5001, "-1/" + "3" * 5001], ids=["integer", "denominator"]
+)
+def test_instance_literal_beyond_the_digit_limit_is_named_not_echoed(
+    tmp_path, capsys, digit_limit_4300, literal
+):
+    file = tmp_path / "outside3.json"
+    assert main(["generate", "outside", "--n", "3", "-o", str(file)]) == 0
+    capsys.readouterr()
+    obj = json.loads(file.read_text())
+    obj["actions"][0]["bias"]["std"] = literal
+    file.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "solve", str(file))
+    message = (
+        "actions[0].bias.std: integer of 5001 digits exceeds the interpreter's limit of 4300 digits"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
     "version, shown", [("true", "True"), ("1.0", "1.0"), ("1e0", "1.0"), ("1", None)]
 )
 def test_schema_version_is_the_json_integer_1(log3_file, capsys, version, shown):

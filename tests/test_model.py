@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delmenu import (
     Action,
@@ -22,7 +24,8 @@ from delmenu import (
     validate_menu,
     xnum,
 )
-from conftest import profile_assignment, random_independent, random_menus
+from delmenu.xnum import XNum, as_fraction
+from conftest import probabilities, profile_assignment, random_independent, random_menus
 
 
 def oracle_choice(instance, menu, values):
@@ -99,6 +102,96 @@ def test_support_canonicalized():
         ((xnum(2), Fraction(1, 4)), (xnum(1), Fraction(1, 2)), (xnum(2), Fraction(1, 4))),
     )
     assert a.support == ((xnum(1), Fraction(1, 2)), (xnum(2), Fraction(1, 2)))
+
+
+def fraction_make_support(pairs):
+    """``make_support`` as it was built on Fraction arithmetic: hash, add, sort."""
+    merged = {}
+    for value, prob in pairs:
+        if not isinstance(value, XNum):
+            value = XNum(value)
+        prob = as_fraction(prob)
+        merged[value] = merged.get(value, Fraction(0)) + prob
+    return tuple(sorted(merged.items(), key=lambda vp: vp[0]._key()))
+
+
+def fraction_action_support(pairs):
+    """``Action``'s support and checks as they were built on Fraction arithmetic."""
+    support = fraction_make_support(pairs)
+    if not support:
+        raise InvalidInstanceError("action support is empty")
+    total = Fraction(0)
+    for value, prob in support:
+        if prob <= 0:
+            raise InvalidInstanceError(f"support probability {prob} is not positive")
+        if value.std < 0:
+            raise InvalidInstanceError(f"value {value} has negative standard part")
+        total += prob
+    if total != 1:
+        raise InvalidInstanceError(f"support probabilities sum to {total}, not 1")
+    return support
+
+
+def outcome(build, pairs):
+    """The repr of what ``build(pairs)`` returns, or its exception's type and message.
+
+    A repr shows each number's type, so an int where a Fraction belongs differs.
+    """
+    try:
+        return repr(build(pairs))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+# A small grid, so values repeat; negative standard parts, iota parts and
+# unlike denominators; ints and "p/q" strings to coerce.
+GRID = st.builds(Fraction, st.integers(-1, 2), st.integers(1, 3))
+VALUES = st.one_of(
+    st.builds(xnum, GRID, st.sampled_from([0, 0, 1, Fraction(-1, 2)])),
+    st.integers(-1, 2),
+    GRID.map(str),
+)
+PROBS = st.builds(Fraction, st.integers(-2, 4), st.integers(1, 4))
+
+
+@st.composite
+def raw_supports(draw):
+    """(value, probability) pairs as a caller may give them, valid or not.
+
+    Half the draws have free probabilities: zero, negative, cancelling on a
+    merge, or summing to anything.  The other half have positive ones that
+    sum to 1.  Probabilities come as Fractions, ints or "p/q" strings.
+    """
+    values = draw(st.lists(VALUES, max_size=5))
+    if draw(st.booleans()):
+        probs = [draw(PROBS) for _ in values]
+    else:
+        probs = probabilities([draw(st.integers(1, 3)) for _ in values])
+    spell = [lambda p: p, str, lambda p: int(p) if p.denominator == 1 else p]
+    return [(v, draw(st.sampled_from(spell))(p)) for v, p in zip(values, probs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_supports())
+@example([(1, Fraction(1, 2)), (xnum(1), "-1/2"), (2, 1)])  # merges to probability 0
+@example([(3, "1/2"), (xnum(-1, 1), Fraction(1, 2))])  # negative value listed after a valid one
+@example([(2, "1/2"), (-1, 0), (xnum(-1), "1/2")])  # merges to 1/2, then the negative value
+@example([(xnum(-1), 0), (xnum(-2), "1/4")])  # the first sorted entry fails before the next
+@example([(1, Fraction(1, 2)), (0.5, Fraction(1, 2))])  # a float value
+@example([(1, Fraction(1, 2)), (2, 0.5)])  # a float probability
+def test_support_equals_the_fraction_implementation(pairs):
+    assert outcome(make_support, pairs) == outcome(fraction_make_support, pairs)
+    action_support = outcome(lambda p: Action(xnum(0), p).support, pairs)
+    assert action_support == outcome(fraction_action_support, pairs)
+
+
+def test_merged_entry_keeps_its_first_value_and_a_lone_entry_its_probability():
+    first, again, other = xnum(1), xnum(1), xnum(2)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    support = Action(xnum(0), ((other, half), (first, quarter), (again, quarter))).support
+    assert support == ((xnum(1), half), (xnum(2), half))
+    assert support[0][0] is first
+    assert support[1][1] is half
 
 
 def test_validate_menu():

@@ -1,10 +1,19 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delmenu import (
+    Action,
+    CorrelatedInstance,
+    IndependentInstance,
     ParseError,
+    Profile,
+    XNum,
     dump_instance,
     dumps_instance,
     gen_log_family,
@@ -14,6 +23,7 @@ from delmenu import (
     load_instance,
     loads_instance,
 )
+from conftest import small_instances
 
 FAMILIES = [
     gen_log_family(3),
@@ -142,3 +152,54 @@ def test_parse_error_non_canonical_rational(text, field):
         action["support"][0]["prob"] = text
     with pytest.raises(ParseError, match=r"actions\[0\].*(invalid rational|canonical form)"):
         loads_instance(json.dumps(obj))
+
+
+def uncached_load(text):
+    """The instance in ``text``, each literal read anew by ``Fraction``."""
+    obj = json.loads(text)
+
+    def number(o):
+        return XNum(Fraction(o["std"]), Fraction(o["inf"]))
+
+    def action(a):
+        support = tuple((number(e["value"]), Fraction(e["prob"])) for e in a["support"])
+        return Action(number(a["bias"]), support, a["label"])
+
+    outside = obj["outside"]
+    if obj["kind"] == "independent":
+        return IndependentInstance(tuple(map(action, obj["actions"])), outside and action(outside))
+    return CorrelatedInstance(
+        tuple(number(a["bias"]) for a in obj["actions"]),
+        tuple(
+            Profile(Fraction(p["prob"]), tuple(map(number, p["values"]))) for p in obj["profiles"]
+        ),
+        outside and number(outside["bias"]),
+        tuple(a["label"] for a in obj["actions"]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_equals_an_uncached_load(kind, data):
+    # Drawn with iota parts, unlike denominators and every outside mode.
+    instance = data.draw(small_instances(kind, max_den=3))
+    text = dumps_instance(instance)
+    loaded = loads_instance(text)
+    assert loaded == uncached_load(text) == instance
+    assert dumps_instance(loaded) == text
+
+
+def test_equal_literals_share_one_xnum_and_no_load_keeps_them():
+    text = dumps_instance(gen_log_family(4))
+    instance = loads_instance(text)
+    values = [v for p in instance.profiles for v in p.values] + list(instance.biases)
+    # Literals are canonical, so equal numbers had equal literal pairs: one object each.
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    again = loads_instance(text)
+    assert again == instance and again.biases[0] is not instance.biases[0]
+    # Once the instance is gone, nothing holds its numbers: no cache outlives a load.
+    zero = weakref.ref(instance.biases[0])
+    del instance, values
+    gc.collect()
+    assert zero() is None
