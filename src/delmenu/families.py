@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .model import (
     VALUE_CAP,
@@ -47,21 +48,25 @@ def gen_log_family(k: int) -> CorrelatedInstance:
     if m * n > VALUE_CAP:
         raise CapExceededError(f"instance of {m * n} values exceeds the cap of {VALUE_CAP} values")
 
-    biases = [XNum(Fraction(0))]
+    # Each distinct number is one object: the zero, and per level i its odd
+    # value, its even value and its biases.
+    zero = XNum(Fraction(0))
+    odd_values = [XNum(Fraction(2 ** (k - i))) for i in range(k)]
+    even_values = [None] + [XNum(Fraction(2 ** (k - j)), Fraction(j + 1)) for j in range(1, k)]
+    biases = [zero]
     for i in range(1, k):
-        odd_bias = Fraction(2**k - 2 ** (k - i))
-        biases.append(XNum(odd_bias) - IOTA)
-        biases.append(XNum(odd_bias))
+        odd_bias = XNum(Fraction(2**k - 2 ** (k - i)))
+        biases.append(odd_bias - IOTA)
+        biases.append(odd_bias)
 
     prob = Fraction(1, m)
     profiles = []
     for c in range(1, m + 1):
-        values = [XNum(Fraction(0))] * n
+        values = [zero] * n
         i_c = c.bit_length() - 1  # c lies in [2^i_c, 2^(i_c+1) - 1]
-        values[2 * i_c] = XNum(Fraction(2 ** (k - i_c)))
-        for j in range(1, k):
-            if c <= 2**j - 1:
-                values[2 * j - 1] = XNum(Fraction(2 ** (k - j)), Fraction(j + 1))
+        values[2 * i_c] = odd_values[i_c]
+        for j in range(i_c + 1, k):  # c <= 2^j - 1 exactly when j > i_c
+            values[2 * j - 1] = even_values[j]
         profiles.append(Profile(prob, tuple(values)))
 
     return CorrelatedInstance(tuple(biases), tuple(profiles))
@@ -182,10 +187,14 @@ def gen_random(
     ``PROB_DENOMINATOR``, so they are positive and sum to exactly 1.  For
     ``kind="correlated"``, ``support_size`` is the number of profiles.
     ``outside`` is "none", "fixed" (deterministic value), or "random".
-    Raises ``CapExceededError``, before any action is built, when the
-    instance could hold more than ``model.VALUE_CAP`` values, counted as
-    ``(n + 1) * support_size`` with an outside option and ``n *
-    support_size`` without.
+    Equal draws are one object: values and biases share one ``XNum`` per
+    grid point, and probabilities one ``Fraction`` per multiple of
+    ``1/PROB_DENOMINATOR``, since an action's equal value draws merge, on
+    integers, before its support is built.  The tables live for one call,
+    so no instance keeps another's numbers alive.  Raises
+    ``CapExceededError``, before any action is built, when the instance
+    could hold more than ``model.VALUE_CAP`` values, counted as ``(n + 1) *
+    support_size`` with an outside option and ``n * support_size`` without.
     """
     if kind not in ("independent", "correlated"):
         raise InvalidInstanceError(f"unknown kind {kind!r}")
@@ -202,48 +211,60 @@ def gen_random(
         raise CapExceededError(f"instance of {values} values exceeds the cap of {VALUE_CAP} values")
     rng = random.Random(seed)
 
-    def rand_value() -> XNum:
+    @cache
+    def point(k: int) -> XNum:
+        """The grid point k / denominator, one object per k in this call."""
+        return XNum(Fraction(k, denominator))
+
+    @cache
+    def share(k: int) -> Fraction:
+        """The probability k / PROB_DENOMINATOR, one object per k in this call."""
+        return Fraction(k, PROB_DENOMINATOR)
+
+    def rand_value() -> int:
         lo, hi = value_range
-        return XNum(Fraction(rng.randint(lo * denominator, hi * denominator), denominator))
+        return rng.randint(lo * denominator, hi * denominator)
 
     def rand_bias() -> XNum:
         lo, hi = bias_range
-        return XNum(Fraction(rng.randint(lo * denominator, hi * denominator), denominator))
+        return point(rng.randint(lo * denominator, hi * denominator))
 
-    def rand_probs(count: int) -> list[Fraction]:
+    def rand_parts(count: int) -> list[int]:
         cuts = sorted(rng.sample(range(1, PROB_DENOMINATOR), count - 1))
         edges = [0] + cuts + [PROB_DENOMINATOR]
-        return [
-            Fraction(edges[i + 1] - edges[i], PROB_DENOMINATOR) for i in range(count)
-        ]
+        return [edges[i + 1] - edges[i] for i in range(count)]
 
     def rand_action(label: str, size: int) -> Action:
-        probs = rand_probs(size)
-        return Action(
-            rand_bias(), tuple((rand_value(), p) for p in probs), label
-        )
+        parts = rand_parts(size)
+        bias = rand_bias()
+        # Equal draws merge here, on integers, so every probability is a share.
+        merged: dict[int, int] = {}
+        for part in parts:
+            k = rand_value()
+            merged[k] = merged.get(k, 0) + part
+        return Action(bias, tuple((point(k), share(part)) for k, part in merged.items()), label)
 
     if kind == "independent":
         actions = tuple(rand_action(f"a{i}", support_size) for i in range(1, n + 1))
         out = None
         if outside == "fixed":
-            out = deterministic(rand_bias(), rand_value(), "outside")
+            out = rand_action("outside", 1)  # one part: rand_parts(1) draws nothing
         elif outside == "random":
             out = rand_action("outside", support_size)
         return IndependentInstance(actions, out)
 
     biases = tuple(rand_bias() for _ in range(n))
     outside_bias = rand_bias() if outside != "none" else None
-    probs = rand_probs(support_size)
-    fixed_outside_value = rand_value() if outside == "fixed" else None
+    parts = rand_parts(support_size)
+    fixed_outside_value = point(rand_value()) if outside == "fixed" else None
     profiles = []
-    for p in probs:
-        values = [rand_value() for _ in range(n)]
+    for part in parts:
+        values = [point(rand_value()) for _ in range(n)]
         if outside == "fixed":
             values.append(fixed_outside_value)
         elif outside == "random":
-            values.append(rand_value())
-        profiles.append(Profile(p, tuple(values)))
+            values.append(point(rand_value()))
+        profiles.append(Profile(share(part), tuple(values)))
     return CorrelatedInstance(biases, tuple(profiles), outside_bias)
 
 

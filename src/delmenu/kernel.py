@@ -3,16 +3,24 @@
 :func:`~delmenu.model.choice_key` is a total order over (index, value) pairs,
 so an instance's pairs get integer ranks once, by one sort on its integer
 form, and every later agent choice is an integer comparison: the agent
-picks the highest-ranked feasible pair.  Compiling scales every value and
-every candidate's bias to integer ``(std, inf)`` numerators in one
-:func:`~delmenu.xnum.numerators` call, over one denominator for both parts
-of every number: each (index, value) occurrence has an integer identity and
-an integer agent utility, value plus bias.  That lift reads each part once,
-as its integer ratio, and takes one ``lcm``; probabilities are lifted the
-same way (:func:`~delmenu.xnum.fraction_numerators`).  Pairs are ranked on
-those integers, never by hashing exact rationals: :func:`_rank_pairs` makes
-one key per pair and one sort of the pairs' positions, and the same
-numerators fill the kernel's value rows.
+picks the highest-ranked feasible pair.  Compiling scales each distinct
+value object and every candidate's bias to integer ``(std, inf)``
+numerators in one :func:`~delmenu.xnum.numerators` call, over one
+denominator for both parts of every number: each (index, value) occurrence
+has an integer identity and an integer agent utility, value plus bias.
+That lift reads each part once, as its integer ratio, and takes one
+``lcm``; probabilities are lifted the same way
+(:func:`~delmenu.xnum.fraction_numerators`).  The generators and the loader
+make one object per distinct number, so the compile lifts per object: a
+table keyed by ``id``, which lives for one call (:func:`_lift`).  Before
+the lift, the correlated compile groups profiles whose value tuples hold
+the same objects and sums their probabilities, so it lifts and groups one
+row per distinct row: the log family's 2^k - 1 profiles are k rows.
+Equal numbers in distinct objects still lift to equal integers, so no
+kernel depends on the sharing.  Pairs are ranked on those integers, never
+by hashing exact rationals: :func:`_rank_pairs` makes one key per pair and
+one sort of the pairs' positions, and the same numerators fill the
+kernel's value rows.
 
 Both kernels hold values in one format: a value's numerators ``std`` and
 ``inf`` packed ``std * scale + inf`` in one integer, on a ``scale`` fixed at
@@ -375,19 +383,40 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
         return values.index(max(values))
 
 
+def _lift(objects: Sequence[XNum]) -> tuple[dict[int, tuple[int, int]], int]:
+    """Each distinct object of ``objects`` lifted once, by its ``id``, and the denominator.
+
+    The ids are only valid while the caller holds the objects: the table is
+    the caller's, for the length of one compile.
+    """
+    distinct = dict(zip(map(id, objects), objects))
+    lifted, den = numerators(list(distinct.values()))
+    return dict(zip(distinct, lifted)), den
+
+
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     # A profile lists its values in candidate order: the actions, then the outside option.
     indices = candidates(instance, full_menu(instance))
-    values = [v for profile in instance.profiles for v in profile.values]
-    lifted, den = numerators(values + [instance.bias_of(i) for i in indices])
-    bias = dict(zip(indices, lifted[len(values) :]))
-    width = len(indices)
     prob, prob_den = fraction_numerators(profile.prob for profile in instance.profiles)
+    # Profiles whose values are the same objects are one row, keyed by their
+    # ids, with their probabilities summed, before anything is lifted.
+    shared: dict[tuple[int, ...], int] = {}
+    values = []  # the values of each such row, once
+    for profile, p in zip(instance.profiles, prob):
+        key = tuple(map(id, profile.values))
+        if key in shared:
+            shared[key] += p
+        else:
+            shared[key] = p
+            values += profile.values
+    biases = [instance.bias_of(i) for i in indices]
+    lifted, den = _lift(values + biases)
+    bias = dict(zip(indices, map(lifted.__getitem__, map(id, biases))))
     # Equal value rows rank alike: each distinct row is ranked once, with
     # its profiles' probabilities summed.
     grouped: dict[tuple[tuple[int, int], ...], int] = {}
-    for k, p in zip(range(0, len(values), width), prob):
-        row = tuple(lifted[k : k + width])
+    for key, p in shared.items():
+        row = tuple(map(lifted.__getitem__, key))
         grouped[row] = grouped.get(row, 0) + p
     rows = [(list(zip(indices, row)), p) for row, p in grouped.items()]
     distinct = list({pair for row, _ in rows for pair in row})
@@ -750,9 +779,11 @@ def compile_independent(instance: IndependentInstance) -> IndependentKernel:
     indices = candidates(instance, full_menu(instance))
     supports = [instance.support_of(i) for i in indices]
     draws = [v for support in supports for v, _ in support]
-    lifted, den = numerators(draws + [instance.bias_of(i) for i in indices])
-    pairs = list(zip([i for i, support in zip(indices, supports) for _ in support], lifted))
-    bias = dict(zip(indices, lifted[len(draws) :]))
+    biases = [instance.bias_of(i) for i in indices]
+    lifted, den = _lift(draws + biases)
+    owners = [i for i, support in zip(indices, supports) for _ in support]
+    pairs = list(zip(owners, map(lifted.__getitem__, map(id, draws))))
+    bias = dict(zip(indices, map(lifted.__getitem__, map(id, biases))))
     rank = _rank_pairs(pairs, bias)
 
     width = instance.n + 1

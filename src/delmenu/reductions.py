@@ -143,18 +143,17 @@ def reduce_vertex_cover(g: Graph) -> CorrelatedInstance:
             f" {VALUE_CAP} values"
         )
     prob = Fraction(1, m + n)
-    zero = XNum(Fraction(0))
+    zero, two, five = XNum(Fraction(0)), XNum(Fraction(2)), XNum(Fraction(5))
     default_value = XNum(Fraction(3))
     profiles = []
     for u, v in g.edges:
         values = [zero] * (n + 1)
-        values[u - 1] = XNum(Fraction(5))
-        values[v - 1] = XNum(Fraction(5))
+        values[u - 1] = values[v - 1] = five
         values[n] = default_value
         profiles.append(Profile(prob, tuple(values)))
     for i in range(1, n + 1):
         values = [zero] * (n + 1)
-        values[i - 1] = XNum(Fraction(2))
+        values[i - 1] = two
         values[n] = default_value
         profiles.append(Profile(prob, tuple(values)))
     biases = tuple([zero] * n + [XNum(Fraction(-2))])
@@ -243,28 +242,18 @@ def reduce_integer_partition(
             raise InvalidInstanceError(f"M={M} violates M >= {name} = {lower}")
 
     big_bias = Fraction(M**2) * (1 - Fraction(C, 2 * M))
+    bias, zero = XNum(big_bias), XNum(Fraction(0))
+    high, low = XNum(Fraction(1), Fraction(2)), XNum(Fraction(1))
     actions = []
     for i, c in enumerate(p.values, start=1):
         p_high = Fraction(c, M**3) + Fraction(c**2, 2 * M**4 - C * M**3)
         q_low = Fraction(c, M)  # the M bounds give 0 < q_low <= 1/4 and a tiny p_high
         actions.append(
-            Action(
-                XNum(big_bias),
-                (
-                    (XNum(Fraction(1), Fraction(2)), p_high),
-                    (XNum(Fraction(1)), q_low),
-                    (XNum(Fraction(0)), 1 - p_high - q_low),
-                ),
-                f"c{i}",
-            )
+            Action(bias, ((high, p_high), (low, q_low), (zero, 1 - p_high - q_low)), f"c{i}")
         )
     half = Fraction(1, 2)
     actions.append(
-        Action(
-            XNum(Fraction(0)),
-            ((XNum(Fraction(0)), half), (XNum(big_bias + 1) + IOTA, half)),
-            f"a{n + 1}",
-        )
+        Action(zero, ((zero, half), (XNum(big_bias + 1) + IOTA, half)), f"a{n + 1}")
     )
     threshold = (big_bias + 1) / 2 + Fraction(C**2, 16 * M**2) - Fraction(1, 32 * M**2)
     return IndependentInstance(tuple(actions)), threshold

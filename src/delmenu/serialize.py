@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from fractions import Fraction
 from typing import Any
 
@@ -79,13 +80,11 @@ def _parse_label(obj: dict, default: str, where: str) -> str:
     return label
 
 
-def _action_to_obj(a: Action) -> dict[str, Any]:
+def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[str, Any]:
     return {
         "label": a.label,
-        "bias": xnum_to_obj(a.bias),
-        "support": [
-            {"value": xnum_to_obj(v), "prob": str(p)} for v, p in a.support
-        ],
+        "bias": render(a.bias),
+        "support": [{"value": render(v), "prob": str(p)} for v, p in a.support],
     }
 
 
@@ -117,30 +116,41 @@ def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> A
 
 
 def instance_to_obj(instance: Instance) -> dict[str, Any]:
+    """The JSON object of ``instance``.
+
+    Each distinct value object is rendered once per call, by its ``id``, and
+    its occurrences share the one rendered dict, so a caller that edits the
+    object edits every occurrence; nothing is kept after the call.
+    """
+    rendered: dict[int, dict[str, str]] = {}
+
+    def render(x: XNum) -> dict[str, str]:
+        obj = rendered.get(id(x))
+        if obj is None:
+            obj = rendered[id(x)] = xnum_to_obj(x)
+        return obj
+
     if isinstance(instance, IndependentInstance):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "independent",
-            "actions": [_action_to_obj(a) for a in instance.actions],
-            "outside": _action_to_obj(instance.outside) if instance.outside else None,
+            "actions": [_action_to_obj(a, render) for a in instance.actions],
+            "outside": _action_to_obj(instance.outside, render) if instance.outside else None,
         }
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "correlated",
         "actions": [
-            {"label": instance.label_of(i), "bias": xnum_to_obj(instance.bias_of(i))}
+            {"label": instance.label_of(i), "bias": render(instance.bias_of(i))}
             for i in range(1, instance.n + 1)
         ],
         "outside": (
-            {"bias": xnum_to_obj(instance.outside_bias)}
+            {"bias": render(instance.outside_bias)}
             if instance.outside_bias is not None
             else None
         ),
         "profiles": [
-            {
-                "prob": str(p.prob),
-                "values": [xnum_to_obj(v) for v in p.values],
-            }
+            {"prob": str(p.prob), "values": list(map(render, p.values))}
             for p in instance.profiles
         ],
     }

@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -180,6 +179,7 @@ def _coerce(x: XNum | Rational) -> XNum:
 xnum = XNum  # the constructor under a lower-case name: it takes ints, Fractions and 'p/q' strings
 
 
+_ONE = Fraction(1)
 ZERO = XNum(Fraction(0))
 ONE = XNum(Fraction(1))
 IOTA = XNum(Fraction(0), Fraction(1))
@@ -222,18 +222,22 @@ def merge_distribution(
 
     One integer lift reads the values (:func:`numerators`) and one the
     probabilities (:func:`fraction_numerators`), so values sort and compare
-    as integer pairs and merged probabilities add as integers.  A merged
-    entry keeps the first of its value objects, in the order given, and the
-    sum of its probabilities; an entry of one pair is that pair as given.
+    as integer pairs and merged probabilities add as integers, in one pass
+    over the sorted order.  A merged entry keeps the first of its value
+    objects, in the order given, and the sum of its probabilities; an entry
+    of one pair is that pair as given.  A total of exactly 1 is the shared
+    ``Fraction`` one, so a valid support builds no total.
     """
     lifted, _ = numerators([value for value, _ in pairs])
     masses, den = fraction_numerators([prob for _, prob in pairs])
-    merged = []
-    order = sorted(range(len(pairs)), key=lifted.__getitem__)
-    for _, group in groupby(order, lifted.__getitem__):
-        group = list(group)
-        value, prob = pairs[group[0]]
-        if len(group) > 1:
-            prob = Fraction(sum(masses[i] for i in group), den)
-        merged.append((value, prob))
-    return merged, Fraction(sum(masses), den)
+    merged: list[tuple[XNum, Fraction]] = []
+    last = None
+    for i in sorted(range(len(pairs)), key=lifted.__getitem__):
+        if lifted[i] == last:
+            mass += masses[i]
+            merged[-1] = merged[-1][0], Fraction(mass, den)
+        else:
+            last, mass = lifted[i], masses[i]
+            merged.append(pairs[i])
+    total = sum(masses)
+    return merged, _ONE if total == den else Fraction(total, den)

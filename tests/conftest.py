@@ -126,6 +126,31 @@ def with_iota(instance, seed: int):
     )
 
 
+def fresh_twin(instance):
+    """``instance`` rebuilt with a fresh XNum for every value and bias entry.
+
+    Generators and loads share one object per distinct number; the twin
+    shares none, so a kernel that depended on sharing would differ.
+    """
+
+    def fresh(x):
+        return XNum(x.std, x.inf)
+
+    def action(a):
+        return Action(fresh(a.bias), tuple((fresh(v), p) for v, p in a.support), a.label)
+
+    if isinstance(instance, IndependentInstance):
+        outside = None if instance.outside is None else action(instance.outside)
+        return IndependentInstance(tuple(map(action, instance.actions)), outside)
+    outside_bias = None if instance.outside_bias is None else fresh(instance.outside_bias)
+    return CorrelatedInstance(
+        tuple(map(fresh, instance.biases)),
+        tuple(Profile(p.prob, tuple(map(fresh, p.values))) for p in instance.profiles),
+        outside_bias,
+        instance.labels,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Drawn instances: values and biases on a 0/1/2 grid, so utilities tie often
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,15 @@ from delmenu import (
     xnum,
     xsum,
 )
-from delmenu.model import OUTSIDE, candidates, product_realizations
+from delmenu.model import OUTSIDE, CorrelatedInstance, candidates, product_realizations
+from delmenu.reductions import (
+    Graph,
+    PartitionInstance,
+    minimal_valid_m,
+    reduce_integer_partition,
+    reduce_vertex_cover,
+)
+from delmenu.serialize import dumps_instance
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +214,117 @@ def test_gen_random_validation():
         gen_random("independent", 3, 2, seed=0, outside="sometimes")
     with pytest.raises(InvalidInstanceError):
         gen_random("independent", 3, 2, seed=0, value_range=(-1, 4))
+
+
+def partition_reduction():
+    p = PartitionInstance((3, 1, 1, 2, 2, 1))
+    return reduce_integer_partition(p, minimal_valid_m(p))[0]
+
+
+# SHA-256 of each generator's file, recorded before the generators shared
+# their numbers: sharing changes no byte.
+GENERATED_SHA256 = {
+    ("independent", "none", 5): "fcbeb4219e3586bc0d5698441f3fbc74c4962ba68e816ad431c1b7a4b0d7210c",
+    ("independent", "none", 40): "69b4ee56e55bd37bd0318951f66045494503afd5e86c178df18d21ceee7a1a23",
+    ("independent", "fixed", 5): "5af552c53ab458eeb941405fbc9cdf78c63c14b093370976690b8e895b64f5bb",
+    ("independent", "fixed", 40): "f029ef7b564a35a681f5ade00d24866b872a4d834f69614ebf9b9ac5bb02e567",
+    ("independent", "random", 5): "2f99e1046efa0775b6a04545be274e83758e5a23b1a8cda7803f70923c46b6b2",
+    ("independent", "random", 40): "a04672426355b6dae2183c4df5f99e4b0507dc26d7061b4cf89a6a08559959a2",
+    ("correlated", "none", 5): "25eae6be5997d7e78be5ca0c11e3e36fb6ef85ed6a2d638c7514822e19975179",
+    ("correlated", "none", 40): "1de254cf0de408d444bb4cd84f3177989291f5f63fe39ad93bc2777664a684af",
+    ("correlated", "fixed", 5): "f15642566a2a91fbbbb5719248881df4b21fda9d5e3de0fab0e1c516f2ad0d4e",
+    ("correlated", "fixed", 40): "800d88d066b6860cd9f0d3d10059c0e0b53f2f3ef0ee1b137c37cee5f0f786e1",
+    ("correlated", "random", 5): "b6be13dc7dbfe3aefffe646353a4195b3d2feae36b3d8dc5312f2e130ff2800b",
+    ("correlated", "random", 40): "71b3c0814dd4f527a27de91228451b7dcfd5c520fe15c14ec96599bf39c8f321",
+    "log 5": "72276e518be7f13d1f8f11172a8e2ee8a4a4e282d37467e47274792fdadaa72a",
+    "vertex cover": "8b0d620adc79892de4a24bf6f333f4267ff7225bbe112753f79fba0f3dccf595",
+    "partition": "830f6461cd754b0a84be69a58a8d714a18fcd1b9a6c2a5ed0d7156b039987868",
+}
+
+
+def generated(name):
+    if name == "log 5":
+        return gen_log_family(5)
+    if name == "vertex cover":
+        return reduce_vertex_cover(Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4))))
+    if name == "partition":
+        return partition_reduction()
+    kind, outside, n = name
+    return gen_random(kind, n=n, support_size=4, seed=2024, outside=outside)
+
+
+@pytest.mark.parametrize("name", GENERATED_SHA256, ids=str)
+def test_generated_bytes_are_pinned(name):
+    text = dumps_instance(generated(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[name]
+
+
+def numbers(instance):
+    """The instance's value objects and its probability objects, every occurrence."""
+    if isinstance(instance, CorrelatedInstance):
+        values = [v for p in instance.profiles for v in p.values]
+        return values, [p.prob for p in instance.profiles]
+    actions = instance.actions + ((instance.outside,) if instance.outside else ())
+    support = [pair for a in actions for pair in a.support]
+    return [v for v, _ in support], [p for _, p in support]
+
+
+def distinct_objects(xs):
+    return len({id(x) for x in xs})
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+@pytest.mark.parametrize("outside", ["none", "fixed", "random"])
+def test_generated_numbers_are_one_object_each(kind, outside):
+    lo, hi, den = 1, 5, 3
+    for seed in range(3):
+        inst = gen_random(
+            kind, n=40, support_size=4, seed=seed, outside=outside,
+            value_range=(lo, hi), denominator=den,
+        )
+        values, probs = numbers(inst)
+        biases = inst.biases if kind == "correlated" else [a.bias for a in inst.actions]
+        # One object per grid point, shared by values and biases alike.
+        assert distinct_objects(values) == len(set(values)) <= (hi - lo) * den + 1
+        assert distinct_objects(values + list(biases)) == len(set(values + list(biases)))
+        # One object per multiple of 1/12, merged draws included.
+        assert distinct_objects(probs) == len(set(probs)) <= 11
+        assert all((p * 12).denominator == 1 for p in probs)
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_log_family_holds_at_most_2k_plus_1_value_objects(k):
+    inst = gen_log_family(k)
+    values, _ = numbers(inst)
+    assert distinct_objects(values) == len(set(values)) <= 2 * k + 1 < len(values)
+    assert any(inst.biases[0] is v for v in values)  # the zero bias is the zero value
+
+
+def test_reductions_share_their_constants():
+    cover = reduce_vertex_cover(Graph(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))))
+    values, _ = numbers(cover)
+    assert distinct_objects(values + list(cover.biases)) == 5  # 0, 2, 3, 5 and the bias -2
+    values, _ = numbers(partition_reduction())
+    assert distinct_objects(values) == 4  # 0, 1, 1 + 2 iota and action n + 1's high value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_random("independent", n=6, support_size=3, seed=4, outside="random"),
+        lambda: gen_random("correlated", n=6, support_size=5, seed=4, outside="fixed"),
+        lambda: gen_log_family(4),
+    ],
+)
+def test_no_generator_keeps_its_numbers(build):
+    inst = build()
+    values, _ = numbers(inst)
+    assert distinct_objects(values) < len(values)
+    # Once the instance is gone, nothing holds its numbers: no table outlives the call.
+    value = weakref.ref(values[-1])
+    del inst, values
+    gc.collect()
+    assert value() is None
 
 
 # ---------------------------------------------------------------------------

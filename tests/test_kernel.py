@@ -67,10 +67,12 @@ from delmenu.model import (
     full_menu,
     product_realizations,
 )
+from delmenu.serialize import instance_from_obj, instance_to_obj
 from delmenu.xnum import XNum, numerators
 
 from conftest import (
     OUTSIDE_MODES,
+    fresh_twin,
     profile_assignment,
     random_correlated,
     random_independent,
@@ -988,6 +990,55 @@ def assert_merge_changes_no_result(instance, menus):
         if feasible:
             assert merged.tally(feasible) == whole.tally(feasible)
             assert merged.split(feasible) == whole.split(feasible)
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_log_family_kernel_equals_reference_compile(k):
+    inst = gen_log_family(k)
+    assert inst.kernel == reference_compile(inst)
+
+
+@pytest.mark.parametrize("k", [12, 13, 14])
+def test_large_log_family_kernel_needs_no_shared_objects(k):
+    # reference_compile is too slow here: the generated instance, its loaded
+    # twin and a twin of one object per entry must compile alike instead.
+    inst = gen_log_family(k)
+    loaded = instance_from_obj(instance_to_obj(inst))
+    assert inst.kernel == loaded.kernel == fresh_twin(inst).kernel
+    assert brute_force_opt(inst, cap_n=inst.n)[1] == Fraction(k * 2**k, 2**k - 1)
+
+
+def entries(instance):
+    """Every value and bias entry of ``instance``, one per occurrence."""
+    if isinstance(instance, CorrelatedInstance):
+        values = [v for p in instance.profiles for v in p.values]
+        return values + list(instance.biases)
+    actions = instance.actions + ((instance.outside,) if instance.outside else ())
+    return [x for a in actions for x in (a.bias, *(v for v, _ in a.support))]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            lambda seed=seed, outside=outside: random_correlated(seed, outside, n=8, profiles=12)
+            for seed, outside in zip(range(3), OUTSIDE_MODES)
+        ),
+        *(
+            lambda seed=seed, outside=outside: random_independent(seed, outside, n=8, support=4)
+            for seed, outside in zip(range(3), OUTSIDE_MODES)
+        ),
+        lambda: tie_heavy("correlated", 1, "random"),
+        lambda: tie_heavy("independent", 2, "fixed"),
+        lambda: partition_at_minimal_m((3, 1, 1, 2, 2, 1)),
+    ],
+)
+def test_kernel_needs_no_shared_objects(build):
+    inst = build()
+    twin = fresh_twin(inst)
+    shared, fresh = entries(inst), entries(twin)
+    assert len({id(x) for x in shared}) < len(shared) == len({id(x) for x in fresh})
+    assert twin == inst and twin.kernel == inst.kernel
 
 
 @pytest.mark.parametrize("k", range(2, 11))

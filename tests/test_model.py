@@ -24,7 +24,7 @@ from delmenu import (
     validate_menu,
     xnum,
 )
-from delmenu.xnum import XNum, as_fraction
+from delmenu.xnum import XNum, as_fraction, merge_distribution
 from conftest import probabilities, profile_assignment, random_independent, random_menus
 
 
@@ -102,6 +102,18 @@ def test_support_canonicalized():
         ((xnum(2), Fraction(1, 4)), (xnum(1), Fraction(1, 2)), (xnum(2), Fraction(1, 4))),
     )
     assert a.support == ((xnum(1), Fraction(1, 2)), (xnum(2), Fraction(1, 2)))
+
+
+def test_merge_distribution_keeps_objects_and_shares_a_total_of_one():
+    first, again, lone = xnum(2), xnum(2), xnum(1)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    pairs = [(first, quarter), (lone, half), (again, Fraction(1, 8)), (xnum(2), Fraction(1, 8))]
+    merged, total = merge_distribution(pairs)
+    assert merged == [(lone, half), (first, Fraction(1, 2))]
+    assert merged[0][0] is lone and merged[0][1] is half and merged[1][0] is first
+    # A valid support's total is the one shared Fraction: none is built per action.
+    assert total == 1 and total is merge_distribution([(lone, Fraction(1))])[1]
+    assert merge_distribution([(lone, half)])[1] == half
 
 
 def fraction_make_support(pairs):
