@@ -14,6 +14,7 @@ needs neither does not import them.
 """
 
 import importlib
+import types
 
 from .evaluate import (
     Decomposition,
@@ -89,68 +90,11 @@ _LAZY = {
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "Action",
-    "BoundReport",
-    "CapExceededError",
-    "CorrelatedInstance",
-    "Decomposition",
-    "DelegationError",
-    "EvalReport",
-    "Graph",
-    "IOTA",
-    "IndependentInstance",
-    "Instance",
-    "InterferenceAction",
-    "InvalidInstanceError",
-    "Menu",
-    "NoFeasibleActionError",
-    "ONE",
-    "OUTSIDE",
-    "ParseError",
-    "PartitionInstance",
-    "Profile",
-    "SolveResult",
-    "XNum",
-    "ZERO",
-    "agent_choice",
-    "as_fraction",
-    "best_threshold",
-    "bound_report",
-    "brute_force_opt",
-    "decompose",
-    "derandomize_interference",
-    "deterministic",
-    "dump_instance",
-    "dumps_instance",
-    "eval_bruteforce_product",
-    "eval_correlated",
-    "eval_independent_dp",
-    "evaluate",
-    "from_assortment",
-    "full_menu",
-    "gen_log_family",
-    "gen_outside_family",
-    "gen_random",
-    "gen_three_approx",
-    "has_partition",
-    "load_instance",
-    "loads_instance",
-    "log2_at_least",
-    "make_support",
-    "min_vertex_cover",
-    "minimal_valid_m",
-    "parse_graph",
-    "reduce_integer_partition",
-    "reduce_vertex_cover",
-    "shift_biases",
-    "solve",
-    "threshold_menu",
-    "threshold_menus",
-    "validate_menu",
-    "xnum",
-    "xsum",
-]
+# Every public name bound above, and every lazy one: no module object, nothing private.
+__all__ = sorted(
+    [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, types.ModuleType)]
+    + list(_LAZY_HOME)
+)
 
 
 def __getattr__(name: str):
@@ -165,5 +109,5 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     # As if every name were imported eagerly: the lazy ones, not the machinery.
-    machinery = {"importlib", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"}
+    machinery = {"importlib", "types", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"}
     return sorted((globals().keys() - machinery) | _LAZY_HOME.keys() | _LAZY.keys())

@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .evaluate import (
-    DEFAULT_ACTION_CAP,
-    DEFAULT_PROFILE_CAP,
     EvalReport,
     decompose,
     derandomize_interference,
@@ -31,6 +29,8 @@ from .evaluate import (
     evaluate,
 )
 from .model import (
+    DEFAULT_ACTION_CAP,
+    DEFAULT_PROFILE_CAP,
     CapExceededError,
     CorrelatedInstance,
     DelegationError,
@@ -511,7 +511,7 @@ def run_verify(
     """
     if menus > VERIFY_MENU_CAP:
         raise CapExceededError(f"{menus} menus exceed the cap of {VERIFY_MENU_CAP} menus")
-    oracle, certificates = "dp/oracle equivalence", "derandomization certificates"
+    identity, oracle, dominance, single_action, certificates = VERIFY_CHECKS
     independent = isinstance(instance, IndependentInstance)
     skipped = dict.fromkeys(VERIFY_CHECKS, "no applicable case")
     if independent:
@@ -533,7 +533,7 @@ def run_verify(
         on = f"on menu {sorted(menu)}"
         dec = decompose(instance, menu)
         holds = dec.sur + dec.bdif == report.f and dec.bdif >= 0 and dec.sur.std >= 0
-        check("decomposition identity", holds, f"decomposition identity failed {on}")
+        check(identity, holds, f"decomposition identity failed {on}")
         try:
             brute = eval_bruteforce_product(instance, menu, cap=cap) if independent else None
         except CapExceededError:
@@ -545,12 +545,12 @@ def run_verify(
             holds = dec.bdif == dec.u_low - expected_bias
             check(oracle, holds, f"bias-difference mismatch {on}")
         holds = report_of(threshold_menu(instance, dec.u_low)).f >= dec.sur
-        check("threshold dominance", holds, f"threshold-dominance failed {on}")
+        check(dominance, holds, f"threshold-dominance failed {on}")
         for i in candidates(instance, menu):
             t_menu = threshold_menu(instance, instance.bias_of(i))
             if t_menu or instance.has_outside:
                 holds = report_of(t_menu).f >= report.contrib[i]
-                check("single-action bound", holds, f"single-action bound failed {on}, action {i}")
+                check(single_action, holds, f"single-action bound failed {on}, action {i}")
 
     if not independent:
         return violations, skipped
@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an ensemble and write a CSV report")
     p_sweep.add_argument("spec", help="JSON ensemble spec")
     p_sweep.add_argument("-o", "--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=positive_int, default=1)
     p_sweep.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
     p_sweep.set_defaults(func=cmd_sweep)
 

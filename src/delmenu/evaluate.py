@@ -28,6 +28,7 @@ from itertools import product
 from math import prod
 
 from .model import (
+    DEFAULT_PROFILE_CAP,
     CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
@@ -39,10 +40,7 @@ from .model import (
     threshold_menu,
     validate_menu,
 )
-from .xnum import XNum, ZERO, xsum
-
-DEFAULT_PROFILE_CAP = 10**6
-DEFAULT_ACTION_CAP = 20  # the exact searches' size cap: actions, or graph vertices
+from .xnum import XNum, ZERO, _coerce, xsum
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def derandomize_interference(
     """
     if not isinstance(instance, IndependentInstance):
         raise InvalidInstanceError("derandomize_interference requires an independent instance")
-    opt_menu = validate_menu(instance, opt_menu)
+    opt_menu, t = validate_menu(instance, opt_menu), _coerce(t)
     a_t = threshold_menu(instance, t)
     interference = sorted(a_t - opt_menu)
     if not interference:

@@ -206,6 +206,8 @@ def gen_random(
         raise InvalidInstanceError("value_range and bias_range must be (lo, hi) with lo <= hi")
     if not 1 <= support_size <= PROB_DENOMINATOR:
         raise InvalidInstanceError(f"support_size must be in 1..{PROB_DENOMINATOR}")
+    if denominator < 1:
+        raise InvalidInstanceError(f"denominator must be at least 1, got {denominator}")
     values = (n + (outside != "none")) * support_size
     if values > VALUE_CAP:
         raise CapExceededError(f"instance of {values} values exceeds the cap of {VALUE_CAP} values")

@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from .xnum import XNum, Rational, as_fraction, merge_distribution
+from .xnum import XNum, Rational, _coerce, as_fraction, merge_distribution
 
 if TYPE_CHECKING:
     from .kernel import CorrelatedKernel, IndependentKernel
@@ -46,9 +46,12 @@ class CapExceededError(DelegationError):
     """An enumeration would exceed its configured size cap."""
 
 
+DEFAULT_ACTION_CAP = 20  # the exact searches' size cap: actions, or graph vertices
+DEFAULT_PROFILE_CAP = 10**6  # joint profiles eval_bruteforce_product enumerates
+
 # Most values a generated instance may hold: as many as the default profile
 # cap of eval_bruteforce_product, about 65 MB of instance file.
-VALUE_CAP = 10**6
+VALUE_CAP = DEFAULT_PROFILE_CAP
 
 
 Support = tuple[tuple[XNum, Fraction], ...]
@@ -57,13 +60,11 @@ Support = tuple[tuple[XNum, Fraction], ...]
 def _canonical(pairs) -> tuple[Support, Fraction]:
     """``pairs`` as a canonical support, and its total probability.
 
-    Values are coerced by ``XNum`` and probabilities by ``as_fraction``, pair
-    by pair; :func:`~delmenu.xnum.merge_distribution` then sorts and merges
-    them in one integer lift.
+    Values are coerced as XNum operands are and probabilities by
+    ``as_fraction``, pair by pair; :func:`~delmenu.xnum.merge_distribution`
+    then sorts and merges them in one integer lift.
     """
-    merged, total = merge_distribution(
-        [(v if isinstance(v, XNum) else XNum(v), as_fraction(p)) for v, p in pairs]
-    )
+    merged, total = merge_distribution([(_coerce(v), as_fraction(p)) for v, p in pairs])
     return tuple(merged), total
 
 
@@ -94,6 +95,7 @@ class Action:
     label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bias", _coerce(self.bias))
         support, total = _canonical(self.support)
         object.__setattr__(self, "support", support)
         if not support:
@@ -133,9 +135,14 @@ class Profile:
         # A Fraction's denominator is positive, so its numerator holds its sign.
         if self.prob.numerator <= 0:
             raise InvalidInstanceError(f"profile probability {self.prob} is not positive")
-        for v in self.values:
-            if v.std.numerator < 0:
-                raise InvalidInstanceError(f"profile value {v} has negative standard part")
+        # Values that are all XNums pass unchanged, with no work beyond this check.
+        try:
+            for v in self.values:
+                if v.std.numerator < 0:
+                    raise InvalidInstanceError(f"profile value {v} has negative standard part")
+        except AttributeError:  # a plain number: coerce every value and check again
+            object.__setattr__(self, "values", tuple(map(_coerce, self.values)))
+            self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,9 @@ class CorrelatedInstance:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "biases", tuple(self.biases))
+        object.__setattr__(self, "biases", tuple(map(_coerce, self.biases)))
+        if self.outside_bias is not None:
+            object.__setattr__(self, "outside_bias", _coerce(self.outside_bias))
         object.__setattr__(self, "profiles", tuple(self.profiles))
         labels = tuple(self.labels) or tuple(f"a{i}" for i in range(1, len(self.biases) + 1))
         object.__setattr__(self, "labels", labels)
@@ -353,8 +362,7 @@ def shift_biases(instance: Instance, c: XNum | Rational) -> Instance:
     shift never changes it, and the principal's expected utility of every menu
     is unchanged.
     """
-    if not isinstance(c, XNum):
-        c = XNum(c)
+    c = _coerce(c)
     if isinstance(instance, IndependentInstance):
         actions = tuple(dataclasses.replace(a, bias=a.bias + c) for a in instance.actions)
         outside = (

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluate import DEFAULT_ACTION_CAP
 from .model import (
+    DEFAULT_ACTION_CAP,
     Action,
     CapExceededError,
     CorrelatedInstance,
@@ -197,10 +197,15 @@ def has_partition(p: PartitionInstance) -> bool:
     return bool(reachable >> target & 1)
 
 
+def _m_bounds(p: PartitionInstance) -> dict[str, int]:
+    """The lower bounds on M of :func:`reduce_integer_partition`, by name."""
+    n, c = len(p.values), p.max_value
+    return {"2*C": 2 * p.total, "4*n*c_max": 4 * n * c, "128*n^3*c_max^3": 128 * n**3 * c**3}
+
+
 def minimal_valid_m(p: PartitionInstance) -> int:
     """Smallest M accepted by :func:`reduce_integer_partition`."""
-    n, c_max = len(p.values), p.max_value
-    return max(2 * p.total, 4 * n * c_max, 128 * n**3 * c_max**3)
+    return max(_m_bounds(p).values())
 
 
 def reduce_integer_partition(
@@ -228,16 +233,12 @@ def reduce_integer_partition(
     before any action is built, when the instance would hold more than
     ``model.VALUE_CAP`` values: three per integer and two for action n+1.
     """
-    n, C, c_max = len(p.values), p.total, p.max_value
+    n, C = len(p.values), p.total
     if 3 * n + 2 > VALUE_CAP:
         raise CapExceededError(
             f"instance of {3 * n + 2} values exceeds the cap of {VALUE_CAP} values"
         )
-    for name, lower in (
-        ("2*C", 2 * C),
-        ("4*n*c_max", 4 * n * c_max),
-        ("128*n^3*c_max^3", 128 * n**3 * c_max**3),
-    ):
+    for name, lower in _m_bounds(p).items():
         if M < lower:
             raise InvalidInstanceError(f"M={M} violates M >= {name} = {lower}")
 

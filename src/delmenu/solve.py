@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .evaluate import DEFAULT_ACTION_CAP, evaluate
+from .evaluate import evaluate
 from .model import (
+    DEFAULT_ACTION_CAP,
     CapExceededError,
     IndependentInstance,
     Instance,

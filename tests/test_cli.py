@@ -527,6 +527,17 @@ def test_sweep_unwritable_output_exits_2_before_generating(tmp_path, capsys, mon
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_rejects_job_counts_below_one(tmp_path, capsys, jobs):
+    spec = write_spec(tmp_path, {"generator": "log", "k": 3})
+    out_file = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", spec, "-o", str(out_file), "--jobs", jobs])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert exc.value.code == 2 and not out_file.exists()
+    assert errors == [f"delmenu sweep: error: argument --jobs: must be at least 1, got {jobs}"]
+
+
 def test_sweep_empty_header_only(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ensembles": []})
     out_file = str(tmp_path / "rows.csv")
@@ -680,7 +691,27 @@ def test_package_dir_lists_the_lazy_names_not_the_machinery(monkeypatch):
     names = dir(delmenu)
     assert names == sorted(names)
     assert set(delmenu.__all__) | {"families", "reductions"} <= set(names)
-    assert not {"importlib", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"} & set(names)
+    assert not {"importlib", "types", "_LAZY", "_LAZY_HOME", "__getattr__", "__dir__"} & set(names)
+
+
+def test_public_names_are_derived_from_the_imports():
+    code = (
+        "import sys, types, delmenu\n"
+        "names = delmenu.__all__\n"
+        "print(sorted({'delmenu.families', 'delmenu.reductions'} & sys.modules.keys()))\n"
+        "print(names == sorted(names), len(names))\n"
+        "print([n for n in names if n.startswith('_')])\n"
+        "print([n for n in names if isinstance(getattr(delmenu, n), types.ModuleType)])\n"
+        "star = {}\n"
+        "exec('from delmenu import *', star)\n"
+        "print(sorted(star.keys() - {'__builtins__'}) == names)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True 60", "[]", "[]", "True"]
 
 
 def test_sweep_workers_clamped():

@@ -216,6 +216,12 @@ def test_gen_random_validation():
         gen_random("independent", 3, 2, seed=0, value_range=(-1, 4))
 
 
+@pytest.mark.parametrize("denominator", [0, -1])
+def test_gen_random_rejects_a_denominator_below_one(denominator):
+    with pytest.raises(InvalidInstanceError, match=f"must be at least 1, got {denominator}"):
+        gen_random("independent", 3, 2, seed=0, denominator=denominator)
+
+
 def partition_reduction():
     p = PartitionInstance((3, 1, 1, 2, 2, 1))
     return reduce_integer_partition(p, minimal_valid_m(p))[0]

@@ -14,6 +14,7 @@ from delmenu import (
     OUTSIDE,
     Profile,
     agent_choice,
+    derandomize_interference,
     deterministic,
     evaluate,
     full_menu,
@@ -87,6 +88,57 @@ ONE_PROFILE = (Profile(Fraction(1), (xnum(1),)),)
 def test_instance_validation_raises(build, error):
     with pytest.raises(error):
         build()
+
+
+def _value(*actions):
+    instance = IndependentInstance(actions)
+    return evaluate(instance, full_menu(instance))
+
+
+def _correlated_value(biases, values, outside_bias):
+    instance = CorrelatedInstance(biases, (Profile(1, values),), outside_bias)
+    return evaluate(instance, full_menu(instance))
+
+
+_TWO = IndependentInstance((deterministic(xnum(0), xnum(3)), deterministic(xnum(1), xnum(2))))
+PLAIN_AND_XNUM = {
+    "action-int-bias": (
+        lambda: _value(Action(0, ((1, 1),))),
+        lambda: _value(Action(xnum(0), ((xnum(1), 1),))),
+    ),
+    "action-str-bias": (
+        lambda: _value(Action("1/2", ((1, 1),))),
+        lambda: _value(Action(xnum("1/2"), ((xnum(1), 1),))),
+    ),
+    "deterministic": (
+        lambda: _value(deterministic(0, 3)),
+        lambda: _value(deterministic(xnum(0), xnum(3))),
+    ),
+    "profile": (
+        lambda: Profile(Fraction(1), (1, 2)),
+        lambda: Profile(Fraction(1), (xnum(1), xnum(2))),
+    ),
+    "correlated": (
+        lambda: _correlated_value((0, 1), (1, 2, 0), 2),
+        lambda: _correlated_value((xnum(0), xnum(1)), (xnum(1), xnum(2), xnum(0)), xnum(2)),
+    ),
+    "derandomize": (
+        lambda: derandomize_interference(_TWO, frozenset({1}), 1),
+        lambda: derandomize_interference(_TWO, frozenset({1}), xnum(1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("plain, wrapped", PLAIN_AND_XNUM.values(), ids=PLAIN_AND_XNUM.keys())
+def test_plain_numbers_equal_their_xnum_twins(plain, wrapped):
+    # Biases, values and thresholds take what an XNum operand takes.
+    assert plain() == wrapped()
+
+
+def test_profile_coerces_plain_values_and_still_refuses_a_negative_one():
+    assert all(isinstance(v, XNum) for v in Profile(1, (1, "1/2", Fraction(3))).values)
+    with pytest.raises(InvalidInstanceError, match="value -2 has negative standard part"):
+        Profile(1, (1, -2))
 
 
 def test_make_support_lifts_plain_rationals():

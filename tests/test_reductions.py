@@ -233,6 +233,18 @@ def test_partition_reduction_m_too_small():
         reduce_integer_partition(PartitionInstance((1,)), 1)
 
 
+@pytest.mark.parametrize("values", [(1,), (1, 1, 2), (3, 1, 1, 2, 2, 1), (7, 2), (12, 6, 6, 5)])
+def test_minimal_valid_m_is_the_smallest_accepted_m(values):
+    # The cubic bound exceeds 4*n*c_max, which is at least 2*C, so it binds.
+    p = PartitionInstance(values)
+    m = minimal_valid_m(p)
+    assert m == 128 * len(values) ** 3 * max(values) ** 3
+    assert reduce_integer_partition(p, m)[0].n == len(values) + 1
+    binding = rf"M={m - 1} violates M >= 128\*n\^3\*c_max\^3 = {m}$"
+    with pytest.raises(InvalidInstanceError, match=binding):
+        reduce_integer_partition(p, m - 1)
+
+
 @pytest.mark.parametrize(
     "values", [(1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2), (1, 2), (1, 1, 1), (2, 3, 4, 1)]
 )
