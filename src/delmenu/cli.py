@@ -53,6 +53,7 @@ from .serialize import (
     xnum_to_obj,
 )
 from .solve import (
+    BOUND_FLAGS,
     BoundReport,
     SolveResult,
     bound_report,
@@ -157,9 +158,7 @@ def _solve_obj(result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
         "bounds": {
             "rho": str(bounds.rho) if bounds.rho is not None else None,
             "p_min": str(bounds.p_min),
-            "bound_3": bounds.bound_3,
-            "bound_n": bounds.bound_n,
-            "bound_log": bounds.bound_log,
+            **{flag: getattr(bounds, flag) for flag in BOUND_FLAGS},
             "vacuous": bounds.vacuous,
         },
     }
@@ -276,9 +275,7 @@ SWEEP_COLUMNS = [
     "rho",
     "rho_decimal",
     "p_min",
-    "bound_3",
-    "bound_n",
-    "bound_log",
+    *BOUND_FLAGS,
     "runtime_ms",
     "status",
 ]
@@ -399,9 +396,8 @@ def _solve_row(
         row["rho"] = str(bounds.rho)
         row["rho_decimal"] = decimal_str(bounds.rho)
     row["p_min"] = str(bounds.p_min)
-    row["bound_3"] = str(bounds.bound_3).lower()
-    row["bound_n"] = str(bounds.bound_n).lower()
-    row["bound_log"] = str(bounds.bound_log).lower()
+    for flag in BOUND_FLAGS:
+        row[flag] = str(getattr(bounds, flag)).lower()
     row["runtime_ms"] = str(int((time.perf_counter() - start) * 1000))
     row["status"] = "ok"
     return row, result, bounds
@@ -409,11 +405,7 @@ def _solve_row(
 
 def _bound_status(rows: list[dict[str, str]]) -> int:
     """Exit status of solved rows: 4, with their ids on stderr, if any bound flag is false."""
-    violations = [
-        row["instance_id"]
-        for row in rows
-        if "false" in (row["bound_3"], row["bound_n"], row["bound_log"])
-    ]
+    violations = [row["instance_id"] for row in rows if "false" in (row[f] for f in BOUND_FLAGS)]
     if violations:
         print(f"BOUND VIOLATIONS: {', '.join(violations)}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -528,6 +520,7 @@ def run_verify(
             violations.append(violation)
 
     report_of = functools.cache(functools.partial(evaluate, instance))  # once per distinct menu
+    threshold_at = functools.cache(functools.partial(threshold_menu, instance))  # once per bias
     for menu in dict.fromkeys(sample_menus(instance, menus, seed)):  # each distinct menu once
         report = report_of(menu)
         on = f"on menu {sorted(menu)}"
@@ -544,10 +537,10 @@ def run_verify(
             expected_bias = xsum(instance.bias_of(i) * p for i, p in brute.freq.items())
             holds = dec.bdif == dec.u_low - expected_bias
             check(oracle, holds, f"bias-difference mismatch {on}")
-        holds = report_of(threshold_menu(instance, dec.u_low)).f >= dec.sur
+        holds = report_of(threshold_at(dec.u_low)).f >= dec.sur
         check(dominance, holds, f"threshold-dominance failed {on}")
         for i in candidates(instance, menu):
-            t_menu = threshold_menu(instance, instance.bias_of(i))
+            t_menu = threshold_at(instance.bias_of(i))
             if t_menu or instance.has_outside:
                 holds = report_of(t_menu).f >= report.contrib[i]
                 check(single_action, holds, f"single-action bound failed {on}, action {i}")
@@ -559,11 +552,9 @@ def run_verify(
     except CapExceededError as exc:
         skipped[certificates] = str(exc)
         return violations, skipped
-    for t, _menu in threshold_menus(instance):
-        if t is None:
-            continue
-        action, certified = derandomize_interference(instance, opt_menu, t)
-        if action is not None:
+    for t, a_t in threshold_menus(instance):
+        if not a_t <= opt_menu:  # only a menu reaching outside the optimum has interference
+            _, certified = derandomize_interference(instance, opt_menu, t)
             check(certificates, certified, f"derandomization certificate failed at t={t}")
     return violations, skipped
 
@@ -606,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="optimal menu, best threshold, bound report")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
+    p_solve.add_argument("--cap-n", type=positive_int, default=DEFAULT_ACTION_CAP)
     p_solve.add_argument("--format", choices=["json", "csv"], default="json")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -621,15 +612,17 @@ def build_parser() -> argparse.ArgumentParser:
     g_out.add_argument("--eps", type=parse_rational, default=None)
     g_out.add_argument("--alt", action="store_true", help="nonzero low realizations")
     g_rand = gen_sub.add_parser("random", help="seeded random instance")
-    g_rand.add_argument("--kind", choices=["independent", "correlated"], default="independent")
-    g_rand.add_argument("--n", type=int, default=3)
-    g_rand.add_argument("--support-size", type=int, default=2)
+    g_rand.add_argument("--kind", choices=["independent", "correlated"])
+    g_rand.add_argument("--n", type=int)
+    g_rand.add_argument("--support-size", type=int)
     g_rand.add_argument("--seed", type=int, required=True)
-    g_rand.add_argument("--outside", choices=["none", "fixed", "random"], default="none")
-    g_rand.add_argument("--value-min", type=int, default=0)
-    g_rand.add_argument("--value-max", type=int, default=8)
-    g_rand.add_argument("--bias-min", type=int, default=-4)
-    g_rand.add_argument("--bias-max", type=int, default=4)
+    g_rand.add_argument("--outside", choices=["none", "fixed", "random"])
+    defaults = dict(RANDOM_FIELDS)  # a sweep random block's, each range as --*-min, --*-max
+    for name in ("value", "bias"):
+        g_rand.add_argument(f"--{name}-min", type=int)
+        g_rand.add_argument(f"--{name}-max", type=int)
+        defaults[f"{name}_min"], defaults[f"{name}_max"] = defaults.pop(f"{name}_range")
+    g_rand.set_defaults(**defaults)
     for g in (g_log, g_three, g_out, g_rand):
         g.add_argument("-o", "--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -639,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_vc = red_sub.add_parser("vertex-cover", help="from an edge-list file")
     r_vc.add_argument("input")
     r_vc.add_argument("--vertices", type=int, default=None)
-    r_vc.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
+    r_vc.add_argument("--cap-n", type=positive_int, default=DEFAULT_ACTION_CAP)
     r_part = red_sub.add_parser("partition", help="from a whitespace-separated integer file")
     r_part.add_argument("input")
     r_part.add_argument("--M", dest="big_m", type=int, default=None)
@@ -651,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", help="JSON ensemble spec")
     p_sweep.add_argument("-o", "--out", required=True)
     p_sweep.add_argument("--jobs", type=positive_int, default=1)
-    p_sweep.add_argument("--cap-n", type=int, default=DEFAULT_ACTION_CAP)
+    p_sweep.add_argument("--cap-n", type=positive_int, default=DEFAULT_ACTION_CAP)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the guarantee-check suite on an instance")
@@ -660,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--cap-profiles",
-        type=int,
+        type=positive_int,
         default=DEFAULT_PROFILE_CAP,
         help="most joint profiles the product oracle enumerates on one sampled menu"
         " (default %(default)s); the derandomization certificates need no cap",

@@ -59,15 +59,17 @@ def gen_log_family(k: int) -> CorrelatedInstance:
         biases.append(odd_bias - IOTA)
         biases.append(odd_bias)
 
+    # Profiles c = 2^i .. 2^(i+1)-1 share level i's row: the odd value at 2i,
+    # and the even value at 2j-1 for each j > i, since c <= 2^j - 1 exactly
+    # then.  So each row is one Profile, listed 2^i times.
     prob = Fraction(1, m)
     profiles = []
-    for c in range(1, m + 1):
+    for i in range(k):
         values = [zero] * n
-        i_c = c.bit_length() - 1  # c lies in [2^i_c, 2^(i_c+1) - 1]
-        values[2 * i_c] = odd_values[i_c]
-        for j in range(i_c + 1, k):  # c <= 2^j - 1 exactly when j > i_c
+        values[2 * i] = odd_values[i]
+        for j in range(i + 1, k):
             values[2 * j - 1] = even_values[j]
-        profiles.append(Profile(prob, tuple(values)))
+        profiles += [Profile(prob, tuple(values))] * 2**i
 
     return CorrelatedInstance(tuple(biases), tuple(profiles))
 

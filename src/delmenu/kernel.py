@@ -15,7 +15,8 @@ make one object per distinct number, so the compile lifts per object: a
 table keyed by ``id``, which lives for one call (:func:`_lift`).  Before
 the lift, the correlated compile groups profiles whose value tuples hold
 the same objects and sums their probabilities, so it lifts and groups one
-row per distinct row: the log family's 2^k - 1 profiles are k rows.
+row per distinct row: the log family's 2^k - 1 profiles are k rows, and
+``gen_log_family`` builds each row as one ``Profile``, listed once per profile.
 Equal numbers in distinct objects still lift to equal integers, so no
 kernel depends on the sharing.  Pairs are ranked on those integers, never
 by hashing exact rationals: :func:`_rank_pairs` makes one key per pair and

@@ -54,6 +54,9 @@ class BoundReport:
     vacuous: bool = False
 
 
+BOUND_FLAGS = ("bound_3", "bound_n", "bound_log")  # BoundReport's flags, in report order
+
+
 def brute_force_opt(instance: Instance, cap_n: int = DEFAULT_ACTION_CAP) -> tuple[Menu, XNum]:
     """The optimal menu and its value; ties favor smaller, then lexicographic.
 

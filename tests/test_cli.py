@@ -18,11 +18,13 @@ from delmenu import (
     CapExceededError,
     IndependentInstance,
     InvalidInstanceError,
+    brute_force_opt,
     deterministic,
     dump_instance,
     gen_log_family,
     gen_random,
     load_instance,
+    threshold_menus,
     xnum,
 )
 from delmenu.cli import main, parse_xnum_literal, sweep_workers
@@ -538,6 +540,32 @@ def test_sweep_rejects_job_counts_below_one(tmp_path, capsys, jobs):
     assert errors == [f"delmenu sweep: error: argument --jobs: must be at least 1, got {jobs}"]
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--cap-n"),
+        ("sweep", "--cap-n"),
+        ("reduce vertex-cover", "--cap-n"),
+        ("verify", "--cap-profiles"),
+    ],
+)
+def test_caps_below_one_exit_2(tmp_path, capsys, log3_file, triangle_edges, command, flag, value):
+    out_file = tmp_path / "out"
+    argv = {
+        "solve": [log3_file],
+        "sweep": [write_spec(tmp_path, {"generator": "log", "k": 3}), "-o", str(out_file)],
+        "reduce vertex-cover": [triangle_edges, "-o", str(out_file)],
+        "verify": [log3_file],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), *argv, flag, value])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert exc.value.code == 2 and captured.out == "" and not out_file.exists()
+    assert errors == [f"delmenu {command}: error: argument {flag}: must be at least 1, got {value}"]
+
+
 def test_sweep_empty_header_only(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ensembles": []})
     out_file = str(tmp_path / "rows.csv")
@@ -952,6 +980,58 @@ def test_verify_checks_each_distinct_sampled_menu_once(tmp_path, capsys, monkeyp
         "ok: threshold dominance",
         "ok: single-action bound",
         "skipped: derandomization certificates (every threshold menu lies inside the optimal menu)",
+    ]
+
+
+def test_verify_builds_one_threshold_menu_per_distinct_bias(tmp_path, capsys, monkeypatch):
+    # 60 actions over 26 distinct biases: every sampled menu's dominance and
+    # single-action checks read the threshold menus built so far.
+    real = cli_mod.threshold_menu
+    calls = []
+
+    def counting(instance, t):
+        calls.append(t)
+        return real(instance, t)
+
+    monkeypatch.setattr(cli_mod, "threshold_menu", counting)
+    lines = verify_lines(
+        tmp_path, capsys, "random", "--n", "60", "--support-size", "3", "--seed", "1",
+        "--outside", "fixed",
+    )
+    instance = load_instance(str(tmp_path / "v.json"))
+    biases = {a.bias for a in instance.actions}
+    assert len(calls) == len(set(calls)) < 60
+    assert biases <= set(calls) <= biases | {instance.outside.bias}
+    assert "ok: single-action bound" in lines
+
+
+@pytest.mark.parametrize(
+    "generate_args", [("three-approx", "--eps", "1/1000"), ("outside", "--n", "4")]
+)
+def test_verify_certifies_only_thresholds_that_interfere(
+    tmp_path, capsys, monkeypatch, generate_args
+):
+    # A threshold menu inside the optimal menu has no interference to certify.
+    real = cli_mod.derandomize_interference
+    calls = []
+
+    def counting(instance, opt_menu, t):
+        calls.append(t)
+        return real(instance, opt_menu, t)
+
+    monkeypatch.setattr(cli_mod, "derandomize_interference", counting)
+    lines = verify_lines(tmp_path, capsys, *generate_args)
+    instance = load_instance(str(tmp_path / "v.json"))
+    opt_menu, _ = brute_force_opt(instance)
+    steps = threshold_menus(instance)
+    assert calls == [t for t, menu in steps if not menu <= opt_menu]
+    assert 0 < len(calls) < len(steps)  # the first threshold menu, {1} or empty, is skipped
+    assert lines == [
+        "ok: decomposition identity",
+        "ok: dp/oracle equivalence",
+        "ok: threshold dominance",
+        "ok: single-action bound",
+        "ok: derandomization certificates",
     ]
 
 

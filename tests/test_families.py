@@ -10,6 +10,7 @@ from delmenu import (
     Action,
     CapExceededError,
     InvalidInstanceError,
+    Profile,
     agent_choice,
     brute_force_opt,
     eval_independent_dp,
@@ -304,6 +305,26 @@ def test_log_family_holds_at_most_2k_plus_1_value_objects(k):
     values, _ = numbers(inst)
     assert distinct_objects(values) == len(set(values)) <= 2 * k + 1 < len(values)
     assert any(inst.biases[0] is v for v in values)  # the zero bias is the zero value
+    assert distinct_objects(inst.profiles) == k  # one Profile per distinct row
+
+
+def docstring_log_profiles(k):
+    """``gen_log_family(k)``'s profiles as its docstring states them, one per c."""
+    m, profiles = 2**k - 1, []
+    for c in range(1, 2**k):
+        values = [xnum(0)] * (2 * k - 1)
+        for i in range(k):
+            if 2**i <= c <= 2 ** (i + 1) - 1:  # odd action 2i+1
+                values[2 * i] = xnum(2 ** (k - i))
+            if i >= 1 and c <= 2**i - 1:  # even action 2i
+                values[2 * i - 1] = xnum(2 ** (k - i), i + 1)
+        profiles.append(Profile(Fraction(1, m), tuple(values)))
+    return tuple(profiles)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_log_family_profiles_follow_the_docstring(k):
+    assert gen_log_family(k).profiles == docstring_log_profiles(k)
 
 
 def test_reductions_share_their_constants():
