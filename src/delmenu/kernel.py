@@ -12,16 +12,17 @@ That lift reads each part once, as its integer ratio, and takes one
 ``lcm``; probabilities are lifted the same way
 (:func:`~delmenu.xnum.fraction_numerators`).  The generators and the loader
 make one object per distinct number, so the compile lifts per object: a
-table keyed by ``id``, which lives for one call (:func:`_lift`).  Before
-the lift, the correlated compile groups profiles whose value tuples hold
-the same objects and sums their probabilities, so it lifts and groups one
-row per distinct row: the log family's 2^k - 1 profiles are k rows, and
-``gen_log_family`` builds each row as one ``Profile``, listed once per profile.
-Equal numbers in distinct objects still lift to equal integers, so no
-kernel depends on the sharing.  Pairs are ranked on those integers, never
-by hashing exact rationals: :func:`_rank_pairs` makes one key per pair and
-one sort of the pairs' positions, and the same numerators fill the
-kernel's value rows.
+table keyed by ``id``, which lives for one call (:func:`_lift`).  The
+generators and the loader also make one ``Profile`` per distinct row, and
+the correlated compile reads the instance's grouping of them
+(:attr:`~delmenu.model.CorrelatedInstance.rows`): each distinct ``Profile``
+once, its probability weighed by how often it is listed.  So it lifts and
+groups one row per distinct row: the log family's 2^k - 1 profiles are k
+rows.  Equal numbers in distinct objects still lift to equal integers, and
+equal lifted rows are grouped again, so no kernel depends on the sharing.
+Pairs are ranked on those integers, never by hashing exact rationals:
+:func:`_rank_pairs` makes one key per pair and one sort of the pairs'
+positions, and the same numerators fill the kernel's value rows.
 
 Both kernels hold values in one format: a value's numerators ``std`` and
 ``inf`` packed ``std * scale + inf`` in one integer, on a ``scale`` fixed at
@@ -240,7 +241,9 @@ class CorrelatedKernel(_CorrelatedTables, _Counted):
     numerators ``std`` and ``inf`` over ``den`` are stored packed as ``std *
     scale + inf``.  The rankings are in walk order (see :meth:`search`).
     ``least_prob`` is the least likely profile's probability over
-    ``prob_den``, before any merge.  ``bias[i]`` is index i's bias as ``(std,
+    ``prob_den``, as one profile is listed: not weighed by how often its
+    row is listed, nor summed with rows that share a value row or a
+    ranking.  ``bias[i]`` is index i's bias as ``(std,
     inf)`` numerators over the value denominator, ``den // prob_den`` (None
     for a missing outside option), and ``top`` the largest action value's
     std numerator over it, the outside option's excluded: the rankings are
@@ -398,27 +401,18 @@ def _lift(objects: Sequence[XNum]) -> tuple[dict[int, tuple[int, int]], int]:
 def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     # A profile lists its values in candidate order: the actions, then the outside option.
     indices = candidates(instance, full_menu(instance))
-    prob, prob_den = fraction_numerators(profile.prob for profile in instance.profiles)
-    # Profiles whose values are the same objects are one row, keyed by their
-    # ids, with their probabilities summed, before anything is lifted.
-    shared: dict[tuple[int, ...], int] = {}
-    values = []  # the values of each such row, once
-    for profile, p in zip(instance.profiles, prob):
-        key = tuple(map(id, profile.values))
-        if key in shared:
-            shared[key] += p
-        else:
-            shared[key] = p
-            values += profile.values
+    # Each distinct Profile object once (the instance's rows), weighed by its
+    # multiplicity, before anything is lifted.
+    prob, prob_den = fraction_numerators(profile.prob for profile, _ in instance.rows)
     biases = [instance.bias_of(i) for i in indices]
-    lifted, den = _lift(values + biases)
+    lifted, den = _lift([*chain.from_iterable(p.values for p, _ in instance.rows), *biases])
     bias = dict(zip(indices, map(lifted.__getitem__, map(id, biases))))
-    # Equal value rows rank alike: each distinct row is ranked once, with
-    # its profiles' probabilities summed.
+    # Equal value rows rank alike, whether or not they share objects: each
+    # distinct row is ranked once, with its profiles' probabilities summed.
     grouped: dict[tuple[tuple[int, int], ...], int] = {}
-    for key, p in shared.items():
-        row = tuple(map(lifted.__getitem__, key))
-        grouped[row] = grouped.get(row, 0) + p
+    for (profile, count), p in zip(instance.rows, prob):
+        row = tuple(map(lifted.__getitem__, map(id, profile.values)))
+        grouped[row] = grouped.get(row, 0) + p * count
     rows = [(list(zip(indices, row)), p) for row, p in grouped.items()]
     distinct = list({pair for row, _ in rows for pair in row})
     rank = dict(zip(distinct, _rank_pairs(distinct, bias)))

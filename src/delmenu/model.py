@@ -199,6 +199,14 @@ class CorrelatedInstance:
     ``biases[i-1]`` is action i's bias; each profile carries one value per
     action in the same order, plus the outside option's value last when
     ``outside_bias`` is set.  Profile probabilities sum to exactly 1.
+
+    A row listed more than once is one ``Profile`` object, as the generators
+    and the loader build it.  ``rows`` holds each distinct object once, with
+    the number of times it is listed, in order of first occurrence.
+    Construction checks each row's width once and adds its probability
+    times that multiplicity, and the kernel compile reads ``rows`` too.  It
+    is derived data, not a field, so equality, repr, hash, pickles and files
+    see ``profiles`` alone.
     """
 
     biases: tuple[XNum, ...]
@@ -218,16 +226,28 @@ class CorrelatedInstance:
         if not self.profiles:
             raise InvalidInstanceError("instance has no profiles")
         width = len(self.biases) + (1 if self.outside_bias is not None else 0)
-        for p in self.profiles:
+        for p, _ in self.rows:
             if len(p.values) != width:
                 raise InvalidInstanceError(
                     f"profile has {len(p.values)} values, expected {width}"
                 )
-        total = sum(p.prob for p in self.profiles)
+        total = sum(p.prob * m for p, m in self.rows)
         if total != 1:
             raise InvalidInstanceError(f"profile probabilities sum to {total}, not 1")
         if len(self.labels) != len(self.biases):
             raise InvalidInstanceError("labels length does not match action count")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Profile, int], ...]:
+        """Each distinct ``Profile`` object and its multiplicity, in order of first occurrence."""
+        rows: dict[int, list] = {}
+        for p in self.profiles:
+            rows.setdefault(id(p), [p, 0])[1] += 1
+        return tuple(map(tuple, rows.values()))
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the fields (and a built kernel); rows is rebuilt on use.
+        return {name: v for name, v in self.__dict__.items() if name != "rows"}
 
     @property
     def n(self) -> int:

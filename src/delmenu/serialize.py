@@ -118,17 +118,21 @@ def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> A
 def instance_to_obj(instance: Instance) -> dict[str, Any]:
     """The JSON object of ``instance``.
 
-    Each distinct value object is rendered once per call, by its ``id``, and
-    its occurrences share the one rendered dict, so a caller that edits the
-    object edits every occurrence; nothing is kept after the call.
+    Each distinct value object and each distinct ``Profile`` is rendered
+    once per call, by its ``id``, and its occurrences share the one rendered
+    dict, so a caller that edits the object edits every occurrence; nothing
+    is kept after the call.
     """
-    rendered: dict[int, dict[str, str]] = {}
+    rendered: dict[int, dict[str, Any]] = {}
 
-    def render(x: XNum) -> dict[str, str]:
+    def render(x: Any, to_obj: Callable[[Any], dict[str, Any]] = xnum_to_obj) -> dict[str, Any]:
         obj = rendered.get(id(x))
         if obj is None:
-            obj = rendered[id(x)] = xnum_to_obj(x)
+            obj = rendered[id(x)] = to_obj(x)
         return obj
+
+    def profile_to_obj(p: Profile) -> dict[str, Any]:
+        return {"prob": str(p.prob), "values": list(map(render, p.values))}
 
     if isinstance(instance, IndependentInstance):
         return {
@@ -149,10 +153,7 @@ def instance_to_obj(instance: Instance) -> dict[str, Any]:
             if instance.outside_bias is not None
             else None
         ),
-        "profiles": [
-            {"prob": str(p.prob), "values": list(map(render, p.values))}
-            for p in instance.profiles
-        ],
+        "profiles": [render(p, profile_to_obj) for p in instance.profiles],
     }
 
 
@@ -160,8 +161,11 @@ def instance_from_obj(obj: Any) -> Instance:
     """The instance ``obj`` describes; ``ParseError`` names the first bad field.
 
     Each distinct ``(std, inf)`` pair of literals is parsed once per call,
-    into one XNum that all its occurrences share; nothing is kept after the
-    call.
+    into one XNum that all its occurrences share, and each distinct row, its
+    ``prob`` literal and those XNums, is one ``Profile``, built and checked
+    where it first occurs; nothing is kept after the call.  Every literal is
+    still read in file order, so an error names the field where it first
+    occurs.
     """
     xnums: dict[tuple[str, str], XNum] = {}
     if not isinstance(obj, dict):
@@ -197,6 +201,8 @@ def instance_from_obj(obj: Any) -> Instance:
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ParseError("profiles: expected a nonempty list")
         profiles = []
+        # One Profile per distinct row, keyed by its prob literal and its values' ids.
+        rows: dict[tuple, Profile] = {}
         for i, pr in enumerate(raw_profiles):
             if not isinstance(pr, dict):
                 raise ParseError(f"profiles[{i}]: expected an object")
@@ -208,8 +214,9 @@ def instance_from_obj(obj: Any) -> Instance:
                 )
             except KeyError as exc:
                 raise ParseError(f"profiles[{i}]: missing field {exc}") from exc
+            key = (pr["prob"], *map(id, values))
             try:
-                profiles.append(Profile(prob, values))
+                profiles.append(rows.get(key) or rows.setdefault(key, Profile(prob, values)))
             except DelegationError as exc:
                 raise ParseError(f"profiles[{i}]: {exc}") from exc
         try:

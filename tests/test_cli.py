@@ -18,6 +18,7 @@ from delmenu import (
     CapExceededError,
     IndependentInstance,
     InvalidInstanceError,
+    Profile,
     brute_force_opt,
     deterministic,
     dump_instance,
@@ -90,6 +91,19 @@ def log3_file(tmp_path, capsys):
 
 def test_generate_log_round_trips(log3_file):
     assert load_instance(log3_file) == gen_log_family(3)
+
+
+def test_a_loaded_log_file_builds_one_profile_per_level(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "log8.json")
+    assert main(["generate", "log", "--k", "8", "-o", path]) == 0
+    built = []
+    post_init = Profile.__post_init__
+    monkeypatch.setattr(Profile, "__post_init__", lambda self: built.append(self) or post_init(self))
+    instance = load_instance(path)
+    assert len(built) == 8  # one per distinct row, not one per profile (255)
+    assert len(instance.profiles) == 255 and len({id(p) for p in instance.profiles}) == 8
+    assert [m for _, m in instance.rows] == [2**i for i in range(8)]
+    assert instance == gen_log_family(8) and instance.kernel == gen_log_family(8).kernel
 
 
 def test_eval_menu_indices(log3_file, capsys):

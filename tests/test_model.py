@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -139,6 +142,51 @@ def test_profile_coerces_plain_values_and_still_refuses_a_negative_one():
     assert all(isinstance(v, XNum) for v in Profile(1, (1, "1/2", Fraction(3))).values)
     with pytest.raises(InvalidInstanceError, match="value -2 has negative standard part"):
         Profile(1, (1, -2))
+    # An XNum first: the sign loop meets the plain number only after it, and
+    # the retry coerces and checks the whole row again.
+    assert Profile(1, (xnum(1), "1/2")).values == (xnum(1), xnum("1/2"))
+    with pytest.raises(InvalidInstanceError, match="value -2 has negative standard part"):
+        Profile(1, (xnum(1), -2))
+
+
+def test_a_repeated_profile_is_one_row_weighed_by_its_multiplicity():
+    third = Profile(Fraction(1, 3), (xnum(1), xnum(2)))
+    other = Profile(Fraction(1, 3), (xnum(1), xnum(2)))  # equal, but another object
+    instance = CorrelatedInstance((xnum(0), xnum(1)), (third, other, third))
+    assert instance.rows == ((third, 2), (other, 1))
+    assert instance.rows[0][0] is third and instance.rows[1][0] is other
+    assert CorrelatedInstance((xnum(0), xnum(1)), (third,) * 3).rows == ((third, 3),)
+    with pytest.raises(InvalidInstanceError, match="^profile probabilities sum to 2/3, not 1$"):
+        CorrelatedInstance((xnum(0), xnum(1)), (third,) * 2)
+    with pytest.raises(InvalidInstanceError, match="^profile probabilities sum to 4/3, not 1$"):
+        CorrelatedInstance((xnum(0), xnum(1)), (third,) * 4)
+
+
+def test_a_repeated_row_of_the_wrong_width_raises_the_width_message():
+    half = Profile(Fraction(1, 2), (xnum(1), xnum(2)))
+    with pytest.raises(InvalidInstanceError, match="^profile has 2 values, expected 1$"):
+        CorrelatedInstance((xnum(0),), (half, half))
+    with pytest.raises(InvalidInstanceError, match="^profile has 2 values, expected 3$"):
+        CorrelatedInstance((xnum(0), xnum(1)), (half, half), outside_bias=xnum(0))
+    # Every distinct row is checked, not only the first.
+    whole = Profile(Fraction(1, 3), (xnum(1),))
+    with pytest.raises(InvalidInstanceError, match="^profile has 2 values, expected 1$"):
+        CorrelatedInstance((xnum(0),), (whole, half, whole))
+
+
+def test_rows_are_derived_not_a_field():
+    instance = gen_log_family(4)
+    assert "rows" not in {f.name for f in dataclasses.fields(instance)}
+    assert "rows" in vars(instance)  # the checks read it at construction
+    twin = CorrelatedInstance(instance.biases, tuple(instance.profiles), instance.outside_bias)
+    assert twin == instance and hash(twin) == hash(instance) and repr(twin) == repr(instance)
+    blob = pickle.dumps(instance)
+    assert b"rows" not in blob and pickle.dumps(twin) == blob
+    for again in (pickle.loads(blob), copy.deepcopy(instance), copy.copy(instance)):
+        assert again == instance and "rows" not in vars(again)
+        # Rebuilt on use, over the copy's own objects.
+        assert [m for _, m in again.rows] == [1, 2, 4, 8]
+        assert all(any(p is q for q in again.profiles) for p, _ in again.rows)
 
 
 def test_make_support_lifts_plain_rationals():

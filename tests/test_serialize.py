@@ -23,6 +23,7 @@ from delmenu import (
     load_instance,
     loads_instance,
 )
+from delmenu.serialize import instance_from_obj, instance_to_obj
 from conftest import small_instances
 
 FAMILIES = [
@@ -203,3 +204,43 @@ def test_equal_literals_share_one_xnum_and_no_load_keeps_them():
     del instance, values
     gc.collect()
     assert zero() is None
+
+
+def test_each_distinct_profile_is_rendered_once():
+    instance = gen_log_family(5)
+    entries = instance_to_obj(instance)["profiles"]
+    # Level i is profiles 2^i .. 2^(i+1) - 1, counted from 1: one row, so one dict.
+    for i in range(5):
+        level = entries[2**i - 1 : 2 ** (i + 1) - 1]
+        assert len(level) == 2**i and all(entry is level[0] for entry in level)
+    assert len({id(entry) for entry in entries}) == 5
+    assert json.dumps(instance_to_obj(instance), indent=2) + "\n" == dumps_instance(instance)
+
+
+def test_equal_rows_load_as_one_profile():
+    obj = json.loads(dumps_instance(gen_log_family(3)))
+    # Profiles 0 and 2 get level 1's row, as a copy of the literals: one row.
+    obj["profiles"][0] = json.loads(json.dumps(obj["profiles"][2]))
+    instance = instance_from_obj(obj)
+    assert instance.profiles[0] is instance.profiles[1] is instance.profiles[2]
+    assert [m for _, m in instance.rows] == [3, 4]
+    # The same values under another probability literal are another row.
+    obj["profiles"][0]["prob"] = "2/7"
+    obj["profiles"][6]["prob"] = "0"
+    with pytest.raises(ParseError, match=r"^profiles\[6\]: profile probability 0 is not positive$"):
+        instance_from_obj(obj)
+
+
+def test_a_repeated_negative_row_is_named_at_its_first_occurrence():
+    obj = json.loads(dumps_instance(gen_log_family(3)))
+    # Level 2's row is profiles[3..6]; the same negative literal in each is one row.
+    for entry in obj["profiles"][3:]:
+        entry["values"][4] = {"std": "-1", "inf": "0"}
+    message = r"^profiles\[3\]: profile value -1 has negative standard part$"
+    with pytest.raises(ParseError, match=message):
+        instance_from_obj(obj)
+    # A negative value only in a later occurrence makes that occurrence its own row.
+    obj = json.loads(dumps_instance(gen_log_family(3)))
+    obj["profiles"][5]["values"][4] = {"std": "-1", "inf": "0"}
+    with pytest.raises(ParseError, match=r"^profiles\[5\]: profile value -1"):
+        instance_from_obj(obj)
