@@ -144,7 +144,8 @@ def _report_obj(instance: Instance, menu: Menu, report: EvalReport) -> dict[str,
     }
 
 
-def _solve_obj(result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
+def _solve_obj(row: dict[str, str], result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
+    """The JSON of ``solve``; its ratio, rho and p_min strings are those of ``row``."""
     return {
         "opt_menu": sorted(result.opt_menu),
         "opt_value": xnum_to_obj(result.opt_value),
@@ -153,11 +154,11 @@ def _solve_obj(result: SolveResult, bounds: BoundReport) -> dict[str, Any]:
         ),
         "best_threshold_menu": sorted(result.best_threshold_menu),
         "best_threshold_value": xnum_to_obj(result.best_threshold_value),
-        "ratio": str(result.ratio) if result.ratio is not None else None,
-        "ratio_decimal": decimal_str(result.ratio) if result.ratio is not None else None,
+        "ratio": row["ratio"] or None,
+        "ratio_decimal": row["ratio_decimal"] or None,
         "bounds": {
-            "rho": str(bounds.rho) if bounds.rho is not None else None,
-            "p_min": str(bounds.p_min),
+            "rho": row["rho"] or None,
+            "p_min": row["p_min"],
             **{flag: getattr(bounds, flag) for flag in BOUND_FLAGS},
             "vacuous": bounds.vacuous,
         },
@@ -192,7 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows([SWEEP_COLUMNS, [row[c] for c in SWEEP_COLUMNS]])
     else:
-        print(json.dumps(_solve_obj(result, bounds), indent=2))
+        print(json.dumps(_solve_obj(row, result, bounds), indent=2))
     return _bound_status([row])
 
 
@@ -445,7 +446,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ParseError(f"ensemble spec: {exc}") from exc
     jobs = _ensemble_jobs(spec)
     payloads = [(job, args.cap_n) for job in jobs]
-    workers, chunksize = sweep_workers(args.jobs, len(payloads), os.cpu_count())
+    # The CPUs this process may run on, which an affinity mask (as taskset
+    # sets) can make fewer than the machine's.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers, chunksize = sweep_workers(args.jobs, len(payloads), cpus)
     # Opened before any row is solved, so an unwritable path costs no solve.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if workers > 1:

@@ -17,9 +17,11 @@ generators and the loader also make one ``Profile`` per distinct row, and
 the correlated compile reads the instance's grouping of them
 (:attr:`~delmenu.model.CorrelatedInstance.rows`): each distinct ``Profile``
 once, its probability weighed by how often it is listed.  So it lifts and
-groups one row per distinct row: the log family's 2^k - 1 profiles are k
-rows.  Equal numbers in distinct objects still lift to equal integers, and
-equal lifted rows are grouped again, so no kernel depends on the sharing.
+ranks one row per distinct row: the log family's 2^k - 1 profiles are k
+rows.  That is the compile's one grouping of rows.  Equal numbers in
+distinct objects still lift to equal integers, so equal value rows in
+distinct objects rank and cut alike, and the merge of equal cut rankings
+adds them exactly: no kernel depends on the sharing.
 Pairs are ranked on those integers, never by hashing exact rationals:
 :func:`_rank_pairs` makes one key per pair and one sort of the pairs'
 positions, and the same numerators fill the kernel's value rows.
@@ -40,8 +42,9 @@ those pairs exactly.
   feasible, as the floor.  Profiles whose cut rankings list the same
   candidates in the same order pick alike from every menu, so they share
   one ranking, whose entries and probability are their sums: the log
-  family's 2^k - 1 profiles make k rankings.  Equal value rows are ranked
-  once.  The rankings are stored in the order the search walks them.
+  family's 2^k - 1 profiles make k rankings.  Equal value rows have equal
+  cut rankings, so they merge too.  The rankings are stored in the order
+  the search walks them.
 * An independent instance becomes, per action, its support as integer ranks
   and probabilities, which the winner-state DP folds, and one packed value
   per rank.  Supports need no sort and no deduplication:
@@ -407,24 +410,23 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
     biases = [instance.bias_of(i) for i in indices]
     lifted, den = _lift([*chain.from_iterable(p.values for p, _ in instance.rows), *biases])
     bias = dict(zip(indices, map(lifted.__getitem__, map(id, biases))))
-    # Equal value rows rank alike, whether or not they share objects: each
-    # distinct row is ranked once, with its profiles' probabilities summed.
-    grouped: dict[tuple[tuple[int, int], ...], int] = {}
-    for (profile, count), p in zip(instance.rows, prob):
-        row = tuple(map(lifted.__getitem__, map(id, profile.values)))
-        grouped[row] = grouped.get(row, 0) + p * count
-    rows = [(list(zip(indices, row)), p) for row, p in grouped.items()]
-    distinct = list({pair for row, _ in rows for pair in row})
+    rows = [
+        (tuple(map(lifted.__getitem__, map(id, profile.values))), p * count)
+        for (profile, count), p in zip(instance.rows, prob)
+    ]
+    distinct = list({pair for row, _ in rows for pair in zip(indices, row)})
     rank = dict(zip(distinct, _rank_pairs(distinct, bias)))
-    scale = 2 * sum(max(abs(inf) for _, (_, inf) in row) * p for row, p in rows) + 1
+    scale = 2 * sum(max(abs(inf) for _, inf in row) * p for row, p in rows) + 1
 
     # Rows whose cut rankings list the same candidates in the same order
-    # merge: their packed entries add, and their probabilities add.
+    # merge: their packed entries add, and their probabilities add.  Equal
+    # value rows in distinct objects rank and cut alike, so they merge here,
+    # exactly, and no kernel depends on the sharing.
     merged: dict[tuple[int, ...], tuple[list[int], int]] = {}
     total = [0] * (instance.n + 1)  # each candidate's packed values, summed
     for row, p in rows:
         bits, packed = [], []
-        for i, (std, inf) in sorted(row, key=rank.__getitem__, reverse=True):
+        for i, (std, inf) in sorted(zip(indices, row), key=rank.__getitem__, reverse=True):
             value = (std * scale + inf) * p
             bits.append(1 << i)
             packed.append(value)
@@ -432,11 +434,8 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
             if i == OUTSIDE:
                 break
         key = tuple(bits)
-        if key in merged:
-            sums, q = merged[key]
-            merged[key] = list(map(add, sums, packed)), q + p
-        else:
-            merged[key] = packed, p
+        sums, q = merged.get(key, (repeat(0), 0))
+        merged[key] = list(map(add, sums, packed)), q + p
     # Walk order: by decreasing total of each ranking's favorite; the sort is stable.
     order = sorted(merged, key=lambda bits: total[bits[0].bit_length() - 1], reverse=True)
     return CorrelatedKernel(
@@ -446,7 +445,7 @@ def compile_correlated(instance: CorrelatedInstance) -> CorrelatedKernel:
         den * prob_den,
         prob_den,
         tuple(map(bias.get, range(instance.n + 1))),
-        max(std for row in grouped for std, _ in row[: instance.n]),
+        max(std for i, (std, _) in distinct if i != OUTSIDE),
         min(prob),
     )
 

@@ -764,6 +764,22 @@ def test_sweep_workers_clamped():
     assert sweep_workers(2, 0, 4) == (1, 1)
 
 
+def test_sweep_counts_the_cpus_of_its_affinity_mask(tmp_path, capsys, monkeypatch):
+    # Under `taskset -c 0` a machine of 8 CPUs runs the sweep on one: the
+    # clamp must count the one, and the machine's count only where the
+    # platform has no affinity mask.
+    calls = []
+    monkeypatch.setattr(cli_mod, "sweep_workers", lambda *a: calls.append(a) or sweep_workers(*a))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    spec = write_spec(tmp_path, {"generator": "log", "k": 3})
+    out_file = str(tmp_path / "rows.csv")
+    assert run(capsys, "sweep", spec, "-o", out_file, "--jobs", "2")[0] == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run(capsys, "sweep", spec, "-o", out_file, "--jobs", "2")[0] == 0
+    assert calls == [(2, 1, 1), (2, 1, 8)]
+
+
 def test_sweep_skips_over_cap(tmp_path, capsys):
     spec = write_spec(
         tmp_path,

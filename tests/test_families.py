@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import delmenu.families
 from delmenu import (
@@ -21,6 +23,7 @@ from delmenu import (
     gen_outside_family,
     gen_random,
     gen_three_approx,
+    solve,
     threshold_menus,
     xnum,
     xsum,
@@ -56,15 +59,18 @@ def test_log_family_k3_exact_matrices():
     assert all(p.prob == Fraction(1, 7) for p in inst.profiles)
 
 
-@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("k", range(2, 16))
 def test_log_family_optimum_formula(k):
     # 2k - 1 actions, past the search's default cap from k = 11 on; the
     # kernel merges the 2^k - 1 profiles into k rankings, and the least
-    # likely profile stays one of them.
+    # likely profile stays one of them.  The best threshold menu is worth 2
+    # at every k, so the ratio, k * 2^k / (2 (2^k - 1)), grows as about k / 2.
     inst = gen_log_family(k)
-    menu, value = brute_force_opt(inst, cap_n=2 * k - 1)
-    assert menu == frozenset(range(1, 2 * k, 2))
-    assert value.std == Fraction(k * 2**k, 2**k - 1)
+    result = solve(inst, cap_n=2 * k - 1)
+    assert result.opt_menu == frozenset(range(1, 2 * k, 2))
+    assert result.opt_value.std == Fraction(k * 2**k, 2**k - 1)
+    assert result.best_threshold_value.std == 2
+    assert result.ratio == Fraction(k * 2**k, 2 * (2**k - 1))
     assert inst.kernel.least_mass() == Fraction(1, 2**k - 1)
 
 
@@ -116,6 +122,14 @@ def test_three_approx_structure():
 def test_three_approx_half_value():
     inst = gen_three_approx(Fraction(1, 2))
     assert eval_independent_dp(inst, frozenset({1, 3, 5})).f.std == Fraction(7, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda e: 0 < e < 1))
+@example(Fraction(1, 1000))
+def test_three_approx_ratio_closed_form(eps):
+    # The factor-3 bound is approached as eps goes to 0 and never reached.
+    assert solve(gen_three_approx(eps)).ratio == 3 - 3 * eps + eps**2
 
 
 def test_three_approx_eps_range():

@@ -1041,6 +1041,33 @@ def test_kernel_needs_no_shared_objects(build):
     assert twin == inst and twin.kernel == inst.kernel
 
 
+def halved_twins(instance):
+    """``instance`` with each profile listed twice at half its probability:
+    once as two Profiles of fresh XNums, once as one shared Profile.
+
+    The first halves come first and the second halves after all of them,
+    so an equal row recurs after other rows.
+    """
+    shared = [dataclasses.replace(p, prob=p.prob / 2) for p in instance.profiles]
+    fresh = [Profile(p.prob, tuple(XNum(v.std, v.inf) for v in p.values)) for p in shared * 2]
+    return [dataclasses.replace(instance, profiles=tuple(rows)) for rows in (fresh, shared * 2)]
+
+
+@pytest.mark.parametrize("outside", OUTSIDE_MODES)
+def test_equal_rows_in_distinct_objects_merge_as_one_shared_row(outside):
+    # The compile groups rows by object alone: equal value rows held in
+    # distinct objects reach the cut-ranking merge apart, and must give the
+    # kernel of their shared twin, one ranking per distinct cut ranking.
+    for seed in range(4):
+        for inst in (
+            random_correlated(seed, outside, n=4, profiles=5),
+            tie_heavy("correlated", seed, outside, n=4, support=6),
+        ):
+            fresh, shared = halved_twins(inst)
+            assert len(fresh.rows) == 2 * len(shared.rows) == 2 * len(inst.profiles)
+            assert fresh.kernel == shared.kernel == reference_compile(shared)
+
+
 @pytest.mark.parametrize("k", range(2, 11))
 def test_merged_log_family_kernel_equals_one_ranking_per_profile(k):
     # 2^k - 1 profiles, of k distinct cut rankings.
