@@ -83,7 +83,7 @@ def parse_xnum_literal(text: str) -> XNum:
 
 def positive_int(text: str) -> int:
     """An integer option of at least 1 (argparse reports anything else with exit 2)."""
-    value = int(text)
+    value = parse_integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -608,23 +608,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a family instance to a file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
     g_log = gen_sub.add_parser("log", help="correlated log-factor family")
-    g_log.add_argument("--k", type=int, required=True)
+    g_log.add_argument("--k", type=parse_integer, required=True)
     g_three = gen_sub.add_parser("three-approx", help="five-action threshold-gap family")
     g_three.add_argument("--eps", type=parse_rational, default="1/1000")
     g_out = gen_sub.add_parser("outside", help="random-outside-option family")
-    g_out.add_argument("--n", type=int, required=True)
+    g_out.add_argument("--n", type=parse_integer, required=True)
     g_out.add_argument("--eps", type=parse_rational, default=None)
     g_out.add_argument("--alt", action="store_true", help="nonzero low realizations")
     g_rand = gen_sub.add_parser("random", help="seeded random instance")
     g_rand.add_argument("--kind", choices=["independent", "correlated"])
-    g_rand.add_argument("--n", type=int)
-    g_rand.add_argument("--support-size", type=int)
-    g_rand.add_argument("--seed", type=int, required=True)
+    g_rand.add_argument("--n", type=parse_integer)
+    g_rand.add_argument("--support-size", type=parse_integer)
+    g_rand.add_argument("--seed", type=parse_integer, required=True)
     g_rand.add_argument("--outside", choices=["none", "fixed", "random"])
     defaults = dict(RANDOM_FIELDS)  # a sweep random block's, each range as --*-min, --*-max
     for name in ("value", "bias"):
-        g_rand.add_argument(f"--{name}-min", type=int)
-        g_rand.add_argument(f"--{name}-max", type=int)
+        g_rand.add_argument(f"--{name}-min", type=parse_integer)
+        g_rand.add_argument(f"--{name}-max", type=parse_integer)
         defaults[f"{name}_min"], defaults[f"{name}_max"] = defaults.pop(f"{name}_range")
     g_rand.set_defaults(**defaults)
     for g in (g_log, g_three, g_out, g_rand):
@@ -635,11 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     red_sub = p_red.add_subparsers(dest="problem", required=True)
     r_vc = red_sub.add_parser("vertex-cover", help="from an edge-list file")
     r_vc.add_argument("input")
-    r_vc.add_argument("--vertices", type=int, default=None)
+    r_vc.add_argument("--vertices", type=parse_integer, default=None)
     r_vc.add_argument("--cap-n", type=positive_int, default=DEFAULT_ACTION_CAP)
     r_part = red_sub.add_parser("partition", help="from a whitespace-separated integer file")
     r_part.add_argument("input")
-    r_part.add_argument("--M", dest="big_m", type=int, default=None)
+    r_part.add_argument("--M", dest="big_m", type=parse_integer, default=None)
     for r in (r_vc, r_part):
         r.add_argument("-o", "--out", required=True)
     p_red.set_defaults(func=cmd_reduce)
@@ -654,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the guarantee-check suite on an instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("--menus", type=positive_int, default=5)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=parse_integer, default=0)
     p_verify.add_argument(
         "--cap-profiles",
         type=positive_int,

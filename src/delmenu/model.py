@@ -124,6 +124,10 @@ class Profile:
 
     When the instance has an outside option its value is the last entry,
     whether or not it actually varies across profiles.
+
+    Construction takes one path: the probability is coerced by
+    ``as_fraction`` and checked first, then every value is coerced as an
+    XNum operand is (an XNum passes unchanged) and sign-checked in order.
     """
 
     prob: Fraction
@@ -131,18 +135,13 @@ class Profile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prob", as_fraction(self.prob))
-        object.__setattr__(self, "values", tuple(self.values))
         # A Fraction's denominator is positive, so its numerator holds its sign.
         if self.prob.numerator <= 0:
             raise InvalidInstanceError(f"profile probability {self.prob} is not positive")
-        # Values that are all XNums pass unchanged, with no work beyond this check.
-        try:
-            for v in self.values:
-                if v.std.numerator < 0:
-                    raise InvalidInstanceError(f"profile value {v} has negative standard part")
-        except AttributeError:  # a plain number: coerce every value and check again
-            object.__setattr__(self, "values", tuple(map(_coerce, self.values)))
-            self.__post_init__()
+        object.__setattr__(self, "values", tuple(map(_coerce, self.values)))
+        for v in self.values:
+            if v.std.numerator < 0:
+                raise InvalidInstanceError(f"profile value {v} has negative standard part")
 
 
 @dataclass(frozen=True)

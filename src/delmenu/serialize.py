@@ -80,6 +80,13 @@ def _parse_label(obj: dict, default: str, where: str) -> str:
     return label
 
 
+def _parse_bias(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> XNum:
+    """The bias of a correlated instance's action or outside option ``obj``."""
+    if not isinstance(obj, dict) or "bias" not in obj:
+        raise ParseError(f"{where}: expected an object with 'bias'")
+    return _parse_xnum(obj["bias"], f"{where}.bias", xnums)
+
+
 def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[str, Any]:
     return {
         "label": a.label,
@@ -187,16 +194,10 @@ def instance_from_obj(obj: Any) -> Instance:
         biases = []
         labels = []
         for i, a in enumerate(actions):
-            if not isinstance(a, dict) or "bias" not in a:
-                raise ParseError(f"actions[{i}]: expected an object with 'bias'")
-            biases.append(_parse_xnum(a["bias"], f"actions[{i}].bias", xnums))
+            biases.append(_parse_bias(a, f"actions[{i}]", xnums))
             labels.append(_parse_label(a, f"a{i + 1}", f"actions[{i}]"))
         outside = obj.get("outside")
-        outside_bias = None
-        if outside is not None:
-            if not isinstance(outside, dict) or "bias" not in outside:
-                raise ParseError("outside: expected an object with 'bias'")
-            outside_bias = _parse_xnum(outside["bias"], "outside.bias", xnums)
+        outside_bias = _parse_bias(outside, "outside", xnums) if outside is not None else None
         raw_profiles = obj.get("profiles")
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ParseError("profiles: expected a nonempty list")

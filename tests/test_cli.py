@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -28,10 +29,10 @@ from delmenu import (
     threshold_menus,
     xnum,
 )
-from delmenu.cli import main, parse_xnum_literal, sweep_workers
+from delmenu.cli import build_parser, main, parse_xnum_literal, positive_int, sweep_workers
 from delmenu.evaluate import Decomposition
 from delmenu.model import candidates
-from delmenu.xnum import IOTA, xsum
+from delmenu.xnum import IOTA, parse_integer, xsum
 
 from conftest import stack_depth
 
@@ -580,6 +581,72 @@ def test_caps_below_one_exit_2(tmp_path, capsys, log3_file, triangle_edges, comm
     assert errors == [f"delmenu {command}: error: argument {flag}: must be at least 1, got {value}"]
 
 
+# Every integer option: (command, option, the command's other required
+# arguments).  "OUT" stands for the file the command would write.
+INTEGER_OPTIONS = [
+    ("generate log", "--k", ["-o", "OUT"]),
+    ("generate outside", "--n", ["-o", "OUT"]),
+    *(
+        ("generate random", flag, ["--seed", "1", "-o", "OUT"])
+        for flag in ("--n", "--support-size", "--value-min", "--value-max", "--bias-min", "--bias-max")
+    ),
+    ("generate random", "--seed", ["-o", "OUT"]),
+    ("reduce vertex-cover", "--vertices", ["g.edges", "-o", "OUT"]),
+    ("reduce vertex-cover", "--cap-n", ["g.edges", "-o", "OUT"]),
+    ("reduce partition", "--M", ["p.txt", "-o", "OUT"]),
+    ("solve", "--cap-n", ["x.json"]),
+    ("sweep", "--jobs", ["spec.json", "-o", "OUT"]),
+    ("sweep", "--cap-n", ["spec.json", "-o", "OUT"]),
+    ("verify", "--menus", ["x.json"]),
+    ("verify", "--seed", ["x.json"]),
+    ("verify", "--cap-profiles", ["x.json"]),
+]
+INTEGER_OPTION_IDS = [f"{command} {flag}" for command, flag, _ in INTEGER_OPTIONS]
+
+
+def parser_actions(parser=None):
+    """(prog, action) for every action of the CLI parser and of its subparsers."""
+    parser = parser or build_parser()
+    for action in parser._actions:
+        yield parser.prog, action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parser_actions(sub)
+
+
+def test_every_integer_option_reads_through_parse_integer():
+    actions = list(parser_actions())
+    assert [(prog, a.option_strings) for prog, a in actions if a.type is int] == []
+    integer = {
+        (prog, a.option_strings[-1]) for prog, a in actions if a.type in (parse_integer, positive_int)
+    }
+    assert integer == {(f"delmenu {command}", flag) for command, flag, _ in INTEGER_OPTIONS}
+    assert len(INTEGER_OPTIONS) == 18
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3", "\u0663"])
+@pytest.mark.parametrize("command, flag, rest", INTEGER_OPTIONS, ids=INTEGER_OPTION_IDS)
+def test_integer_options_reject_what_only_int_reads(tmp_path, capsys, command, flag, rest, text):
+    # int() reads these as 10, 3 and 3 (the Arabic-Indic digit three).
+    out_file = tmp_path / "out"
+    rest = [str(out_file) if arg == "OUT" else arg for arg in rest]
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), *rest, flag, text])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and captured.out == "" and not out_file.exists()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"delmenu {command}: error: argument {flag}: invalid ")
+
+
+@pytest.mark.parametrize("command, flag, rest", INTEGER_OPTIONS, ids=INTEGER_OPTION_IDS)
+def test_integer_options_read_plain_spellings_as_int_does(command, flag, rest):
+    (dest,) = {a.dest for _, a in parser_actions() if flag in a.option_strings}
+    for text in ("7", "+07", "0012"):
+        args = build_parser().parse_args([*command.split(), *rest, flag, text])
+        assert getattr(args, dest) == int(text) and type(getattr(args, dest)) is int
+
+
 def test_sweep_empty_header_only(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ensembles": []})
     out_file = str(tmp_path / "rows.csv")
@@ -920,6 +987,25 @@ def test_generate_random_over_the_value_cap_exits_3_and_sweeps_a_skipped_row(tmp
     proc = run_cli("sweep", spec, "-o", str(rows))
     assert proc.returncode == 0, proc.stderr
     assert [r["status"] for r in read_rows(rows)] == [f"skipped: {message}"]
+
+
+def test_module_entry_point_exits_2_on_an_integer_option_only_int_reads(tmp_path):
+    # The entry point the cli-batch benchmark times: `sys.exit(main())`.
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    out_file = tmp_path / "x.json"
+
+    def generate_log(k):
+        argv = [sys.executable, "-m", "delmenu.cli", "generate", "log", "--k", k, "-o", str(out_file)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+
+    proc = generate_log("1_0")
+    assert (proc.returncode, proc.stdout) == (2, "") and not out_file.exists()
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        "delmenu generate log: error: argument --k: invalid parse_integer value: '1_0'"
+    ]
+    proc = generate_log("3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {out_file}\n", "")
+    assert load_instance(str(out_file)) == gen_log_family(3)
 
 
 @pytest.mark.parametrize("kind", ["independent", "correlated"])

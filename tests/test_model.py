@@ -121,6 +121,10 @@ PLAIN_AND_XNUM = {
         lambda: Profile(Fraction(1), (1, 2)),
         lambda: Profile(Fraction(1), (xnum(1), xnum(2))),
     ),
+    "profile-mixed": (
+        lambda: Profile("1/2", (xnum(1, -1), 2, Fraction(3, 4), "5/7", xnum("1/3"))),
+        lambda: Profile(Fraction(1, 2), (xnum(1, -1), xnum(2), xnum("3/4"), xnum("5/7"), xnum("1/3"))),
+    ),
     "correlated": (
         lambda: _correlated_value((0, 1), (1, 2, 0), 2),
         lambda: _correlated_value((xnum(0), xnum(1)), (xnum(1), xnum(2), xnum(0)), xnum(2)),
@@ -140,13 +144,29 @@ def test_plain_numbers_equal_their_xnum_twins(plain, wrapped):
 
 def test_profile_coerces_plain_values_and_still_refuses_a_negative_one():
     assert all(isinstance(v, XNum) for v in Profile(1, (1, "1/2", Fraction(3))).values)
+    assert all(type(v) is XNum for v in Profile(1, (xnum(1, -1), 2, "1/2", Fraction(3))).values)
     with pytest.raises(InvalidInstanceError, match="value -2 has negative standard part"):
         Profile(1, (1, -2))
-    # An XNum first: the sign loop meets the plain number only after it, and
-    # the retry coerces and checks the whole row again.
+    # An XNum first: the plain number after it is coerced and checked too.
     assert Profile(1, (xnum(1), "1/2")).values == (xnum(1), xnum("1/2"))
     with pytest.raises(InvalidInstanceError, match="value -2 has negative standard part"):
         Profile(1, (xnum(1), -2))
+
+
+@pytest.mark.parametrize("values", [(xnum(-1),), (1, -2), ("x",), (None,), (xnum(1), "1.5")])
+@pytest.mark.parametrize("prob", [0, "-1/2", Fraction(0)])
+def test_a_nonpositive_probability_is_reported_before_any_value(prob, values):
+    with pytest.raises(InvalidInstanceError, match="profile probability .* is not positive"):
+        Profile(prob, values)
+
+
+def test_each_profile_runs_post_init_once(monkeypatch):
+    calls = []
+    post_init = Profile.__post_init__
+    monkeypatch.setattr(Profile, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    rows = [(1, 2), (xnum(1), "1/2"), (Fraction(1), xnum(0)), (xnum(1), xnum(2))]
+    profiles = [Profile(Fraction(1, 4), values) for values in rows]
+    assert list(map(id, calls)) == list(map(id, profiles))  # one call each, plain rows too
 
 
 def test_a_repeated_profile_is_one_row_weighed_by_its_multiplicity():
