@@ -61,7 +61,7 @@ from .solve import (
     solve,
     threshold_menus,
 )
-from .xnum import RATIONAL, XNum, parse_integer, parse_rational, xnum, xsum
+from .xnum import RATIONAL, DigitLimitError, XNum, parse_integer, parse_rational, xnum, xsum
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -72,13 +72,18 @@ EXIT_VIOLATION = 4
 _XNUM_RE = re.compile(f"(?:(?P<std>{RATIONAL})(?=[+-]))?(?P<inf>{RATIONAL})i")
 
 
+def _shown(literal: str, exc: ValueError) -> str:
+    """How an error line shows a bad literal: quoted, or by the digit limit it exceeds."""
+    return f": {exc}" if isinstance(exc, DigitLimitError) else f" {literal!r}"
+
+
 def parse_xnum_literal(text: str) -> XNum:
     """Parse '24/7', '-3', '4-1i', '3/2+2i', '1i' into an exact number; blanks are rejected."""
     match = _XNUM_RE.fullmatch(text)
     try:
         return xnum(match["std"] or 0, match["inf"]) if match else xnum(text)
     except ValueError as exc:
-        raise InvalidInstanceError(f"invalid number literal {text!r}") from exc
+        raise InvalidInstanceError(f"invalid number literal{_shown(text, exc)}") from exc
 
 
 def positive_int(text: str) -> int:
@@ -87,6 +92,32 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _read_option(reader: Callable[[str], Any], text: str) -> Any:
+    """``reader(text)``, with a literal over the digit limit named by that limit.
+
+    argparse prints an ``ArgumentTypeError``'s own message, so the limit
+    reaches the error line and the literal never does; any other bad
+    spelling keeps argparse's ``invalid <reader> value`` line.
+    """
+    try:
+        return reader(text)
+    except DigitLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """The CLI's parser and, through ``add_subparsers``, each of its subparsers.
+
+    An option's ``type`` stays its reader, and argparse calls it through
+    :func:`_read_option`.
+    """
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        for reader in (parse_integer, positive_int, parse_rational):
+            self.register("type", reader, functools.partial(_read_option, reader))
 
 
 def parse_menu_spec(instance: Instance, spec: str) -> Menu:
@@ -101,7 +132,7 @@ def parse_menu_spec(instance: Instance, spec: str) -> Menu:
     try:
         menu = frozenset(parse_integer(part.strip()) for part in spec.split(","))
     except ValueError as exc:
-        raise InvalidInstanceError(f"invalid menu spec {spec!r}") from exc
+        raise InvalidInstanceError(f"invalid menu spec{_shown(spec, exc)}") from exc
     return validate_menu(instance, menu)
 
 
@@ -583,7 +614,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delmenu",
         description="Exact evaluation and optimization of delegated-choice menus.",
     )

@@ -12,14 +12,13 @@ from fractions import Fraction
 from functools import cache
 
 from .model import (
-    VALUE_CAP,
     Action,
-    CapExceededError,
     CorrelatedInstance,
     IndependentInstance,
     Instance,
     InvalidInstanceError,
     Profile,
+    check_value_cap,
     deterministic,
 )
 from .xnum import IOTA, XNum, Rational, as_fraction
@@ -45,8 +44,7 @@ def gen_log_family(k: int) -> CorrelatedInstance:
         raise InvalidInstanceError(f"k must be in 2..16, got {k}")
     n = 2 * k - 1
     m = 2**k - 1
-    if m * n > VALUE_CAP:
-        raise CapExceededError(f"instance of {m * n} values exceeds the cap of {VALUE_CAP} values")
+    check_value_cap(m * n)
 
     # Each distinct number is one object: the zero, and per level i its odd
     # value, its even value and its biases.
@@ -210,9 +208,7 @@ def gen_random(
         raise InvalidInstanceError(f"support_size must be in 1..{PROB_DENOMINATOR}")
     if denominator < 1:
         raise InvalidInstanceError(f"denominator must be at least 1, got {denominator}")
-    values = (n + (outside != "none")) * support_size
-    if values > VALUE_CAP:
-        raise CapExceededError(f"instance of {values} values exceeds the cap of {VALUE_CAP} values")
+    check_value_cap((n + (outside != "none")) * support_size)
     rng = random.Random(seed)
 
     @cache
@@ -225,13 +221,9 @@ def gen_random(
         """The probability k / PROB_DENOMINATOR, one object per k in this call."""
         return Fraction(k, PROB_DENOMINATOR)
 
-    def rand_value() -> int:
-        lo, hi = value_range
-        return rng.randint(lo * denominator, hi * denominator)
-
-    def rand_bias() -> XNum:
-        lo, hi = bias_range
-        return point(rng.randint(lo * denominator, hi * denominator))
+    def draw(bounds: tuple[int, int]) -> int:
+        """A grid point of ``bounds`` drawn uniformly, as its k in k / denominator."""
+        return rng.randint(bounds[0] * denominator, bounds[1] * denominator)
 
     def rand_parts(count: int) -> list[int]:
         cuts = sorted(rng.sample(range(1, PROB_DENOMINATOR), count - 1))
@@ -240,11 +232,11 @@ def gen_random(
 
     def rand_action(label: str, size: int) -> Action:
         parts = rand_parts(size)
-        bias = rand_bias()
+        bias = point(draw(bias_range))
         # Equal draws merge here, on integers, so every probability is a share.
         merged: dict[int, int] = {}
         for part in parts:
-            k = rand_value()
+            k = draw(value_range)
             merged[k] = merged.get(k, 0) + part
         return Action(bias, tuple((point(k), share(part)) for k, part in merged.items()), label)
 
@@ -257,18 +249,15 @@ def gen_random(
             out = rand_action("outside", support_size)
         return IndependentInstance(actions, out)
 
-    biases = tuple(rand_bias() for _ in range(n))
-    outside_bias = rand_bias() if outside != "none" else None
+    biases = tuple(point(draw(bias_range)) for _ in range(n))
+    outside_bias = point(draw(bias_range)) if outside != "none" else None
     parts = rand_parts(support_size)
-    fixed_outside_value = point(rand_value()) if outside == "fixed" else None
+    fixed = [point(draw(value_range))] if outside == "fixed" else []  # one value, every row
     profiles = []
     for part in parts:
-        values = [point(rand_value()) for _ in range(n)]
-        if outside == "fixed":
-            values.append(fixed_outside_value)
-        elif outside == "random":
-            values.append(point(rand_value()))
-        profiles.append(Profile(share(part), tuple(values)))
+        # A random outside value is drawn last in its row, after the actions' values.
+        values = [point(draw(value_range)) for _ in range(n + (outside == "random"))]
+        profiles.append(Profile(share(part), tuple(values + fixed)))
     return CorrelatedInstance(biases, tuple(profiles), outside_bias)
 
 

@@ -54,6 +54,18 @@ DEFAULT_PROFILE_CAP = 10**6  # joint profiles eval_bruteforce_product enumerates
 VALUE_CAP = DEFAULT_PROFILE_CAP
 
 
+def check_value_cap(count: int, described: str | None = None) -> None:
+    """Raise ``CapExceededError`` when an instance of ``count`` values exceeds ``VALUE_CAP``.
+
+    Builders call it before they build any action or profile; ``described``
+    words the count in the message when the plain number would not.
+    """
+    if count > VALUE_CAP:
+        raise CapExceededError(
+            f"instance of {described or count} values exceeds the cap of {VALUE_CAP} values"
+        )
+
+
 Support = tuple[tuple[XNum, Fraction], ...]
 
 

@@ -17,8 +17,8 @@ from .model import (
     CorrelatedInstance,
     IndependentInstance,
     InvalidInstanceError,
-    VALUE_CAP,
     Profile,
+    check_value_cap,
 )
 from .xnum import IOTA, XNum, parse_integer
 
@@ -137,11 +137,7 @@ def reduce_vertex_cover(g: Graph) -> CorrelatedInstance:
     the instance would hold more than ``model.VALUE_CAP`` values.
     """
     n, m = g.vertices, len(g.edges)
-    if (m + n) * (n + 1) > VALUE_CAP:
-        raise CapExceededError(
-            f"instance of {m + n} profiles of {n + 1} values exceeds the cap of"
-            f" {VALUE_CAP} values"
-        )
+    check_value_cap((m + n) * (n + 1), described=f"{m + n} profiles of {n + 1}")
     prob = Fraction(1, m + n)
     zero, two, five = XNum(Fraction(0)), XNum(Fraction(2)), XNum(Fraction(5))
     default_value = XNum(Fraction(3))
@@ -234,10 +230,7 @@ def reduce_integer_partition(
     ``model.VALUE_CAP`` values: three per integer and two for action n+1.
     """
     n, C = len(p.values), p.total
-    if 3 * n + 2 > VALUE_CAP:
-        raise CapExceededError(
-            f"instance of {3 * n + 2} values exceeds the cap of {VALUE_CAP} values"
-        )
+    check_value_cap(3 * n + 2)
     for name, lower in _m_bounds(p).items():
         if M < lower:
             raise InvalidInstanceError(f"M={M} violates M >= {name} = {lower}")

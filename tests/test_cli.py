@@ -13,7 +13,6 @@ import pytest
 
 import delmenu
 import delmenu.cli as cli_mod
-import delmenu.reductions as reductions_mod
 from delmenu import (
     Action,
     CapExceededError,
@@ -376,7 +375,7 @@ def test_reduce_partition_m_too_small_is_semantic(tmp_path, capsys):
 
 
 def test_reduce_partition_over_the_value_cap_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(reductions_mod, "VALUE_CAP", 13)  # four integers make 14 values
+    monkeypatch.setattr(delmenu.model, "VALUE_CAP", 13)  # four integers make 14 values
     ints = tmp_path / "c.txt"
     ints.write_text("1 1 1 1\n")
     out_file = tmp_path / "p.json"
@@ -1011,7 +1010,7 @@ def test_module_entry_point_exits_2_on_an_integer_option_only_int_reads(tmp_path
 @pytest.mark.parametrize("kind", ["independent", "correlated"])
 def test_gen_random_value_cap_counts_the_outside_option(kind, monkeypatch):
     # (n + 1) * support_size values with an outside option, n * support_size without.
-    monkeypatch.setattr(delmenu.families, "VALUE_CAP", 12)
+    monkeypatch.setattr(delmenu.model, "VALUE_CAP", 12)
     assert gen_random(kind, n=3, support_size=3, seed=1, outside="random").n == 3
     assert gen_random(kind, n=4, support_size=3, seed=1, outside="none").n == 4
     with pytest.raises(CapExceededError, match="instance of 15 values exceeds the cap of 12 values"):
@@ -1679,7 +1678,7 @@ ENDPOINT = "non-integer endpoint"
         ("1 1_0 2\n", PARTITION, 2, "FILE: invalid integer '1_0'"),
         (f"1 {LONG_TOKEN}\n", VERTEX_COVER, 2, f"FILE: line 1: {ENDPOINT}: {OVER_LIMIT}"),
         ("1 2\n2 \u0663\n", VERTEX_COVER, 2, f"FILE: line 2: {ENDPOINT}: invalid integer '\u0663'"),
-        (None, ["eval", "LOG", "--menu", LONG_TOKEN], 3, f"invalid menu spec {LONG_TOKEN!r}"),
+        (None, ["eval", "LOG", "--menu", LONG_TOKEN], 3, f"invalid menu spec: {OVER_LIMIT}"),
         (None, ["eval", "LOG", "--menu", "0_1"], 3, "invalid menu spec '0_1'"),
     ],
     ids=["partition-long", "partition-1_0", "edge-long", "edge-arabic-3", "menu-long", "menu-0_1"],
@@ -1696,6 +1695,50 @@ def test_integer_tokens_go_through_one_reader(
     got = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert got == (code, "", f"error: {message.replace('FILE', str(file))}\n")
     assert not out_file.exists()
+
+
+NUMERIC_OPTIONS = [
+    *INTEGER_OPTIONS,
+    ("generate three-approx", "--eps", ["-o", "OUT"]),
+    ("generate outside", "--eps", ["--n", "3", "-o", "OUT"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, rest", NUMERIC_OPTIONS, ids=[f"{c} {f}" for c, f, _ in NUMERIC_OPTIONS]
+)
+def test_numeric_options_name_the_digit_limit_not_the_literal(
+    tmp_path, capsys, digit_limit_4300, command, flag, rest
+):
+    out_file = tmp_path / "out"
+    rest = [str(out_file) if arg == "OUT" else arg for arg in rest]
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), *rest, flag, "1" * 5001])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and captured.out == "" and not out_file.exists()
+    limit = "integer of 5001 digits exceeds the interpreter's limit of 4300 digits"
+    assert errors == [f"delmenu {command}: error: argument {flag}: {limit}"]
+    assert len(errors[0]) < 200 and "1" * 100 not in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1" * 5001, "invalid menu spec"),
+        ("1," + "1" * 5001, "invalid menu spec"),
+        ("threshold:" + "1" * 5001, "invalid number literal"),
+        ("threshold:1+" + "1" * 5001 + "i", "invalid number literal"),
+    ],
+    ids=["index", "index-list", "threshold", "threshold-iota"],
+)
+def test_menu_specs_name_the_digit_limit_not_the_literal(
+    capsys, digit_limit_4300, log3_file, spec, message
+):
+    limit = "integer of 5001 digits exceeds the interpreter's limit of 4300 digits"
+    got = run(capsys, "eval", log3_file, "--menu", spec)
+    assert got == (3, "", f"error: {message}: {limit}\n")
+    assert len(got[2]) < 200
 
 
 @pytest.mark.parametrize(

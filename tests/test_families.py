@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import delmenu.families
+import delmenu.model
 from delmenu import (
     Action,
     CapExceededError,
@@ -94,7 +94,7 @@ def test_log_family_bounds():
 
 def test_log_family_value_cap(monkeypatch):
     # m * n values: k = 3 holds 7 * 5 = 35, k = 4 holds 15 * 7 = 105.
-    monkeypatch.setattr(delmenu.families, "VALUE_CAP", 35)
+    monkeypatch.setattr(delmenu.model, "VALUE_CAP", 35)
     assert gen_log_family(3).n == 5
     with pytest.raises(CapExceededError, match="instance of 105 values exceeds the cap of 35 values"):
         gen_log_family(4)

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-import delmenu.reductions as reductions_mod
+import delmenu.model as model_mod
 from delmenu import (
     CapExceededError,
     Graph,
@@ -218,7 +218,7 @@ def test_partition_reduction_probabilities_form_distribution():
 
 def test_partition_reduction_refuses_an_instance_over_the_value_cap(monkeypatch):
     # n integers make 3n + 2 values: 11 for three, 14 for four.
-    monkeypatch.setattr(reductions_mod, "VALUE_CAP", 13)
+    monkeypatch.setattr(model_mod, "VALUE_CAP", 13)
     three, four = PartitionInstance((1, 1, 2)), PartitionInstance((1, 1, 1, 1))
     assert reduce_integer_partition(three, minimal_valid_m(three))[0].n == 4
     with pytest.raises(CapExceededError, match="instance of 14 values exceeds the cap of 13"):

@@ -11,20 +11,33 @@ classes of interchangeable actions, on random correlated instances of
 tie-heavy correlated ones of 16-24.  Across kernels,
 an independent instance written out over its joint realizations is a
 correlated instance with the same optimum, found by a walk that shares no
-code with the independent one.
+code with the independent one.  The symmetries at the end need no
+oracle either: a positive scale of every value and bias, a common bias
+shift and a common value shift map each menu's value by one known rule,
+so the optimal and best-threshold menus stay and their values move by that
+rule; a correlated action's duplicate never enters the canonical optimum;
+and an added independent action never lowers the optimum.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from delmenu import (
+    IOTA,
+    Action,
+    CorrelatedInstance,
+    IndependentInstance,
     PartitionInstance,
+    Profile,
     brute_force_opt,
     gen_random,
     has_partition,
     minimal_valid_m,
     reduce_integer_partition,
+    shift_biases,
+    solve,
 )
 
 from conftest import (
@@ -74,3 +87,116 @@ def test_independent_and_correlated_searches_agree(n):
     for outside in OUTSIDE_MODES:
         instance = gen_random("independent", n=n, support_size=3, seed=n, outside=outside)
         assert brute_force_opt(as_correlated(instance)) == brute_force_opt(instance)
+
+
+# ---------------------------------------------------------------------------
+# Symmetries
+# ---------------------------------------------------------------------------
+
+def symmetry_instances(kind):
+    """40 seeded instances of 5 actions and support 3, outside modes cycled."""
+    for seed in range(40):
+        outside = OUTSIDE_MODES[seed % 3]
+        yield gen_random(kind, n=5, support_size=3, seed=seed, outside=outside)
+
+
+def mapped(instance, value, bias):
+    """``instance`` with ``value`` applied to every value and ``bias`` to every bias."""
+    if isinstance(instance, IndependentInstance):
+        def action(a):
+            support = tuple((value(v), p) for v, p in a.support)
+            return Action(bias(a.bias), support, a.label)
+
+        outside = action(instance.outside) if instance.outside is not None else None
+        return IndependentInstance(tuple(map(action, instance.actions)), outside)
+    rows = {id(p): Profile(p.prob, tuple(map(value, p.values))) for p, _ in instance.rows}
+    outside_bias = bias(instance.outside_bias) if instance.has_outside else None
+    return CorrelatedInstance(
+        tuple(map(bias, instance.biases)),
+        tuple(rows[id(p)] for p in instance.profiles),
+        outside_bias,
+        instance.labels,
+    )
+
+
+def scaled(instance, c):
+    return mapped(instance, lambda v: v * c, lambda b: b * c)
+
+
+def value_shifted(instance, alpha):
+    return mapped(instance, lambda v: v + alpha, lambda b: b)
+
+
+def menus_and_values(instance):
+    """(optimal menu, its value, best-threshold menu, its value)."""
+    result = solve(instance)
+    return (
+        result.opt_menu,
+        result.opt_value,
+        result.best_threshold_menu,
+        result.best_threshold_value,
+    )
+
+
+def with_duplicate(instance, j):
+    """``instance`` with action j copied as action n + 1: same bias, same value in every profile."""
+    n = instance.n
+    rows = {
+        id(p): Profile(p.prob, (*p.values[:n], p.values[j - 1], *p.values[n:]))
+        for p, _ in instance.rows
+    }
+    return CorrelatedInstance(
+        (*instance.biases, instance.biases[j - 1]),
+        tuple(rows[id(p)] for p in instance.profiles),
+        instance.outside_bias,
+        (*instance.labels, f"copy of a{j}"),
+    )
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+def test_scaling_values_and_biases_scales_both_values(kind):
+    for instance in symmetry_instances(kind):
+        opt, opt_value, t_menu, t_value = menus_and_values(instance)
+        for c in (Fraction(3), Fraction(1, 7)):
+            assert menus_and_values(scaled(instance, c)) == (opt, opt_value * c, t_menu, t_value * c)
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+def test_a_common_bias_shift_keeps_menus_and_values(kind):
+    for instance in symmetry_instances(kind):
+        expected = menus_and_values(instance)
+        for shift in (Fraction(5, 2), IOTA, -IOTA):
+            assert menus_and_values(shift_biases(instance, shift)) == expected
+
+
+@pytest.mark.parametrize("kind", ["independent", "correlated"])
+def test_a_common_value_shift_adds_exactly_alpha(kind):
+    # The agent's choice is unchanged in every realization, so every menu,
+    # the empty one included, gains exactly alpha.
+    for instance in symmetry_instances(kind):
+        opt, opt_value, t_menu, t_value = menus_and_values(instance)
+        for alpha in (Fraction(1, 3), Fraction(2), IOTA):
+            shifted = menus_and_values(value_shifted(instance, alpha))
+            assert shifted == (opt, opt_value + alpha, t_menu, t_value + alpha)
+
+
+def test_a_duplicated_correlated_action_changes_no_menu_or_value():
+    # A menu holding the copy is worth what it is worth with action j in the
+    # copy's place, and that menu is smaller or lexicographically earlier, so
+    # the copy never enters the optimum.  A threshold menu holds the copy
+    # exactly when it holds j.
+    for seed, instance in enumerate(symmetry_instances("correlated")):
+        j = seed % instance.n + 1
+        opt, opt_value, t_menu, t_value = menus_and_values(instance)
+        twin = instance.n + 1
+        expected_t_menu = t_menu | {twin} if j in t_menu else t_menu
+        got = menus_and_values(with_duplicate(instance, j))
+        assert got == (opt, opt_value, expected_t_menu, t_value)
+
+
+def test_an_added_independent_action_never_lowers_the_optimum():
+    for seed, instance in enumerate(symmetry_instances("independent")):
+        _, opt_value = brute_force_opt(instance)
+        donor = gen_random("independent", n=1, support_size=3, seed=1000 + seed).actions[0]
+        larger = IndependentInstance((*instance.actions, donor), instance.outside)
+        assert brute_force_opt(larger)[1] >= opt_value  # the old optimum is still a menu
