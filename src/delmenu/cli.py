@@ -19,7 +19,7 @@ import time
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from .evaluate import (
     EvalReport,
@@ -72,6 +72,21 @@ EXIT_VIOLATION = 4
 _XNUM_RE = re.compile(f"(?:(?P<std>{RATIONAL})(?=[+-]))?(?P<inf>{RATIONAL})i")
 
 
+MESSAGE_CAP = 200  # characters of an error message that its error line shows whole
+
+
+def _bounded(message: str) -> str:
+    """``message``, or its first ``MESSAGE_CAP`` characters and its length.
+
+    Every ``error:`` line, the parser's and ``main``'s, shows its message
+    through this, so no line grows with its input: a long path, choice or
+    literal is cut, not echoed whole.
+    """
+    if len(message) <= MESSAGE_CAP:
+        return message
+    return f"{message[:MESSAGE_CAP]}... ({len(message)} characters)"
+
+
 def _shown(literal: str, exc: ValueError) -> str:
     """How an error line shows a bad literal: quoted, or by the digit limit it exceeds."""
     return f": {exc}" if isinstance(exc, DigitLimitError) else f" {literal!r}"
@@ -111,13 +126,16 @@ class _Parser(argparse.ArgumentParser):
     """The CLI's parser and, through ``add_subparsers``, each of its subparsers.
 
     An option's ``type`` stays its reader, and argparse calls it through
-    :func:`_read_option`.
+    :func:`_read_option`; an error message is shown through :func:`_bounded`.
     """
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         for reader in (parse_integer, positive_int, parse_rational):
             self.register("type", reader, functools.partial(_read_option, reader))
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_bounded(message))
 
 
 def parse_menu_spec(instance: Instance, spec: str) -> Menu:
@@ -262,11 +280,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         reduce_vertex_cover,
     )
 
+    text = read_text(args.input)
+    try:  # an InvalidInstanceError is a ValueError too
+        if args.problem == "vertex-cover":
+            graph = parse_graph(text, vertices=args.vertices)
+        else:
+            part = PartitionInstance(tuple(map(parse_integer, text.split())))
+    except ValueError as exc:
+        raise ParseError(f"{args.input}: {exc}") from exc
     if args.problem == "vertex-cover":
-        try:
-            graph = parse_graph(read_text(args.input), vertices=args.vertices)
-        except InvalidInstanceError as exc:
-            raise ParseError(f"{args.input}: {exc}") from exc
         instance = reduce_vertex_cover(graph)
         n, m = graph.vertices, len(graph.edges)
         info: dict[str, Any] = {"actions": instance.n, "profiles": len(instance.profiles)}
@@ -278,11 +300,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             info["min_vertex_cover"] = cover
             info["predicted_opt"] = str(Fraction(5 * m + 3 * n - cover, m + n))
     else:
-        tokens = read_text(args.input).split()
-        try:  # an InvalidInstanceError is a ValueError too
-            part = PartitionInstance(tuple(map(parse_integer, tokens)))
-        except ValueError as exc:
-            raise ParseError(f"{args.input}: {exc}") from exc
         M = args.big_m if args.big_m is not None else minimal_valid_m(part)
         instance, threshold = reduce_integer_partition(part, M)
         info = {"actions": instance.n, "M": M, "decision_threshold": str(threshold)}
@@ -704,12 +721,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _digit_limit():
             return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DelegationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    except (DelegationError, OSError) as exc:
+        print(f"error: {_bounded(str(exc))}", file=sys.stderr)
+        return EXIT_INPUT if isinstance(exc, (ParseError, OSError)) else EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from delmenu import (
     brute_force_opt,
     deterministic,
     dump_instance,
+    dumps_instance,
     gen_log_family,
     gen_random,
     load_instance,
@@ -1759,6 +1761,95 @@ def test_instance_literal_beyond_the_digit_limit_is_named_not_echoed(
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err) < 200
+
+
+XS = "x" * 5001  # a 5,001-character input that no reader accepts
+SWEEP = ["sweep", "FILE", "-o", "OUT"]
+
+
+def edited_instance(instance, edit):
+    """The file text of ``instance`` after ``edit`` changes its JSON object."""
+    obj = json.loads(dumps_instance(instance))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def set_first_prob(obj):
+    obj["actions"][0]["support"][0]["prob"] = XS
+
+
+LONG_INPUTS = {
+    "choice": (["generate", "random", "--kind", XS, "--seed", "1", "-o", "OUT"], None, 2),
+    "unrecognized": (["solve", "LOG", XS], None, 2),
+    "path": (["solve", XS], None, 2),
+    "out-path": (["generate", "log", "--k", "3", "-o", XS], None, 2),
+    "kind": (
+        ["solve", "FILE"],
+        lambda: edited_instance(gen_log_family(3), lambda obj: obj.update(kind=XS)),
+        2,
+    ),
+    "prob": (
+        ["solve", "FILE"],
+        lambda: edited_instance(gen_random("independent", 2, 2, seed=1), set_first_prob),
+        2,
+    ),
+    "edge": (VERTEX_COVER, lambda: f"1 {XS}\n", 2),
+    "token": (PARTITION, lambda: f"{XS}\n", 2),
+    "generator": (SWEEP, lambda: json.dumps({"generator": XS}), 2),
+    "kind-list": (SWEEP, lambda: json.dumps({"generator": "random", "kind": [0] * 3000}), 2),
+    "menu": (["eval", "LOG", "--menu", XS], None, 3),
+    "threshold": (["eval", "LOG", "--menu", f"threshold:{XS}"], None, 3),
+}
+
+
+def assert_one_short_error_line(err):
+    """``err`` holds one ``error:`` line, cut to under 300 bytes with its length stated."""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0].encode()) < 300, err[:400]
+    assert re.search(r"\.\.\. \(\d+ characters\)$", errors[0]), errors[0]
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_no_error_line_grows_with_its_input(tmp_path, monkeypatch, capsys, log3_file, case):
+    # Paths, choices, literals and JSON values echoed in an error message
+    # are cut with the message; the exit code is the input's own.
+    argv, content, expected = LONG_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "input").write_text(content(), encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+    paths = {"FILE": "input", "OUT": "out", "LOG": log3_file}
+    try:
+        code = main([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # the argument parser's errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected, "")
+    assert_one_short_error_line(captured.err)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_module_entry_point_cuts_a_long_choice(tmp_path):
+    # The entry point the cli-batch benchmark times: `sys.exit(main())`.
+    env = {**os.environ, "PYTHONPATH": str(Path(delmenu.__file__).resolve().parents[1])}
+    argv = ["generate", "random", "--kind", XS, "--seed", "1", "-o", "x.json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "delmenu.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert_one_short_error_line(proc.stderr)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_message_is_cut_only_past_the_cap():
+    head = "m" * cli_mod.MESSAGE_CAP
+    assert cli_mod._bounded(head) == head
+    assert cli_mod._bounded(head + "mm") == f"{head}... ({cli_mod.MESSAGE_CAP + 2} characters)"
 
 
 @pytest.mark.parametrize(
