@@ -45,10 +45,11 @@ from .model import (
 )
 from .serialize import (
     ParseError,
+    check_fields,
     dump_instance,
     load_instance,
     parse_json,
-    read_rational,
+    read_field,
     read_text,
     xnum_to_obj,
 )
@@ -73,15 +74,19 @@ _XNUM_RE = re.compile(f"(?:(?P<std>{RATIONAL})(?=[+-]))?(?P<inf>{RATIONAL})i")
 
 
 MESSAGE_CAP = 200  # characters of an error message that its error line shows whole
+# Each character that str.splitlines splits on, to its backslash escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _bounded(message: str) -> str:
-    """``message``, or its first ``MESSAGE_CAP`` characters and its length.
+    """``message`` on one line, whole or as its first ``MESSAGE_CAP`` characters and its length.
 
     Every ``error:`` line, the parser's and ``main``'s, shows its message
-    through this, so no line grows with its input: a long path, choice or
-    literal is cut, not echoed whole.
+    through this, so no line grows with its input or breaks in two: each
+    line break is shown escaped, then a long path, choice or literal is
+    cut, not echoed whole.
     """
+    message = message.translate(_LINE_BREAKS)
     if len(message) <= MESSAGE_CAP:
         return message
     return f"{message[:MESSAGE_CAP]}... ({len(message)} characters)"
@@ -344,47 +349,21 @@ RANDOM_FIELDS = {
 }
 
 
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _block_field(block: dict[str, Any], b: int, name: str, default: Any) -> Any:
-    """Field ``name`` of ensemble block ``b``, of the type of ``default``.
-
-    A type in place of a default makes the field required.  An int is a
-    JSON integer (not a boolean), a tuple two of them, a Fraction a
-    canonical rational string; anything else raises ``ParseError``.
-    """
-    where = f"ensemble block {b}.{name}"
-    want = default if isinstance(default, type) else type(default)
-    if name not in block:
-        if want is default:
-            raise ParseError(f"{where}: missing field")
-        return default
-    value = block[name]
-    if want is Fraction:
-        return read_rational(value, where)
-    if want is tuple and isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
-        return tuple(value)
-    if (want is int and _is_int(value)) or (want is str and isinstance(value, str)):
-        return value
-    expected = {int: "an integer", str: "a string", tuple: "two integers"}[want]
-    raise ParseError(f"{where}: expected {expected}, got {value!r}")
-
-
 def _ensemble_jobs(spec: Any) -> list[Job]:
     """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
 
-    Every field is read once, with its type checked; a malformed one, or a
-    ``count`` below 1, raises ``ParseError``.  A spec of more than
-    ``SWEEP_ROW_CAP`` rows raises ``CapExceededError``; a random block's
-    rows are counted before its jobs are built, so a huge ``count`` builds
-    nothing.  Constructors are looked up on ``families`` now, so wrappers
+    Every field is read once, with its type checked; a malformed one, a
+    field that the block's generator does not read, or a ``count`` below 1
+    raises ``ParseError``.  A spec of more than ``SWEEP_ROW_CAP`` rows
+    raises ``CapExceededError``; a block's rows are counted before its jobs
+    are built, so a huge ``count`` builds nothing.  Constructors are looked up on ``families`` now, so wrappers
     installed on them apply; being module-level functions, they pickle for
     worker processes.
     """
     from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
 
+    if isinstance(spec, dict) and "ensembles" in spec:
+        check_fields(spec, {"ensembles"}, "ensemble spec")
     blocks = spec.get("ensembles", [spec]) if isinstance(spec, dict) else spec
     if not isinstance(blocks, list):
         raise ParseError("ensemble spec: expected a block, a list or {'ensembles': [...]}")
@@ -392,29 +371,35 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
     for b, block in enumerate(blocks):
         if not isinstance(block, dict) or "generator" not in block:
             raise ParseError(f"ensemble block {b}: expected an object with 'generator'")
-        gen = block["generator"]
-        field = functools.partial(_block_field, block, b)
+        gen, where, read = block["generator"], f"ensemble block {b}", {"generator"}
+
+        def field(name: str, default: Any) -> Any:
+            read.add(name)
+            return read_field(block, name, default, where)
+
         if gen == "random":
             kwargs = {name: field(name, default) for name, default in RANDOM_FIELDS.items()}
             seed0, count = field("seed0", 0), field("count", 1)
-            if count < 1:
-                raise ParseError(f"ensemble block {b}.count: expected at least 1, got {count}")
-            _check_rows(len(jobs) + count)
-            for seed in range(seed0, seed0 + count):
-                job_id = f"random-{kwargs['kind']}-s{seed}"
-                jobs.append((job_id, gen_random, {**kwargs, "seed": seed}))
+            new = (
+                (f"random-{kwargs['kind']}-s{seed}", gen_random, {**kwargs, "seed": seed})
+                for seed in range(seed0, seed0 + count)
+            )
         elif gen == "log":
             k = field("k", int)
-            jobs.append((f"log-k{k}", gen_log_family, {"k": k}))
+            count, new = 1, [(f"log-k{k}", gen_log_family, {"k": k})]
         elif gen == "three_approx":
             eps = field("eps", Fraction(1, 1000))
-            jobs.append((f"three-approx-{eps}", gen_three_approx, {"eps": eps}))
+            count, new = 1, [(f"three-approx-{eps}", gen_three_approx, {"eps": eps})]
         elif gen == "outside":
             n = field("n", int)
-            jobs.append((f"outside-n{n}", gen_outside_family, {"n": n}))
+            count, new = 1, [(f"outside-n{n}", gen_outside_family, {"n": n})]
         else:
-            raise ParseError(f"ensemble block {b}: unknown generator {gen!r}")
-        _check_rows(len(jobs))
+            raise ParseError(f"{where}: unknown generator {gen!r}")
+        check_fields(block, read, where)
+        if count < 1:
+            raise ParseError(f"{where}.count: expected at least 1, got {count}")
+        _check_rows(len(jobs) + count)
+        jobs.extend(new)
     return jobs
 
 

@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Set as AbstractSet
 from fractions import Fraction
 from typing import Any
 
@@ -25,6 +25,15 @@ from .model import (
 from .xnum import DigitLimitError, XNum, parse_rational
 
 SCHEMA_VERSION = 1
+
+# The keys each object of an instance file may hold.
+_FILE_KEYS = frozenset({"schema_version", "kind", "actions", "outside"})
+_CORRELATED_FILE_KEYS = _FILE_KEYS | {"profiles"}
+_ACTION_KEYS = frozenset({"label", "bias", "support"})  # an outside option's too
+_SUPPORT_KEYS = frozenset({"value", "prob"})
+_CORRELATED_ACTION_KEYS = frozenset({"label", "bias"})
+_CORRELATED_OUTSIDE_KEYS = frozenset({"bias"})
+_PROFILE_KEYS = frozenset({"prob", "values"})
 
 
 class ParseError(DelegationError, ValueError):
@@ -73,17 +82,49 @@ def _parse_list(obj: Any, where: str) -> list:
     return obj
 
 
-def _parse_label(obj: dict, default: str, where: str) -> str:
-    label = obj.get("label", default)
-    if not isinstance(label, str):
-        raise ParseError(f"{where}.label: expected a string, got {label!r}")
-    return label
+def read_field(obj: dict[str, Any], name: str, default: Any, where: str) -> Any:
+    """Field ``name`` of the JSON object ``obj`` at ``where``, of the type of ``default``.
+
+    A type in place of a default makes the field required.  An int is a
+    JSON integer (not a boolean), a tuple two of them, a Fraction a
+    canonical rational string; anything else raises ``ParseError``.
+    """
+    where = f"{where}.{name}"
+    want = default if isinstance(default, type) else type(default)
+    if name not in obj:
+        if want is default:
+            raise ParseError(f"{where}: missing field")
+        return default
+    value = obj[name]
+    if want is Fraction:
+        return read_rational(value, where)
+    # type() is exact: True is an int to isinstance; no JSON value is a tuple.
+    if want is tuple and type(value) is list and len(value) == 2 and {*map(type, value)} == {int}:
+        return tuple(value)
+    if type(value) is want:
+        return value
+    expected = {int: "an integer", str: "a string", tuple: "two integers"}[want]
+    raise ParseError(f"{where}: expected {expected}, got {value!r}")
 
 
-def _parse_bias(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> XNum:
+def check_fields(obj: dict[str, Any], known: AbstractSet[str], where: str) -> None:
+    """Refuse a key of the JSON object ``obj`` outside ``known``.
+
+    ``ParseError`` names the first such key in ``obj``'s own order, under
+    ``where`` (the top level's is "").
+    """
+    if not obj.keys() <= known:
+        name = next(key for key in obj if key not in known)
+        raise ParseError(f"{where}.{name}: unknown field" if where else f"{name}: unknown field")
+
+
+def _parse_bias(
+    obj: Any, where: str, xnums: dict[tuple[str, str], XNum], known: AbstractSet[str]
+) -> XNum:
     """The bias of a correlated instance's action or outside option ``obj``."""
     if not isinstance(obj, dict) or "bias" not in obj:
         raise ParseError(f"{where}: expected an object with 'bias'")
+    check_fields(obj, known, where)
     return _parse_xnum(obj["bias"], f"{where}.bias", xnums)
 
 
@@ -98,12 +139,14 @@ def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[
 def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> Action:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
+    check_fields(obj, _ACTION_KEYS, where)
     entries = _parse_list(obj.get("support", []), f"{where}.support")
     try:
         support = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ParseError(f"{where}.support[{i}]: expected an object, got {entry!r}")
+            check_fields(entry, _SUPPORT_KEYS, f"{where}.support[{i}]")
             support.append(
                 (
                     _parse_xnum(entry["value"], f"{where}.support[{i}].value", xnums),
@@ -113,7 +156,7 @@ def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> A
         bias = _parse_xnum(obj["bias"], f"{where}.bias", xnums)
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
-    label = _parse_label(obj, "", where)
+    label = read_field(obj, "label", "", where)
     # Field errors above already name their field; only the action's own
     # checks (probabilities, values) get the action's location here.
     try:
@@ -186,18 +229,24 @@ def instance_from_obj(obj: Any) -> Instance:
     if not isinstance(actions, list) or not actions:
         raise ParseError("actions: expected a nonempty list")
     if kind == "independent":
+        check_fields(obj, _FILE_KEYS, "")
         parsed = tuple(_parse_action(a, f"actions[{i}]", xnums) for i, a in enumerate(actions))
         outside = obj.get("outside")
         out = _parse_action(outside, "outside", xnums) if outside is not None else None
         return IndependentInstance(parsed, out)  # actions is nonempty, its one check
     if kind == "correlated":
+        check_fields(obj, _CORRELATED_FILE_KEYS, "")
         biases = []
         labels = []
         for i, a in enumerate(actions):
-            biases.append(_parse_bias(a, f"actions[{i}]", xnums))
-            labels.append(_parse_label(a, f"a{i + 1}", f"actions[{i}]"))
+            biases.append(_parse_bias(a, f"actions[{i}]", xnums, _CORRELATED_ACTION_KEYS))
+            labels.append(read_field(a, "label", f"a{i + 1}", f"actions[{i}]"))
         outside = obj.get("outside")
-        outside_bias = _parse_bias(outside, "outside", xnums) if outside is not None else None
+        outside_bias = (
+            _parse_bias(outside, "outside", xnums, _CORRELATED_OUTSIDE_KEYS)
+            if outside is not None
+            else None
+        )
         raw_profiles = obj.get("profiles")
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ParseError("profiles: expected a nonempty list")
@@ -207,6 +256,7 @@ def instance_from_obj(obj: Any) -> Instance:
         for i, pr in enumerate(raw_profiles):
             if not isinstance(pr, dict):
                 raise ParseError(f"profiles[{i}]: expected an object")
+            check_fields(pr, _PROFILE_KEYS, f"profiles[{i}]")
             try:
                 prob = read_rational(pr["prob"], f"profiles[{i}].prob")
                 values = tuple(

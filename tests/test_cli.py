@@ -685,6 +685,11 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
         ({"generator": "three_approx", "eps": 0.5}, "ensemble block 0.eps"),
         ({"generator": "random", "count": -3}, "ensemble block 0.count: expected at least 1"),
         ({"generator": "random", "count": 0}, "ensemble block 0.count: expected at least 1"),
+        # A field that the block's generator does not read: the first in the block's order.
+        ({"generator": "random", "n": 3, "seed": 7}, "ensemble block 0.seed: unknown field"),
+        ({"generator": "log", "k": 3, "n": 2}, "ensemble block 0.n: unknown field"),
+        ({"generator": "three_approx", "k": 3, "eps": "1/2"}, "ensemble block 0.k: unknown field"),
+        ({"generator": "outside", "eps": "1/2", "n": 3}, "ensemble block 0.eps: unknown field"),
     ],
 )
 def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
@@ -701,6 +706,13 @@ def test_sweep_malformed_spec_exits_2(tmp_path, capsys, spec):
     code, _, err = run(capsys, "sweep", path, "-o", str(tmp_path / "rows.csv"))
     assert code == 2
     assert "ensemble" in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_sweep_spec_wrapper_names_its_unknown_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"ensembles": [{"generator": "log", "k": 2}], "seed": 7})
+    code, out, err = run(capsys, "sweep", spec, "-o", str(tmp_path / "rows.csv"))
+    assert (code, out, err) == (2, "", "error: ensemble spec.seed: unknown field\n")
     assert not (tmp_path / "rows.csv").exists()
 
 
@@ -1563,11 +1575,27 @@ def _edited(base, path, value):
             [{"prob": "2/3", "values": [ONE_OBJ]}, {"prob": "2/3", "values": [ZERO_OBJ]}],
             "profile probabilities sum to 4/3, not 1",
         ),
+        # Each object holds only its schema's keys.
+        (INDEPENDENT_OBJ, ("outisde",), None, "outisde: unknown field"),
+        (INDEPENDENT_OBJ, ("profiles",), [], "profiles: unknown field"),
+        (INDEPENDENT_OBJ, ("actions", 0, "lable"), "a", "actions[0].lable: unknown field"),
+        (
+            INDEPENDENT_OBJ, ("actions", 0, "support", 0, "porb"), "1",
+            "actions[0].support[0].porb: unknown field",
+        ),
+        (CORRELATED_OBJ, ("actions", 0, "support"), [], "actions[0].support: unknown field"),
+        (
+            CORRELATED_OBJ, ("outside",), {"bias": ZERO_OBJ, "label": "o"},
+            "outside.label: unknown field",
+        ),
+        (CORRELATED_OBJ, ("profiles", 0, "weight"), "1", "profiles[0].weight: unknown field"),
     ],
     ids=[
         "top-level-list", "no-actions", "action-5", "bias-without-inf", "empty-support",
         "correlated-action-without-bias", "outside-without-bias", "no-profiles", "profile-3",
         "profile-without-prob", "prob-0", "negative-value", "probabilities-4/3",
+        "outisde", "independent-profiles", "action-lable", "support-porb",
+        "correlated-action-support", "correlated-outside-label", "profile-weight",
     ],
 )
 def test_instance_field_errors_exit_2_naming_the_field(
@@ -1850,6 +1878,60 @@ def test_a_message_is_cut_only_past_the_cap():
     head = "m" * cli_mod.MESSAGE_CAP
     assert cli_mod._bounded(head) == head
     assert cli_mod._bounded(head + "mm") == f"{head}... ({cli_mod.MESSAGE_CAP + 2} characters)"
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        ("a\u2028b", "a\\u2028b"),
+        ("a\x85b", "a\\x85b"),
+        # 150 characters escape to 300, which are then cut.
+        ("\n" * 150, "\\n" * 100 + "... (300 characters)"),
+    ],
+    ids=["u2028", "x85", "cut-after-escaping"],
+)
+def test_a_message_shows_its_line_breaks_escaped(message, shown):
+    assert cli_mod._bounded(message) == shown
+
+
+def test_no_shown_message_holds_a_line_break():
+    breaks = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) > 1]
+    assert len(breaks) == 10
+    for c in breaks:
+        assert len(f"a{cli_mod._bounded(c)}b".splitlines()) == 1
+
+
+# An input holding a line break: argv, the files to write first, and the exit code.
+LINE_BREAK_INPUTS = {
+    "unrecognized": (["solve", "LOG", "a\nb"], {}, 2),
+    "reduce-path": (["reduce", "partition", "q\n.txt", "-o", "OUT"], {"q\n.txt": b"a\n"}, 2),
+    "not-utf8-path": (["solve", "bad\nname.json"], {"bad\nname.json": b"\xff\xfe"}, 2),
+    "missing-path": (["solve", "no\nfile.json"], {}, 2),
+    "menu": (["eval", "LOG", "--menu", "1\n2"], {}, 3),
+    "generator": (SWEEP, {"input": b'{"generator": "a\\nb"}'}, 2),
+}
+
+
+@pytest.mark.parametrize("case", LINE_BREAK_INPUTS)
+def test_a_line_break_in_an_input_stays_on_the_error_line(
+    tmp_path, monkeypatch, capsys, log3_file, case
+):
+    argv, files, expected = LINE_BREAK_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    before = sorted(os.listdir(tmp_path))
+    paths = {"FILE": "input", "OUT": "out", "LOG": log3_file}
+    try:
+        code = main([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # the argument parser's errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected, "")
+    lines = captured.err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:], captured.err
+    assert "\\n" in lines[-1]
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize(
