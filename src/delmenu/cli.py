@@ -369,14 +369,15 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
         raise ParseError("ensemble spec: expected a block, a list or {'ensembles': [...]}")
     jobs: list[Job] = []
     for b, block in enumerate(blocks):
-        if not isinstance(block, dict) or "generator" not in block:
-            raise ParseError(f"ensemble block {b}: expected an object with 'generator'")
-        gen, where, read = block["generator"], f"ensemble block {b}", {"generator"}
+        where, read = f"ensemble block {b}", set()
+        if not isinstance(block, dict):
+            raise ParseError(f"{where}: expected an object")
 
         def field(name: str, default: Any) -> Any:
             read.add(name)
             return read_field(block, name, default, where)
 
+        gen = field("generator", str)
         if gen == "random":
             kwargs = {name: field(name, default) for name, default in RANDOM_FIELDS.items()}
             seed0, count = field("seed0", 0), field("count", 1)

@@ -34,6 +34,7 @@ _SUPPORT_KEYS = frozenset({"value", "prob"})
 _CORRELATED_ACTION_KEYS = frozenset({"label", "bias"})
 _CORRELATED_OUTSIDE_KEYS = frozenset({"bias"})
 _PROFILE_KEYS = frozenset({"prob", "values"})
+_XNUM_KEYS = frozenset({"std", "inf"})
 
 
 class ParseError(DelegationError, ValueError):
@@ -66,7 +67,7 @@ def _parse_xnum(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> XNu
     ``xnums`` only once both its literals have parsed, so a bad literal
     still fails where it first occurs.
     """
-    if not isinstance(obj, dict) or set(obj) != {"std", "inf"}:
+    if not isinstance(obj, dict) or obj.keys() != _XNUM_KEYS:
         raise ParseError(f"{where}: expected an object with 'std' and 'inf'")
     std, inf = literals = obj["std"], obj["inf"]
     x = xnums.get(literals) if isinstance(std, str) and isinstance(inf, str) else None
@@ -76,18 +77,13 @@ def _parse_xnum(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> XNu
     return x
 
 
-def _parse_list(obj: Any, where: str) -> list:
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected a list, got {obj!r}")
-    return obj
-
-
 def read_field(obj: dict[str, Any], name: str, default: Any, where: str) -> Any:
     """Field ``name`` of the JSON object ``obj`` at ``where``, of the type of ``default``.
 
     A type in place of a default makes the field required.  An int is a
     JSON integer (not a boolean), a tuple two of them, a Fraction a
-    canonical rational string; anything else raises ``ParseError``.
+    canonical rational string, a list a JSON array and a dict a JSON
+    object; anything else raises ``ParseError``.
     """
     where = f"{where}.{name}"
     want = default if isinstance(default, type) else type(default)
@@ -103,29 +99,28 @@ def read_field(obj: dict[str, Any], name: str, default: Any, where: str) -> Any:
         return tuple(value)
     if type(value) is want:
         return value
-    expected = {int: "an integer", str: "a string", tuple: "two integers"}[want]
+    expected = {
+        int: "an integer", str: "a string", tuple: "two integers", list: "a list", dict: "an object"
+    }[want]
     raise ParseError(f"{where}: expected {expected}, got {value!r}")
 
 
-def check_fields(obj: dict[str, Any], known: AbstractSet[str], where: str) -> None:
-    """Refuse a key of the JSON object ``obj`` outside ``known``.
+def check_fields(obj: Any, known: AbstractSet[str], where: str) -> None:
+    """Refuse an ``obj`` that is not a JSON object, or that holds a key outside ``known``.
 
-    ``ParseError`` names the first such key in ``obj``'s own order, under
-    ``where`` (the top level's is "").
+    ``ParseError`` names ``where``, and the first such key in ``obj``'s own
+    order under it (the top level's ``where`` is "").
     """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     if not obj.keys() <= known:
         name = next(key for key in obj if key not in known)
         raise ParseError(f"{where}.{name}: unknown field" if where else f"{name}: unknown field")
 
 
-def _parse_bias(
-    obj: Any, where: str, xnums: dict[tuple[str, str], XNum], known: AbstractSet[str]
-) -> XNum:
-    """The bias of a correlated instance's action or outside option ``obj``."""
-    if not isinstance(obj, dict) or "bias" not in obj:
-        raise ParseError(f"{where}: expected an object with 'bias'")
-    check_fields(obj, known, where)
-    return _parse_xnum(obj["bias"], f"{where}.bias", xnums)
+def _read_xnum(obj: dict, name: str, where: str, xnums: dict[tuple[str, str], XNum]) -> XNum:
+    """Required field ``name`` of ``obj`` at ``where``, an exact number (:func:`_parse_xnum`)."""
+    return _parse_xnum(read_field(obj, name, dict, where), f"{where}.{name}", xnums)
 
 
 def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[str, Any]:
@@ -137,25 +132,14 @@ def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[
 
 
 def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> Action:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
     check_fields(obj, _ACTION_KEYS, where)
-    entries = _parse_list(obj.get("support", []), f"{where}.support")
-    try:
-        support = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ParseError(f"{where}.support[{i}]: expected an object, got {entry!r}")
-            check_fields(entry, _SUPPORT_KEYS, f"{where}.support[{i}]")
-            support.append(
-                (
-                    _parse_xnum(entry["value"], f"{where}.support[{i}].value", xnums),
-                    read_rational(entry["prob"], f"{where}.support[{i}].prob"),
-                )
-            )
-        bias = _parse_xnum(obj["bias"], f"{where}.bias", xnums)
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc}") from exc
+    support = []
+    for i, entry in enumerate(read_field(obj, "support", [], where)):
+        at = f"{where}.support[{i}]"
+        check_fields(entry, _SUPPORT_KEYS, at)
+        value = _read_xnum(entry, "value", at, xnums)
+        support.append((value, read_field(entry, "prob", Fraction, at)))
+    bias = _read_xnum(obj, "bias", where, xnums)
     label = read_field(obj, "label", "", where)
     # Field errors above already name their field; only the action's own
     # checks (probabilities, values) get the action's location here.
@@ -239,37 +223,37 @@ def instance_from_obj(obj: Any) -> Instance:
         biases = []
         labels = []
         for i, a in enumerate(actions):
-            biases.append(_parse_bias(a, f"actions[{i}]", xnums, _CORRELATED_ACTION_KEYS))
+            check_fields(a, _CORRELATED_ACTION_KEYS, f"actions[{i}]")
+            biases.append(_read_xnum(a, "bias", f"actions[{i}]", xnums))
             labels.append(read_field(a, "label", f"a{i + 1}", f"actions[{i}]"))
         outside = obj.get("outside")
-        outside_bias = (
-            _parse_bias(outside, "outside", xnums, _CORRELATED_OUTSIDE_KEYS)
-            if outside is not None
-            else None
-        )
+        outside_bias = None
+        if outside is not None:
+            check_fields(outside, _CORRELATED_OUTSIDE_KEYS, "outside")
+            outside_bias = _read_xnum(outside, "bias", "outside", xnums)
         raw_profiles = obj.get("profiles")
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ParseError("profiles: expected a nonempty list")
+        width = len(biases) + (outside_bias is not None)
         profiles = []
         # One Profile per distinct row, keyed by its prob literal and its values' ids.
         rows: dict[tuple, Profile] = {}
         for i, pr in enumerate(raw_profiles):
-            if not isinstance(pr, dict):
-                raise ParseError(f"profiles[{i}]: expected an object")
-            check_fields(pr, _PROFILE_KEYS, f"profiles[{i}]")
-            try:
-                prob = read_rational(pr["prob"], f"profiles[{i}].prob")
-                values = tuple(
-                    _parse_xnum(v, f"profiles[{i}].values[{j}]", xnums)
-                    for j, v in enumerate(_parse_list(pr["values"], f"profiles[{i}].values"))
-                )
-            except KeyError as exc:
-                raise ParseError(f"profiles[{i}]: missing field {exc}") from exc
+            where = f"profiles[{i}]"
+            check_fields(pr, _PROFILE_KEYS, where)
+            prob = read_field(pr, "prob", Fraction, where)
+            values = tuple(
+                _parse_xnum(v, f"{where}.values[{j}]", xnums)
+                for j, v in enumerate(read_field(pr, "values", list, where))
+            )
             key = (pr["prob"], *map(id, values))
             try:
                 profiles.append(rows.get(key) or rows.setdefault(key, Profile(prob, values)))
             except DelegationError as exc:
-                raise ParseError(f"profiles[{i}]: {exc}") from exc
+                raise ParseError(f"{where}: {exc}") from exc
+            # A repeated row repeats its first occurrence's width, so this fails there.
+            if len(values) != width:
+                raise ParseError(f"{where}: profile has {len(values)} values, expected {width}")
         try:
             return CorrelatedInstance(
                 tuple(biases), tuple(profiles), outside_bias, tuple(labels)

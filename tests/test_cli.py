@@ -690,6 +690,8 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
         ({"generator": "log", "k": 3, "n": 2}, "ensemble block 0.n: unknown field"),
         ({"generator": "three_approx", "k": 3, "eps": "1/2"}, "ensemble block 0.k: unknown field"),
         ({"generator": "outside", "eps": "1/2", "n": 3}, "ensemble block 0.eps: unknown field"),
+        ({"k": 3}, "ensemble block 0.generator: missing field"),
+        ({"generator": 5}, "ensemble block 0.generator: expected a string, got 5"),
     ],
 )
 def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
@@ -1554,14 +1556,11 @@ def _edited(base, path, value):
             "actions[0].bias: expected an object with 'std' and 'inf'",
         ),
         (INDEPENDENT_OBJ, ("actions", 0, "support"), [], "actions[0]: action support is empty"),
-        (
-            CORRELATED_OBJ, ("actions", 0, "bias"), MISSING,
-            "actions[0]: expected an object with 'bias'",
-        ),
-        (CORRELATED_OBJ, ("outside",), {}, "outside: expected an object with 'bias'"),
+        (CORRELATED_OBJ, ("actions", 0, "bias"), MISSING, "actions[0].bias: missing field"),
+        (CORRELATED_OBJ, ("outside",), {}, "outside.bias: missing field"),
         (CORRELATED_OBJ, ("profiles",), [], "profiles: expected a nonempty list"),
         (CORRELATED_OBJ, ("profiles", 0), 3, "profiles[0]: expected an object"),
-        (CORRELATED_OBJ, ("profiles", 0, "prob"), MISSING, "profiles[0]: missing field 'prob'"),
+        (CORRELATED_OBJ, ("profiles", 0, "prob"), MISSING, "profiles[0].prob: missing field"),
         (
             CORRELATED_OBJ, ("profiles", 0, "prob"), "0",
             "profiles[0]: profile probability 0 is not positive",
@@ -1589,6 +1588,28 @@ def _edited(base, path, value):
             "outside.label: unknown field",
         ),
         (CORRELATED_OBJ, ("profiles", 0, "weight"), "1", "profiles[0].weight: unknown field"),
+        # A missing field is named at the object that lacks it, and a field of
+        # the wrong type by its expected type.
+        (INDEPENDENT_OBJ, ("actions", 0, "bias"), MISSING, "actions[0].bias: missing field"),
+        (
+            INDEPENDENT_OBJ, ("actions", 0, "support", 0, "value"), MISSING,
+            "actions[0].support[0].value: missing field",
+        ),
+        (
+            INDEPENDENT_OBJ, ("actions", 0, "support", 0, "prob"), MISSING,
+            "actions[0].support[0].prob: missing field",
+        ),
+        (
+            INDEPENDENT_OBJ, ("actions", 0, "support", 0), 5,
+            "actions[0].support[0]: expected an object",
+        ),
+        (INDEPENDENT_OBJ, ("actions", 0, "bias"), 5, "actions[0].bias: expected an object, got 5"),
+        (CORRELATED_OBJ, ("actions", 0), 5, "actions[0]: expected an object"),
+        (CORRELATED_OBJ, ("profiles", 0, "values"), MISSING, "profiles[0].values: missing field"),
+        (
+            CORRELATED_OBJ, ("profiles", 0, "values"), [ONE_OBJ, ONE_OBJ],
+            "profiles[0]: profile has 2 values, expected 1",
+        ),
     ],
     ids=[
         "top-level-list", "no-actions", "action-5", "bias-without-inf", "empty-support",
@@ -1596,6 +1617,8 @@ def _edited(base, path, value):
         "profile-without-prob", "prob-0", "negative-value", "probabilities-4/3",
         "outisde", "independent-profiles", "action-lable", "support-porb",
         "correlated-action-support", "correlated-outside-label", "profile-weight",
+        "action-without-bias", "support-without-value", "support-without-prob", "support-5",
+        "bias-5", "correlated-action-5", "profile-without-values", "profile-of-two-values",
     ],
 )
 def test_instance_field_errors_exit_2_naming_the_field(
