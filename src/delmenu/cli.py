@@ -50,6 +50,7 @@ from .serialize import (
     load_instance,
     parse_json,
     read_field,
+    read_fields,
     read_text,
     xnum_to_obj,
 )
@@ -348,17 +349,28 @@ RANDOM_FIELDS = {
     "bias_range": (-4, 4),
 }
 
+# The fields each sweep generator reads beside "generator", in read order,
+# each with its read_field default (a type for a required field).
+SWEEP_FIELDS: dict[str, dict[str, Any]] = {
+    "random": {**RANDOM_FIELDS, "seed0": 0, "count": 1},
+    "log": {"k": int},
+    "three_approx": {"eps": Fraction(1, 1000)},
+    "outside": {"n": int},
+}
+
 
 def _ensemble_jobs(spec: Any) -> list[Job]:
     """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
 
-    Every field is read once, with its type checked; a malformed one, a
-    field that the block's generator does not read, or a ``count`` below 1
-    raises ``ParseError``.  A spec of more than ``SWEEP_ROW_CAP`` rows
-    raises ``CapExceededError``; a block's rows are counted before its jobs
-    are built, so a huge ``count`` builds nothing.  Constructors are looked up on ``families`` now, so wrappers
-    installed on them apply; being module-level functions, they pickle for
-    worker processes.
+    A block's ``generator`` is read first, then the block by that
+    generator's schema in ``SWEEP_FIELDS``: a field outside it is refused
+    before any field is read, then each field is read once, with its type
+    checked.  A malformed field or a ``count`` below 1 raises
+    ``ParseError``.  A spec of more than ``SWEEP_ROW_CAP`` rows raises
+    ``CapExceededError``; a block's rows are counted before its jobs are
+    built, so a huge ``count`` builds nothing.  Constructors are looked up
+    on ``families`` now, so wrappers installed on them apply; being
+    module-level functions, they pickle for worker processes.
     """
     from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
 
@@ -369,34 +381,30 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
         raise ParseError("ensemble spec: expected a block, a list or {'ensembles': [...]}")
     jobs: list[Job] = []
     for b, block in enumerate(blocks):
-        where, read = f"ensemble block {b}", set()
+        where = f"ensemble block {b}"
         if not isinstance(block, dict):
             raise ParseError(f"{where}: expected an object")
-
-        def field(name: str, default: Any) -> Any:
-            read.add(name)
-            return read_field(block, name, default, where)
-
-        gen = field("generator", str)
+        gen = read_field(block, "generator", str, where)
+        if gen not in SWEEP_FIELDS:
+            raise ParseError(f"{where}: unknown generator {gen!r}")
+        _, *fields = read_fields(block, {"generator": str, **SWEEP_FIELDS[gen]}, where)
+        count = 1
         if gen == "random":
-            kwargs = {name: field(name, default) for name, default in RANDOM_FIELDS.items()}
-            seed0, count = field("seed0", 0), field("count", 1)
+            *values, seed0, count = fields
+            kwargs = dict(zip(RANDOM_FIELDS, values))
             new = (
                 (f"random-{kwargs['kind']}-s{seed}", gen_random, {**kwargs, "seed": seed})
                 for seed in range(seed0, seed0 + count)
             )
         elif gen == "log":
-            k = field("k", int)
-            count, new = 1, [(f"log-k{k}", gen_log_family, {"k": k})]
+            (k,) = fields
+            new = [(f"log-k{k}", gen_log_family, {"k": k})]
         elif gen == "three_approx":
-            eps = field("eps", Fraction(1, 1000))
-            count, new = 1, [(f"three-approx-{eps}", gen_three_approx, {"eps": eps})]
-        elif gen == "outside":
-            n = field("n", int)
-            count, new = 1, [(f"outside-n{n}", gen_outside_family, {"n": n})]
+            (eps,) = fields
+            new = [(f"three-approx-{eps}", gen_three_approx, {"eps": eps})]
         else:
-            raise ParseError(f"{where}: unknown generator {gen!r}")
-        check_fields(block, read, where)
+            (n,) = fields
+            new = [(f"outside-n{n}", gen_outside_family, {"n": n})]
         if count < 1:
             raise ParseError(f"{where}.count: expected at least 1, got {count}")
         _check_rows(len(jobs) + count)

@@ -26,14 +26,10 @@ from .xnum import DigitLimitError, XNum, parse_rational
 
 SCHEMA_VERSION = 1
 
-# The keys each object of an instance file may hold.
+# The keys an instance file's top level and an exact number may hold; every
+# other object is read by its schema (read_fields).
 _FILE_KEYS = frozenset({"schema_version", "kind", "actions", "outside"})
 _CORRELATED_FILE_KEYS = _FILE_KEYS | {"profiles"}
-_ACTION_KEYS = frozenset({"label", "bias", "support"})  # an outside option's too
-_SUPPORT_KEYS = frozenset({"value", "prob"})
-_CORRELATED_ACTION_KEYS = frozenset({"label", "bias"})
-_CORRELATED_OUTSIDE_KEYS = frozenset({"bias"})
-_PROFILE_KEYS = frozenset({"prob", "values"})
 _XNUM_KEYS = frozenset({"std", "inf"})
 
 
@@ -118,9 +114,15 @@ def check_fields(obj: Any, known: AbstractSet[str], where: str) -> None:
         raise ParseError(f"{where}.{name}: unknown field" if where else f"{name}: unknown field")
 
 
-def _read_xnum(obj: dict, name: str, where: str, xnums: dict[tuple[str, str], XNum]) -> XNum:
-    """Required field ``name`` of ``obj`` at ``where``, an exact number (:func:`_parse_xnum`)."""
-    return _parse_xnum(read_field(obj, name, dict, where), f"{where}.{name}", xnums)
+def read_fields(obj: Any, schema: dict[str, Any], where: str) -> list[Any]:
+    """The fields of the JSON object ``obj`` at ``where``, read in ``schema``'s order.
+
+    ``schema`` maps each field the object may hold to its :func:`read_field`
+    default, or to a type for a required field.  A non-object, or a key
+    outside ``schema``, is refused before any field is read (:func:`check_fields`).
+    """
+    check_fields(obj, schema.keys(), where)
+    return [read_field(obj, name, default, where) for name, default in schema.items()]
 
 
 def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[str, Any]:
@@ -132,15 +134,13 @@ def _action_to_obj(a: Action, render: Callable[[XNum], dict[str, str]]) -> dict[
 
 
 def _parse_action(obj: Any, where: str, xnums: dict[tuple[str, str], XNum]) -> Action:
-    check_fields(obj, _ACTION_KEYS, where)
+    entries, bias, label = read_fields(obj, {"support": [], "bias": dict, "label": ""}, where)
     support = []
-    for i, entry in enumerate(read_field(obj, "support", [], where)):
+    for i, entry in enumerate(entries):
         at = f"{where}.support[{i}]"
-        check_fields(entry, _SUPPORT_KEYS, at)
-        value = _read_xnum(entry, "value", at, xnums)
-        support.append((value, read_field(entry, "prob", Fraction, at)))
-    bias = _read_xnum(obj, "bias", where, xnums)
-    label = read_field(obj, "label", "", where)
+        value, prob = read_fields(entry, {"value": dict, "prob": Fraction}, at)
+        support.append((_parse_xnum(value, f"{at}.value", xnums), prob))
+    bias = _parse_xnum(bias, f"{where}.bias", xnums)
     # Field errors above already name their field; only the action's own
     # checks (probabilities, values) get the action's location here.
     try:
@@ -197,9 +197,11 @@ def instance_from_obj(obj: Any) -> Instance:
     Each distinct ``(std, inf)`` pair of literals is parsed once per call,
     into one XNum that all its occurrences share, and each distinct row, its
     ``prob`` literal and those XNums, is one ``Profile``, built and checked
-    where it first occurs; nothing is kept after the call.  Every literal is
-    still read in file order, so an error names the field where it first
-    occurs.
+    where it first occurs; nothing is kept after the call.  Objects are read
+    in file order, and each by its schema (:func:`read_fields`): its unknown
+    keys, then each field's presence and type, then its nested objects and
+    exact numbers.  So an error names the first faulty object in file order,
+    and within it the first fault in that order.
     """
     xnums: dict[tuple[str, str], XNum] = {}
     if not isinstance(obj, dict):
@@ -223,14 +225,14 @@ def instance_from_obj(obj: Any) -> Instance:
         biases = []
         labels = []
         for i, a in enumerate(actions):
-            check_fields(a, _CORRELATED_ACTION_KEYS, f"actions[{i}]")
-            biases.append(_read_xnum(a, "bias", f"actions[{i}]", xnums))
-            labels.append(read_field(a, "label", f"a{i + 1}", f"actions[{i}]"))
+            bias, label = read_fields(a, {"bias": dict, "label": f"a{i + 1}"}, f"actions[{i}]")
+            biases.append(_parse_xnum(bias, f"actions[{i}].bias", xnums))
+            labels.append(label)
         outside = obj.get("outside")
         outside_bias = None
         if outside is not None:
-            check_fields(outside, _CORRELATED_OUTSIDE_KEYS, "outside")
-            outside_bias = _read_xnum(outside, "bias", "outside", xnums)
+            (bias,) = read_fields(outside, {"bias": dict}, "outside")
+            outside_bias = _parse_xnum(bias, "outside.bias", xnums)
         raw_profiles = obj.get("profiles")
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ParseError("profiles: expected a nonempty list")
@@ -240,11 +242,9 @@ def instance_from_obj(obj: Any) -> Instance:
         rows: dict[tuple, Profile] = {}
         for i, pr in enumerate(raw_profiles):
             where = f"profiles[{i}]"
-            check_fields(pr, _PROFILE_KEYS, where)
-            prob = read_field(pr, "prob", Fraction, where)
+            prob, values = read_fields(pr, {"prob": Fraction, "values": list}, where)
             values = tuple(
-                _parse_xnum(v, f"{where}.values[{j}]", xnums)
-                for j, v in enumerate(read_field(pr, "values", list, where))
+                _parse_xnum(v, f"{where}.values[{j}]", xnums) for j, v in enumerate(values)
             )
             key = (pr["prob"], *map(id, values))
             try:
@@ -283,8 +283,9 @@ def loads_instance(text: str) -> Instance:
     """The instance in JSON ``text``; ``ParseError`` for a malformed one.
 
     One load parses each distinct ``(std, inf)`` pair of literals once
-    (:func:`instance_from_obj`): a generated log-family file of 192,535
-    literals holds 57 distinct ones.
+    (:func:`instance_from_obj`): a ``generate log --k 12`` file holds 94,208
+    exact numbers of 45 distinct pairs.  Its 4,095 ``prob`` literals, all
+    equal, are each parsed.
     """
     return instance_from_obj(parse_json(text))
 

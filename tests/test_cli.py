@@ -692,6 +692,11 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
         ({"generator": "outside", "eps": "1/2", "n": 3}, "ensemble block 0.eps: unknown field"),
         ({"k": 3}, "ensemble block 0.generator: missing field"),
         ({"generator": 5}, "ensemble block 0.generator: expected a string, got 5"),
+        # It is refused before any field is read: a misspelled required field
+        # is named, and so is an unknown key beside a field of the wrong type.
+        ({"generator": "log", "kk": 3}, "ensemble block 0.kk: unknown field"),
+        ({"generator": "outside", "N": 4}, "ensemble block 0.N: unknown field"),
+        ({"generator": "random", "n": "x", "seed": 7}, "ensemble block 0.seed: unknown field"),
     ],
 )
 def test_sweep_malformed_block_exits_2(tmp_path, capsys, block, where):
@@ -1610,6 +1615,12 @@ def _edited(base, path, value):
             CORRELATED_OBJ, ("profiles", 0, "values"), [ONE_OBJ, ONE_OBJ],
             "profiles[0]: profile has 2 values, expected 1",
         ),
+        # Every field's presence and type is checked before any exact number's
+        # literals are parsed, so of two faults the label's type is named.
+        (
+            CORRELATED_OBJ, ("actions", 0), {"bias": {"std": "x", "inf": "0"}, "label": 5},
+            "actions[0].label: expected a string, got 5",
+        ),
     ],
     ids=[
         "top-level-list", "no-actions", "action-5", "bias-without-inf", "empty-support",
@@ -1619,6 +1630,7 @@ def _edited(base, path, value):
         "correlated-action-support", "correlated-outside-label", "profile-weight",
         "action-without-bias", "support-without-value", "support-without-prob", "support-5",
         "bias-5", "correlated-action-5", "profile-without-values", "profile-of-two-values",
+        "bad-bias-and-label-5",
     ],
 )
 def test_instance_field_errors_exit_2_naming_the_field(
