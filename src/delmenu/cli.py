@@ -349,30 +349,40 @@ RANDOM_FIELDS = {
     "bias_range": (-4, 4),
 }
 
-# The fields each sweep generator reads beside "generator", in read order,
-# each with its read_field default (a type for a required field).
-SWEEP_FIELDS: dict[str, dict[str, Any]] = {
-    "random": {**RANDOM_FIELDS, "seed0": 0, "count": 1},
-    "log": {"k": int},
-    "three_approx": {"eps": Fraction(1, 1000)},
-    "outside": {"n": int},
+# Each sweep generator: its constructor's name on ``families``, its rows'
+# instance-id template, and the fields it reads beside "generator", in read
+# order, each with its read_field default (a type for a required field).
+SWEEP_GENERATORS: dict[str, tuple[str, str, dict[str, Any]]] = {
+    "random": ("gen_random", "random-{kind}-s{seed}", {**RANDOM_FIELDS, "seed0": 0, "count": 1}),
+    "log": ("gen_log_family", "log-k{k}", {"k": int}),
+    "three_approx": ("gen_three_approx", "three-approx-{eps}", {"eps": Fraction(1, 1000)}),
+    "outside": ("gen_outside_family", "outside-n{n}", {"n": int}),
 }
 
 
 def _ensemble_jobs(spec: Any) -> list[Job]:
     """Each instance of a sweep spec as (instance id, constructor, keyword arguments).
 
-    A block's ``generator`` is read first, then the block by that
-    generator's schema in ``SWEEP_FIELDS``: a field outside it is refused
-    before any field is read, then each field is read once, with its type
-    checked.  A malformed field or a ``count`` below 1 raises
-    ``ParseError``.  A spec of more than ``SWEEP_ROW_CAP`` rows raises
-    ``CapExceededError``; a block's rows are counted before its jobs are
-    built, so a huge ``count`` builds nothing.  Constructors are looked up
-    on ``families`` now, so wrappers installed on them apply; being
-    module-level functions, they pickle for worker processes.
+    Every block is read by one path.  Its ``generator`` is read first;
+    then, from that generator's entry in ``SWEEP_GENERATORS``:
+
+    1. The block is read against the schema by ``read_fields``: a field
+       outside it is refused before any field is read, then each field
+       is read once, with its type checked.
+    2. The schema's names, zipped with the values, are the constructor's
+       keyword arguments.
+    3. A random block's ``seed0`` and ``count`` are taken out: they make
+       one row per seed, each with its ``seed``.
+    4. A ``count`` below 1 raises ``ParseError``, as does a malformed
+       field; a spec of more than ``SWEEP_ROW_CAP`` rows raises
+       ``CapExceededError``.  Both are checked before the block's jobs
+       are built, so a huge ``count`` builds nothing.
+    5. The constructor is looked up on ``families`` now, so wrappers
+       installed on it apply; being a module-level function, it pickles
+       for worker processes.  Each row's id is the template formatted
+       with the row's keyword arguments.
     """
-    from .families import gen_log_family, gen_outside_family, gen_random, gen_three_approx
+    from . import families
 
     if isinstance(spec, dict) and "ensembles" in spec:
         check_fields(spec, {"ensembles"}, "ensemble spec")
@@ -385,38 +395,23 @@ def _ensemble_jobs(spec: Any) -> list[Job]:
         if not isinstance(block, dict):
             raise ParseError(f"{where}: expected an object")
         gen = read_field(block, "generator", str, where)
-        if gen not in SWEEP_FIELDS:
+        if gen not in SWEEP_GENERATORS:
             raise ParseError(f"{where}: unknown generator {gen!r}")
-        _, *fields = read_fields(block, {"generator": str, **SWEEP_FIELDS[gen]}, where)
-        count = 1
-        if gen == "random":
-            *values, seed0, count = fields
-            kwargs = dict(zip(RANDOM_FIELDS, values))
-            new = (
-                (f"random-{kwargs['kind']}-s{seed}", gen_random, {**kwargs, "seed": seed})
-                for seed in range(seed0, seed0 + count)
-            )
-        elif gen == "log":
-            (k,) = fields
-            new = [(f"log-k{k}", gen_log_family, {"k": k})]
-        elif gen == "three_approx":
-            (eps,) = fields
-            new = [(f"three-approx-{eps}", gen_three_approx, {"eps": eps})]
-        else:
-            (n,) = fields
-            new = [(f"outside-n{n}", gen_outside_family, {"n": n})]
+        name, row_id, schema = SWEEP_GENERATORS[gen]
+        _, *values = read_fields(block, {"generator": str, **schema}, where)
+        kwargs = dict(zip(schema, values))
+        seed0, count = kwargs.pop("seed0", None), kwargs.pop("count", 1)
         if count < 1:
             raise ParseError(f"{where}.count: expected at least 1, got {count}")
-        _check_rows(len(jobs) + count)
-        jobs.extend(new)
+        total = len(jobs) + count
+        if total > SWEEP_ROW_CAP:
+            raise CapExceededError(
+                f"sweep of at least {total} rows exceeds the cap of {SWEEP_ROW_CAP} rows"
+            )
+        seeds = [None] if seed0 is None else range(seed0, seed0 + count)
+        rows = [kwargs if seed is None else {**kwargs, "seed": seed} for seed in seeds]
+        jobs.extend((row_id.format(**row), getattr(families, name), row) for row in rows)
     return jobs
-
-
-def _check_rows(rows: int) -> None:
-    if rows > SWEEP_ROW_CAP:
-        raise CapExceededError(
-            f"sweep of at least {rows} rows exceeds the cap of {SWEEP_ROW_CAP} rows"
-        )
 
 
 def _solve_row(

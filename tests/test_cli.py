@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 import delmenu
 import delmenu.cli as cli_mod
+import delmenu.families as families
 from delmenu import (
     Action,
     CapExceededError,
@@ -744,6 +746,25 @@ def test_sweep_instance_ids(tmp_path, capsys):
         "three-approx-1/7",
         "outside-n2",
     ]
+
+
+# Each generator's block with only its required fields, and the id README gives its row.
+REQUIRED_BLOCKS = {
+    "random": ({}, "random-independent-s0"),
+    "log": ({"k": 3}, "log-k3"),
+    "three_approx": ({}, "three-approx-1/1000"),
+    "outside": ({"n": 3}, "outside-n3"),
+}
+
+
+@pytest.mark.parametrize("gen", cli_mod.SWEEP_GENERATORS)
+def test_sweep_generator_fields_bind_to_its_constructor(gen):
+    name = cli_mod.SWEEP_GENERATORS[gen][0]
+    fields, instance_id = REQUIRED_BLOCKS[gen]
+    [(got_id, constructor, kwargs)] = cli_mod._ensemble_jobs({"generator": gen, **fields})
+    assert constructor is getattr(families, name)
+    inspect.signature(getattr(families, name)).bind(**kwargs)
+    assert got_id == instance_id
 
 
 def test_sweep_semantic_errors_become_skipped_rows(tmp_path, capsys):

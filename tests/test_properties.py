@@ -4,6 +4,7 @@ Example counts are kept small so the suite stays quick; each property is
 checked on fresh random inputs every run.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,7 @@ def test_ensemble_jobs_return_jobs_or_parse_error(spec):
     for instance_id, constructor, kwargs in jobs:
         assert isinstance(instance_id, str) and callable(constructor)
         assert all(type(v) in (int, str, tuple, Fraction) for v in kwargs.values())
+        inspect.signature(constructor).bind(**kwargs)
 
 
 @FEW
